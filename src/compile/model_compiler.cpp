@@ -305,9 +305,9 @@ models::Cnn3d* cnn_head_of(models::Regressor& model) {
   return nullptr;
 }
 
-// Build every vol2col copy plan for the model's voxel geometry with one
-// zero-valued dummy trunk forward (values are discarded; the plans and pool
-// argmax shapes depend only on geometry).
+// Build every Conv3d lowering table for the model's voxel geometry with one
+// zero-valued dummy trunk forward (values are discarded; the tables depend
+// only on geometry).
 void warm_conv_plans(models::Regressor& model) {
   models::Cnn3d* cnn = cnn_head_of(model);
   if (cnn == nullptr) return;

@@ -22,7 +22,7 @@
 //     panel image once (core::pack_a_full / pack_b_full) so steady-state
 //     sgemm calls skip pack_a/pack_b. Bitwise identical on every dispatch
 //     path (core::sgemm_prepacked).
-//   * Conv-plan prewarming — the 3D-CNN trunk's vol2col copy plans are
+//   * Conv-plan prewarming — the 3D-CNN trunk's lowering tables are
 //     built for the model's voxel geometry ahead of the first request.
 //
 // The compiled model is eval-only: training after compile() would update

@@ -1,5 +1,6 @@
 #include "graph/gather.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -11,22 +12,23 @@ Gather::Gather(int64_t in_h, int64_t in_x, int64_t width, core::Rng& rng)
     : in_h_(in_h), in_x_(in_x), width_(width), gate_(in_h + in_x, width, rng),
       value_(in_h + in_x, width, rng) {}
 
-Tensor Gather::concat(const Tensor& h, const Tensor& x) const {
+Tensor Gather::concat(const Tensor& h, const Tensor& x, const std::vector<RowRange>& ranges) const {
   if (h.dim(0) != x.dim(0)) throw std::invalid_argument("Gather: node count mismatch");
-  const int64_t rows = h.dim(0);
+  int64_t rows = 0;
+  for (const RowRange& r : ranges) rows += r.count;
   Tensor cat = Tensor::uninit({rows, in_h_ + in_x_});
-  for (int64_t i = 0; i < rows; ++i) {
-    float* dst = cat.data() + i * (in_h_ + in_x_);
-    std::memcpy(dst, h.data() + i * in_h_, static_cast<size_t>(in_h_) * sizeof(float));
-    std::memcpy(dst + in_h_, x.data() + i * in_x_, static_cast<size_t>(in_x_) * sizeof(float));
-  }
+  float* dst = cat.data();
+  for (const RowRange& r : ranges)
+    for (int64_t i = r.first; i < r.first + r.count; ++i, dst += in_h_ + in_x_) {
+      std::memcpy(dst, h.data() + i * in_h_, static_cast<size_t>(in_h_) * sizeof(float));
+      std::memcpy(dst + in_h_, x.data() + i * in_x_, static_cast<size_t>(in_x_) * sizeof(float));
+    }
   return cat;
 }
 
-Tensor Gather::forward_nodes(const Tensor& h, const Tensor& x, bool training) {
+Tensor Gather::gated(const Tensor& cat, bool training) {
   gate_.set_training(training);
   value_.set_training(training);
-  Tensor cat = concat(h, x);
   // out = sigmoid(a_g) * v; the sigmoid rides the gate GEMM's epilogue.
   Tensor g = gate_.forward_act(cat, core::EpilogueAct::kSigmoid);
   Tensor v = value_.forward(cat);
@@ -34,11 +36,15 @@ Tensor Gather::forward_nodes(const Tensor& h, const Tensor& x, bool training) {
     cat_ = cat;
     gate_out_ = g;
     value_out_ = v;
-    n_nodes_ = h.dim(0);
+    n_nodes_ = cat.dim(0);
   }
   Tensor out = Tensor::uninit(g.shape());
   for (int64_t i = 0; i < g.numel(); ++i) out[i] = g[i] * v[i];
   return out;
+}
+
+Tensor Gather::forward_nodes(const Tensor& h, const Tensor& x, bool training) {
+  return gated(concat(h, x, {{0, h.dim(0)}}), training);
 }
 
 std::pair<Tensor, Tensor> Gather::backward_nodes(const Tensor& grad_out) {
@@ -63,6 +69,8 @@ std::pair<Tensor, Tensor> Gather::backward_nodes(const Tensor& grad_out) {
 }
 
 Tensor Gather::forward_sum(const Tensor& h, const Tensor& x, int64_t n_sum, bool training) {
+  if (!training) return forward_segments(h, x, {0, h.dim(0)}, {n_sum});
+  // Training runs every node: backward_nodes needs the full per-node caches.
   Tensor per_node = forward_nodes(h, x, training);
   n_sum_ = std::min<int64_t>(n_sum, per_node.dim(0));
   Tensor out({1, width_});
@@ -76,24 +84,29 @@ Tensor Gather::forward_sum(const Tensor& h, const Tensor& x, int64_t n_sum, bool
 
 Tensor Gather::forward_segments(const Tensor& h, const Tensor& x,
                                 const std::vector<int64_t>& node_offset,
-                                const std::vector<int64_t>& sum_counts, bool training) {
+                                const std::vector<int64_t>& sum_counts) {
   if (node_offset.empty() || node_offset.size() != sum_counts.size() + 1) {
     throw std::invalid_argument("Gather::forward_segments: bad segment layout");
   }
-  Tensor per_node = forward_nodes(h, x, training);
-  const int64_t num_graphs = static_cast<int64_t>(sum_counts.size());
-  Tensor out({num_graphs, width_});
-  for (int64_t g = 0; g < num_graphs; ++g) {
-    // Per-graph sum over its leading (ligand) rows, in the same node order
-    // as the per-pose forward_sum — keeps batched == per-pose bitwise.
-    const int64_t base = node_offset[static_cast<size_t>(g)];
-    const int64_t count = std::min<int64_t>(sum_counts[static_cast<size_t>(g)],
-                                            node_offset[static_cast<size_t>(g) + 1] - base);
-    float* acc = out.data() + g * width_;
-    for (int64_t i = 0; i < count; ++i) {
-      const float* row = per_node.data() + (base + i) * width_;
+  // Only the summed (ligand) rows go through the gate/value GEMMs. Each
+  // output row depends on its own input row alone, so the sums are bitwise
+  // those of the full per-node forward, added in the same node order as the
+  // per-pose forward_sum.
+  const size_t num_graphs = sum_counts.size();
+  std::vector<RowRange> ranges(num_graphs);
+  for (size_t g = 0; g < num_graphs; ++g) {
+    const int64_t base = node_offset[g];
+    ranges[g] = {base, std::clamp<int64_t>(sum_counts[g], 0, node_offset[g + 1] - base)};
+  }
+  Tensor cat = concat(h, x, ranges);
+  Tensor out({static_cast<int64_t>(num_graphs), width_});
+  if (cat.dim(0) == 0) return out;
+  const Tensor per_row = gated(cat, /*training=*/false);
+  const float* row = per_row.data();
+  for (size_t g = 0; g < num_graphs; ++g) {
+    float* acc = out.data() + static_cast<int64_t>(g) * width_;
+    for (int64_t i = 0; i < ranges[g].count; ++i, row += width_)
       for (int64_t j = 0; j < width_; ++j) acc[j] += row[j];
-    }
   }
   return out;
 }

@@ -22,7 +22,8 @@ class Gather {
   std::pair<Tensor, Tensor> backward_nodes(const Tensor& grad_out);
 
   /// Graph-level gather: sum per-node output over nodes [0, n_sum).
-  /// Matches PotentialNet summing over ligand atoms only.
+  /// Matches PotentialNet summing over ligand atoms only. Eval forwards run
+  /// the gate/value networks on the summed nodes alone.
   Tensor forward_sum(const Tensor& h, const Tensor& x, int64_t n_sum, bool training);
   std::pair<Tensor, Tensor> backward_sum(const Tensor& grad_graph);
 
@@ -30,16 +31,23 @@ class Gather {
   /// (graph::PackedGraphBatch layout): graph g sums per-node output rows
   /// [node_offset[g], node_offset[g] + sum_counts[g]) into row g of the
   /// (num_graphs, width) result. Bitwise identical to running forward_sum
-  /// per graph. Inference path — per-graph backward is not supported.
+  /// per graph. Inference path: only the summed rows are computed, and
+  /// per-graph backward is not supported.
   Tensor forward_segments(const Tensor& h, const Tensor& x,
                           const std::vector<int64_t>& node_offset,
-                          const std::vector<int64_t>& sum_counts, bool training);
+                          const std::vector<int64_t>& sum_counts);
 
   void collect_parameters(std::vector<nn::Parameter*>& out);
   int64_t width() const { return width_; }
 
  private:
-  Tensor concat(const Tensor& h, const Tensor& x) const;
+  struct RowRange {
+    int64_t first, count;
+  };
+  // The listed node rows of [h, x], concatenated per row.
+  Tensor concat(const Tensor& h, const Tensor& x, const std::vector<RowRange>& ranges) const;
+  // sigmoid(i(cat)) * j(cat) per row; training keeps the backward caches.
+  Tensor gated(const Tensor& cat, bool training);
 
   int64_t in_h_, in_x_, width_;
   nn::Dense gate_;   // "i" network -> sigmoid

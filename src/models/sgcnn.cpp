@@ -45,7 +45,7 @@ nn::Tensor Sgcnn::forward_latent_batch(const graph::PackedGraphBatch& packed) {
   nn::Tensor h1 = cov_->forward(h0, packed.covalent, /*training=*/false);
   nn::Tensor h2 = noncov_->forward(h1, packed.noncovalent, /*training=*/false);
   nn::Tensor pooled = gather_->forward_segments(h2, packed.node_features, packed.node_offset,
-                                                packed.ligand_counts, /*training=*/false);
+                                                packed.ligand_counts);
   return dense1_->forward_act(pooled, core::EpilogueAct::kReLU);
 }
 

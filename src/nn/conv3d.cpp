@@ -14,117 +14,14 @@ namespace df::nn {
 
 namespace {
 
-// Valid output range [lo, hi) for one spatial axis and one kernel offset:
-// the positions `o` with 0 <= o*stride - pad + koff < in_size. Everything
-// outside maps into the zero padding.
-struct AxisRange {
-  int64_t lo, hi;
-};
+// Positions per lowering-table block: one 16-float vector.
+constexpr int64_t kLanes = 16;
 
-AxisRange valid_range(int64_t in_size, int64_t out_size, int64_t stride, int64_t pad,
-                      int64_t koff) {
-  // o*stride >= pad - koff  and  o*stride <= in_size - 1 + pad - koff
-  const int64_t num = pad - koff;
-  int64_t lo = num <= 0 ? 0 : (num + stride - 1) / stride;
-  int64_t hi = (in_size - 1 + pad - koff) / stride + 1;
-  if (in_size - 1 + pad - koff < 0) hi = 0;
-  lo = std::min(lo, out_size);
-  hi = std::clamp(hi, lo, out_size);
-  return {lo, hi};
-}
-
-// Lower one sample (cin, D, H, W) to cols (cin*k^3, Do*Ho*Wo). Rows touched
-// by padding are zero-filled up front; the interior is copied with
-// contiguous (stride 1) or strided row loops, no per-element bounds checks.
-// `ldcols` strides between rows so several samples can share one wide
-// column matrix ((K, B*N) with sample b at column offset b*N).
-void vol2col(const float* x, int64_t cin, int64_t D, int64_t H, int64_t W, int64_t k,
-             int64_t stride, int64_t pad, int64_t Do, int64_t Ho, int64_t Wo, float* cols,
-             int64_t ldcols) {
-  for (int64_t ci = 0; ci < cin; ++ci) {
-    const float* xc = x + ci * D * H * W;
-    for (int64_t kz = 0; kz < k; ++kz) {
-      const AxisRange rz = valid_range(D, Do, stride, pad, kz);
-      for (int64_t ky = 0; ky < k; ++ky) {
-        const AxisRange ry = valid_range(H, Ho, stride, pad, ky);
-        for (int64_t kx = 0; kx < k; ++kx) {
-          const AxisRange rx = valid_range(W, Wo, stride, pad, kx);
-          float* row = cols + (((ci * k + kz) * k + ky) * k + kx) * ldcols;
-          const int64_t nx = rx.hi - rx.lo;
-          if (nx <= 0) {
-            // Whole row maps into the padding.
-            std::memset(row, 0, static_cast<size_t>(Do * Ho * Wo) * sizeof(float));
-            continue;
-          }
-          // Zero exactly the border gaps instead of pre-clearing the whole
-          // row and rewriting the interior — each element is written once.
-          for (int64_t zo = 0; zo < Do; ++zo) {
-            float* prow = row + zo * Ho * Wo;
-            if (zo < rz.lo || zo >= rz.hi) {
-              std::memset(prow, 0, static_cast<size_t>(Ho * Wo) * sizeof(float));
-              continue;
-            }
-            const int64_t z = zo * stride - pad + kz;
-            for (int64_t yo = 0; yo < Ho; ++yo) {
-              float* dst0 = prow + yo * Wo;
-              if (yo < ry.lo || yo >= ry.hi) {
-                std::memset(dst0, 0, static_cast<size_t>(Wo) * sizeof(float));
-                continue;
-              }
-              const int64_t y = yo * stride - pad + ky;
-              if (rx.lo > 0) std::memset(dst0, 0, static_cast<size_t>(rx.lo) * sizeof(float));
-              if (rx.hi < Wo)
-                std::memset(dst0 + rx.hi, 0, static_cast<size_t>(Wo - rx.hi) * sizeof(float));
-              const float* src = xc + (z * H + y) * W + (rx.lo * stride - pad + kx);
-              float* dst = dst0 + rx.lo;
-              if (stride == 1) {
-                std::memcpy(dst, src, static_cast<size_t>(nx) * sizeof(float));
-              } else {
-                for (int64_t j = 0; j < nx; ++j) dst[j] = src[j * stride];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-// Scatter-add cols-shaped gradients back into one sample's input gradient.
-// Mirrors vol2col's interior ranges; border columns map into padding and
-// are dropped.
-void col2vol(const float* cols, int64_t cin, int64_t D, int64_t H, int64_t W, int64_t k,
-             int64_t stride, int64_t pad, int64_t Do, int64_t Ho, int64_t Wo, float* gx) {
-  const int64_t N = Do * Ho * Wo;
-  for (int64_t ci = 0; ci < cin; ++ci) {
-    float* gc = gx + ci * D * H * W;
-    for (int64_t kz = 0; kz < k; ++kz) {
-      const AxisRange rz = valid_range(D, Do, stride, pad, kz);
-      for (int64_t ky = 0; ky < k; ++ky) {
-        const AxisRange ry = valid_range(H, Ho, stride, pad, ky);
-        for (int64_t kx = 0; kx < k; ++kx) {
-          const AxisRange rx = valid_range(W, Wo, stride, pad, kx);
-          const float* row = cols + (((ci * k + kz) * k + ky) * k + kx) * N;
-          const int64_t nx = rx.hi - rx.lo;
-          if (nx <= 0) continue;
-          for (int64_t zo = rz.lo; zo < rz.hi; ++zo) {
-            const int64_t z = zo * stride - pad + kz;
-            for (int64_t yo = ry.lo; yo < ry.hi; ++yo) {
-              const int64_t y = yo * stride - pad + ky;
-              float* dst = gc + (z * H + y) * W + (rx.lo * stride - pad + kx);
-              const float* src = row + (zo * Ho + yo) * Wo + rx.lo;
-              if (stride == 1) {
-                for (int64_t j = 0; j < nx; ++j) dst[j] += src[j];
-              } else {
-                for (int64_t j = 0; j < nx; ++j) dst[j * stride] += src[j];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
+// Samples lowered side by side into one column matrix when a layer's
+// per-sample output has N positions. Below 32 columns the per-sample GEMM
+// is too narrow to fill the micro-kernel's lanes, so ceil(32 / N) samples
+// share one (K, g*N) GEMM; at N >= 32 each sample's GEMM stands alone.
+int64_t group_size(int64_t N) { return N > 0 && N < 32 ? (32 + N - 1) / N : 1; }
 
 }  // namespace
 
@@ -139,65 +36,92 @@ Conv3d::Conv3d(int64_t in_channels, int64_t out_channels, int64_t kernel, core::
 
 Tensor Conv3d::forward(const Tensor& x) { return forward_act(x, core::EpilogueAct::kNone); }
 
-void Conv3d::build_plan(int64_t D, int64_t H, int64_t W, int64_t Do, int64_t Ho, int64_t Wo) {
-  plan_.D = D;
-  plan_.H = H;
-  plan_.W = W;
-  plan_.copies.clear();
-  plan_.strided.clear();
-  plan_.zeros.clear();
-  const int64_t N = Do * Ho * Wo;
-  auto zero = [&](int64_t dst, int64_t len) {
-    if (!plan_.zeros.empty() && plan_.zeros.back().dst + plan_.zeros.back().len == dst) {
-      plan_.zeros.back().len += len;
-    } else {
-      plan_.zeros.push_back({dst, len});
-    }
-  };
-  auto copy = [&](int64_t dst, int64_t src, int64_t len) {
-    if (!plan_.copies.empty() && plan_.copies.back().dst + plan_.copies.back().len == dst &&
-        plan_.copies.back().src + plan_.copies.back().len == src) {
-      plan_.copies.back().len += len;
-    } else {
-      plan_.copies.push_back({dst, src, len});
-    }
-  };
-  for (int64_t kz = 0; kz < k_; ++kz) {
-    const AxisRange rz = valid_range(D, Do, stride_, pad_, kz);
-    for (int64_t ky = 0; ky < k_; ++ky) {
-      const AxisRange ry = valid_range(H, Ho, stride_, pad_, ky);
-      for (int64_t kx = 0; kx < k_; ++kx) {
-        const AxisRange rx = valid_range(W, Wo, stride_, pad_, kx);
-        const int64_t row = ((kz * k_ + ky) * k_ + kx) * N;
-        const int64_t nx = rx.hi - rx.lo;
-        if (nx <= 0) {
-          zero(row, N);
-          continue;
-        }
-        for (int64_t zo = 0; zo < Do; ++zo) {
-          const int64_t prow = row + zo * Ho * Wo;
-          if (zo < rz.lo || zo >= rz.hi) {
-            zero(prow, Ho * Wo);
-            continue;
+void Conv3d::build_table(int64_t D, int64_t H, int64_t W) {
+  if (table_.D == D && table_.H == H && table_.W == W) return;
+  if (D * H * W > std::numeric_limits<int32_t>::max())
+    throw std::invalid_argument("Conv3d: input channel too large to lower");
+  const int64_t Do = out_size(D, k_, stride_, pad_);
+  const int64_t Ho = out_size(H, k_, stride_, pad_);
+  const int64_t Wo = out_size(W, k_, stride_, pad_);
+  LoweringTable& t = table_;
+  t.D = D;
+  t.H = H;
+  t.W = W;
+  t.N = Do * Ho * Wo;
+  t.blocks.clear();
+  t.index.clear();
+  for (int64_t kz = 0; kz < k_; ++kz)
+    for (int64_t ky = 0; ky < k_; ++ky)
+      for (int64_t kx = 0; kx < k_; ++kx)
+        for (int64_t n0 = 0; n0 < t.N; n0 += kLanes) {
+          const int64_t len = std::min(kLanes, t.N - n0);
+          int32_t lane[kLanes];
+          std::fill(lane, lane + kLanes, -1);
+          bool padding = true, run = true;
+          for (int64_t j = 0; j < len; ++j) {
+            const int64_t n = n0 + j;
+            const int64_t z = n / (Ho * Wo) * stride_ - pad_ + kz;
+            const int64_t y = n / Wo % Ho * stride_ - pad_ + ky;
+            const int64_t x = n % Wo * stride_ - pad_ + kx;
+            if (z >= 0 && z < D && y >= 0 && y < H && x >= 0 && x < W)
+              lane[j] = static_cast<int32_t>((z * H + y) * W + x);
+            padding = padding && lane[j] < 0;
+            run = run && lane[j] >= 0 && lane[j] == lane[0] + j;
           }
-          const int64_t z = zo * stride_ - pad_ + kz;
-          for (int64_t yo = 0; yo < Ho; ++yo) {
-            const int64_t dst0 = prow + yo * Wo;
-            if (yo < ry.lo || yo >= ry.hi) {
-              zero(dst0, Wo);
-              continue;
-            }
-            const int64_t y = yo * stride_ - pad_ + ky;
-            if (rx.lo > 0) zero(dst0, rx.lo);
-            const int64_t src = (z * H + y) * W + (rx.lo * stride_ - pad_ + kx);
-            if (stride_ == 1) {
-              copy(dst0 + rx.lo, src, nx);
-            } else {
-              plan_.strided.push_back({dst0 + rx.lo, src, nx});
-            }
-            if (rx.hi < Wo) zero(dst0 + rx.hi, Wo - rx.hi);
+          if (padding) {
+            t.blocks.push_back({LoweringTable::kZero, 0});
+          } else if (run) {
+            t.blocks.push_back({LoweringTable::kCopy, lane[0]});
+          } else {
+            t.blocks.push_back({LoweringTable::kGather, static_cast<int32_t>(t.index.size())});
+            t.index.insert(t.index.end(), lane, lane + kLanes);
           }
         }
+}
+
+void Conv3d::lower_channel(const float* x, float* cols, int64_t ld) const {
+  const LoweringTable& t = table_;
+  const int64_t nb = (t.N + kLanes - 1) / kLanes;
+  for (int64_t r = 0; r < k_ * k_ * k_; ++r) {
+    const LoweringTable::Block* blk = t.blocks.data() + r * nb;
+    float* row = cols + r * ld;
+    for (int64_t b = 0; b < nb; ++b) {
+      float* dst = row + b * kLanes;
+      const int64_t len = std::min(kLanes, t.N - b * kLanes);
+      switch (blk[b].kind) {
+        case LoweringTable::kZero:
+          std::memset(dst, 0, static_cast<size_t>(len) * sizeof(float));
+          break;
+        case LoweringTable::kCopy:
+          std::memcpy(dst, x + blk[b].src, static_cast<size_t>(len) * sizeof(float));
+          break;
+        case LoweringTable::kGather: {
+          const int32_t* idx = t.index.data() + blk[b].src;
+          for (int64_t j = 0; j < len; ++j) dst[j] = idx[j] < 0 ? 0.0f : x[idx[j]];
+          break;
+        }
+      }
+    }
+  }
+}
+
+void Conv3d::scatter_channel(const float* cols, float* gx) const {
+  // Tap row, then position: each input element's contributions are summed
+  // in the order a plain col2im adds them, whatever the blocks' kinds.
+  const LoweringTable& t = table_;
+  const int64_t nb = (t.N + kLanes - 1) / kLanes;
+  for (int64_t r = 0; r < k_ * k_ * k_; ++r) {
+    const LoweringTable::Block* blk = t.blocks.data() + r * nb;
+    for (int64_t b = 0; b < nb; ++b) {
+      const float* src = cols + r * t.N + b * kLanes;
+      const int64_t len = std::min(kLanes, t.N - b * kLanes);
+      if (blk[b].kind == LoweringTable::kCopy) {
+        float* dst = gx + blk[b].src;
+        for (int64_t j = 0; j < len; ++j) dst[j] += src[j];
+      } else if (blk[b].kind == LoweringTable::kGather) {
+        const int32_t* idx = t.index.data() + blk[b].src;
+        for (int64_t j = 0; j < len; ++j)
+          if (idx[j] >= 0) gx[idx[j]] += src[j];
       }
     }
   }
@@ -230,63 +154,33 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   ep.bias_row = b_.value.data();
   ep.leaky_slope = leaky_slope;
 
-  // One plan replay + one gemm per sample; samples fan out over the compute
-  // pool (sgemm detects it runs on a worker and stays serial inside, and
-  // workers only read the shared plan). The per-sample column matrix stays
-  // cache-resident across samples — lowering the whole batch into one wide
-  // (K, B*N) GEMM was measured 2.6x slower here because the column matrix
-  // then streams through DRAM.
-  if (plan_.D != D || plan_.H != H || plan_.W != W) build_plan(D, H, W, Do, Ho, Wo);
-  const ColsPlan& plan = plan_;
+  // One table replay per (sample, channel) and one GEMM per group of g
+  // samples; groups fan out over the compute pool (sgemm detects it runs on
+  // a worker and stays serial inside, and workers only read the shared
+  // table). A group's samples sit side by side in one (K, g*N) column
+  // matrix, so a small output grid still feeds the GEMM >= 32 columns; a
+  // large one keeps g = 1, whose column matrix stays cache-resident across
+  // samples. Each output element's accumulation and epilogue are the same
+  // for any GEMM width, so grouping changes no output bit. The int8 path
+  // quantizes one sample's columns at a time and keeps g = 1.
+  const bool int8 = !training_ && quant_ != nullptr;
+  const int64_t g = int8 ? 1 : group_size(N);
+  const int64_t ld = g * N;
+  build_table(D, H, W);
   const int64_t chan_in = D * H * W;
-  const int64_t chan_cols = k_ * k_ * k_ * N;
-  core::parallel_for_auto(static_cast<size_t>(B), 2, [&](size_t bi) {
-    const int64_t b = static_cast<int64_t>(bi);
+  const int64_t chan_cols = k_ * k_ * k_ * ld;
+  core::parallel_for_auto(static_cast<size_t>((B + g - 1) / g), 2, [&](size_t gi) {
+    const int64_t b0 = static_cast<int64_t>(gi) * g;
+    const int64_t gb = std::min(g, B - b0);
+    const int64_t n = gb * N;
     static thread_local std::vector<float> cols;
-    cols.resize(static_cast<size_t>(K * N));
-    for (int64_t ci = 0; ci < cin_; ++ci) {
-      const float* xs = in + b * cin_ * chan_in + ci * chan_in;
-      float* cd = cols.data() + ci * chan_cols;
-      for (const ColsPlan::ZeroSpan& zs : plan.zeros)
-        std::memset(cd + zs.dst, 0, static_cast<size_t>(zs.len) * sizeof(float));
-      for (const ColsPlan::Span& cs : plan.copies)
-        std::memcpy(cd + cs.dst, xs + cs.src, static_cast<size_t>(cs.len) * sizeof(float));
-#if defined(DF_SIMD_MATH_VECTOR)
-      if (stride_ == 2) {
-        // Stride-2 gather = even lanes of one contiguous load (the trailing
-        // over-read lands in the allocation slack every tensor reserves).
-        typedef float v8f __attribute__((vector_size(32), aligned(4)));
-        for (const ColsPlan::StridedSpan& ss : plan.strided) {
-          core::simd::vf16 v;
-          std::memcpy(&v, xs + ss.src, sizeof(v));
-          const v8f even = __builtin_shufflevector(v, v, 0, 2, 4, 6, 8, 10, 12, 14);
-          if (ss.n > 8 && ss.n <= 16) {
-            core::simd::vf16 v2;
-            std::memcpy(&v2, xs + ss.src + 16, sizeof(v2));
-            const v8f even2 = __builtin_shufflevector(v2, v2, 0, 2, 4, 6, 8, 10, 12, 14);
-            std::memcpy(cd + ss.dst, &even, sizeof(even));
-            std::memcpy(cd + ss.dst + 8, &even2,
-                        static_cast<size_t>(ss.n - 8) * sizeof(float));
-          } else if (ss.n <= 8) {
-            std::memcpy(cd + ss.dst, &even, static_cast<size_t>(ss.n) * sizeof(float));
-          } else {
-            float* dst = cd + ss.dst;
-            const float* src = xs + ss.src;
-            for (int64_t j = 0; j < ss.n; ++j) dst[j] = src[j * 2];
-          }
-        }
-      } else
-#endif
-      {
-        for (const ColsPlan::StridedSpan& ss : plan.strided) {
-          float* dst = cd + ss.dst;
-          const float* src = xs + ss.src;
-          for (int64_t j = 0; j < ss.n; ++j) dst[j] = src[j * stride_];
-        }
-      }
-    }
-    float* ob = o + b * cout_ * N;
-    if (!training_ && quant_ != nullptr) {
+    cols.resize(static_cast<size_t>(K * ld));
+    for (int64_t s = 0; s < gb; ++s)
+      for (int64_t ci = 0; ci < cin_; ++ci)
+        lower_channel(in + ((b0 + s) * cin_ + ci) * chan_in, cols.data() + ci * chan_cols + s * N,
+                      ld);
+    float* ob = o + b0 * cout_ * N;
+    if (int8) {
       // Int8 path: quantize this sample's column matrix to packed s8 panels
       // (the GEMM's B operand) against the prequantized u8 weight image.
       // The compensation vector depends on the quantized columns, so it is
@@ -306,12 +200,27 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
       qep.comp_col = comp.data();
       const int64_t k4 = (K + 3) & ~int64_t{3};
       core::gemm_u8s8f32(cout_, N, K, q.wu8, k4, colsq.data(), ob, N, qep);
-    } else if (!training_ && pa_.panels != nullptr) {
-      core::sgemm_prepacked(pa_, N, cols.data(), N, ob, N, /*accumulate=*/false, &ep);
+      return;
+    }
+    // A group's (cout, g*N) result lands in scratch and is then split into
+    // its samples' (cout, N) output planes.
+    static thread_local std::vector<float> res;
+    float* c = ob;
+    if (g > 1) {
+      res.resize(static_cast<size_t>(cout_ * ld));
+      c = res.data();
+    }
+    if (!training_ && pa_.panels != nullptr) {
+      core::sgemm_prepacked(pa_, n, cols.data(), ld, c, n, /*accumulate=*/false, &ep);
     } else {
-      core::sgemm(false, false, cout_, N, K, w, K, cols.data(), N, ob, N, /*accumulate=*/false,
+      core::sgemm(false, false, cout_, n, K, w, K, cols.data(), ld, c, n, /*accumulate=*/false,
                   &ep);
     }
+    if (g > 1)
+      for (int64_t s = 0; s < gb; ++s)
+        for (int64_t co = 0; co < cout_; ++co)
+          std::memcpy(ob + (s * cout_ + co) * N, c + co * n + s * N,
+                      static_cast<size_t>(N) * sizeof(float));
   });
   return out;
 }
@@ -344,21 +253,18 @@ void Conv3d::attach_quantized_views(float act_scale, const uint8_t* wu8, const f
   quant_ = std::move(q);
 }
 
-void Conv3d::warm_plan(int64_t D, int64_t H, int64_t W) {
-  if (plan_.D == D && plan_.H == H && plan_.W == W) return;
-  build_plan(D, H, W, out_size(D, k_, stride_, pad_), out_size(H, k_, stride_, pad_),
-             out_size(W, k_, stride_, pad_));
-}
-
 Tensor Conv3d::backward(const Tensor& grad_out) {
   if (cached_input_.empty()) throw std::runtime_error("Conv3d::backward before forward");
   const Tensor& x = cached_input_;
   const int64_t B = x.dim(0), D = x.dim(2), H = x.dim(3), W = x.dim(4);
   const int64_t Do = grad_out.dim(2), Ho = grad_out.dim(3), Wo = grad_out.dim(4);
   Tensor grad_in(x.shape());
+  build_table(D, H, W);
 
   const int64_t K = cin_ * k_ * k_ * k_;
   const int64_t N = Do * Ho * Wo;
+  const int64_t chan_in = D * H * W;
+  const int64_t chan_cols = k_ * k_ * k_ * N;
   const float* in = x.data();
   const float* g = grad_out.data();
   const float* w = w_.value.data();
@@ -378,14 +284,14 @@ Tensor Conv3d::backward(const Tensor& grad_out) {
       for (int64_t j = 0; j < N; ++j) acc += row[j];
       gb[co] += acc;
     }
-    vol2col(in + b * cin_ * D * H * W, cin_, D, H, W, k_, stride_, pad_, Do, Ho, Wo, cols.data(),
-            N);
+    for (int64_t ci = 0; ci < cin_; ++ci)
+      lower_channel(in + (b * cin_ + ci) * chan_in, cols.data() + ci * chan_cols, N);
     // dW (cout,K) += gOut (cout,N) x cols^T (N,K)
     core::sgemm(false, true, cout_, K, N, gbatch, N, cols.data(), N, gw, K, /*accumulate=*/true);
     // dCols (K,N) = W^T (K,cout) x gOut (cout,N), scattered back to dInput.
     core::sgemm(true, false, K, N, cout_, w, K, gbatch, N, cols_grad.data(), N);
-    col2vol(cols_grad.data(), cin_, D, H, W, k_, stride_, pad_, Do, Ho, Wo,
-            gi + b * cin_ * D * H * W);
+    for (int64_t ci = 0; ci < cin_; ++ci)
+      scatter_channel(cols_grad.data() + ci * chan_cols, gi + (b * cin_ + ci) * chan_in);
   }
   return grad_in;
 }
@@ -508,8 +414,10 @@ Tensor MaxPool3d::forward(const Tensor& x) {
   in_shape_ = x.shape();
   const int64_t B = x.dim(0), C = x.dim(1), D = x.dim(2), H = x.dim(3), W = x.dim(4);
   const int64_t Do = (D - k_) / stride_ + 1, Ho = (H - k_) / stride_ + 1, Wo = (W - k_) / stride_ + 1;
-  Tensor out({B, C, Do, Ho, Wo});
-  argmax_.assign(static_cast<size_t>(out.numel()), 0);
+  Tensor out = Tensor::uninit({B, C, Do, Ho, Wo});
+  // Only backward reads the argmax indices, so eval forwards skip them.
+  const bool track = training_;
+  if (track) argmax_.resize(static_cast<size_t>(out.numel()));
 
   const float* in = x.data();
   float* o = out.data();
@@ -536,7 +444,7 @@ Tensor MaxPool3d::forward(const Tensor& x) {
                 }
               }
           o[oi] = best;
-          argmax_[static_cast<size_t>(oi)] = besti;
+          if (track) argmax_[static_cast<size_t>(oi)] = besti;
         }
   });
   return out;

@@ -1,10 +1,10 @@
 // 3-D convolution and max-pooling over voxelized protein–ligand complexes.
 // Input layout is (batch, channels, depth, height, width), matching the
 // voxelizer's output. Conv3d lowers each sample to a (cin*k³, Do*Ho*Wo)
-// column matrix (vol2col) whose padded border is zero-filled up front and
-// whose interior is copied with branch-free row loops, then runs a single
-// blocked sgemm per sample; backward reverses the lowering (col2vol).
-// The original direct 7-loop implementation is retained below as the
+// column matrix by replaying a per-geometry lowering table, then runs one
+// blocked sgemm per sample (or per group of samples when the output grid is
+// small); backward scatters the column gradients back through the same
+// table. The original direct 7-loop implementation is retained below as the
 // equivalence reference for tests and the speedup benchmark.
 #pragma once
 
@@ -91,39 +91,37 @@ class Conv3d : public Module {
   /// observer before computing. Not used in training mode.
   void set_observer(ActivationObserver* obs) { observer_ = obs; }
 
-  /// Build the vol2col copy plan for a (D, H, W) input ahead of the first
-  /// forward, so a compiled replica's first score pays no plan construction.
-  void warm_plan(int64_t D, int64_t H, int64_t W);
-
  private:
-  // Replayable vol2col plan for one input channel: the (source, column)
-  // copy/zero spans depend only on geometry, so they are computed once per
-  // input shape, merged into maximal contiguous runs, and replayed for
-  // every (sample, channel) with plain offsets — the nested loops and range
-  // clipping run once instead of per call. Replica state (the layer is
-  // single-threaded per replica; pool workers only read it).
-  struct ColsPlan {
-    int64_t D = -1, H = -1, W = -1;            // geometry the plan was built for
-    struct Span {
-      int64_t dst, src, len;                   // contiguous copy (stride 1)
+  // Lowering table for one input channel of a (D, H, W) input. Column row
+  // t = (kz, ky, kx) of the (k^3, N) lowering is cut into 16-position
+  // blocks, and each block is all padding, one contiguous source run, or an
+  // index gather (-1 = padding). It depends only on the input geometry, so
+  // it is built once per shape and replayed for every (sample, channel) and
+  // by backward's scatter-add. Replica state (the layer is single-threaded
+  // per replica; pool workers only read it).
+  struct LoweringTable {
+    enum Kind : uint8_t { kZero, kCopy, kGather };
+    struct Block {
+      Kind kind;
+      int32_t src;  // kCopy: first source element; kGather: offset into `index`
     };
-    struct StridedSpan {
-      int64_t dst, src, n;                     // n elements, src stride = stride_
-    };
-    struct ZeroSpan {
-      int64_t dst, len;
-    };
-    std::vector<Span> copies;
-    std::vector<StridedSpan> strided;
-    std::vector<ZeroSpan> zeros;
+    int64_t D = -1, H = -1, W = -1;  // geometry the table was built for
+    int64_t N = 0;                   // output positions per sample
+    std::vector<Block> blocks;       // (k^3, ceil(N / 16)) row-major
+    std::vector<int32_t> index;      // 16 source elements per gather block
   };
-  void build_plan(int64_t D, int64_t H, int64_t W, int64_t Do, int64_t Ho, int64_t Wo);
+  // Build table_ for a (D, H, W) input; a no-op when it is already built for it.
+  void build_table(int64_t D, int64_t H, int64_t W);
+  // Write one (sample, channel)'s k^3 column rows, `ld` floats apart.
+  void lower_channel(const float* x, float* cols, int64_t ld) const;
+  // Add one channel's (k^3, N) column gradients back into its input gradient.
+  void scatter_channel(const float* cols, float* gx) const;
 
   int64_t cin_, cout_, k_, stride_, pad_;
   Parameter w_;  // (cout, cin, k, k, k)
   Parameter b_;  // (cout)
   Tensor cached_input_;
-  ColsPlan plan_;
+  LoweringTable table_;
   std::vector<float> packed_own_;
   core::PrepackedA pa_;
   std::unique_ptr<QuantizedConv> quant_;

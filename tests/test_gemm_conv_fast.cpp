@@ -1,11 +1,14 @@
 // Equivalence pins for the blocked inference engine: sgemm vs the naive
-// reference (all transpose variants, odd shapes, 1-8 threads), vol2col
-// Conv3d forward/backward vs the direct 7-loop reference, parallel
-// voxelizer/maxpool vs serial, batched predict vs per-pose predict, and
-// ThreadPool exception propagation.
+// reference (all transpose variants, odd shapes, 1-8 threads), table-lowered
+// Conv3d forward/backward vs the direct 7-loop reference and (bitwise) vs a
+// plain im2col + sgemm reference, sample-grouped conv batches vs per-sample
+// forwards, the ligand-only graph readout vs the full per-node readout,
+// parallel voxelizer/maxpool vs serial, batched predict vs per-pose predict,
+// and ThreadPool exception propagation.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "core/tensor.h"
 #include "core/threadpool.h"
 #include "data/target.h"
+#include "graph/gather.h"
 #include "models/fusion.h"
 #include "nn/conv3d.h"
 
@@ -166,6 +170,178 @@ TEST(Conv3dFast, MatchesNaiveOnEveryPoolSize) {
   }
 }
 
+// ---- Conv3d bitwise pins: plain im2col reference, sample groups ----
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Plain im2col of one (cin, D, H, W) sample: column (ci, kz, ky, kx) x
+// output position, zero where the tap lands in the padding.
+std::vector<float> im2col(const float* x, const ConvCase& cc, int64_t Do, int64_t Ho, int64_t Wo) {
+  const int64_t N = Do * Ho * Wo;
+  std::vector<float> cols(static_cast<size_t>(cc.cin * cc.k * cc.k * cc.k * N), 0.0f);
+  int64_t r = 0;
+  for (int64_t ci = 0; ci < cc.cin; ++ci)
+    for (int64_t kz = 0; kz < cc.k; ++kz)
+      for (int64_t ky = 0; ky < cc.k; ++ky)
+        for (int64_t kx = 0; kx < cc.k; ++kx, ++r)
+          for (int64_t n = 0; n < N; ++n) {
+            const int64_t z = n / (Ho * Wo) * cc.stride - cc.pad + kz;
+            const int64_t y = n / Wo % Ho * cc.stride - cc.pad + ky;
+            const int64_t xx = n % Wo * cc.stride - cc.pad + kx;
+            if (z < 0 || z >= cc.D || y < 0 || y >= cc.H || xx < 0 || xx >= cc.W) continue;
+            cols[static_cast<size_t>(r * N + n)] = x[((ci * cc.D + z) * cc.H + y) * cc.W + xx];
+          }
+  return cols;
+}
+
+// col2im: add column gradients back, column row by row, position by position.
+void col2im(const std::vector<float>& cols, const ConvCase& cc, int64_t Do, int64_t Ho,
+            int64_t Wo, float* gx) {
+  const int64_t N = Do * Ho * Wo;
+  int64_t r = 0;
+  for (int64_t ci = 0; ci < cc.cin; ++ci)
+    for (int64_t kz = 0; kz < cc.k; ++kz)
+      for (int64_t ky = 0; ky < cc.k; ++ky)
+        for (int64_t kx = 0; kx < cc.k; ++kx, ++r)
+          for (int64_t n = 0; n < N; ++n) {
+            const int64_t z = n / (Ho * Wo) * cc.stride - cc.pad + kz;
+            const int64_t y = n / Wo % Ho * cc.stride - cc.pad + ky;
+            const int64_t xx = n % Wo * cc.stride - cc.pad + kx;
+            if (z < 0 || z >= cc.D || y < 0 || y >= cc.H || xx < 0 || xx >= cc.W) continue;
+            gx[((ci * cc.D + z) * cc.H + y) * cc.W + xx] += cols[static_cast<size_t>(r * N + n)];
+          }
+}
+
+void check_conv_bitwise_vs_im2col(const ConvCase& cc, Rng& rng) {
+  nn::Conv3d conv(cc.cin, cc.cout, cc.k, rng, cc.stride, cc.pad);
+  const Tensor& w = conv.weight().value;
+  const Tensor& b = conv.bias().value;
+  const Tensor x = Tensor::randn({cc.B, cc.cin, cc.D, cc.H, cc.W}, rng);
+  const int64_t Do = nn::Conv3d::out_size(cc.D, cc.k, cc.stride, cc.pad);
+  const int64_t Ho = nn::Conv3d::out_size(cc.H, cc.k, cc.stride, cc.pad);
+  const int64_t Wo = nn::Conv3d::out_size(cc.W, cc.k, cc.stride, cc.pad);
+  const int64_t K = cc.cin * cc.k * cc.k * cc.k, N = Do * Ho * Wo;
+  const int64_t chan = cc.cin * cc.D * cc.H * cc.W;
+  std::string where = "k=" + std::to_string(cc.k) + " s=" + std::to_string(cc.stride) +
+                      " p=" + std::to_string(cc.pad) + " N=" + std::to_string(N);
+
+  // Reference: one im2col + sgemm per sample; bias through the epilogue.
+  core::Epilogue ep;
+  ep.bias_row = b.data();
+  Tensor y_ref({cc.B, cc.cout, Do, Ho, Wo});
+  Tensor gx_ref(x.shape()), gw_ref(w.shape()), gb_ref(b.shape());
+  const Tensor g = Tensor::randn(y_ref.shape(), rng);
+  std::vector<float> dcols(static_cast<size_t>(K * N));
+  for (int64_t s = 0; s < cc.B; ++s) {
+    const std::vector<float> cols = im2col(x.data() + s * chan, cc, Do, Ho, Wo);
+    core::sgemm(false, false, cc.cout, N, K, w.data(), K, cols.data(), N,
+                y_ref.data() + s * cc.cout * N, N, /*accumulate=*/false, &ep);
+    const float* gs = g.data() + s * cc.cout * N;
+    for (int64_t co = 0; co < cc.cout; ++co) {
+      float acc = 0.0f;
+      for (int64_t j = 0; j < N; ++j) acc += gs[co * N + j];
+      gb_ref[co] += acc;
+    }
+    core::sgemm(false, true, cc.cout, K, N, gs, N, cols.data(), N, gw_ref.data(), K,
+                /*accumulate=*/true);
+    core::sgemm(true, false, K, N, cc.cout, w.data(), K, gs, N, dcols.data(), N);
+    col2im(dcols, cc, Do, Ho, Wo, gx_ref.data() + s * chan);
+  }
+
+  conv.set_training(false);
+  EXPECT_TRUE(same_bytes(conv.forward(x), y_ref)) << "eval fwd " << where;
+  conv.set_training(true);
+  EXPECT_TRUE(same_bytes(conv.forward(x), y_ref)) << "train fwd " << where;
+  conv.zero_grad();
+  EXPECT_TRUE(same_bytes(conv.backward(g), gx_ref)) << "dX " << where;
+  EXPECT_TRUE(same_bytes(conv.weight().grad, gw_ref)) << "dW " << where;
+  EXPECT_TRUE(same_bytes(conv.bias().grad, gb_ref)) << "db " << where;
+}
+
+TEST(Conv3dFast, BitwiseMatchesIm2colReference) {
+  Rng rng(61);
+  // {B, cin, cout, D, H, W, k, stride, pad}: k in {1, 3, 5}, stride 1-3,
+  // pad 0-2, non-cubic inputs, output grids on both sides of 32 positions.
+  const ConvCase cases[] = {
+      {2, 3, 4, 5, 6, 7, 1, 1, 0},   {3, 2, 5, 4, 7, 5, 1, 2, 1},  {2, 3, 3, 7, 6, 5, 3, 1, 1},
+      {3, 2, 4, 9, 8, 7, 3, 2, 0},   {2, 4, 3, 9, 10, 8, 3, 3, 1}, {2, 2, 5, 6, 7, 8, 5, 1, 2},
+      {3, 3, 2, 9, 7, 8, 5, 2, 2},   {2, 2, 3, 11, 9, 10, 5, 3, 2}, {5, 3, 4, 2, 3, 2, 3, 1, 1},
+      {3, 16, 8, 8, 8, 8, 5, 2, 2},
+  };
+  for (const ConvCase& cc : cases) check_conv_bitwise_vs_im2col(cc, rng);
+}
+
+TEST(Conv3dFast, GroupedBatchMatchesPerSampleForward) {
+  Rng rng(67);
+  // N = 8 with B = 7 (groups of 4, last one partial), N = 1 (groups of 32),
+  // stride 3 with N = 27 (groups of 2), and N = 64 (no grouping).
+  const ConvCase cases[] = {
+      {7, 8, 12, 2, 2, 2, 3, 1, 1},
+      {5, 4, 6, 3, 3, 3, 3, 1, 0},
+      {33, 3, 5, 1, 1, 1, 3, 1, 1},
+      {5, 3, 7, 9, 9, 9, 3, 3, 1},
+      {3, 4, 6, 8, 8, 8, 5, 2, 2},
+  };
+  for (const ConvCase& cc : cases) {
+    nn::Conv3d conv(cc.cin, cc.cout, cc.k, rng, cc.stride, cc.pad);
+    conv.set_training(false);
+    const Tensor x = Tensor::randn({cc.B, cc.cin, cc.D, cc.H, cc.W}, rng);
+    const int64_t chan = x.numel() / cc.B;
+    for (bool packed : {false, true}) {
+      if (packed) conv.prepack();
+      const Tensor batch = conv.forward_act(x, core::EpilogueAct::kReLU);
+      const int64_t per = batch.numel() / cc.B;
+      for (int64_t s = 0; s < cc.B; ++s) {
+        Tensor one = Tensor::uninit({1, cc.cin, cc.D, cc.H, cc.W});
+        std::memcpy(one.data(), x.data() + s * chan, static_cast<size_t>(chan) * sizeof(float));
+        const Tensor alone = conv.forward_act(one, core::EpilogueAct::kReLU);
+        ASSERT_EQ(alone.numel(), per);
+        EXPECT_EQ(std::memcmp(alone.data(), batch.data() + s * per,
+                              static_cast<size_t>(per) * sizeof(float)),
+                  0)
+            << "B=" << cc.B << " D=" << cc.D << " s=" << cc.stride << " sample " << s
+            << " prepacked=" << packed;
+      }
+    }
+  }
+}
+
+// ---- SG-CNN readout: ligand rows only == full per-node readout ----
+
+TEST(GatherReadout, LigandOnlyMatchesFullReadout) {
+  Rng rng(71);
+  graph::Gather gather(6, 5, 40, rng);
+  // Segments of 9, 1, 4, 7 and 3 nodes: a multi-atom ligand with pocket
+  // nodes, a single-node graph, a graph with no pocket nodes (count ==
+  // size), a count clamped to the segment size, and a single-atom ligand.
+  const std::vector<int64_t> offset = {0, 9, 10, 14, 21, 24};
+  const std::vector<int64_t> counts = {5, 1, 4, 99, 1};
+  const Tensor h = Tensor::randn({24, 6}, rng), x = Tensor::randn({24, 5}, rng);
+
+  const Tensor per_node = gather.forward_nodes(h, x, /*training=*/false);
+  Tensor full({5, 40});
+  for (size_t g = 0; g < counts.size(); ++g) {
+    const int64_t n = std::min(counts[g], offset[g + 1] - offset[g]);
+    for (int64_t i = 0; i < n; ++i)
+      for (int64_t j = 0; j < 40; ++j)
+        full.data()[g * 40 + j] += per_node.data()[(offset[g] + i) * 40 + j];
+  }
+  EXPECT_TRUE(same_bytes(gather.forward_segments(h, x, offset, counts), full));
+
+  // The per-pose eval readout over one graph's rows is the same row sum.
+  for (size_t g = 0; g < counts.size(); ++g) {
+    const int64_t rows = offset[g + 1] - offset[g];
+    Tensor hg = Tensor::uninit({rows, 6}), xg = Tensor::uninit({rows, 5});
+    std::memcpy(hg.data(), h.data() + offset[g] * 6, static_cast<size_t>(rows * 6) * sizeof(float));
+    std::memcpy(xg.data(), x.data() + offset[g] * 5, static_cast<size_t>(rows * 5) * sizeof(float));
+    const Tensor one = gather.forward_sum(hg, xg, counts[g], /*training=*/false);
+    EXPECT_EQ(std::memcmp(one.data(), full.data() + g * 40, 40 * sizeof(float)), 0) << "graph " << g;
+  }
+}
+
 // ---- parallel voxelizer / maxpool vs serial ----
 
 TEST(VoxelizerParallel, BitwiseMatchesSerial) {
@@ -195,6 +371,9 @@ TEST(MaxPoolParallel, BitwiseMatchesSerial) {
   nn::MaxPool3d pool_layer2(2, 2);
   const Tensor parallel = pool_layer2.forward(x);
   EXPECT_EQ(max_abs_diff(serial, parallel), 0.0f);
+  // Eval skips the argmax bookkeeping and returns the same bytes.
+  pool_layer2.set_training(false);
+  EXPECT_TRUE(same_bytes(pool_layer2.forward(x), serial));
 }
 
 // ---- ThreadPool exception propagation ----
