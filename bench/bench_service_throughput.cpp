@@ -253,12 +253,10 @@ serve::ModelRegistry make_fsv_registry(int fsv) {
   return reg;
 }
 
-/// Sequential score() (exactly what every batch paid before this PR) vs
-/// the depth-2 stage pipeline with a shared pocket cache, same replica
-/// shape, same poses — bitwise-identical outputs, different wall clock.
-/// The two wins separate cleanly: the cache removes repeated pocket
-/// featurization (per batch at v1, per *pose* at v2, where the H-bond
-/// channel had disabled pocket-grid amortization entirely), while the
+/// Sequential uncached score() vs the depth-2 stage pipeline with a shared
+/// pocket cache, same replica shape, same poses — bitwise-identical
+/// outputs, different wall clock. The two wins separate cleanly: the cache
+/// removes the per-batch pocket grid and crop cell-list build, while the
 /// overlap of featurize(N+1) with forward(N) only pays when a spare core
 /// can run the stage thread — on a single-core host it measures ~1.0x by
 /// construction.
@@ -697,8 +695,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.cache_misses));
   }
   std::printf(
-      "(binding-site-scale protein-density receptor; seq = plain score(), per-batch\n"
-      " pocket work at v1, per-pose joint voxelize at v2; pipe = depth-2 stage pipeline\n"
+      "(binding-site-scale protein-density receptor; seq = plain score() without a\n"
+      " cache, per-batch pocket grid and crop work; pipe = depth-2 stage pipeline\n"
       " + pocket cache. The cache win is core-count-independent; the featurize/forward\n"
       " overlap needs a spare core for the stage thread — on a single-core host it\n"
       " contributes ~nothing by construction.)\n\n");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <stdexcept>
 #include <vector>
 
 #include "core/simd_math.h"
@@ -209,42 +208,28 @@ Tensor Voxelizer::voxelize_pocket(const std::vector<Atom>& pocket,
   return voxelize(Molecule(), pocket, center);
 }
 
-Tensor Voxelizer::voxelize_ligand_onto(const Molecule& ligand, const Tensor& pocket_grid,
-                                       const core::Vec3& center) const {
-  if (cfg_.feature_set_version >= 2) {
-    throw std::logic_error(
-        "voxelize_ligand_onto: v2 H-bond channel couples ligand and pocket; "
-        "pocket-grid amortization is v1-only — call voxelize() per pose");
-  }
-  Tensor grid = voxelize(ligand, {}, center);
-  // Channel blocks are disjoint: ligand splats live in block 0, pocket in
-  // block 1, so grafting the cached pocket block reproduces the joint
-  // voxelization bit for bit.
-  const int64_t block = static_cast<int64_t>(cfg_.channels_per_block()) * cfg_.grid_dim *
-                        cfg_.grid_dim * cfg_.grid_dim;
-  std::memcpy(grid.data() + block, pocket_grid.data() + block,
-              static_cast<size_t>(block) * sizeof(float));
-  return grid;
-}
-
 Tensor Voxelizer::voxelize_ligand_onto(const Molecule& ligand, const std::vector<Atom>& pocket,
                                        const Tensor& pocket_grid, const core::Vec3& center) const {
-  if (cfg_.feature_set_version < 2) return voxelize_ligand_onto(ligand, pocket_grid, center);
-
-  // v2: the ligand couples to the pocket only through the per-block H-bond
-  // channel, so the graft still works — it just has to re-derive the H-bond
-  // deposits for this ligand. Base pocket channels are ligand-independent
-  // (identical ops in the joint and ligand-free builds), and a ligand-free
-  // pocket grid has no interface H-bonds, so its H-bond channel is zero:
-  // splatting this ligand's pocket-side H-bond deposits on top of the graft
-  // reproduces the joint accumulation. Per-channel op order stays
-  // ascending-atom-index in every piece, matching voxelize() bit for bit.
+  // Channel blocks are disjoint: ligand splats live in block 0, pocket in
+  // block 1, so splatting the ligand alone and grafting the cached pocket
+  // block reproduces the joint voxelization bit for bit. At v2 the ligand
+  // also couples to the pocket through the per-block H-bond channel, so the
+  // graft has to re-derive the H-bond deposits for this ligand. Base pocket
+  // channels are ligand-independent (identical ops in the joint and
+  // ligand-free builds), and a ligand-free pocket grid has no interface
+  // H-bonds, so its H-bond channel is zero: splatting this ligand's
+  // pocket-side H-bond deposits on top of the graft reproduces the joint
+  // accumulation. Per-channel op order stays ascending-atom-index in every
+  // piece, matching voxelize() bit for bit.
+  const bool v2 = cfg_.feature_set_version >= 2;
   static thread_local std::vector<float> lig_hb, poc_hb;
   lig_hb.assign(ligand.atoms().size(), 0.0f);
-  poc_hb.assign(pocket.size(), 0.0f);
-  for (const HBond& hb : find_hbonds(ligand, pocket, cfg_.hbond)) {
-    lig_hb[static_cast<size_t>(hb.ligand_atom)] += 1.0f;
-    poc_hb[static_cast<size_t>(hb.pocket_atom)] += 1.0f;
+  if (v2) {
+    poc_hb.assign(pocket.size(), 0.0f);
+    for (const HBond& hb : find_hbonds(ligand, pocket, cfg_.hbond)) {
+      lig_hb[static_cast<size_t>(hb.ligand_atom)] += 1.0f;
+      poc_hb[static_cast<size_t>(hb.pocket_atom)] += 1.0f;
+    }
   }
 
   const int G = cfg_.grid_dim;
@@ -261,6 +246,7 @@ Tensor Voxelizer::voxelize_ligand_onto(const Molecule& ligand, const std::vector
   const int64_t block = static_cast<int64_t>(cpb) * G * G * G;
   std::memcpy(grid.data() + block, pocket_grid.data() + block,
               static_cast<size_t>(block) * sizeof(float));
+  if (!v2) return grid;
 
   // Pocket-side H-bond deposits only; the base-channel ops expand_atom also
   // emits are already present via the graft, so drop them (stable filter —

@@ -56,32 +56,21 @@ class Voxelizer {
                   const core::Vec3& center) const;
 
   /// Pocket-only grid (ligand block channels left zero) for reuse across
-  /// the many poses docked into one pocket. v1 only: the v2 H-bond channel
-  /// couples ligand and pocket, so a ligand-free pocket grid is not
-  /// reusable (its H-bond channel would be identically zero).
+  /// the many poses docked into one pocket via voxelize_ligand_onto. Valid
+  /// at every feature-set version: its v2 H-bond channel is zero, and the
+  /// graft re-derives the interface deposits per ligand.
   Tensor voxelize_pocket(const std::vector<Atom>& pocket, const core::Vec3& center) const;
 
-  /// Splat only the ligand, then copy `pocket_grid`'s protein-block
-  /// channels in. Ligand and protein occupy disjoint channel blocks, so the
-  /// result is bitwise identical to voxelize(ligand, pocket, center) with
-  /// the pocket `pocket_grid` was built from — at a fraction of the splat
-  /// work. The serving scorer uses this to amortize pocket splatting over a
-  /// micro-batch (serve/scorer.h). Throws std::logic_error at
-  /// feature_set_version >= 2, where the blocks are no longer independent
-  /// (the H-bond channel depends on the ligand–pocket pair).
-  Tensor voxelize_ligand_onto(const Molecule& ligand, const Tensor& pocket_grid,
-                              const core::Vec3& center) const;
-
-  /// Pocket-aware graft, valid at every feature-set version. `pocket` must
-  /// be the atom list `pocket_grid` was built from. At v1 this is exactly
-  /// the 3-arg overload. At v2 it computes the interface H-bonds once,
-  /// splats the ligand with its H-bond partner weights, grafts the cached
-  /// pocket base channels, then splats only the pocket-side H-bond deposits
-  /// (zero in a ligand-free pocket grid) on top — each channel still
-  /// accumulates its atoms in ascending-index order, so the result is
-  /// bitwise identical to voxelize(ligand, pocket, center). The
-  /// cross-request pocket cache (serve/pocket_cache.h) uses this to restore
-  /// pocket-splat amortization that v2 otherwise loses.
+  /// Splat only the ligand, then graft `pocket_grid` (a voxelize_pocket
+  /// result for the same `pocket` and `center`) into the protein-block
+  /// channels. Ligand and protein occupy disjoint channel blocks, so the
+  /// result is bitwise identical to voxelize(ligand, pocket, center) at a
+  /// fraction of the splat work. At v2 it also computes the interface
+  /// H-bonds once, splats the ligand with its H-bond partner weights and,
+  /// after the graft, only the pocket-side H-bond deposits (zero in a
+  /// ligand-free pocket grid) — each channel still accumulates its atoms in
+  /// ascending-index order. The serving scorer featurizes every pose this
+  /// way (serve/scorer.h).
   Tensor voxelize_ligand_onto(const Molecule& ligand, const std::vector<Atom>& pocket,
                               const Tensor& pocket_grid, const core::Vec3& center) const;
 

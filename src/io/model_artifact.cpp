@@ -37,6 +37,13 @@ void fsync_fd_path(const std::string& path) {
 #endif
 }
 
+// An empty section (e.g. the conv mask of a conv-less model) has no bytes
+// and possibly a null source: memcpy with a null pointer is undefined even
+// for zero bytes.
+void copy_section(std::vector<char>& bytes, const void* data) {
+  if (!bytes.empty()) std::memcpy(bytes.data(), data, bytes.size());
+}
+
 }  // namespace
 
 void ArtifactWriter::add_floats(const std::string& name, std::vector<int64_t> dims,
@@ -47,7 +54,7 @@ void ArtifactWriter::add_floats(const std::string& name, std::vector<int64_t> di
   int64_t n = 1;
   for (int64_t d : p.dims) n *= d;
   p.bytes.resize(static_cast<size_t>(n) * sizeof(float));
-  std::memcpy(p.bytes.data(), data, p.bytes.size());
+  copy_section(p.bytes, data);
   sections_[name] = std::move(p);
 }
 
@@ -59,7 +66,7 @@ void ArtifactWriter::add_ints(const std::string& name, std::vector<int64_t> dims
   int64_t n = 1;
   for (int64_t d : p.dims) n *= d;
   p.bytes.resize(static_cast<size_t>(n) * sizeof(int64_t));
-  std::memcpy(p.bytes.data(), data, p.bytes.size());
+  copy_section(p.bytes, data);
   sections_[name] = std::move(p);
 }
 
@@ -75,7 +82,7 @@ void ArtifactWriter::add_int8s(const std::string& name, std::vector<int64_t> dim
   int64_t n = 1;
   for (int64_t d : p.dims) n *= d;
   p.bytes.resize(static_cast<size_t>(n));
-  std::memcpy(p.bytes.data(), data, p.bytes.size());
+  copy_section(p.bytes, data);
   sections_[name] = std::move(p);
 }
 
@@ -87,7 +94,7 @@ void ArtifactWriter::add_int32s(const std::string& name, std::vector<int64_t> di
   int64_t n = 1;
   for (int64_t d : p.dims) n *= d;
   p.bytes.resize(static_cast<size_t>(n) * sizeof(int32_t));
-  std::memcpy(p.bytes.data(), data, p.bytes.size());
+  copy_section(p.bytes, data);
   sections_[name] = std::move(p);
 }
 

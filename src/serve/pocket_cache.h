@@ -2,16 +2,14 @@
 // featurization work.
 //
 // A screening campaign scores thousands of poses against a handful of
-// receptors. The per-batch pocket-grid reuse inside RegressorScorer::score
-// (PR 5) already amortizes the protein voxel splat within one micro-batch,
-// but re-does it every batch — and the v2 feature set (interface H-bond
-// channel) disabled even that, because a ligand-free pocket grid looked
-// unusable. This cache lifts the amortization to the campaign level: an LRU
-// keyed by pocket content holding (a) the protein-only voxel grid, grafted
-// per pose via Voxelizer::voxelize_ligand_onto — the 4-arg overload makes
-// the graft bitwise-valid at v2 too — and (b) the pocket-side CellList the
-// graph featurizer's k-nearest crop queries (GraphFeaturizer::featurize's
-// crop_cells overload).
+// receptors. Without a cache, RegressorScorer builds each distinct
+// (pocket, center) grid once per micro-batch — re-doing it every batch.
+// This cache lifts the amortization to the campaign level: an LRU keyed by
+// pocket content holding (a) the protein-only voxel grid, grafted per pose
+// via Voxelizer::voxelize_ligand_onto (bitwise-valid at every feature-set
+// version), and (b) the pocket-side CellList the graph featurizer's
+// k-nearest crop queries (GraphFeaturizer::featurize's crop_cells
+// overload).
 //
 // Keys are a 64-bit FNV-1a hash over the full pocket content (every atom
 // field bit-exactly), the grid center, the complete VoxelConfig and the

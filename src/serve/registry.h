@@ -58,16 +58,12 @@ class ModelRegistry {
 
 /// Register a Regressor-backed scorer: `make_model` plus the featurizer
 /// configs become a RegressorScorer factory. This is the one-line migration
-/// path from the old screen::ModelFactory. `featurize_threads` > 1 gives
-/// every minted replica that many private featurization lanes
-/// (serve/scorer.h) — size against the service's worker count.
-/// `pipeline_depth` >= 1 mints every replica with a stage pipeline of that
-/// depth already enabled (ScorerPipeline); a ScoringService drives it
-/// automatically. ServiceConfig::pipeline_depth > 0 overrides this.
+/// path from the old screen::ModelFactory. Replicas are minted sequential;
+/// the ScoringService that builds them applies its own pipeline depth and
+/// pocket cache (ServiceConfig).
 void add_regressor(ModelRegistry& registry, const std::string& name,
                    models::RegressorFactory make_model, const chem::VoxelConfig& voxel,
-                   const chem::GraphFeaturizerConfig& graph = {}, int featurize_threads = 0,
-                   int pipeline_depth = 0);
+                   const chem::GraphFeaturizerConfig& graph = {});
 
 /// Register a scorer served from a compiled-model artifact
 /// (compile::save_compiled). The artifact is opened and validated once,
@@ -84,8 +80,7 @@ void add_regressor(ModelRegistry& registry, const std::string& name,
 /// Artifacts written before the section existed count as v1.
 void add_compiled(ModelRegistry& registry, const std::string& name,
                   const std::string& artifact_path, const chem::VoxelConfig& voxel,
-                  const chem::GraphFeaturizerConfig& graph = {}, int featurize_threads = 0,
-                  int pipeline_depth = 0);
+                  const chem::GraphFeaturizerConfig& graph = {});
 
 /// Register an int8-quantized Regressor backend. Every minted replica is
 /// compiled (compile::ModelCompiler) and post-training-quantized
@@ -97,8 +92,7 @@ void add_compiled(ModelRegistry& registry, const std::string& name,
 void add_quantized_regressor(ModelRegistry& registry, const std::string& name,
                              models::RegressorFactory make_model,
                              const chem::VoxelConfig& voxel,
-                             const chem::GraphFeaturizerConfig& graph = {},
-                             int featurize_threads = 0, int pipeline_depth = 0);
+                             const chem::GraphFeaturizerConfig& graph = {});
 
 /// A registry with every backend family pre-registered under its canonical
 /// name: "vina_pk", "mmgbsa", plus untrained-but-deterministic reference

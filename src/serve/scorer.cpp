@@ -1,6 +1,5 @@
 #include "serve/scorer.h"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "core/parallel.h"
-#include "core/threadpool.h"
 #include "dock/scoring.h"
 
 namespace df::serve {
@@ -40,7 +38,7 @@ const std::vector<chem::Atom>& pocket_of(const PoseInput& pose, const std::strin
 
 RegressorScorer::RegressorScorer(std::string name, std::unique_ptr<models::Regressor> model,
                                  const chem::VoxelConfig& voxel,
-                                 const chem::GraphFeaturizerConfig& graph, int featurize_threads)
+                                 const chem::GraphFeaturizerConfig& graph)
     : name_(std::move(name)), model_(std::move(model)), voxelizer_(voxel), featurizer_(graph) {
   if (voxel.feature_set_version != graph.feature_set_version) {
     throw std::invalid_argument(
@@ -49,10 +47,6 @@ RegressorScorer::RegressorScorer(std::string name, std::unique_ptr<models::Regre
         std::to_string(graph.feature_set_version) + ") — a model is trained against one contract");
   }
   model_->set_training(false);
-  const size_t lanes = featurize_threads > 1 ? static_cast<size_t>(featurize_threads) : 1;
-  feat_ws_.reserve(lanes);
-  for (size_t i = 0; i < lanes; ++i) feat_ws_.push_back(std::make_unique<core::Workspace>());
-  if (lanes > 1) feat_pool_ = std::make_unique<core::ThreadPool>(lanes);
 }
 
 // The stage-pipelined executor (ScorerPipeline): a bounded ring of
@@ -61,19 +55,13 @@ RegressorScorer::RegressorScorer(std::string name, std::unique_ptr<models::Regre
 // that forwards the oldest ready slot. Three monotone sequence numbers
 // (submit / stage / collect) define slot ownership; every handoff goes
 // through mu_, which gives the happens-before edges the unlocked slot
-// bodies rely on. Each slot owns its own featurize-lane arenas, so the
-// stage thread never touches the forward arena a concurrent collect() is
-// using, and steady state stays heap-free once every slot has warmed.
+// bodies rely on. Each slot owns its own featurize arena, so the stage
+// thread never touches the forward arena a concurrent collect() is using,
+// and steady state stays heap-free once every slot has warmed.
 class RegressorScorer::Pipeline : public ScorerPipeline {
  public:
   Pipeline(RegressorScorer& owner, int depth)
       : owner_(owner), depth_(depth), slots_(static_cast<size_t>(depth)) {
-    for (Slot& s : slots_) {
-      s.lane_ws.reserve(owner_.feat_ws_.size());
-      for (size_t i = 0; i < owner_.feat_ws_.size(); ++i) {
-        s.lane_ws.push_back(std::make_unique<core::Workspace>());
-      }
-    }
     stage_ = std::thread([this] { stage_main(); });
   }
 
@@ -113,65 +101,23 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
     // The slot is exclusively ours until collect_seq_ advances: the stage
     // thread only touches slots with index < submit_seq_ not yet staged,
     // and submit() refuses to reuse the slot while it counts as in flight.
+    // It is released however the forward ends, a failed batch included.
+    struct Release {
+      Pipeline& p;
+      ~Release() {
+        {
+          std::lock_guard<std::mutex> lock(p.mu_);
+          ++p.collect_seq_;
+        }
+        p.cv_.notify_all();
+      }
+    } release{*this};
     Slot& s = slots_[static_cast<size_t>(collect_seq_ % slots_.size())];
-    if (s.error) {
-      std::exception_ptr err = s.error;
-      s.error = nullptr;
-      release_slot(s);
-      std::rethrow_exception(err);
-    }
-
     ReplicaGuard guard(owner_.busy_);
-    const size_t n = s.poses.size();
-    const auto t1 = std::chrono::steady_clock::now();
-    std::vector<float> out;
-    {
-      owner_.forward_ws_.reset();
-      core::Workspace::Bind bind(owner_.forward_ws_);
-      std::vector<const data::Sample*> ptrs;
-      ptrs.reserve(s.batch.size());
-      for (const data::Sample& sample : s.batch) ptrs.push_back(&sample);
-      out = owner_.model_->predict_batch(ptrs);
-    }
-    const auto t2 = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> slock(owner_.stats_mu_);
-      owner_.stats_.batches += 1;
-      owner_.stats_.poses += n;
-      owner_.stats_.featurize_seconds += s.featurize_seconds;
-      owner_.stats_.forward_seconds += std::chrono::duration<double>(t2 - t1).count();
-    }
-    release_slot(s);
-    return out;
+    return owner_.forward(s);
   }
 
  private:
-  struct Slot {
-    std::vector<const PoseInput*> poses;
-    std::vector<data::Sample> batch;
-    std::vector<core::Tensor> grids;
-    std::vector<std::shared_ptr<const PocketCache::Entry>> cache_refs;
-    // Per-slot lane arenas (index 0 doubles as the grid arena): feature
-    // tensors live here from stage until the forward consumes them.
-    std::vector<std::unique_ptr<core::Workspace>> lane_ws;
-    std::exception_ptr error;
-    double featurize_seconds = 0.0;
-  };
-
-  void release_slot(Slot& s) {
-    // Drop pose pointers and cache pins eagerly — the poses belong to the
-    // caller's request, the cache entries should become evictable. The
-    // batch tensors are arena-borrowed; the slot's next occupant rewinds
-    // the arenas before reuse.
-    s.poses.clear();
-    s.cache_refs.clear();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++collect_seq_;
-    }
-    cv_.notify_all();
-  }
-
   void stage_main() {
     // The stage thread is a peer of whoever owns the shared compute pool
     // (a service worker, a bench thread): it must never submit to it, for
@@ -183,16 +129,7 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
       if (stop_) return;
       Slot& s = slots_[static_cast<size_t>(stage_seq_ % slots_.size())];
       lock.unlock();
-      const auto f0 = std::chrono::steady_clock::now();
-      try {
-        for (auto& ws : s.lane_ws) ws->reset();
-        owner_.featurize_batch(s.poses, s.batch, s.lane_ws, owner_.feat_pool_.get(),
-                               *s.lane_ws[0], s.grids, s.cache_refs);
-      } catch (...) {
-        s.error = std::current_exception();
-      }
-      s.featurize_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - f0).count();
+      owner_.featurize(s);
       lock.lock();
       ++stage_seq_;
       cv_.notify_all();
@@ -240,96 +177,103 @@ RegressorScorer::PhaseStats RegressorScorer::phase_stats() const {
 }
 
 RegressorScorer::WorkspaceBudgets RegressorScorer::workspace_capacities() const {
-  WorkspaceBudgets b;
-  b.forward_floats = forward_ws_.capacity();
-  for (const auto& ws : feat_ws_) b.feat_floats = std::max(b.feat_floats, ws->capacity());
-  return b;
+  return {forward_ws_.capacity(), inline_.ws.capacity()};
 }
 
 void RegressorScorer::reserve_workspaces(const WorkspaceBudgets& budgets) {
   forward_ws_.reserve(budgets.forward_floats);
-  for (auto& ws : feat_ws_) ws->reserve(budgets.feat_floats);
+  inline_.ws.reserve(budgets.feat_floats);
 }
 
-void RegressorScorer::featurize_batch(
-    const std::vector<const PoseInput*>& poses, std::vector<data::Sample>& batch,
-    std::vector<std::unique_ptr<core::Workspace>>& lane_ws, core::ThreadPool* pool,
-    core::Workspace& grid_ws, std::vector<core::Tensor>& grids,
-    std::vector<std::shared_ptr<const PocketCache::Entry>>& cache_refs) {
-  const size_t n = poses.size();
-  batch.clear();
-  batch.resize(n);
-  grids.clear();
-  cache_refs.clear();
+void RegressorScorer::featurize(Slot& s) {
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    // Rewind the arena: the slot's previous batch is dead, its blocks get
+    // reused cache-warm. After warmup nothing below touches the heap for
+    // tensor data.
+    s.ws.reset();
+    const size_t n = s.poses.size();
+    s.batch.clear();
+    s.batch.resize(n);
+    s.sites.clear();
+    s.grids.clear();
+    s.grids.reserve(n);  // Site::grid points into `grids`
+    s.cache_refs.clear();
+    // Bind (not Scope): the samples carved here must outlive this call —
+    // they feed the forward and die at the slot's next reset. Cache
+    // lookups build heap-owned entries (Workspace::Unbind inside).
+    core::Workspace::Bind bind(s.ws);
 
-  // Amortize pocket splatting: the poses of a batch overwhelmingly dock
-  // into one shared pocket, whose voxel block is pose-independent. Build
-  // each distinct (pocket, center) grid once — or fetch it from the
-  // cross-request cache, which also hands back the crop CellList — then
-  // per pose splat only the ligand and graft the cached block, bitwise
-  // identical to the joint voxelization. Without a cache, v2's H-bond
-  // channel couples ligand and pocket and each pose falls back to a full
-  // joint voxelize (the PR 9 behaviour); cache entries route through the
-  // pocket-aware graft, which re-derives the coupling per pose and is
-  // valid at every feature-set version.
-  const bool use_cache = pocket_cache_ != nullptr;
-  const bool amortize_pocket = use_cache || voxelizer_.config().feature_set_version < 2;
-  std::vector<const core::Tensor*> pocket_grid(n, nullptr);
-  std::vector<const chem::CellList*> crop_cells(n, nullptr);
-  std::vector<std::pair<const std::vector<chem::Atom>*, core::Vec3>> grid_keys;
-  grids.reserve(n);  // pointers into `grids` are handed out below
-  if (amortize_pocket) {
-    // Cache lookups build heap-owned entries (Workspace::Unbind inside);
-    // only the per-batch grids bind the grid arena.
+    // Amortize pocket splatting: the poses of a batch overwhelmingly dock
+    // into one shared pocket, whose voxel block is pose-independent. Each
+    // distinct (pocket, center) grid is built once — fetched from the
+    // cross-request cache when one is attached (which also hands back the
+    // crop CellList), else voxelized into the slot's arena — and every pose
+    // splats only its ligand and grafts that grid, bitwise identical to
+    // the joint voxelization at every feature-set version.
     for (size_t i = 0; i < n; ++i) {
-      const PoseInput& p = *poses[i];
+      const PoseInput& p = *s.poses[i];
       const std::vector<chem::Atom>& pocket = pocket_of(p, name_);
       size_t g = 0;
-      for (; g < grid_keys.size(); ++g) {
-        if (grid_keys[g].first == &pocket && grid_keys[g].second.x == p.site_center.x &&
-            grid_keys[g].second.y == p.site_center.y && grid_keys[g].second.z == p.site_center.z)
+      for (; g < s.sites.size(); ++g) {
+        const Slot::Site& site = s.sites[g];
+        if (site.pocket == &pocket && site.center.x == p.site_center.x &&
+            site.center.y == p.site_center.y && site.center.z == p.site_center.z)
           break;
       }
-      if (g == grid_keys.size()) {
-        grid_keys.emplace_back(&pocket, p.site_center);
-        if (use_cache) {
-          cache_refs.push_back(pocket_cache_->lookup(pocket, p.site_center, voxelizer_, featurizer_));
+      if (g == s.sites.size()) {
+        Slot::Site site{&pocket, p.site_center, nullptr, nullptr};
+        if (pocket_cache_ != nullptr) {
+          const auto& entry = s.cache_refs.emplace_back(
+              pocket_cache_->lookup(pocket, p.site_center, voxelizer_, featurizer_));
+          site.grid = &entry->grid;
+          if (entry->crop_cells.built()) site.crop_cells = &entry->crop_cells;
         } else {
-          core::Workspace::Bind bind(grid_ws);
-          grids.push_back(voxelizer_.voxelize_pocket(pocket, p.site_center));
+          site.grid = &s.grids.emplace_back(voxelizer_.voxelize_pocket(pocket, p.site_center));
         }
+        s.sites.push_back(site);
       }
-      if (use_cache) {
-        pocket_grid[i] = &cache_refs[g]->grid;
-        crop_cells[i] = cache_refs[g]->crop_cells.built() ? &cache_refs[g]->crop_cells : nullptr;
-      } else {
-        pocket_grid[i] = &grids[g];
-      }
+      const Slot::Site& site = s.sites[g];
+      s.batch[i].voxel = voxelizer_.voxelize_ligand_onto(p.ligand, pocket, *site.grid, p.site_center);
+      s.batch[i].graph = featurizer_.featurize(p.ligand, pocket, site.crop_cells);
     }
+  } catch (...) {
+    s.error = std::current_exception();
   }
+  s.featurize_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
 
-  const size_t lanes = std::min(lane_ws.size(), std::max<size_t>(n, 1));
-  auto featurize_lane = [&](size_t lane) {
-    // Bind (not Scope): the samples carved here must outlive the lane —
-    // they feed the forward stage and die at the owner's next reset.
-    core::Workspace::Bind bind(*lane_ws[lane]);
-    const size_t begin = n * lane / lanes;
-    const size_t end = n * (lane + 1) / lanes;
-    for (size_t i = begin; i < end; ++i) {
-      const PoseInput& p = *poses[i];
-      const std::vector<chem::Atom>& pocket = pocket_of(p, name_);
-      batch[i].voxel =
-          pocket_grid[i] != nullptr
-              ? voxelizer_.voxelize_ligand_onto(p.ligand, pocket, *pocket_grid[i], p.site_center)
-              : voxelizer_.voxelize(p.ligand, pocket, p.site_center);
-      batch[i].graph = featurizer_.featurize(p.ligand, pocket, crop_cells[i]);
+std::vector<float> RegressorScorer::forward(Slot& s) {
+  // Drop pose pointers and cache pins eagerly — the poses belong to the
+  // caller's request, the cache entries should become evictable. The batch
+  // tensors are arena-borrowed; the slot's next featurize rewinds them.
+  struct Release {
+    Slot& s;
+    ~Release() {
+      s.poses.clear();
+      s.cache_refs.clear();
     }
-  };
-  if (pool != nullptr && lanes > 1) {
-    core::parallel_for(*pool, lanes, featurize_lane);
-  } else {
-    featurize_lane(0);
+  } release{s};
+  if (s.error) std::rethrow_exception(std::exchange(s.error, nullptr));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<float> out;
+  {
+    forward_ws_.reset();
+    core::Workspace::Bind bind(forward_ws_);
+    std::vector<const data::Sample*> ptrs;
+    ptrs.reserve(s.batch.size());
+    for (const data::Sample& sample : s.batch) ptrs.push_back(&sample);
+    out = model_->predict_batch(ptrs);
   }
+  const auto t1 = std::chrono::steady_clock::now();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_.batches += 1;
+  stats_.poses += s.batch.size();
+  stats_.featurize_seconds += s.featurize_seconds;
+  stats_.forward_seconds += std::chrono::duration<double>(t1 - t0).count();
+  return out;
 }
 
 std::vector<float> RegressorScorer::score(const std::vector<const PoseInput*>& poses) {
@@ -339,36 +283,9 @@ std::vector<float> RegressorScorer::score(const std::vector<const PoseInput*>& p
                            "collect() them first");
   }
   ReplicaGuard guard(busy_);
-  const auto t0 = std::chrono::steady_clock::now();
-  // Rewind the arenas: last batch's tensors are dead, their blocks get
-  // reused cache-warm. After warmup no call below touches the heap for
-  // tensor data.
-  forward_ws_.reset();
-  for (auto& ws : feat_ws_) ws->reset();
-
-  std::vector<data::Sample> batch;
-  std::vector<core::Tensor> grids;
-  std::vector<std::shared_ptr<const PocketCache::Entry>> cache_refs;
-  featurize_batch(poses, batch, feat_ws_, feat_pool_.get(), forward_ws_, grids, cache_refs);
-  const auto t1 = std::chrono::steady_clock::now();
-
-  std::vector<const data::Sample*> ptrs;
-  ptrs.reserve(batch.size());
-  for (const data::Sample& s : batch) ptrs.push_back(&s);
-  std::vector<float> out;
-  {
-    core::Workspace::Bind bind(forward_ws_);
-    out = model_->predict_batch(ptrs);
-  }
-  const auto t2 = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.batches += 1;
-    stats_.poses += poses.size();
-    stats_.featurize_seconds += std::chrono::duration<double>(t1 - t0).count();
-    stats_.forward_seconds += std::chrono::duration<double>(t2 - t1).count();
-  }
-  return out;
+  inline_.poses.assign(poses.begin(), poses.end());
+  featurize(inline_);
+  return forward(inline_);
 }
 
 std::vector<float> VinaPkScorer::score(const std::vector<const PoseInput*>& poses) {

@@ -14,11 +14,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "chem/cell_list.h"
 #include "chem/graph_featurizer.h"
 #include "chem/molecule.h"
 #include "chem/voxelizer.h"
@@ -27,10 +29,6 @@
 #include "dock/mmgbsa.h"
 #include "models/regressor.h"
 #include "serve/pocket_cache.h"
-
-namespace df::core {
-class ThreadPool;
-}
 
 namespace df::serve {
 
@@ -114,6 +112,10 @@ class ReplicaGuard {
 /// and runs the model's batched eval path — the per-rank "featurize and
 /// score" loop of paper Fig. 3, packaged as a replica.
 ///
+/// Every batch, sequential or pipelined, runs the same two steps on a
+/// micro-batch slot: featurize (each distinct (pocket, center) grid built
+/// once, then per pose a ligand splat grafted onto it) and forward.
+///
 /// Serving hot path: all tensor scratch (featurizer outputs, every layer
 /// temporary of the batched forward) is carved from per-replica
 /// core::Workspace arenas that are rewound — not freed — between batches,
@@ -121,26 +123,19 @@ class ReplicaGuard {
 /// (core::alloc_count() pins this in tests). The arenas are replica state:
 /// they follow the same single-threaded replica contract as the model
 /// (models/regressor.h) and must never be shared across workers.
-///
-/// With `featurize_threads` > 1 the featurization of a micro-batch fans out
-/// over a small private lane pool (contiguous pose chunks, one arena per
-/// lane); featurization is per-pose pure, so results are identical to the
-/// serial loop. Lanes are extra threads per replica — size them against the
-/// service's worker count (a few lanes pay off when workers < cores or the
-/// batch is featurize-bound).
 class RegressorScorer : public Scorer {
  public:
   RegressorScorer(std::string name, std::unique_ptr<models::Regressor> model,
-                  const chem::VoxelConfig& voxel, const chem::GraphFeaturizerConfig& graph,
-                  int featurize_threads = 0);
+                  const chem::VoxelConfig& voxel, const chem::GraphFeaturizerConfig& graph);
   ~RegressorScorer() override;
 
   std::string name() const override { return name_; }
+  /// Featurize and forward one batch through the replica's inline slot.
   std::vector<float> score(const std::vector<const PoseInput*>& poses) override;
 
   /// Stage-pipelined execution (see ScorerPipeline). The featurize stage
   /// runs on one background thread per replica; each ring slot owns its
-  /// own lane arenas, so steady state stays at zero tensor heap
+  /// own featurize arena, so steady state stays at zero tensor heap
   /// allocations at any depth. While batches are in flight, score() and
   /// the knob setters throw rather than race the stage thread.
   ScorerPipeline* pipeline() override;
@@ -159,9 +154,9 @@ class RegressorScorer : public Scorer {
   };
   PhaseStats phase_stats() const;
 
-  /// Steady-state arena high-water marks. Measured on a warmed donor
-  /// replica, they become the workspace budgets a compiled artifact carries
-  /// (compile::save_compiled); feat_floats is the widest featurize lane.
+  /// Steady-state arena high-water marks of the score() path. Measured on a
+  /// warmed donor replica, they become the workspace budgets a compiled
+  /// artifact carries (compile::save_compiled).
   struct WorkspaceBudgets {
     size_t forward_floats = 0;
     size_t feat_floats = 0;
@@ -175,30 +170,42 @@ class RegressorScorer : public Scorer {
  private:
   class Pipeline;
 
-  /// Featurize `poses` into `batch` using the given lane arenas: the shared
-  /// body of the sequential score() path and the pipeline's featurize
-  /// stage. Per-batch pocket grids are carved from `grid_ws`; with a pocket
-  /// cache attached the grids (and the graph crop's CellList) come from
-  /// cache entries instead, pinned alive for the batch via `cache_refs` —
-  /// which also makes pocket-grid amortization valid at feature-set v2
-  /// (the 4-arg voxelize_ligand_onto graft).
-  void featurize_batch(const std::vector<const PoseInput*>& poses,
-                       std::vector<data::Sample>& batch,
-                       std::vector<std::unique_ptr<core::Workspace>>& lane_ws,
-                       core::ThreadPool* pool, core::Workspace& grid_ws,
-                       std::vector<core::Tensor>& grids,
-                       std::vector<std::shared_ptr<const PocketCache::Entry>>& cache_refs);
+  /// One micro-batch on its way through featurize and forward: the inline
+  /// slot behind score(), or one ring slot of the pipeline.
+  struct Slot {
+    /// A distinct (pocket, center) of the batch and its pocket grid — an
+    /// arena grid, or a pinned cache entry's grid plus crop CellList.
+    struct Site {
+      const std::vector<chem::Atom>* pocket = nullptr;
+      core::Vec3 center;
+      const core::Tensor* grid = nullptr;
+      const chem::CellList* crop_cells = nullptr;
+    };
+    std::vector<const PoseInput*> poses;
+    std::vector<data::Sample> batch;
+    std::vector<Site> sites;
+    std::vector<core::Tensor> grids;  // arena pocket grids, no cache attached
+    std::vector<std::shared_ptr<const PocketCache::Entry>> cache_refs;
+    core::Workspace ws;  // feature tensors live here until the forward
+    std::exception_ptr error;
+    double featurize_seconds = 0.0;
+  };
+
+  /// Featurize `s.poses` into `s.batch`, carving from `s.ws`. Never throws:
+  /// a failure is parked in `s.error` for forward() to rethrow.
+  void featurize(Slot& s);
+  /// Forward `s.batch` and account the batch in phase_stats(); drops the
+  /// slot's pose pointers and cache pins however it ends. The caller holds
+  /// the replica guard.
+  std::vector<float> forward(Slot& s);
 
   std::string name_;
   std::unique_ptr<models::Regressor> model_;
   chem::Voxelizer voxelizer_;
   chem::GraphFeaturizer featurizer_;
   std::atomic<bool> busy_{false};
-  // One arena per featurize lane (index 0 doubles as the serial lane) plus
-  // one for the model forward; reset at the top of every score() call.
-  std::vector<std::unique_ptr<core::Workspace>> feat_ws_;
-  core::Workspace forward_ws_;
-  std::unique_ptr<core::ThreadPool> feat_pool_;  // null when serial
+  Slot inline_;                 // score()'s slot
+  core::Workspace forward_ws_;  // reset at the top of every forward
   std::shared_ptr<PocketCache> pocket_cache_;
   mutable std::mutex stats_mu_;
   PhaseStats stats_;

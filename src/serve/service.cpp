@@ -1,6 +1,8 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <exception>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -52,9 +54,10 @@ struct ScoringService::Slice {
   std::chrono::steady_clock::time_point enqueued;
 };
 
-/// A micro-batch a worker has submitted to its replica's stage pipeline
-/// and not yet collected. The parts pin their Pending owners (and thus the
-/// pose storage the featurize stage reads) until copy-back.
+/// A micro-batch a worker has dispatched and not yet completed — waiting
+/// in its replica's stage pipeline, or being scored inline. The parts pin
+/// their Pending owners (and thus the pose storage the featurize stage
+/// reads) until copy-back.
 struct ScoringService::InFlight {
   std::vector<Slice> parts;
   size_t total = 0;
@@ -242,11 +245,9 @@ Scorer& ScoringService::replica_for(std::map<std::string, std::unique_ptr<Scorer
     std::lock_guard<std::mutex> build(build_mu_);
     replica = factories_.at(name)();
   }
-  // Service-level knobs layer on top of whatever the registry minted: a
-  // 0 depth leaves a registry-configured pipeline in place rather than
-  // tearing it down, and the shared pocket cache attaches to every
-  // replica that can use one (no-op virtuals otherwise).
-  if (cfg_.pipeline_depth > 0) replica->set_pipeline_depth(cfg_.pipeline_depth);
+  // The service's depth (0 = sequential) and shared pocket cache apply to
+  // every replica that can use them (no-op virtuals otherwise).
+  replica->set_pipeline_depth(cfg_.pipeline_depth);
   if (pocket_cache_ != nullptr) replica->set_pocket_cache(pocket_cache_);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -274,25 +275,25 @@ void ScoringService::worker_loop() {
 
   std::unique_lock<std::mutex> lock(mu_);
 
-  // Collect the oldest in-flight micro-batch: run its forward on the
-  // replica, copy scores back, resolve finished requests. Called with the
-  // lock held; cycles it around the compute.
-  const auto collect_one = [&] {
-    InFlight fl = std::move(inflight.front());
-    inflight.pop_front();
-    lock.unlock();
+  // The one completion path of every micro-batch: run `compute` (a
+  // replica's score() or its pipeline's collect()), then copy the scores
+  // back — or fail every request in the batch with kScorerFailure — record
+  // latency and resolve finished requests. Called unlocked; returns with
+  // the lock held.
+  const auto complete = [&](const InFlight& fl, const std::string& name,
+                            const std::function<std::vector<float>()>& compute) {
     std::vector<float> out;
     std::string err;
     try {
-      out = inflight_replica->pipeline()->collect();
+      out = compute();
       if (out.size() != fl.total) {
-        err = "scorer '" + inflight_name + "' returned " + std::to_string(out.size()) +
-              " scores for " + std::to_string(fl.total) + " poses";
+        err = "scorer '" + name + "' returned " + std::to_string(out.size()) + " scores for " +
+              std::to_string(fl.total) + " poses";
       }
     } catch (const std::exception& e) {
       err = e.what();
     } catch (...) {
-      err = "unknown exception from scorer '" + inflight_name + "'";
+      err = "unknown exception from scorer '" + name + "'";
     }
     std::vector<std::shared_ptr<Pending>> done;
     lock.lock();
@@ -321,6 +322,14 @@ void ScoringService::worker_loop() {
     lock.unlock();
     for (const auto& owner : done) fulfill(owner);
     lock.lock();
+  };
+
+  // Forward and complete the oldest in-flight micro-batch.
+  const auto collect_one = [&] {
+    const InFlight fl = std::move(inflight.front());
+    inflight.pop_front();
+    lock.unlock();
+    complete(fl, inflight_name, [&] { return inflight_replica->pipeline()->collect(); });
   };
 
   for (;;) {
@@ -485,84 +494,38 @@ void ScoringService::worker_loop() {
     space_cv_.notify_all();
     lock.unlock();
 
-    // Score the micro-batch on this worker's private replica.
-    std::vector<float> out;
-    std::string err;
+    // Score the micro-batch on this worker's private replica. A factory
+    // failure resolves the batch like a scorer failure.
+    std::vector<const PoseInput*> ptrs;
+    ptrs.reserve(total);
+    for (const Slice& p : parts) {
+      for (size_t i = p.begin; i < p.end; ++i) ptrs.push_back(&p.owner->poses[i]);
+    }
     Scorer* replica = nullptr;
+    std::exception_ptr build_error;
     try {
       replica = &replica_for(replicas, name);
-    } catch (const std::exception& e) {
-      err = e.what();
     } catch (...) {
-      err = "unknown exception from scorer '" + name + "'";
+      build_error = std::current_exception();
     }
-
-    if (err.empty() && replica->pipeline() != nullptr) {
-      // Pipelined dispatch: hand the batch to the featurize stage and go
-      // back for more work. The forward runs at collect_one() — at the
-      // latest once the ring is full — so batch N+1's featurization
-      // overlaps batch N's forward.
-      std::vector<const PoseInput*> ptrs;
-      ptrs.reserve(total);
-      for (const Slice& p : parts) {
-        for (size_t i = p.begin; i < p.end; ++i) ptrs.push_back(&p.owner->poses[i]);
-      }
-      ScorerPipeline& pipe = *replica->pipeline();
-      pipe.submit(std::move(ptrs));
-      lock.lock();
-      inflight.push_back(InFlight{std::move(parts), total});
-      inflight_name = name;
-      inflight_replica = replica;
-      if (inflight.size() >= static_cast<size_t>(pipe.depth())) collect_one();
+    ScorerPipeline* pipe = replica != nullptr ? replica->pipeline() : nullptr;
+    if (pipe == nullptr) {
+      complete(InFlight{std::move(parts), total}, name, [&] {
+        if (build_error) std::rethrow_exception(build_error);
+        return replica->score(ptrs);
+      });
       continue;
     }
-
-    if (err.empty()) {
-      try {
-        std::vector<const PoseInput*> ptrs;
-        ptrs.reserve(total);
-        for (const Slice& p : parts) {
-          for (size_t i = p.begin; i < p.end; ++i) ptrs.push_back(&p.owner->poses[i]);
-        }
-        out = replica->score(ptrs);
-        if (out.size() != total) {
-          err = "scorer '" + name + "' returned " + std::to_string(out.size()) + " scores for " +
-                std::to_string(total) + " poses";
-        }
-      } catch (const std::exception& e) {
-        err = e.what();
-      } catch (...) {
-        err = "unknown exception from scorer '" + name + "'";
-      }
-    }
-
-    std::vector<std::shared_ptr<Pending>> done;
+    // Pipelined dispatch: hand the batch to the featurize stage and go back
+    // for more work. The forward runs at collect_one() — at the latest once
+    // the ring is full — so batch N+1's featurization overlaps batch N's
+    // forward.
+    pipe->submit(std::move(ptrs));
     lock.lock();
-    const auto finished = std::chrono::steady_clock::now();
-    size_t off = 0;
-    for (const Slice& p : parts) {
-      const size_t len = p.end - p.begin;
-      if (err.empty()) {
-        std::copy(out.begin() + static_cast<long>(off), out.begin() + static_cast<long>(off + len),
-                  p.owner->scores.begin() + static_cast<long>(p.begin));
-      } else if (!p.owner->failed) {
-        p.owner->failed = true;
-        p.owner->error = ScoreError::kScorerFailure;
-        p.owner->fail_msg = err;
-      }
-      off += len;
-      p.owner->remaining -= len;
-      if (p.owner->remaining == 0) {
-        stats_.latency.record_seconds(
-            std::chrono::duration<double>(finished - p.owner->accepted).count());
-        done.push_back(p.owner);
-      }
-    }
-    inflight_poses_ -= total;
-    if (queued_poses_ == 0 && inflight_poses_ == 0) drain_cv_.notify_all();
-    lock.unlock();
-    for (const auto& owner : done) fulfill(owner);
-    lock.lock();
+    inflight.push_back(InFlight{std::move(parts), total});
+    inflight_name = name;
+    inflight_replica = replica;
+    if (inflight.size() >= static_cast<size_t>(pipe->depth())) collect_one();
   }
 }
 

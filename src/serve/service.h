@@ -86,15 +86,14 @@ struct ServiceConfig {
   bool block_when_full = true;    // false: fail fast with kQueueFull
   double flush_deadline_ms = 0.2; // max wait to fill a partial batch
   bool ordered_stream = false;    // deterministic batching (see header)
-  // Stage pipelining: > 0 calls set_pipeline_depth(pipeline_depth) on every
-  // replica this service builds, and workers drive submit()/collect()
-  // instead of score() — up to `pipeline_depth` micro-batches in flight per
-  // worker, featurize overlapping the previous batch's forward. Results are
-  // bitwise identical to the sequential path at any depth (batch
-  // composition and per-batch compute are unchanged; only overlap timing
-  // moves), so ordered_stream keeps its determinism guarantee. 0 leaves
-  // replicas as the registry minted them (a registry-level depth still
-  // applies); backends without a pipelined path are unaffected.
+  // Stage pipelining, the one depth setting: every replica this service
+  // builds gets set_pipeline_depth(pipeline_depth). At > 0 workers drive
+  // submit()/collect() instead of score() — up to `pipeline_depth`
+  // micro-batches in flight per worker, featurize overlapping the previous
+  // batch's forward; 0 scores sequentially. Results are bitwise identical
+  // at any depth (batch composition and per-batch compute are unchanged;
+  // only overlap timing moves), so ordered_stream keeps its determinism
+  // guarantee. Backends without a pipelined path are unaffected.
   int pipeline_depth = 0;
   // Cross-request pocket cache: > 0 creates one serve::PocketCache of this
   // capacity (distinct receptor targets, LRU) shared by every replica of

@@ -13,7 +13,7 @@
 //   * the pocket crop breaks distance ties by index (symmetric pockets),
 //   * feature_set_version wiring: v1 stays bitwise-pinned next to v2, v2
 //     adds the H-bond channels/degrees, and mismatched versions are
-//     rejected by the scorer, the registry, and voxelize_ligand_onto.
+//     rejected by the scorer and the registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -412,8 +412,7 @@ TEST(FeatureSetVersion, V2AddsHBondChannelsAndPocketDegrees) {
   EXPECT_EQ(sg2.node_features.at(2, deg_col), 0.25f);  // degree 1 / 4
   EXPECT_EQ(sg2.node_features.at(3, deg_col), 0.25f);
 
-  // Voxel: the v2 H-bond channel holds mass, and pocket-grid amortization
-  // is refused (the channel couples ligand and pocket).
+  // Voxel: the v2 H-bond channel holds mass.
   chem::VoxelConfig v2;
   v2.feature_set_version = 2;
   chem::Voxelizer vox(v2);
@@ -423,7 +422,6 @@ TEST(FeatureSetVersion, V2AddsHBondChannelsAndPocketDegrees) {
   const float* hb = grid.data() + static_cast<int64_t>(chem::kVoxelHBondChannel) * voxels;
   for (int64_t i = 0; i < voxels; ++i) hb_mass += hb[i];
   EXPECT_GT(hb_mass, 0.0f);
-  EXPECT_THROW(vox.voxelize_ligand_onto(lig, grid, {}), std::logic_error);
 }
 
 TEST(FeatureSetVersion, ScorerAndRegistryRejectMismatches) {

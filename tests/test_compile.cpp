@@ -327,6 +327,31 @@ TEST(CompiledArtifact, GoldenRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST(CompiledArtifact, EmptySectionsRoundTrip) {
+  // A conv-less int8 model writes an empty conv mask: every dtype must take
+  // a zero-element section with a null source (a null memcpy source is UB
+  // even for zero bytes) and read it back empty.
+  const std::string path = tmp_path("df_artifact_empty.dfca");
+  const float one = 1.0f;
+  io::ArtifactWriter w;
+  w.add_floats("f", {0}, nullptr);
+  w.add_ints("i", {0}, nullptr);
+  w.add_int8s("q", {0}, nullptr);
+  w.add_int32s("c", {2, 0}, nullptr);
+  w.add_floats("after", {1}, &one);
+  w.save(path);
+
+  auto r = io::ArtifactReader::open(path);
+  for (const char* name : {"f", "i", "q", "c"}) {
+    ASSERT_TRUE(r->has(name)) << name;
+    EXPECT_EQ(r->section(name).numel(), 0) << name;
+    EXPECT_EQ(r->section(name).byte_len, 0u) << name;
+  }
+  EXPECT_EQ(r->section("c").dims, (std::vector<int64_t>{2, 0}));
+  EXPECT_EQ(r->floats("after")[0], 1.0f);
+  std::filesystem::remove(path);
+}
+
 void corrupt_byte(const std::string& path, int64_t offset, char xor_mask) {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(f.good());

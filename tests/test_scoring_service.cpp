@@ -155,6 +155,15 @@ class ThrowingScorer : public serve::Scorer {
   }
 };
 
+// A scorer that breaks the one-score-per-pose contract.
+class ShortScorer : public serve::Scorer {
+ public:
+  std::string name() const override { return "short"; }
+  std::vector<float> score(const std::vector<const serve::PoseInput*>& poses) override {
+    return std::vector<float>(poses.size() - 1, 1.0f);
+  }
+};
+
 // ---- registry -----------------------------------------------------------
 
 TEST(Registry, RegisterMakeContainsNames) {
@@ -455,6 +464,32 @@ TEST(Service, ScorerExceptionBecomesTypedFailureAndServiceSurvives) {
   const serve::ScoreResponse ok = service.score(std::move(good));
   EXPECT_EQ(ok.error, serve::ScoreError::kNone) << ok.message;
   EXPECT_EQ(ok.scores.size(), 2u);
+}
+
+TEST(Service, WrongScoreCountIsTypedFailureAtEveryDepth) {
+  // A backend without a pipeline completes through the same path at any
+  // service depth; a short answer fails the request instead of leaving
+  // scores unset.
+  for (int depth : {0, 2}) {
+    serve::ModelRegistry reg;
+    reg.add("short", [] { return std::make_unique<ShortScorer>(); });
+    serve::ServiceConfig sc;
+    sc.workers = 1;
+    sc.pipeline_depth = depth;
+    serve::ScoringService service(reg, sc);
+
+    serve::ScoreRequest req;
+    req.scorer = "short";
+    req.poses.resize(3);
+    const serve::ScoreResponse resp = service.score(std::move(req));
+    EXPECT_EQ(resp.error, serve::ScoreError::kScorerFailure) << "depth " << depth;
+    EXPECT_TRUE(resp.scores.empty()) << "depth " << depth;
+    EXPECT_NE(resp.message.find("scorer 'short' returned 2 scores for 3 poses"),
+              std::string::npos)
+        << "depth " << depth << ": " << resp.message;
+    service.drain();
+    EXPECT_EQ(service.stats().latency.count(), 1u) << "depth " << depth;
+  }
 }
 
 TEST(Service, ShutdownRejectsNewWorkTyped) {

@@ -1,25 +1,26 @@
 // Pipelined scoring hot path + cross-request pocket cache pins (ISSUE 10):
-//   * the pocket-aware voxel graft (4-arg voxelize_ligand_onto) is bitwise
-//     identical to joint voxelization at feature-set v2, where the 3-arg
-//     overload still refuses,
+//   * the pocket-aware voxel graft (voxelize_ligand_onto) is bitwise
+//     identical to joint voxelization at feature-set v1 and v2,
 //   * GraphFeaturizer::featurize against a pre-built crop CellList equals
 //     the self-built path bitwise,
 //   * PocketCache: verified hits return the same entry, LRU eviction and
 //     config-change invalidation are observable in stats, held entries
 //     survive eviction,
 //   * RegressorScorer's stage pipeline is bitwise identical to sequential
-//     score() at every (depth, featurize_threads) combination, and through
-//     an ordered-stream ScoringService at every (workers, depth, cache)
-//     combination,
-//   * cache hit == cache miss bitwise at feature-set v1 AND v2 (v2 is
-//     where the cache re-enables pocket amortization),
+//     score() at every depth, and through an ordered-stream ScoringService
+//     at every (workers, depth, cache) combination,
+//   * cache hit == cache miss bitwise at feature-set v1 AND v2, and
+//     score() — cached or not, over mixed pockets and centers — equals
+//     model predictions on the joint Voxelizer::voxelize featurization,
 //   * featurize-stage errors surface at collect() as typed exceptions and
 //     leave the pipeline usable,
 //   * a warmed pipeline at depth 2 scores with zero tensor heap
-//     allocations while stages overlap.
+//     allocations while stages overlap,
+//   * an ordered-stream service keeps the same books at depth 0 and 2.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -141,18 +142,15 @@ TEST(PocketGraft, V2GraftBitwiseEqualsJointVoxelization) {
                           static_cast<size_t>(joint.numel()) * sizeof(float)),
               0)
         << "v2 graft diverged from joint voxelization, ligand " << i;
-    // The pocket-blind overload still refuses v2 — only the pocket-aware
-    // graft can re-derive the interface H-bond coupling.
-    EXPECT_THROW(vox.voxelize_ligand_onto(lig, pocket_grid, {}), std::logic_error);
   }
 
-  // At v1 the pocket-aware overload must collapse to the historical path.
+  // At v1 the graft must reproduce the historical joint voxelization.
   const chem::Voxelizer vox1(tiny_voxel(1));
   const Tensor grid1 = vox1.voxelize_pocket(pocket, {});
   chem::Molecule lig = chem::generate_molecule({}, rng);
   chem::embed_conformer(lig, rng);
   lig.translate(core::Vec3{} - lig.centroid());
-  const Tensor a = vox1.voxelize_ligand_onto(lig, grid1, {});
+  const Tensor a = vox1.voxelize(lig, pocket, {});
   const Tensor b = vox1.voxelize_ligand_onto(lig, pocket, grid1, {});
   EXPECT_EQ(std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)), 0);
 }
@@ -310,38 +308,35 @@ TEST(PipelinedScorer, BitwiseEqualsSequentialAcrossDepthsAndLanes) {
     for (const auto& b : batches) want.push_back(scorer.score(ptrs_of(b)));
   }
 
-  for (int feat_threads : {0, 2}) {
-    for (int depth : {1, 2, 4}) {
-      serve::RegressorScorer scorer("fusion", make_fusion(tiny_voxel().channels()), tiny_voxel(),
-                                    tiny_graph(), feat_threads);
-      scorer.set_pipeline_depth(depth);
-      serve::ScorerPipeline* pipe = scorer.pipeline();
-      ASSERT_NE(pipe, nullptr);
-      EXPECT_EQ(pipe->depth(), depth);
+  for (int depth : {1, 2, 4}) {
+    serve::RegressorScorer scorer("fusion", make_fusion(tiny_voxel().channels()), tiny_voxel(),
+                                  tiny_graph());
+    scorer.set_pipeline_depth(depth);
+    serve::ScorerPipeline* pipe = scorer.pipeline();
+    ASSERT_NE(pipe, nullptr);
+    EXPECT_EQ(pipe->depth(), depth);
 
-      const std::string tag =
-          "depth=" + std::to_string(depth) + " lanes=" + std::to_string(feat_threads);
-      std::vector<std::vector<float>> got;
-      for (const auto& b : batches) {
-        if (pipe->in_flight() == static_cast<size_t>(depth)) got.push_back(pipe->collect());
-        pipe->submit(ptrs_of(b));
-      }
-      while (pipe->in_flight() > 0) got.push_back(pipe->collect());
-      ASSERT_EQ(got.size(), want.size()) << tag;
-      for (int b = 0; b < kBatches; ++b) {
-        expect_bitwise(got[static_cast<size_t>(b)], want[static_cast<size_t>(b)],
-                       tag + " batch " + std::to_string(b));
-      }
-
-      // The drained replica's sequential path is untouched by pipelining.
-      expect_bitwise(scorer.score(ptrs_of(batches[0])), want[0], tag + " post-drain score()");
-      // Stats account every batch exactly once, at collect time.
-      EXPECT_EQ(scorer.phase_stats().batches, static_cast<uint64_t>(kBatches + 1)) << tag;
-
-      // Depth 0 tears the pipeline down.
-      scorer.set_pipeline_depth(0);
-      EXPECT_EQ(scorer.pipeline(), nullptr) << tag;
+    const std::string tag = "depth=" + std::to_string(depth);
+    std::vector<std::vector<float>> got;
+    for (const auto& b : batches) {
+      if (pipe->in_flight() == static_cast<size_t>(depth)) got.push_back(pipe->collect());
+      pipe->submit(ptrs_of(b));
     }
+    while (pipe->in_flight() > 0) got.push_back(pipe->collect());
+    ASSERT_EQ(got.size(), want.size()) << tag;
+    for (int b = 0; b < kBatches; ++b) {
+      expect_bitwise(got[static_cast<size_t>(b)], want[static_cast<size_t>(b)],
+                     tag + " batch " + std::to_string(b));
+    }
+
+    // The drained replica's sequential path is untouched by pipelining.
+    expect_bitwise(scorer.score(ptrs_of(batches[0])), want[0], tag + " post-drain score()");
+    // Stats account every batch exactly once, at collect time.
+    EXPECT_EQ(scorer.phase_stats().batches, static_cast<uint64_t>(kBatches + 1)) << tag;
+
+    // Depth 0 tears the pipeline down.
+    scorer.set_pipeline_depth(0);
+    EXPECT_EQ(scorer.pipeline(), nullptr) << tag;
   }
 }
 
@@ -366,6 +361,58 @@ TEST(PipelinedScorer, CacheHitBitwiseEqualsMissAtBothFeatureSetVersions) {
     // One build, then every batch reuses it: one lookup per batch.
     EXPECT_EQ(cache->stats().misses, 1u) << "fsv " << fsv;
     EXPECT_EQ(cache->stats().hits, 2u) << "fsv " << fsv;
+  }
+}
+
+TEST(PipelinedScorer, ScoreBitwiseEqualsJointFeaturizationReference) {
+  // The scorer only ever grafts ligands onto pocket grids; pin it against
+  // the joint featurization it replaces: per pose Voxelizer::voxelize +
+  // GraphFeaturizer::featurize, then one predict_batch. The batch mixes two
+  // pockets and two centers (four sites, interleaved), so the per-batch
+  // (pocket, center) dedup and the cache keys are both exercised.
+  Rng rng(87);
+  const auto pocket_a = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
+  const auto pocket_b = data::make_pocket({4.5f, 30, 0.6f, 0.5f, 0.1f}, rng);
+  const core::Vec3 centers[2] = {{0.0f, 0.0f, 0.0f}, {0.75f, -0.5f, 0.25f}};
+  auto poses = make_poses(8, &pocket_a, rng);
+  for (size_t i = 0; i < poses.size(); ++i) {
+    poses[i].pocket = i % 2 == 0 ? &pocket_a : &pocket_b;
+    poses[i].site_center = centers[(i / 2) % 2];
+  }
+
+  for (int fsv : {1, 2}) {
+    const chem::VoxelConfig voxel = tiny_voxel(fsv);
+    const chem::Voxelizer vox(voxel);
+    const chem::GraphFeaturizer feat(tiny_graph(fsv));
+    std::vector<data::Sample> samples(poses.size());
+    std::vector<const data::Sample*> sample_ptrs;
+    for (size_t i = 0; i < poses.size(); ++i) {
+      const serve::PoseInput& p = poses[i];
+      samples[i].voxel = vox.voxelize(p.ligand, *p.pocket, p.site_center);
+      samples[i].graph = feat.featurize(p.ligand, *p.pocket);
+      sample_ptrs.push_back(&samples[i]);
+    }
+    auto model = make_fusion(voxel.channels());
+    model->set_training(false);
+    const std::vector<float> want = model->predict_batch(sample_ptrs);
+    ASSERT_EQ(want.size(), poses.size());
+
+    for (bool cached : {false, true}) {
+      const std::string tag = "fsv=" + std::to_string(fsv) + (cached ? " cached" : " uncached");
+      serve::RegressorScorer scorer("fusion", make_fusion(voxel.channels()), voxel,
+                                    tiny_graph(fsv));
+      auto cache = std::make_shared<serve::PocketCache>(8);
+      if (cached) scorer.set_pocket_cache(cache);
+      for (int rep = 0; rep < 2; ++rep) {
+        const std::vector<float> got = scorer.score(ptrs_of(poses));
+        ASSERT_EQ(got.size(), want.size()) << tag;
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+            << tag << " rep " << rep;
+      }
+      // One lookup per site per batch: four builds, then four hits.
+      EXPECT_EQ(cache->stats().misses, cached ? 4u : 0u) << tag;
+      EXPECT_EQ(cache->stats().hits, cached ? 4u : 0u) << tag;
+    }
   }
 }
 
@@ -402,7 +449,7 @@ TEST(PipelinedScorer, SteadyStateZeroTensorHeapAllocationsAtDepth2) {
   const auto ptrs = ptrs_of(poses);
 
   serve::RegressorScorer scorer("fusion", make_fusion(tiny_voxel().channels()), tiny_voxel(),
-                                tiny_graph(), /*featurize_threads=*/2);
+                                tiny_graph());
   auto cache = std::make_shared<serve::PocketCache>(4);
   scorer.set_pocket_cache(cache);
   scorer.set_pipeline_depth(2);
@@ -443,13 +490,10 @@ TEST(PipelinedService, OrderedStreamBitwiseAcrossDepthWorkersAndCache) {
   std::vector<std::vector<serve::PoseInput>> client_poses;
   for (int c = 0; c < kClients; ++c) client_poses.push_back(make_poses(10, &pocket, rng));
 
-  // `registry_depth` pipelines at the registry level (the service leaves
-  // it alone at pipeline_depth == 0); `depth` at the service level.
   struct Config {
     int workers;
     int depth;
     size_t cache_targets;
-    int registry_depth;
   };
   const auto run_config = [&](const Config& cc) {
     serve::ModelRegistry reg;
@@ -465,7 +509,7 @@ TEST(PipelinedService, OrderedStreamBitwiseAcrossDepthWorkersAndCache) {
           fcfg.fusion_nodes = 12;
           return std::make_unique<models::FusionModel>(fcfg, cnn, sg, mrng);
         },
-        tiny_voxel(), tiny_graph(), /*featurize_threads=*/0, cc.registry_depth);
+        tiny_voxel(), tiny_graph());
     serve::ServiceConfig sc;
     sc.workers = cc.workers;
     sc.poses_per_batch = 4;  // 10-pose requests split 4/4/2
@@ -488,28 +532,72 @@ TEST(PipelinedService, OrderedStreamBitwiseAcrossDepthWorkersAndCache) {
     return scores;
   };
 
-  const auto baseline = run_config({1, 0, 0, 0});
+  const auto baseline = run_config({1, 0, 0});
   for (int c = 0; c < kClients; ++c) {
     ASSERT_EQ(baseline[static_cast<size_t>(c)].size(), 10u);
   }
   const Config configs[] = {
-      {1, 2, 4, 0},  // pipelined + cached, single worker
-      {4, 2, 4, 0},  // pipelined + cached, parallel workers
-      {2, 4, 0, 0},  // deep pipeline, no cache
-      {1, 0, 4, 0},  // cache only, sequential
-      {2, 0, 0, 3},  // registry-configured pipeline, service leaves it alone
+      {1, 2, 4},  // pipelined + cached, single worker
+      {4, 2, 4},  // pipelined + cached, parallel workers
+      {2, 4, 0},  // deep pipeline, no cache
+      {1, 0, 4},  // cache only, sequential
   };
   for (const Config& cc : configs) {
     const auto got = run_config(cc);
     const std::string tag = "workers=" + std::to_string(cc.workers) +
                             " depth=" + std::to_string(cc.depth) +
-                            " cache=" + std::to_string(cc.cache_targets) +
-                            " registry_depth=" + std::to_string(cc.registry_depth);
+                            " cache=" + std::to_string(cc.cache_targets);
     for (int c = 0; c < kClients; ++c) {
       expect_bitwise(got[static_cast<size_t>(c)], baseline[static_cast<size_t>(c)],
                      tag + " client " + std::to_string(c));
     }
   }
+}
+
+TEST(PipelinedService, OrderedStreamStatsEqualAtDepthZeroAndTwo) {
+  // Sequential and pipelined workers complete batches through one path, so
+  // the same requests must leave the same books.
+  Rng rng(88);
+  const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
+  constexpr int kClients = 3;
+  std::vector<std::vector<serve::PoseInput>> client_poses;
+  for (int c = 0; c < kClients; ++c) client_poses.push_back(make_poses(10, &pocket, rng));
+
+  const auto run = [&](int depth) {
+    serve::ModelRegistry reg;
+    serve::add_regressor(
+        reg, "fusion", [] { return make_fusion(tiny_voxel().channels()); }, tiny_voxel(),
+        tiny_graph());
+    serve::ServiceConfig sc;
+    sc.workers = 2;
+    sc.poses_per_batch = 4;  // 10-pose requests split 4/4/2
+    sc.ordered_stream = true;
+    sc.pipeline_depth = depth;
+    serve::ScoringService service(reg, sc);
+    std::vector<std::future<serve::ScoreResponse>> futures;
+    for (int c = 0; c < kClients; ++c) {
+      serve::ScoreRequest req;
+      req.scorer = "fusion";
+      req.poses = client_poses[static_cast<size_t>(c)];
+      futures.push_back(service.submit(std::move(req)));
+    }
+    for (auto& f : futures) EXPECT_EQ(f.get().error, serve::ScoreError::kNone);
+    service.drain();
+    return service.stats();
+  };
+
+  const serve::ServiceStats seq = run(0);
+  const serve::ServiceStats piped = run(2);
+  EXPECT_EQ(seq.requests, 3u);
+  EXPECT_EQ(seq.poses, 30u);
+  EXPECT_EQ(seq.batches, 9u);
+  EXPECT_EQ(seq.full_batches, 6u);
+  EXPECT_EQ(seq.latency.count(), 3u);
+  EXPECT_EQ(piped.requests, seq.requests);
+  EXPECT_EQ(piped.poses, seq.poses);
+  EXPECT_EQ(piped.batches, seq.batches);
+  EXPECT_EQ(piped.full_batches, seq.full_batches);
+  EXPECT_EQ(piped.latency.count(), seq.latency.count());
 }
 
 TEST(PipelinedService, TypedErrorsAndDrainWithBatchesInFlight) {
