@@ -530,11 +530,8 @@ ColdStartResult run_cold_start_bench(const Workload& w) {
     models::save_checkpoint(*donor_model, h5);
     serve::RegressorScorer donor("cnn3d", std::move(donor_model), voxel, {});
     for (int i = 0; i < 2; ++i) donor.score(batch);
-    const auto budgets = donor.workspace_capacities();
     auto compiled = make_model();
-    compile::save_compiled(*compiled, dfca, kPosesPerBatch,
-                           {static_cast<int64_t>(budgets.forward_floats),
-                            static_cast<int64_t>(budgets.feat_floats)});
+    compile::save_compiled(*compiled, dfca, kPosesPerBatch, donor.workspace_capacities());
   }
 
   serve::ModelRegistry creg;

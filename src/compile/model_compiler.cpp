@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/gemm.h"
-#include "core/gemm_s8.h"
 #include "models/cnn3d.h"
 #include "models/fusion.h"
 #include "models/sgcnn.h"
@@ -170,18 +168,6 @@ int strip_dropout(nn::Sequential& seq) {
     ++i;
   }
   return stripped;
-}
-
-void compile_eval_rec(nn::Sequential& seq) {
-  for (size_t i = 0; i < seq.size(); ++i) {
-    nn::Module* m = &seq.layer(i);
-    if (auto* r = dynamic_cast<nn::Residual*>(m)) {
-      if (auto* s = dynamic_cast<nn::Sequential*>(&r->inner())) compile_eval_rec(*s);
-    } else if (auto* s = dynamic_cast<nn::Sequential*>(m)) {
-      compile_eval_rec(*s);
-    }
-  }
-  seq.compile_eval();
 }
 
 int count_batchnorms(nn::Sequential& seq) {
@@ -455,14 +441,12 @@ std::unique_ptr<models::Regressor> rebuild(const io::ArtifactReader& a, ModelFam
 }
 
 /// Eval-only facade over a model restored from an artifact: forwards the
-/// scoring surface, throws on any training entry point (the packed weight
-/// images would go stale underneath an update), and keeps the mmap alive
-/// for the prepacked views that point into it.
+/// scoring surface and throws on any training entry point (the packed
+/// weight images would go stale underneath an update).
 class CompiledRegressor : public models::Regressor {
  public:
-  CompiledRegressor(std::shared_ptr<io::ArtifactReader> image,
-                    std::unique_ptr<models::Regressor> inner)
-      : image_(std::move(image)), inner_(std::move(inner)) {}
+  explicit CompiledRegressor(std::unique_ptr<models::Regressor> inner)
+      : inner_(std::move(inner)) {}
 
   float forward_train(const data::Sample&) override {
     throw std::logic_error("compiled model is eval-only: forward_train on " + inner_->name());
@@ -486,9 +470,78 @@ class CompiledRegressor : public models::Regressor {
   models::Regressor& inner() { return *inner_; }
 
  private:
-  std::shared_ptr<io::ArtifactReader> image_;
   std::unique_ptr<models::Regressor> inner_;
 };
+
+// The passes that change the layer chain: fold BatchNorms, strip Dropouts.
+// They only remove BN/Dropout layers, so the returned walk's Dense/Conv3d
+// pointers stay valid — and now hold the folded weights.
+StructureWalk fold_and_strip(models::Regressor& model, CompileReport& rep) {
+  model.set_training(false);
+  StructureWalk w;
+  collect(model, w);
+  for (nn::Sequential* s : w.seqs) rep.folded_batch_norms += fold_sequential(*s);
+  for (nn::Sequential* s : w.seqs) rep.stripped_dropouts += strip_dropout(*s);
+  return w;
+}
+
+// Give every layer that is not int8 its fp32 handle; returns how many.
+template <class Layer>
+int pack_f32(const std::vector<Layer*>& layers) {
+  int packed = 0;
+  for (Layer* l : layers) {
+    if (l->eval_weights().kind == nn::EvalWeights::Kind::kInt8) continue;
+    l->set_eval_weights(l->packed_f32());
+    ++packed;
+  }
+  return packed;
+}
+
+// One layer's serving handle, stored verbatim under `base`: its kind, its
+// image and, when int8, its scales, comp (Dense only) and act step.
+void write_eval_weights(io::ArtifactWriter& out, const std::string& base,
+                        const nn::EvalWeights& e) {
+  out.add_scalar(base + "kind", static_cast<int64_t>(e.kind));
+  if (e.kind == nn::EvalWeights::Kind::kF32)
+    out.add_floats(base + "image", {e.image_len}, e.f32());
+  if (e.kind != nn::EvalWeights::Kind::kInt8) return;
+  out.add_int8s(base + "image", {e.image_len}, e.s8());
+  out.add_floats(base + "scales", {e.scales_len}, e.scales);
+  if (e.comp != nullptr) out.add_int32s(base + "comp", {e.comp_len}, e.comp);
+  out.add_floats(base + "act", {1}, &e.act_scale);
+}
+
+// Give `layer` the handle stored under `base`, as views into the mapping
+// that keep it alive. A group that does not fit the layer is a Format error.
+template <class Layer>
+void read_eval_weights(const std::shared_ptr<io::ArtifactReader>& image, const std::string& base,
+                       Layer& layer) {
+  const io::ArtifactReader& a = *image;
+  nn::EvalWeights e{.kind = static_cast<nn::EvalWeights::Kind>(a.scalar(base + "kind")),
+                    .keep_alive = image};
+  const std::string img = base + "image", scales = base + "scales", comp = base + "comp";
+  if (e.kind == nn::EvalWeights::Kind::kF32) {
+    e.image = a.floats(img);
+    e.image_len = a.section(img).numel();
+  } else if (e.kind == nn::EvalWeights::Kind::kInt8) {
+    e.image = a.int8s(img);
+    e.image_len = a.section(img).numel();
+    e.scales = a.floats(scales);
+    e.scales_len = a.section(scales).numel();
+    if (a.has(comp)) {
+      e.comp = a.int32s(comp);
+      e.comp_len = a.section(comp).numel();
+    }
+    check_len(a, base + "act", 1);
+    e.act_scale = a.floats(base + "act")[0];
+  }
+  try {
+    layer.set_eval_weights(std::move(e));
+  } catch (const std::invalid_argument& err) {
+    throw format_error("sections " + base + "* do not fit their layer in " + a.path() + ": " +
+                       err.what());
+  }
+}
 
 }  // namespace
 
@@ -508,34 +561,12 @@ ModelFamily family_of(models::Regressor& model) {
   throw std::invalid_argument("model compiler: unsupported model type: " + model.name());
 }
 
-CompileReport ModelCompiler::compile(models::Regressor& model) const {
-  model.set_training(false);
-  StructureWalk w;
-  collect(model, w);
-
+CompileReport compile_model(models::Regressor& model) {
   CompileReport rep;
-  if (opts_.fold_batch_norm) {
-    for (nn::Sequential* s : w.seqs) rep.folded_batch_norms += fold_sequential(*s);
-  }
-  if (opts_.strip_dropout) {
-    for (nn::Sequential* s : w.seqs) rep.stripped_dropouts += strip_dropout(*s);
-  }
-  // Folding/stripping only removed BN/Dropout layers, so the Dense/Conv3d
-  // pointers in the walk are still valid — and now hold the folded weights.
-  if (opts_.compile_eval_programs) {
-    for (nn::Sequential* s : w.seqs) compile_eval_rec(*s);
-  }
-  if (opts_.prepack_weights) {
-    for (nn::Dense* d : w.dense) {
-      d->prepack();
-      ++rep.prepacked_dense;
-    }
-    for (nn::Conv3d* c : w.conv) {
-      c->prepack();
-      ++rep.prepacked_conv;
-    }
-  }
-  if (opts_.warm_conv_plans) warm_conv_plans(model);
+  const StructureWalk w = fold_and_strip(model, rep);
+  rep.prepacked_dense = pack_f32(w.dense);
+  rep.prepacked_conv = pack_f32(w.conv);
+  warm_conv_plans(model);
   return rep;
 }
 
@@ -545,7 +576,7 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
     throw std::invalid_argument("save_compiled: feature_set_version must be >= 1");
   }
   const ModelFamily fam = family_of(model);
-  ModelCompiler().compile(model);
+  compile_model(model);
 
   // The artifact has no carrier for BatchNorm running statistics (they are
   // not Parameters) — by design: a BN that survived folding would silently
@@ -575,69 +606,16 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
                    params[i]->value.data());
   }
 
-  // Panel images, regenerated from the folded weights (deterministic — the
-  // pack layout is a pure function of the operand) rather than copied out
-  // of the layers, so saving works whether or not compile() prepacked.
-  out.add_scalar("pack/dense_count", static_cast<int64_t>(w.dense.size()));
-  out.add_scalar("pack/conv_count", static_cast<int64_t>(w.conv.size()));
-  std::vector<float> buf;
-  for (size_t i = 0; i < w.dense.size(); ++i) {
-    nn::Dense* d = w.dense[i];
-    const int64_t len = core::packed_b_floats(d->in_features(), d->out_features());
-    buf.resize(static_cast<size_t>(len));
-    core::pack_b_full(false, d->in_features(), d->out_features(), d->weight().value.data(),
-                      d->out_features(), buf.data());
-    out.add_floats("pack/dense/" + std::to_string(i), {len}, buf.data());
-  }
-  for (size_t i = 0; i < w.conv.size(); ++i) {
-    nn::Conv3d* c = w.conv[i];
-    const int64_t K = c->in_channels() * c->kernel() * c->kernel() * c->kernel();
-    const int64_t len = core::packed_a_floats(c->out_channels(), K);
-    buf.resize(static_cast<size_t>(len));
-    core::pack_a_full(false, c->out_channels(), K, c->weight().value.data(), K, buf.data());
-    out.add_floats("pack/conv/" + std::to_string(i), {len}, buf.data());
-  }
-
-  // Quantized plan sections (artifact v2). Unlike the fp32 panel images,
-  // these are copied verbatim from the layers' attached state — the int8
-  // images embed calibration results that cannot be regenerated from the
-  // weights alone, and the verbatim copy is what makes a restored replica
-  // bitwise-reproduce the donor's int8 scores (int32 accumulation is
-  // exact, so identical images imply identical outputs).
-  bool any_quant = false;
-  std::vector<int64_t> dmask(w.dense.size(), 0), cmask(w.conv.size(), 0);
-  for (size_t i = 0; i < w.dense.size(); ++i) {
-    if (w.dense[i]->quantized_state() != nullptr) dmask[i] = 1, any_quant = true;
-  }
-  for (size_t i = 0; i < w.conv.size(); ++i) {
-    if (w.conv[i]->quantized_state() != nullptr) cmask[i] = 1, any_quant = true;
-  }
-  if (any_quant) {
-    out.add_ints("quant/dense_mask", {static_cast<int64_t>(dmask.size())}, dmask.data());
-    out.add_ints("quant/conv_mask", {static_cast<int64_t>(cmask.size())}, cmask.data());
-    for (size_t i = 0; i < w.dense.size(); ++i) {
-      if (dmask[i] == 0) continue;
-      const nn::Dense* d = w.dense[i];
-      const nn::QuantizedDense* q = d->quantized_state();
-      const std::string base = "quant/dense/" + std::to_string(i) + "/";
-      const int64_t plen = core::packed_b_bytes_s8(d->in_features(), d->out_features());
-      out.add_int8s(base + "panels", {plen}, q->panels);
-      out.add_floats(base + "scales", {d->out_features()}, q->scales);
-      out.add_int32s(base + "comp", {d->out_features()}, q->comp);
-      out.add_floats(base + "act", {1}, &q->act_scale);
-    }
-    for (size_t i = 0; i < w.conv.size(); ++i) {
-      if (cmask[i] == 0) continue;
-      const nn::Conv3d* c = w.conv[i];
-      const nn::QuantizedConv* q = c->quantized_state();
-      const std::string base = "quant/conv/" + std::to_string(i) + "/";
-      const int64_t K = c->in_channels() * c->kernel() * c->kernel() * c->kernel();
-      const int64_t wlen = core::quantized_a_bytes_s8(c->out_channels(), K);
-      out.add_int8s(base + "w", {wlen}, reinterpret_cast<const int8_t*>(q->wu8));
-      out.add_floats(base + "scales", {c->out_channels()}, q->scales);
-      out.add_floats(base + "act", {1}, &q->act_scale);
-    }
-  }
+  // The layers' handles, verbatim: fp32 panels are a pure function of the
+  // folded weights, but int8 images embed calibration results, and the
+  // verbatim copy is what makes a restored replica bitwise-reproduce the
+  // donor's int8 scores (int32 accumulation is exact).
+  out.add_scalar("dense/count", static_cast<int64_t>(w.dense.size()));
+  out.add_scalar("conv/count", static_cast<int64_t>(w.conv.size()));
+  for (size_t i = 0; i < w.dense.size(); ++i)
+    write_eval_weights(out, "dense/" + std::to_string(i) + "/", w.dense[i]->eval_weights());
+  for (size_t i = 0; i < w.conv.size(); ++i)
+    write_eval_weights(out, "conv/" + std::to_string(i) + "/", w.conv[i]->eval_weights());
 
   out.save(path);
 }
@@ -645,7 +623,6 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
 CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
   const io::ArtifactReader& a = *image;
   CompiledModel out;
-  out.image = image;
   const int64_t fam_raw = a.scalar("family");
   if (fam_raw < 0 || fam_raw > 3) throw format_error("bad family in " + a.path());
   out.family = static_cast<ModelFamily>(fam_raw);
@@ -661,12 +638,9 @@ CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
   // Re-run the structural passes so the replica's layer chain matches the
   // donor's post-compile chain (same walk order for the positional
   // sections). The fold rewrites init-garbage weights — harmless, every
-  // parameter is overwritten next. Prepack is skipped: the packed images
-  // come from the mapping, not from a fresh pack.
-  CompileOptions structural;
-  structural.prepack_weights = false;
-  structural.warm_conv_plans = false;
-  ModelCompiler(structural).compile(*model);
+  // parameter is overwritten next.
+  CompileReport structural;
+  const StructureWalk w = fold_and_strip(*model, structural);
 
   const std::vector<nn::Parameter*> params = walk_parameters(*model);
   if (a.scalar("param_count") != static_cast<int64_t>(params.size())) {
@@ -682,62 +656,19 @@ CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
   }
 
   // Point the GEMM layers straight into the mapping — zero-copy weights.
-  StructureWalk w;
-  collect(*model, w);
-  if (a.scalar("pack/dense_count") != static_cast<int64_t>(w.dense.size()) ||
-      a.scalar("pack/conv_count") != static_cast<int64_t>(w.conv.size())) {
-    throw format_error("packed-layer count mismatch in " + a.path());
+  if (a.scalar("dense/count") != static_cast<int64_t>(w.dense.size()) ||
+      a.scalar("conv/count") != static_cast<int64_t>(w.conv.size())) {
+    throw format_error("GEMM layer count mismatch in " + a.path());
   }
-  for (size_t i = 0; i < w.dense.size(); ++i) {
-    nn::Dense* d = w.dense[i];
-    const std::string name = "pack/dense/" + std::to_string(i);
-    check_len(a, name, core::packed_b_floats(d->in_features(), d->out_features()));
-    d->attach_prepacked(a.floats(name));
-  }
-  for (size_t i = 0; i < w.conv.size(); ++i) {
-    nn::Conv3d* c = w.conv[i];
-    const std::string name = "pack/conv/" + std::to_string(i);
-    const int64_t K = c->in_channels() * c->kernel() * c->kernel() * c->kernel();
-    check_len(a, name, core::packed_a_floats(c->out_channels(), K));
-    c->attach_prepacked(a.floats(name));
-  }
-
-  // Quantized plans: borrowed views straight into the mapping, like the
-  // fp32 panels. Layers with a mask bit run int8 from the first request.
-  if (a.has("quant/dense_mask")) {
-    check_len(a, "quant/dense_mask", static_cast<int64_t>(w.dense.size()));
-    check_len(a, "quant/conv_mask", static_cast<int64_t>(w.conv.size()));
-    const int64_t* dmask = a.ints("quant/dense_mask");
-    const int64_t* cmask = a.ints("quant/conv_mask");
-    for (size_t i = 0; i < w.dense.size(); ++i) {
-      if (dmask[i] == 0) continue;
-      nn::Dense* d = w.dense[i];
-      const std::string base = "quant/dense/" + std::to_string(i) + "/";
-      check_len(a, base + "panels", core::packed_b_bytes_s8(d->in_features(), d->out_features()));
-      check_len(a, base + "scales", d->out_features());
-      check_len(a, base + "comp", d->out_features());
-      check_len(a, base + "act", 1);
-      d->attach_quantized_views(a.floats(base + "act")[0], a.int8s(base + "panels"),
-                                a.floats(base + "scales"), a.int32s(base + "comp"));
-    }
-    for (size_t i = 0; i < w.conv.size(); ++i) {
-      if (cmask[i] == 0) continue;
-      nn::Conv3d* c = w.conv[i];
-      const std::string base = "quant/conv/" + std::to_string(i) + "/";
-      const int64_t K = c->in_channels() * c->kernel() * c->kernel() * c->kernel();
-      check_len(a, base + "w", core::quantized_a_bytes_s8(c->out_channels(), K));
-      check_len(a, base + "scales", c->out_channels());
-      check_len(a, base + "act", 1);
-      c->attach_quantized_views(a.floats(base + "act")[0],
-                                reinterpret_cast<const uint8_t*>(a.int8s(base + "w")),
-                                a.floats(base + "scales"));
-    }
-  }
+  for (size_t i = 0; i < w.dense.size(); ++i)
+    read_eval_weights(image, "dense/" + std::to_string(i) + "/", *w.dense[i]);
+  for (size_t i = 0; i < w.conv.size(); ++i)
+    read_eval_weights(image, "conv/" + std::to_string(i) + "/", *w.conv[i]);
 
   warm_conv_plans(*model);
   model->set_training(false);
 
-  out.model = std::make_unique<CompiledRegressor>(image, std::move(model));
+  out.model = std::make_unique<CompiledRegressor>(std::move(model));
   return out;
 }
 

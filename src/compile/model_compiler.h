@@ -1,7 +1,7 @@
 // Ahead-of-time model compiler (ROADMAP item 2).
 //
 // A serving replica's model never trains again: every eval forward repeats
-// work that can be done once at load. ModelCompiler rewrites a Regressor in
+// work that can be done once at load. compile_model rewrites a Regressor in
 // place into its executable serving form:
 //
 //   * BatchNorm folding — BatchNorm1d/3d running statistics are absorbed
@@ -14,25 +14,22 @@
 //   * Dropout stripping — eval-mode Dropout is the identity, so the layers
 //     are removed. This also extends fusion chains: a Dense/Conv3d whose
 //     activation used to sit behind a Dropout becomes directly adjacent to
-//     it and fuses into one GEMM epilogue.
-//   * Eval-program compilation — every Sequential precomputes its fused
-//     dispatch once (nn::Sequential::compile_eval), replacing the per-call
-//     dynamic_cast scan.
-//   * Weight prepacking — every Dense/Conv3d packs its weight into the GEMM
-//     panel image once (core::pack_a_full / pack_b_full) so steady-state
-//     sgemm calls skip pack_a/pack_b. Bitwise identical on every dispatch
-//     path (core::sgemm_prepacked).
+//     it, and the Sequential's eval program fuses them into one GEMM.
+//   * Weight prepacking — every Dense/Conv3d that is not int8 gets the fp32
+//     serving handle its own packed_f32() produces (nn/eval_weights.h), so
+//     steady-state sgemm calls skip pack_a/pack_b. Bitwise identical on
+//     every dispatch path (core::sgemm_prepacked).
 //   * Conv-plan prewarming — the 3D-CNN trunk's lowering tables are
 //     built for the model's voxel geometry ahead of the first request.
 //
-// The compiled model is eval-only: training after compile() would update
+// The compiled model is eval-only: training after compilation would update
 // weights underneath stale packed images (the training path itself is
-// unaffected — prepacked GEMMs are bypassed while training — but the next
-// eval would read the stale pack). save_compiled/load_compiled serialize
-// the compiled form — folded weights, packed panel images, workspace
-// high-water budgets — into the mmap-friendly artifact of
-// io/model_artifact.h so replicas cold-start without the h5/init path and
-// point their GEMM views straight into the shared file mapping.
+// unaffected — training forwards ignore the handles — but the next eval
+// would read the stale pack). save_compiled/load_compiled serialize the
+// compiled form — folded weights, each GEMM layer's serving handle verbatim,
+// workspace high-water budgets — into the mmap-friendly artifact of
+// io/model_artifact.h, so replicas cold-start without the h5/init path and
+// their handles point straight into the shared file mapping.
 #pragma once
 
 #include <cstdint>
@@ -65,10 +62,9 @@ ModelFamily family_of(models::Regressor& model);
 
 /// The canonical structure walk: fixed per family, independent of config
 /// flags, recursive left-to-right through Sequentials and Residual inners.
-/// Everything the artifact stores positionally ("param/<i>", "pack/...<i>",
-/// "quant/...<i>") depends on save and load walking the model in this
-/// order, and the quantization pass (src/quant/) uses the same order so its
-/// per-layer state lands on the same indices.
+/// Everything the artifact stores positionally ("param/<i>", "dense/<i>/...",
+/// "conv/<i>/...") depends on save and load walking the model in this
+/// order; the calibrator (src/quant/) reports its ranges in it too.
 struct StructureWalk {
   std::vector<nn::Sequential*> seqs;  // top-level Sequentials, canonical order
   std::vector<nn::Dense*> dense;      // GEMM layers, canonical order
@@ -78,35 +74,17 @@ struct StructureWalk {
 /// Walk `model`; throws std::invalid_argument for unsupported model types.
 StructureWalk walk_structure(models::Regressor& model);
 
-struct CompileOptions {
-  bool fold_batch_norm = true;
-  bool strip_dropout = true;
-  bool compile_eval_programs = true;
-  bool prepack_weights = true;
-  bool warm_conv_plans = true;
-};
-
 struct CompileReport {
   int folded_batch_norms = 0;
   int stripped_dropouts = 0;
-  int prepacked_dense = 0;
+  int prepacked_dense = 0;  // layers given an fp32 handle (int8 ones keep theirs)
   int prepacked_conv = 0;
 };
 
-class ModelCompiler {
- public:
-  explicit ModelCompiler(CompileOptions opts = {}) : opts_(opts) {}
-
-  /// Rewrite `model` into its serving form (see file comment). Idempotent:
-  /// compiling an already-compiled model only refreshes the packed images.
-  /// The model is switched to eval mode and must stay there.
-  CompileReport compile(models::Regressor& model) const;
-
-  const CompileOptions& options() const { return opts_; }
-
- private:
-  CompileOptions opts_;
-};
+/// Rewrite `model` into its serving form (see file comment). Idempotent:
+/// compiling an already-compiled model only refreshes the fp32 handles, and
+/// int8 handles stay. The model is switched to eval mode and must stay there.
+CompileReport compile_model(models::Regressor& model);
 
 /// Steady-state arena budgets measured on a warmed donor replica
 /// (serve::RegressorScorer::workspace_capacities); a replica restored from
@@ -114,7 +92,7 @@ class ModelCompiler {
 /// again (core::Workspace::reserve).
 struct WorkspaceBudget {
   int64_t forward_floats = 0;
-  int64_t feat_floats = 0;  // per featurize lane
+  int64_t feat_floats = 0;  // the score() slot's featurize arena
 };
 
 /// Compile `model` (in place) and serialize its compiled form. Throws
@@ -129,10 +107,9 @@ void save_compiled(models::Regressor& model, const std::string& path,
                    int64_t feature_set_version = 1);
 
 /// A model restored from a compiled artifact. `model` is eval-only (its
-/// training entry points throw) and keeps the underlying file mapping alive
-/// for as long as it lives — packed weight views point into it.
+/// training entry points throw); its layers' serving handles point into the
+/// file mapping and keep it alive for as long as they live.
 struct CompiledModel {
-  std::shared_ptr<io::ArtifactReader> image;
   std::unique_ptr<models::Regressor> model;
   ModelFamily family = ModelFamily::kCnn3d;
   int64_t poses_per_batch = 0;

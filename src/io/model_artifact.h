@@ -1,5 +1,5 @@
 // Compiled-model artifact container — the mmap-friendly on-disk format the
-// ahead-of-time model compiler (src/compile/) serializes CompiledPlans into.
+// ahead-of-time model compiler (src/compile/) serializes compiled models into.
 //
 // Layout (all integers little-endian, as written by the host):
 //
@@ -19,8 +19,9 @@
 //
 // Blobs are 64-byte aligned relative to the file start; mmap returns
 // page-aligned images, so a blob's file alignment IS its memory alignment
-// and serving replicas point GEMM panel views (core::PrepackedA/B) straight
-// into the mapping — no copy, no parse, shared page cache across replicas.
+// and serving replicas point their layers' weight handles (nn::EvalWeights)
+// straight into the mapping — no copy, no parse, shared page cache across
+// replicas.
 //
 // Failures reuse io::H5LiteError so callers discriminate damage kinds the
 // same way they do for checkpoints: Format (bad magic / unsupported
@@ -43,7 +44,9 @@ namespace df::io {
 /// version: compiled artifacts are caches derived from checkpoints, so the
 /// recovery path for a mismatch is recompile, never in-place migration.
 /// v2: int8/int32 section dtypes for quantized compiled plans (src/quant/).
-constexpr uint32_t kArtifactVersion = 2;
+/// v3: one section group per GEMM layer ("dense/<i>/...", "conv/<i>/...")
+///     holding its serving handle verbatim, replacing "pack/..." + "quant/...".
+constexpr uint32_t kArtifactVersion = 3;
 
 struct ArtifactSection {
   uint8_t dtype = 0;  // 0 = float32, 1 = int64, 2 = int8 (raw bytes), 3 = int32
@@ -85,8 +88,8 @@ class ArtifactWriter {
 /// Read-only view of an artifact file. Prefers mmap (shared, read-only) and
 /// falls back to a heap image when mapping is unavailable; either way the
 /// full directory is validated and the payload CRC checked before open()
-/// returns. Section pointers stay valid for the reader's lifetime — holders
-/// of prepacked views keep the reader alive via shared_ptr.
+/// returns. Section pointers stay valid for the reader's lifetime — weight
+/// handles that view them keep the reader alive via shared_ptr.
 class ArtifactReader {
  public:
   static std::shared_ptr<ArtifactReader> open(const std::string& path);

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "core/gemm.h"
+#include "core/gemm_s8.h"
 #include "core/parallel.h"
 
 namespace df::nn {
@@ -163,7 +165,7 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   // samples. Each output element's accumulation and epilogue are the same
   // for any GEMM width, so grouping changes no output bit. The int8 path
   // quantizes one sample's columns at a time and keeps g = 1.
-  const bool int8 = !training_ && quant_ != nullptr;
+  const bool int8 = !training_ && eval_.kind == EvalWeights::Kind::kInt8;
   const int64_t g = int8 ? 1 : group_size(N);
   const int64_t ld = g * N;
   build_table(D, H, W);
@@ -185,21 +187,21 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
       // (the GEMM's B operand) against the prequantized u8 weight image.
       // The compensation vector depends on the quantized columns, so it is
       // produced here per call, unlike Dense's static weight-side comp.
-      const QuantizedConv& q = *quant_;
       static thread_local std::vector<int8_t> colsq;
       static thread_local std::vector<int32_t> comp;
       colsq.resize(static_cast<size_t>(core::packed_b_bytes_s8(K, N)));
       comp.resize(static_cast<size_t>(N));
       core::pack_quantize_b_s8(K, N, cols.data(), N, /*inv_scale_col=*/nullptr,
-                               1.0f / q.act_scale, colsq.data(), comp.data());
+                               1.0f / eval_.act_scale, colsq.data(), comp.data());
       core::QuantEpilogue qep;
       qep.act = act;
       qep.leaky_slope = leaky_slope;
-      qep.scale_row = q.scales;
+      qep.scale_row = eval_.scales;
       qep.bias_row = b_.value.data();
       qep.comp_col = comp.data();
       const int64_t k4 = (K + 3) & ~int64_t{3};
-      core::gemm_u8s8f32(cout_, N, K, q.wu8, k4, colsq.data(), ob, N, qep);
+      core::gemm_u8s8f32(cout_, N, K, reinterpret_cast<const uint8_t*>(eval_.s8()), k4,
+                         colsq.data(), ob, N, qep);
       return;
     }
     // A group's (cout, g*N) result lands in scratch and is then split into
@@ -210,8 +212,9 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
       res.resize(static_cast<size_t>(cout_ * ld));
       c = res.data();
     }
-    if (!training_ && pa_.panels != nullptr) {
-      core::sgemm_prepacked(pa_, n, cols.data(), ld, c, n, /*accumulate=*/false, &ep);
+    if (!training_ && eval_.kind == EvalWeights::Kind::kF32) {
+      core::sgemm_prepacked({cout_, K, eval_.f32(), w}, n, cols.data(), ld, c, n,
+                            /*accumulate=*/false, &ep);
     } else {
       core::sgemm(false, false, cout_, n, K, w, K, cols.data(), ld, c, n, /*accumulate=*/false,
                   &ep);
@@ -225,32 +228,54 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   return out;
 }
 
-void Conv3d::prepack() {
+EvalWeights Conv3d::packed_f32() const {
   const int64_t K = cin_ * k_ * k_ * k_;
-  packed_own_.resize(static_cast<size_t>(core::packed_a_floats(cout_, K)));
-  core::pack_a_full(false, cout_, K, w_.value.data(), K, packed_own_.data());
-  pa_ = {cout_, K, packed_own_.data(), w_.value.data()};
+  auto image = std::make_shared<std::vector<float>>(
+      static_cast<size_t>(core::packed_a_floats(cout_, K)));
+  core::pack_a_full(false, cout_, K, w_.value.data(), K, image->data());
+  return {.kind = EvalWeights::Kind::kF32,
+          .image = image->data(),
+          .image_len = static_cast<int64_t>(image->size()),
+          .keep_alive = image};
 }
 
-void Conv3d::attach_prepacked(const float* panels) {
+EvalWeights Conv3d::packed_int8(float act_scale) const {
   const int64_t K = cin_ * k_ * k_ * k_;
-  packed_own_.clear();
-  pa_ = {cout_, K, panels, w_.value.data()};
+  const float* W = w_.value.data();  // (cout, K) row-major
+  std::vector<float> wmax(static_cast<size_t>(cout_), 0.0f);
+  for (int64_t co = 0; co < cout_; ++co) {
+    const float* row = W + co * K;
+    float m = 0.0f;
+    for (int64_t p = 0; p < K; ++p) {
+      const float a = std::fabs(row[p]);
+      if (a > m) m = a;
+    }
+    wmax[static_cast<size_t>(co)] = m;
+  }
+  std::vector<float> wscale, winv;
+  int8_weight_steps(wmax, wscale, winv);
+  auto q = std::make_shared<Int8Image>();
+  q->image.resize(static_cast<size_t>(core::quantized_a_bytes_s8(cout_, K)));
+  core::quantize_a_u8(cout_, K, W, K, winv.data(), 0.0f,
+                      reinterpret_cast<uint8_t*>(q->image.data()));
+  q->scales.resize(static_cast<size_t>(cout_));
+  for (int64_t co = 0; co < cout_; ++co)
+    q->scales[static_cast<size_t>(co)] = act_scale * wscale[static_cast<size_t>(co)];
+  return {.kind = EvalWeights::Kind::kInt8,
+          .image = q->image.data(),
+          .image_len = static_cast<int64_t>(q->image.size()),
+          .scales = q->scales.data(),
+          .scales_len = cout_,
+          .act_scale = act_scale,
+          .keep_alive = q};
 }
 
-void Conv3d::attach_quantized(QuantizedConv q) {
-  auto owned = std::make_unique<QuantizedConv>(std::move(q));
-  if (owned->wu8 == nullptr) owned->wu8 = owned->own_wu8.data();
-  if (owned->scales == nullptr) owned->scales = owned->own_scales.data();
-  quant_ = std::move(owned);
-}
-
-void Conv3d::attach_quantized_views(float act_scale, const uint8_t* wu8, const float* scales) {
-  auto q = std::make_unique<QuantizedConv>();
-  q->act_scale = act_scale;
-  q->wu8 = wu8;
-  q->scales = scales;
-  quant_ = std::move(q);
+void Conv3d::set_eval_weights(EvalWeights e) {
+  const int64_t K = cin_ * k_ * k_ * k_;
+  e.check_fits(core::packed_a_floats(cout_, K), core::quantized_a_bytes_s8(cout_, K), cout_, 0,
+               "Conv3d(" + std::to_string(cin_) + "->" + std::to_string(cout_) + ", k" +
+                   std::to_string(k_) + ")");
+  eval_ = std::move(e);
 }
 
 Tensor Conv3d::backward(const Tensor& grad_out) {

@@ -8,28 +8,15 @@
 // equivalence reference for tests and the speedup benchmark.
 #pragma once
 
-#include <memory>
+#include <vector>
 
 #include "core/gemm.h"
-#include "core/gemm_s8.h"
 #include "core/rng.h"
+#include "nn/eval_weights.h"
 #include "nn/module.h"
 #include "nn/observer.h"
 
 namespace df::nn {
-
-/// Int8 execution state for a Conv3d layer (src/quant/ attaches it). The
-/// weight is the u8 A operand of the per-sample int8 GEMM: a row-major
-/// (cout, round_up(cin*k^3, 4)) image of offset-128 bytes. Per-output-channel
-/// combined dequant scales; the compensation vector is computed per call
-/// from the quantized column matrix (it depends on the activations).
-struct QuantizedConv {
-  float act_scale = 1.0f;        // input quant step: q = round(x / act_scale)
-  const uint8_t* wu8 = nullptr;  // (cout, round_up(cin*k^3, 4)) row-major
-  const float* scales = nullptr; // length cout
-  std::vector<uint8_t> own_wu8;
-  std::vector<float> own_scales;
-};
 
 class Conv3d : public Module {
  public:
@@ -58,34 +45,24 @@ class Conv3d : public Module {
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
 
-  // -- ahead-of-time weight packing (model compiler) ----------------------
-  // The weight is the A operand of every per-sample GEMM; packing it once
-  // removes pack_a from the steady-state path. Inference-only, same
-  // contract as Dense: re-prepack after any weight mutation.
+  // -- serving form (eval_weights.h) -------------------------------------
+  // Same contract as Dense: eval forwards run the GEMM the handle names,
+  // training forwards always use w_.
 
-  /// Pack w into an owned buffer and route eval forwards through it.
-  void prepack();
-  /// Route eval forwards through an external image of
-  /// core::packed_a_floats(cout, cin*k^3) floats. Caller keeps it alive.
-  void attach_prepacked(const float* panels);
-  void clear_prepacked() { pa_ = {}; packed_own_.clear(); }
-  bool prepacked() const { return pa_.panels != nullptr; }
-
-  // -- int8 quantized execution (src/quant/) ------------------------------
-  // Eval forwards quantize each sample's column matrix to int8 panels and
-  // run the int8 GEMM against the prequantized u8 weight image. Takes
-  // priority over the fp32 prepacked path; training stays fp32.
-
-  /// Attach owned quantized state (moved in). Null view pointers are
-  /// re-pointed at the owned vectors.
-  void attach_quantized(QuantizedConv q);
-  /// Attach borrowed views (e.g. into an mmap'd artifact). Caller keeps
-  /// them alive for the layer's lifetime.
-  void attach_quantized_views(float act_scale, const uint8_t* wu8, const float* scales);
-  void clear_quantized() { quant_.reset(); }
-  bool quantized() const { return quant_ != nullptr; }
-  /// Serialization access (model compiler); nullptr when not quantized.
-  const QuantizedConv* quantized_state() const { return quant_.get(); }
+  /// w packed once into the A-panel image sgemm would build per call (the
+  /// raw weight stays the skinny path's operand).
+  EvalWeights packed_f32() const;
+  /// w quantized to per-output-channel symmetric int8: a row-major
+  /// (cout, round_up(cin*k^3, 4)) image of offset-128 bytes, the u8 A
+  /// operand of the per-sample int8 GEMM. Eval forwards quantize each
+  /// sample's columns with the static calibrated step `act_scale`, and the
+  /// per-channel scales fold it in; the compensation vector depends on the
+  /// activations, so it is computed per call and the handle carries none.
+  EvalWeights packed_int8(float act_scale) const;
+  const EvalWeights& eval_weights() const { return eval_; }
+  /// Install a handle; throws std::invalid_argument unless its kind and
+  /// lengths fit this layer's (cout, cin*k^3).
+  void set_eval_weights(EvalWeights e);
 
   /// Calibration hook: when set, eval forwards report their input to the
   /// observer before computing. Not used in training mode.
@@ -122,9 +99,7 @@ class Conv3d : public Module {
   Parameter b_;  // (cout)
   Tensor cached_input_;
   LoweringTable table_;
-  std::vector<float> packed_own_;
-  core::PrepackedA pa_;
-  std::unique_ptr<QuantizedConv> quant_;
+  EvalWeights eval_;
   ActivationObserver* observer_ = nullptr;
 };
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+
+#include "core/gemm_s8.h"
 
 namespace df::nn {
 
@@ -24,14 +27,13 @@ Tensor Dense::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_sl
   const int64_t batch = x.dim(0);
   if (!training_ && observer_ != nullptr) observer_->observe(x.data(), x.numel());
   Tensor y = Tensor::uninit({batch, out_});
-  if (!training_ && quant_ != nullptr) {
+  if (!training_ && eval_.kind == EvalWeights::Kind::kInt8) {
     // Dynamic per-row activation quantization: each batch row (one pose)
     // gets its own runtime quant step from its own |x| range. Pooled graph
     // activations scale with ligand size, so a single calibrated step
     // either clips large poses or starves small ones of levels; a per-row
     // step is exact for whatever range the row actually has. Serial and
     // data-dependent only on this row's bytes — thread-count invariant.
-    const QuantizedDense& q = *quant_;
     const int64_t k4 = (in_ + 3) & ~int64_t{3};
     thread_local std::vector<uint8_t> xq;
     thread_local std::vector<float> row_scale, row_inv;
@@ -50,11 +52,11 @@ Tensor Dense::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_sl
     core::QuantEpilogue qep;
     qep.act = act;
     qep.leaky_slope = leaky_slope;
-    qep.scale_col = q.scales;
+    qep.scale_col = eval_.scales;
     qep.scale_row = row_scale.data();
     qep.bias_col = has_bias_ ? b_.value.data() : nullptr;
-    qep.comp_col = q.comp;
-    core::gemm_u8s8f32(batch, out_, in_, xq.data(), k4, q.panels, y.data(), out_, qep);
+    qep.comp_col = eval_.comp;
+    core::gemm_u8s8f32(batch, out_, in_, xq.data(), k4, eval_.s8(), y.data(), out_, qep);
     return y;
   }
   core::Epilogue ep;
@@ -62,9 +64,9 @@ Tensor Dense::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_sl
   ep.bias_col = has_bias_ ? b_.value.data() : nullptr;
   ep.leaky_slope = leaky_slope;
   const bool fused = has_bias_ || act != core::EpilogueAct::kNone;
-  if (!training_ && pb_.image != nullptr) {
-    core::sgemm_prepacked(batch, x.data(), in_, pb_, y.data(), out_, /*accumulate=*/false,
-                          fused ? &ep : nullptr);
+  if (!training_ && eval_.kind == EvalWeights::Kind::kF32) {
+    core::sgemm_prepacked(batch, x.data(), in_, {in_, out_, eval_.f32()}, y.data(), out_,
+                          /*accumulate=*/false, fused ? &ep : nullptr);
   } else {
     core::sgemm(false, false, batch, out_, in_, x.data(), in_, w_.value.data(), out_, y.data(),
                 out_, /*accumulate=*/false, fused ? &ep : nullptr);
@@ -72,33 +74,49 @@ Tensor Dense::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_sl
   return y;
 }
 
-void Dense::prepack() {
-  packed_own_.resize(static_cast<size_t>(core::packed_b_floats(in_, out_)));
-  core::pack_b_full(false, in_, out_, w_.value.data(), out_, packed_own_.data());
-  pb_ = {in_, out_, packed_own_.data()};
+EvalWeights Dense::packed_f32() const {
+  auto image = std::make_shared<std::vector<float>>(
+      static_cast<size_t>(core::packed_b_floats(in_, out_)));
+  core::pack_b_full(false, in_, out_, w_.value.data(), out_, image->data());
+  return {.kind = EvalWeights::Kind::kF32,
+          .image = image->data(),
+          .image_len = static_cast<int64_t>(image->size()),
+          .keep_alive = image};
 }
 
-void Dense::attach_prepacked(const float* image) {
-  packed_own_.clear();
-  pb_ = {in_, out_, image};
+EvalWeights Dense::packed_int8(float act_scale) const {
+  const float* W = w_.value.data();  // (in, out)
+  std::vector<float> wmax(static_cast<size_t>(out_), 0.0f);
+  for (int64_t i = 0; i < in_; ++i) {
+    const float* row = W + i * out_;
+    for (int64_t j = 0; j < out_; ++j) {
+      const float a = std::fabs(row[j]);
+      if (a > wmax[static_cast<size_t>(j)]) wmax[static_cast<size_t>(j)] = a;
+    }
+  }
+  // The activations are quantized per batch row at run time, so the dequant
+  // scales carry the weight factor only.
+  auto q = std::make_shared<Int8Image>();
+  std::vector<float> inv;
+  int8_weight_steps(wmax, q->scales, inv);
+  q->image.resize(static_cast<size_t>(core::packed_b_bytes_s8(in_, out_)));
+  q->comp.resize(static_cast<size_t>(out_));
+  core::pack_quantize_b_s8(in_, out_, W, out_, inv.data(), 0.0f, q->image.data(), q->comp.data());
+  return {.kind = EvalWeights::Kind::kInt8,
+          .image = q->image.data(),
+          .image_len = static_cast<int64_t>(q->image.size()),
+          .scales = q->scales.data(),
+          .scales_len = out_,
+          .comp = q->comp.data(),
+          .comp_len = out_,
+          .act_scale = act_scale,
+          .keep_alive = q};
 }
 
-void Dense::attach_quantized(QuantizedDense q) {
-  auto owned = std::make_unique<QuantizedDense>(std::move(q));
-  if (owned->panels == nullptr) owned->panels = owned->own_panels.data();
-  if (owned->scales == nullptr) owned->scales = owned->own_scales.data();
-  if (owned->comp == nullptr) owned->comp = owned->own_comp.data();
-  quant_ = std::move(owned);
-}
-
-void Dense::attach_quantized_views(float act_scale, const int8_t* panels, const float* scales,
-                                   const int32_t* comp) {
-  auto q = std::make_unique<QuantizedDense>();
-  q->act_scale = act_scale;
-  q->panels = panels;
-  q->scales = scales;
-  q->comp = comp;
-  quant_ = std::move(q);
+void Dense::set_eval_weights(EvalWeights e) {
+  e.check_fits(core::packed_b_floats(in_, out_), core::packed_b_bytes_s8(in_, out_), out_, out_,
+               "Dense(" + std::to_string(in_) + "," + std::to_string(out_) + ")");
+  eval_ = std::move(e);
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {

@@ -3,35 +3,15 @@
 // activation) rides the GEMM's fused epilogue instead of a separate pass.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "core/gemm.h"
-#include "core/gemm_s8.h"
 #include "core/rng.h"
+#include "nn/eval_weights.h"
 #include "nn/module.h"
 #include "nn/observer.h"
 
 namespace df::nn {
-
-/// Int8 execution state for a Dense layer (src/quant/ attaches it): the
-/// weight as a core::pack_quantize_b_s8 panel image plus the per-output
-/// weight dequant scales and the u8-offset compensation vector. The
-/// activation side is quantized dynamically — each eval batch row gets a
-/// runtime step from its own |x| max (scale_row in the epilogue) — so
-/// act_scale here is the calibrated static range, recorded for diagnostics
-/// and artifact stability, not read on the hot path. Either owned
-/// (in-memory quantization) or borrowed views into an mmap'd artifact
-/// (owner keeps them alive).
-struct QuantizedDense {
-  float act_scale = 1.0f;          // calibrated |x|/127 step (diagnostic)
-  const int8_t* panels = nullptr;  // core::packed_b_bytes_s8(in, out) bytes
-  const float* scales = nullptr;   // length out
-  const int32_t* comp = nullptr;   // length out: 128 * colsum(quantized W)
-  std::vector<int8_t> own_panels;
-  std::vector<float> own_scales;
-  std::vector<int32_t> own_comp;
-};
 
 class Dense : public Module {
  public:
@@ -54,37 +34,21 @@ class Dense : public Module {
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
 
-  // -- ahead-of-time weight packing (model compiler) ----------------------
-  // The weight is the GEMM's B operand and never changes between eval
-  // calls, so the compiler packs it once into the panel image sgemm would
-  // build per call. Inference-only: forward_act takes the prepacked path
-  // only when !training(), and any weight mutation must re-prepack.
+  // -- serving form (eval_weights.h) -------------------------------------
+  // Eval forwards run the GEMM the handle names; training forwards always
+  // use w_. A weight mutation leaves a packed handle stale, so whoever
+  // mutates the weight produces a fresh handle.
 
-  /// Pack w into an owned buffer and route eval forwards through it.
-  void prepack();
-  /// Route eval forwards through an external (e.g. mmap'd artifact) image
-  /// of core::packed_b_floats(in, out) floats. Caller keeps it alive.
-  void attach_prepacked(const float* image);
-  void clear_prepacked() { pb_ = {}; packed_own_.clear(); }
-  bool prepacked() const { return pb_.image != nullptr; }
-
-  // -- int8 quantized execution (src/quant/) ------------------------------
-  // When quantized state is attached, eval forwards quantize the input to
-  // u8 per call and run the int8 GEMM with a fused requantize+bias+act
-  // epilogue. Takes priority over the fp32 prepacked path; training
-  // forwards always stay fp32.
-
-  /// Attach owned quantized state (moved in). Null view pointers are
-  /// re-pointed at the owned vectors.
-  void attach_quantized(QuantizedDense q);
-  /// Attach borrowed views (e.g. into an mmap'd artifact). Caller keeps
-  /// them alive for the layer's lifetime.
-  void attach_quantized_views(float act_scale, const int8_t* panels, const float* scales,
-                              const int32_t* comp);
-  void clear_quantized() { quant_.reset(); }
-  bool quantized() const { return quant_ != nullptr; }
-  /// Serialization access (model compiler); nullptr when not quantized.
-  const QuantizedDense* quantized_state() const { return quant_.get(); }
+  /// w packed once into the B-panel image sgemm would build per call.
+  EvalWeights packed_f32() const;
+  /// w quantized to per-output symmetric int8 panels. Eval forwards then
+  /// quantize each input row to u8 with a runtime step from its own |x|
+  /// max, so `act_scale` (the calibrated input step) is only recorded.
+  EvalWeights packed_int8(float act_scale) const;
+  const EvalWeights& eval_weights() const { return eval_; }
+  /// Install a handle; throws std::invalid_argument unless its kind and
+  /// lengths fit this layer's (in, out).
+  void set_eval_weights(EvalWeights e);
 
   /// Calibration hook: when set, eval forwards report their input to the
   /// observer before computing. Not used in training mode.
@@ -96,9 +60,7 @@ class Dense : public Module {
   Parameter w_;  // (in, out)
   Parameter b_;  // (out)
   Tensor cached_input_;
-  std::vector<float> packed_own_;
-  core::PrepackedB pb_;
-  std::unique_ptr<QuantizedDense> quant_;
+  EvalWeights eval_;
   ActivationObserver* observer_ = nullptr;
 };
 

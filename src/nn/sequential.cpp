@@ -9,19 +9,20 @@ namespace df::nn {
 std::unique_ptr<Module> Sequential::remove(size_t i) {
   std::unique_ptr<Module> m = std::move(layers_.at(i));
   layers_.erase(layers_.begin() + static_cast<ptrdiff_t>(i));
-  program_.clear();
+  build_program();
   return m;
 }
 
-void Sequential::compile_eval() {
+void Sequential::build_program() {
   program_.clear();
   program_.reserve(layers_.size());
   for (size_t i = 0; i < layers_.size(); ++i) {
     EvalStep step;
-    // Same fusion rule as the forward() scan below, resolved once: a
-    // Dense/Conv3d followed by a pointwise activation becomes one fused
-    // GEMM step, so the compiled dispatch is bitwise identical to the
-    // scanning dispatch.
+    // Inference-path layer fusion: a Dense/Conv3d directly followed by a
+    // pointwise activation collapses into one GEMM with a fused epilogue
+    // (bitwise identical, one less sweep over the activations). Training
+    // keeps the layers separate — the activation layer caches its input
+    // for backward.
     if (i + 1 < layers_.size() &&
         epilogue_act_of(layers_[i + 1].get(), &step.act, &step.slope)) {
       if ((step.dense = dynamic_cast<Dense*>(layers_[i].get())) != nullptr ||
@@ -39,39 +40,15 @@ void Sequential::compile_eval() {
 }
 
 Tensor Sequential::forward(const Tensor& x) {
-  if (!training_ && !program_.empty()) {
-    Tensor h = x;
-    for (const EvalStep& s : program_) {
-      if (s.dense != nullptr) h = s.dense->forward_act(h, s.act, s.slope);
-      else if (s.conv != nullptr) h = s.conv->forward_act(h, s.act, s.slope);
-      else h = s.plain->forward(h);
-    }
+  Tensor h = x;
+  if (training_) {
+    for (auto& l : layers_) h = l->forward(h);
     return h;
   }
-  Tensor h = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    // Inference-path layer fusion: a Dense/Conv3d directly followed by a
-    // pointwise activation collapses into one GEMM with a fused epilogue
-    // (bitwise identical, one less sweep over the activations). Training
-    // keeps the layers separate — the activation layer caches its input
-    // for backward.
-    if (!training_ && i + 1 < layers_.size()) {
-      core::EpilogueAct act = core::EpilogueAct::kNone;
-      float slope = 0.01f;
-      if (epilogue_act_of(layers_[i + 1].get(), &act, &slope)) {
-        if (auto* dense = dynamic_cast<Dense*>(layers_[i].get())) {
-          h = dense->forward_act(h, act, slope);
-          ++i;
-          continue;
-        }
-        if (auto* conv = dynamic_cast<Conv3d*>(layers_[i].get())) {
-          h = conv->forward_act(h, act, slope);
-          ++i;
-          continue;
-        }
-      }
-    }
-    h = layers_[i]->forward(h);
+  for (const EvalStep& s : program_) {
+    if (s.dense != nullptr) h = s.dense->forward_act(h, s.act, s.slope);
+    else if (s.conv != nullptr) h = s.conv->forward_act(h, s.act, s.slope);
+    else h = s.plain->forward(h);
   }
   return h;
 }

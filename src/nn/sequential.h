@@ -1,6 +1,9 @@
 // Ordered container of Modules; forward chains, backward unwinds in reverse.
 // The conv stacks and dense heads of both individual models are Sequentials;
 // the fusion models compose Sequentials with hand-routed gradient joins.
+// Eval forwards run one program built from the layer types whenever the
+// layer list changes: a Dense/Conv3d followed by a pointwise activation is
+// one GEMM step with the activation fused into its epilogue.
 #pragma once
 
 #include <memory>
@@ -20,17 +23,15 @@ class Sequential : public Module {
 
   Sequential& add(std::unique_ptr<Module> m) {
     layers_.push_back(std::move(m));
-    program_.clear();
+    build_program();
     return *this;
   }
   template <typename M, typename... Args>
   Sequential& emplace(Args&&... args) {
-    layers_.push_back(std::make_unique<M>(std::forward<Args>(args)...));
-    program_.clear();
-    return *this;
+    return add(std::make_unique<M>(std::forward<Args>(args)...));
   }
   /// Detach and return layer i (model compiler: folded BatchNorms and
-  /// eval-inert Dropouts leave the chain). Invalidates the eval program.
+  /// eval-inert Dropouts leave the chain).
   std::unique_ptr<Module> remove(size_t i);
 
   Tensor forward(const Tensor& x) override;
@@ -41,16 +42,10 @@ class Sequential : public Module {
   size_t size() const { return layers_.size(); }
   Module& layer(size_t i) { return *layers_.at(i); }
 
-  /// Precompute the eval dispatch (which layers fuse with which epilogue),
-  /// replacing forward()'s per-call dynamic_cast scan. Inference-only: the
-  /// program is bypassed while training and dropped on any layer mutation.
-  void compile_eval();
-  bool eval_compiled() const { return !program_.empty() || layers_.empty(); }
-
  private:
-  // One step of the compiled eval dispatch: exactly one of dense/conv is
-  // set for a fused GEMM step (act/slope baked in), otherwise `plain` runs
-  // through the virtual forward.
+  // One step of the eval dispatch: exactly one of dense/conv is set for a
+  // fused GEMM step (act/slope baked in), otherwise `plain` runs through
+  // the virtual forward.
   struct EvalStep {
     Module* plain = nullptr;
     Dense* dense = nullptr;
@@ -58,6 +53,9 @@ class Sequential : public Module {
     core::EpilogueAct act = core::EpilogueAct::kNone;
     float slope = 0.01f;
   };
+
+  // Rebuild program_ from the layer types; every change to layers_ calls it.
+  void build_program();
 
   std::vector<std::unique_ptr<Module>> layers_;
   std::vector<EvalStep> program_;

@@ -57,8 +57,8 @@ void RangeObserver::observe(const float* x, int64_t n) {
 
 void RangeObserver::begin_histogram() {
   histogram_phase_ = true;
-  if (cfg_.percentile < 100.0f && cfg_.histogram_bins > 0 && max_abs_ > 0.0f) {
-    hist_.assign(static_cast<size_t>(cfg_.histogram_bins), 0);
+  if (cfg_.percentile < 100.0f && max_abs_ > 0.0f) {
+    hist_.assign(static_cast<size_t>(kHistogramBins), 0);
     hist_total_ = 0;
   }
 }

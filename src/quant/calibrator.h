@@ -33,11 +33,11 @@
 namespace df::quant {
 
 struct CalibConfig {
-  uint64_t seed = 0;         // stream root for the subset selection
-  int64_t sample_size = 16;  // complexes drawn from the calibration dataset
   float percentile = 99.9f;  // |x| coverage; >= 100 disables clipping
-  int histogram_bins = 2048;
 };
+
+/// Bins of the histogram pass over [0, max_abs].
+constexpr int kHistogramBins = 2048;
 
 /// Deterministic calibration subset of `sample_size` indices out of
 /// [0, dataset_size): the indices whose derive_stream keys are smallest,

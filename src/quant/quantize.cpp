@@ -1,10 +1,7 @@
 #include "quant/quantize.h"
 
-#include <cmath>
-#include <utility>
 #include <vector>
 
-#include "core/gemm_s8.h"
 #include "nn/conv3d.h"
 #include "nn/dense.h"
 
@@ -17,74 +14,12 @@ float act_scale_of(const RangeObserver& obs) {
   return cm > 0.0f ? cm / 127.0f : 1.0f;
 }
 
-// Per-output symmetric weight scales for an (n_out) family of weight
-// vectors; `wmax` holds max |W| per output. A zero row quantizes to all
-// zeros under any scale; 1.0 keeps the arithmetic well-defined.
-void weight_scales(const std::vector<float>& wmax, std::vector<float>& scale,
-                   std::vector<float>& inv) {
-  const size_t n = wmax.size();
-  scale.resize(n);
-  inv.resize(n);
-  for (size_t j = 0; j < n; ++j) {
-    const float s = wmax[j] > 0.0f ? wmax[j] / 127.0f : 1.0f;
-    scale[j] = s;
-    inv[j] = 1.0f / s;
-  }
-}
-
-void quantize_dense_layer(nn::Dense& d, const RangeObserver& obs) {
-  const int64_t in = d.in_features(), out = d.out_features();
-  const float* W = d.weight().value.data();  // (in, out)
-  std::vector<float> wmax(static_cast<size_t>(out), 0.0f);
-  for (int64_t i = 0; i < in; ++i) {
-    const float* row = W + i * out;
-    for (int64_t j = 0; j < out; ++j) {
-      const float a = std::fabs(row[j]);
-      if (a > wmax[static_cast<size_t>(j)]) wmax[static_cast<size_t>(j)] = a;
-    }
-  }
-  std::vector<float> wscale, winv;
-  weight_scales(wmax, wscale, winv);
-
-  nn::QuantizedDense q;
-  // The layer quantizes its activations dynamically (per batch row), so the
-  // dequant scales carry the weight factor only; the calibrated range is
-  // recorded for diagnostics and artifact stability.
-  q.act_scale = act_scale_of(obs);
-  q.own_panels.resize(static_cast<size_t>(core::packed_b_bytes_s8(in, out)));
-  q.own_comp.resize(static_cast<size_t>(out));
-  core::pack_quantize_b_s8(in, out, W, out, winv.data(), 0.0f, q.own_panels.data(),
-                           q.own_comp.data());
-  q.own_scales = wscale;
-  d.attach_quantized(std::move(q));
-}
-
-void quantize_conv_layer(nn::Conv3d& c, const RangeObserver& obs) {
-  const int64_t cout = c.out_channels();
-  const int64_t K = c.in_channels() * c.kernel() * c.kernel() * c.kernel();
-  const float* W = c.weight().value.data();  // (cout, K) row-major
-  std::vector<float> wmax(static_cast<size_t>(cout), 0.0f);
-  for (int64_t co = 0; co < cout; ++co) {
-    const float* row = W + co * K;
-    float m = 0.0f;
-    for (int64_t p = 0; p < K; ++p) {
-      const float a = std::fabs(row[p]);
-      if (a > m) m = a;
-    }
-    wmax[static_cast<size_t>(co)] = m;
-  }
-  std::vector<float> wscale, winv;
-  weight_scales(wmax, wscale, winv);
-
-  nn::QuantizedConv q;
-  q.act_scale = act_scale_of(obs);
-  q.own_wu8.resize(static_cast<size_t>(core::quantized_a_bytes_s8(cout, K)));
-  core::quantize_a_u8(cout, K, W, K, winv.data(), 0.0f, q.own_wu8.data());
-  q.own_scales.resize(static_cast<size_t>(cout));
-  for (int64_t co = 0; co < cout; ++co) {
-    q.own_scales[static_cast<size_t>(co)] = q.act_scale * wscale[static_cast<size_t>(co)];
-  }
-  c.attach_quantized(std::move(q));
+// Calibration must observe the fp32 forward: int8 layers go back to fp32.
+template <class Layer>
+void reset_int8(const std::vector<Layer*>& layers) {
+  for (Layer* l : layers)
+    if (l->eval_weights().kind == nn::EvalWeights::Kind::kInt8)
+      l->set_eval_weights(l->packed_f32());
 }
 
 }  // namespace
@@ -94,11 +29,8 @@ QuantizeReport quantize_model(models::Regressor& model,
                               const QuantizeOptions& opts) {
   model.set_training(false);
   compile::StructureWalk w = compile::walk_structure(model);
-
-  // Calibration must observe the fp32 forward: clear any previous
-  // quantized state so a re-quantize does not calibrate against itself.
-  for (nn::Dense* d : w.dense) d->clear_quantized();
-  for (nn::Conv3d* c : w.conv) c->clear_quantized();
+  reset_int8(w.dense);
+  reset_int8(w.conv);
 
   Calibrator cal(opts.calib);
   cal.attach(model);
@@ -113,14 +45,17 @@ QuantizeReport quantize_model(models::Regressor& model,
   rep.calibration_samples = static_cast<int64_t>(calib.size());
   for (size_t i = 0; i < w.dense.size(); ++i) {
     nn::Dense* d = w.dense[i];
-    if (!opts.quantize_dense || (opts.keep_heads_fp32 && d->out_features() == 1)) {
+    // Regression heads stay fp32: one GEMM row of work, and the last place
+    // to spend accuracy budget.
+    if (d->out_features() == 1) {
       ++rep.kept_fp32;
       continue;
     }
-    quantize_dense_layer(*d, cal.dense_observer(i));
+    d->set_eval_weights(d->packed_int8(act_scale_of(cal.dense_observer(i))));
     ++rep.quantized_dense;
   }
   for (size_t i = 0; i < w.conv.size(); ++i) {
+    nn::Conv3d* c = w.conv[i];
     if (!opts.quantize_conv) {
       ++rep.kept_fp32;
       continue;
@@ -129,13 +64,13 @@ QuantizeReport quantize_model(models::Regressor& model,
     // rows per vol2col column), but the per-sample B-operand quantization
     // cost does not — too-narrow layers lose net. Leave them fp32.
     if (opts.min_conv_out_channels_for_int8 > 0 &&
-        w.conv[i]->out_channels() < opts.min_conv_out_channels_for_int8) {
+        c->out_channels() < opts.min_conv_out_channels_for_int8) {
       ++rep.kept_fp32;
       ++rep.skipped_conv;
       rep.skipped_conv_layers.push_back(static_cast<int>(i));
       continue;
     }
-    quantize_conv_layer(*w.conv[i], cal.conv_observer(i));
+    c->set_eval_weights(c->packed_int8(act_scale_of(cal.conv_observer(i))));
     ++rep.quantized_conv;
   }
   return rep;

@@ -1,9 +1,11 @@
 // Post-training int8 quantization pass (the tentpole of the quant
 // subsystem). quantize_model calibrates activation ranges by replaying a
-// calibration set through the eval forward (quant/calibrator.h), derives
-// per-output-channel symmetric weight scales, and attaches owned int8
-// execution state (core/gemm_s8.h images) to every eligible Dense/Conv3d —
-// after which the layers' eval forwards run the int8 GEMM automatically.
+// calibration set through the eval forward (quant/calibrator.h), decides
+// which layers go int8, and gives each of them the int8 serving handle its
+// own packed_int8(act_scale) produces (per-output-channel symmetric weight
+// scales, core/gemm_s8.h images) — after which the layers' eval forwards
+// run the int8 GEMM automatically. Calibration and policy live here; the
+// weight layouts live in the layers.
 //
 // Activation quantization is hybrid:
 //   * Conv3d uses the static calibrated step — voxel-derived inputs are
@@ -22,8 +24,8 @@
 //     weight image to prequantize (same reason they are never prepacked);
 //   * everything in training mode — quantization is serving-only.
 //
-// Call after compile::ModelCompiler::compile (BatchNorm must be folded so
-// the observed ranges match the weights actually used for inference).
+// Call after compile::compile_model (BatchNorm must be folded so the
+// observed ranges match the weights actually used for inference).
 #pragma once
 
 #include <vector>
@@ -35,10 +37,7 @@
 namespace df::quant {
 
 struct QuantizeOptions {
-  bool quantize_dense = true;
   bool quantize_conv = true;
-  /// Keep Dense layers with out_features() == 1 (regression heads) fp32.
-  bool keep_heads_fp32 = true;
   /// Compile-time cost model: skip Conv3d layers with fewer output
   /// channels than this — their GEMM is too narrow to amortize the
   /// per-sample vol2col B-operand quantization pass, so int8 runs them
@@ -64,9 +63,11 @@ struct QuantizeReport {
 /// Quantize `model` in place. `calib` is the calibration set, evaluated
 /// twice through predict_batch (max-abs pass, then histogram pass). An
 /// empty calibration set leaves every activation scale at the 1.0 default
-/// — legal but inaccurate; pass real samples. Any previously attached
-/// quantized state is replaced. Deterministic: same model, samples and
-/// config produce bitwise-identical scales and images at any thread count.
+/// — legal but inaccurate; pass real samples. Int8 layers are reset to
+/// fp32 handles first, so a re-quantize calibrates against the fp32
+/// forward and replaces every previous int8 handle. Deterministic: same
+/// model, samples and config produce bitwise-identical scales and images
+/// at any thread count.
 QuantizeReport quantize_model(models::Regressor& model,
                               const std::vector<const data::Sample*>& calib,
                               const QuantizeOptions& opts = {});

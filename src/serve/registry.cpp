@@ -131,8 +131,7 @@ void add_compiled(ModelRegistry& registry, const std::string& name,
   registry.add(name, [name, image, voxel, graph] {
     compile::CompiledModel cm = compile::load_compiled(image);
     auto scorer = std::make_unique<RegressorScorer>(name, std::move(cm.model), voxel, graph);
-    scorer->reserve_workspaces({static_cast<size_t>(cm.budget.forward_floats),
-                                static_cast<size_t>(cm.budget.feat_floats)});
+    scorer->reserve_workspaces(cm.budget);
     return scorer;
   });
 }
@@ -156,13 +155,11 @@ void add_quantized_regressor(ModelRegistry& registry, const std::string& name,
       samples = cache->samples;
     }
     std::unique_ptr<models::Regressor> model = make_model();
-    compile::ModelCompiler().compile(*model);
+    compile::compile_model(*model);
     std::vector<const data::Sample*> ptrs;
     ptrs.reserve(samples->size());
     for (const data::Sample& s : *samples) ptrs.push_back(&s);
-    quant::QuantizeOptions qo;
-    qo.calib.seed = kCalibSeed;
-    quant::quantize_model(*model, ptrs, qo);
+    quant::quantize_model(*model, ptrs);
     return std::make_unique<RegressorScorer>(name, std::move(model), voxel, graph);
   });
 }

@@ -83,7 +83,7 @@ void add_compiled(ModelRegistry& registry, const std::string& name,
                   const chem::GraphFeaturizerConfig& graph = {});
 
 /// Register an int8-quantized Regressor backend. Every minted replica is
-/// compiled (compile::ModelCompiler) and post-training-quantized
+/// compiled (compile::compile_model) and post-training-quantized
 /// (quant::quantize_model) against a deterministic synthetic calibration
 /// set that is featurized once, lazily, on the first replica and shared
 /// read-only afterwards. Factory determinism holds: quantization is a pure

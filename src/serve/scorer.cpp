@@ -176,13 +176,14 @@ RegressorScorer::PhaseStats RegressorScorer::phase_stats() const {
   return stats_;
 }
 
-RegressorScorer::WorkspaceBudgets RegressorScorer::workspace_capacities() const {
-  return {forward_ws_.capacity(), inline_.ws.capacity()};
+compile::WorkspaceBudget RegressorScorer::workspace_capacities() const {
+  return {static_cast<int64_t>(forward_ws_.capacity()),
+          static_cast<int64_t>(inline_.ws.capacity())};
 }
 
-void RegressorScorer::reserve_workspaces(const WorkspaceBudgets& budgets) {
-  forward_ws_.reserve(budgets.forward_floats);
-  inline_.ws.reserve(budgets.feat_floats);
+void RegressorScorer::reserve_workspaces(const compile::WorkspaceBudget& budget) {
+  forward_ws_.reserve(static_cast<size_t>(budget.forward_floats));
+  inline_.ws.reserve(static_cast<size_t>(budget.feat_floats));
 }
 
 void RegressorScorer::featurize(Slot& s) {

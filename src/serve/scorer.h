@@ -24,6 +24,7 @@
 #include "chem/graph_featurizer.h"
 #include "chem/molecule.h"
 #include "chem/voxelizer.h"
+#include "compile/model_compiler.h"
 #include "core/vec3.h"
 #include "core/workspace.h"
 #include "dock/mmgbsa.h"
@@ -157,15 +158,11 @@ class RegressorScorer : public Scorer {
   /// Steady-state arena high-water marks of the score() path. Measured on a
   /// warmed donor replica, they become the workspace budgets a compiled
   /// artifact carries (compile::save_compiled).
-  struct WorkspaceBudgets {
-    size_t forward_floats = 0;
-    size_t feat_floats = 0;
-  };
-  WorkspaceBudgets workspace_capacities() const;
+  compile::WorkspaceBudget workspace_capacities() const;
   /// Pre-grow the arenas to the given budgets so the replica's first score()
   /// call (and every one after) performs zero tensor heap allocations —
   /// the compiled-artifact cold-start path.
-  void reserve_workspaces(const WorkspaceBudgets& budgets);
+  void reserve_workspaces(const compile::WorkspaceBudget& budget);
 
  private:
   class Pipeline;

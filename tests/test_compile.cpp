@@ -6,7 +6,8 @@
 //     and compilation of a BN-free model is bitwise exact,
 //   * the compiled-artifact container round-trips golden sections, rejects
 //     version mismatches and CRC corruption with typed errors and no
-//     partial load,
+//     partial load, and load_compiled rejects weight sections that do not
+//     fit their layer,
 //   * for all four model families, a RegressorScorer replica restored from
 //     a compiled artifact scores bitwise identically to an h5-checkpoint-
 //     loaded replica, with zero tensor heap allocations and zero arena
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +36,7 @@
 #include "models/cnn3d.h"
 #include "models/fusion.h"
 #include "models/sgcnn.h"
+#include "nn/dense.h"
 #include "serve/registry.h"
 #include "serve/scorer.h"
 
@@ -257,7 +260,7 @@ TEST(ModelCompiler, FoldedBatchNormMatchesUnfusedEvalWithinTolerance) {
   };
   auto reference = build();
   auto compiled = build();
-  const compile::CompileReport rep = compile::ModelCompiler().compile(*compiled);
+  const compile::CompileReport rep = compile::compile_model(*compiled);
   EXPECT_EQ(rep.folded_batch_norms, 2);  // one BN3d per conv stage
   EXPECT_GT(rep.stripped_dropouts, 0);
   EXPECT_GT(rep.prepacked_conv, 0);
@@ -278,7 +281,7 @@ TEST(ModelCompiler, CompilingBatchNormFreeModelIsBitwiseExact) {
     auto reference = factory();
     auto compiled = factory();
     reference->set_training(false);
-    compile::ModelCompiler().compile(*compiled);
+    compile::compile_model(*compiled);
 
     Rng rng(61);
     const models::Cnn3dConfig cfg = tiny_cnn_cfg();
@@ -461,6 +464,79 @@ TEST(CompiledArtifact, DamagedArtifactNeverPartiallyLoadsAModel) {
   std::filesystem::remove(path);
 }
 
+// Copy artifact `src` to `dst` through ArtifactWriter (so the copy is
+// CRC-valid), letting `edit` write or drop a section in place of the copy:
+// it returns true when it took the section over.
+void rewrite_artifact(
+    const std::string& src, const std::string& dst,
+    const std::function<bool(const std::string&, const io::ArtifactReader&, io::ArtifactWriter&)>&
+        edit) {
+  auto r = io::ArtifactReader::open(src);
+  io::ArtifactWriter w;
+  for (const auto& [name, sec] : r->sections()) {
+    if (edit(name, *r, w)) continue;
+    switch (sec.dtype) {
+      case 0: w.add_floats(name, sec.dims, r->floats(name)); break;
+      case 1: w.add_ints(name, sec.dims, r->ints(name)); break;
+      case 2: w.add_int8s(name, sec.dims, r->int8s(name)); break;
+      default: w.add_int32s(name, sec.dims, r->int32s(name)); break;
+    }
+  }
+  w.save(dst);
+}
+
+TEST(CompiledArtifact, WeightSectionsThatDoNotFitTheirLayerRejectedTyped) {
+  const std::string fp32 = tmp_path("df_artifact_fp32.dfca");
+  const std::string int8 = tmp_path("df_artifact_int8.dfca");
+  const std::string bad = tmp_path("df_artifact_bad.dfca");
+  {
+    auto model = family_factories()[0].second();  // cnn3d
+    compile::save_compiled(*model, fp32);
+    // An int8 trunk Dense; compiling (save_compiled does) keeps its handle.
+    nn::Dense* d = compile::walk_structure(*model).dense[0];
+    d->set_eval_weights(d->packed_int8(1.0f));
+    compile::save_compiled(*model, int8);
+  }
+  const auto expect_format = [&](const char* what) {
+    try {
+      compile::load_compiled(bad);
+      ADD_FAILURE() << what << " not rejected";
+    } catch (const io::H5LiteError& e) {
+      EXPECT_EQ(e.kind(), io::H5LiteError::Kind::Format) << what;
+    }
+  };
+  const auto shorten = [](const std::string& section) {
+    return [section](const std::string& name, const io::ArtifactReader& r, io::ArtifactWriter& w) {
+      if (name != section) return false;
+      w.add_floats(name, {r.section(name).numel() - 1}, r.floats(name));
+      return true;
+    };
+  };
+
+  // The unedited copy loads: the rewrite itself is faithful.
+  rewrite_artifact(int8, bad, [](const auto&, const auto&, auto&) { return false; });
+  EXPECT_NO_THROW(compile::load_compiled(bad));
+
+  rewrite_artifact(fp32, bad, shorten("dense/0/image"));
+  expect_format("fp32 Dense image one float short");
+  rewrite_artifact(fp32, bad, shorten("conv/0/image"));
+  expect_format("fp32 Conv3d image one float short");
+  rewrite_artifact(int8, bad, shorten("dense/0/scales"));
+  expect_format("int8 Dense scales one float short");
+  rewrite_artifact(fp32, bad, [](const std::string& name, const auto&, io::ArtifactWriter& w) {
+    if (name != "conv/0/kind") return false;
+    w.add_scalar(name, 7);
+    return true;
+  });
+  expect_format("unknown weight kind");
+  rewrite_artifact(int8, bad, [](const std::string& name, const auto&, auto&) {
+    return name == "dense/0/comp";  // dropped
+  });
+  expect_format("int8 Dense without comp");
+
+  for (const std::string& p : {fp32, int8, bad}) std::filesystem::remove(p);
+}
+
 // ---- end-to-end: artifact replicas vs h5-checkpoint replicas -------------
 
 TEST(CompiledArtifact, AllFamiliesScoreBitwiseEqualToH5PathWithZeroColdStartAllocs) {
@@ -485,16 +561,14 @@ TEST(CompiledArtifact, AllFamiliesScoreBitwiseEqualToH5PathWithZeroColdStartAllo
     serve::RegressorScorer h5_scorer(name, std::move(h5_model), tiny_voxel(), {});
     std::vector<float> want;
     for (int i = 0; i < 3; ++i) want = h5_scorer.score(ptrs);  // warm the arenas
-    const auto budgets = h5_scorer.workspace_capacities();
-    EXPECT_GT(budgets.forward_floats, 0u);
+    const compile::WorkspaceBudget budget = h5_scorer.workspace_capacities();
+    EXPECT_GT(budget.forward_floats, 0);
 
     // Compiled path: fold/strip/prepack, serialize with the measured
     // workspace budgets, restore through the registry factory.
     {
       auto donor = factory();
-      compile::save_compiled(*donor, artifact, static_cast<int64_t>(ptrs.size()),
-                             {static_cast<int64_t>(budgets.forward_floats),
-                              static_cast<int64_t>(budgets.feat_floats)});
+      compile::save_compiled(*donor, artifact, static_cast<int64_t>(ptrs.size()), budget);
     }
     serve::ModelRegistry reg;
     serve::add_compiled(reg, name, artifact, tiny_voxel());
@@ -563,6 +637,10 @@ TEST(CompiledArtifact, SharedMappingServesManyReplicasIdentically) {
 
   compile::CompiledModel a = compile::load_compiled(image);
   compile::CompiledModel b = compile::load_compiled(image);
+  // From here on only the layers' weight handles keep the mapping alive.
+  const std::weak_ptr<io::ArtifactReader> mapping = image;
+  image.reset();
+  EXPECT_FALSE(mapping.expired());
   serve::RegressorScorer sa("fusion", std::move(a.model), tiny_voxel(), {});
   serve::RegressorScorer sb("fusion", std::move(b.model), tiny_voxel(), {});
   const std::vector<float> ra = sa.score(ptrs);

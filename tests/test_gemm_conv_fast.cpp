@@ -291,7 +291,7 @@ TEST(Conv3dFast, GroupedBatchMatchesPerSampleForward) {
     const Tensor x = Tensor::randn({cc.B, cc.cin, cc.D, cc.H, cc.W}, rng);
     const int64_t chan = x.numel() / cc.B;
     for (bool packed : {false, true}) {
-      if (packed) conv.prepack();
+      if (packed) conv.set_eval_weights(conv.packed_f32());
       const Tensor batch = conv.forward_act(x, core::EpilogueAct::kReLU);
       const int64_t per = batch.numel() / cc.B;
       for (int64_t s = 0; s < cc.B; ++s) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/rng.h"
 #include "nn/activations.h"
 #include "nn/conv3d.h"
@@ -266,6 +268,53 @@ TEST(Sequential, ChainsAndCollectsParams) {
   EXPECT_EQ(seq.parameters().size(), 4u);  // 2 weights + 2 biases
   Tensor y = seq.forward(Tensor::randn({3, 4}, rng));
   EXPECT_EQ(y.shape(), (std::vector<int64_t>{3, 2}));
+}
+
+// Sequential's eval dispatch fuses each Dense/Conv3d with the activation
+// after it. Its output must be byte-identical to running every layer's own
+// eval forward in turn, for each serving handle kind. conv1 lowers N = 216
+// positions per sample; conv2's stride leaves N = 27 < 32, so its fp32 GEMMs
+// group samples (B = 5: two full groups and a partial one).
+TEST(Sequential, EvalDispatchMatchesLayerByLayerForwardBitwise) {
+  using Kind = EvalWeights::Kind;
+  std::vector<Tensor> outputs;
+  for (Kind kind : {Kind::kNone, Kind::kF32, Kind::kInt8}) {
+    Rng rng(11);
+    Sequential seq;
+    seq.emplace<Conv3d>(2, 4, 3, rng, 1, 1);  // 6^3 -> 6^3
+    seq.emplace<ReLU>();
+    seq.emplace<Conv3d>(4, 6, 3, rng, 2, 1);  // 6^3 -> 3^3
+    seq.emplace<LeakyReLU>(0.2f);
+    seq.emplace<Flatten>();
+    seq.emplace<Dense>(6 * 27, 10, rng);
+    seq.emplace<SELU>();
+    seq.emplace<Dense>(10, 4, rng);
+    seq.emplace<ReLU>();
+    seq.set_training(false);
+    const auto give = [kind](auto& layer) {
+      if (kind == Kind::kF32) layer.set_eval_weights(layer.packed_f32());
+      if (kind == Kind::kInt8) layer.set_eval_weights(layer.packed_int8(3.0f / 127.0f));
+    };
+    for (size_t i = 0; i < seq.size(); ++i) {
+      if (auto* c = dynamic_cast<Conv3d*>(&seq.layer(i))) give(*c);
+      if (auto* d = dynamic_cast<Dense*>(&seq.layer(i))) give(*d);
+    }
+
+    const Tensor x = Tensor::randn({5, 2, 6, 6, 6}, rng);
+    Tensor want = x;
+    for (size_t i = 0; i < seq.size(); ++i) want = seq.layer(i).forward(want);
+    const Tensor got = seq.forward(x);
+    ASSERT_EQ(got.shape(), want.shape());
+    const size_t bytes = static_cast<size_t>(got.numel()) * sizeof(float);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+        << "handle kind " << static_cast<int>(kind);
+    outputs.push_back(got);
+  }
+  // Each kind really ran its own GEMM: fp32 panels reproduce the raw
+  // weights bitwise, int8 does not.
+  const size_t bytes = static_cast<size_t>(outputs[0].numel()) * sizeof(float);
+  EXPECT_EQ(std::memcmp(outputs[1].data(), outputs[0].data(), bytes), 0);
+  EXPECT_NE(std::memcmp(outputs[2].data(), outputs[0].data(), bytes), 0);
 }
 
 TEST(Module, ZeroGradClearsAll) {

@@ -162,22 +162,22 @@ std::vector<float> quant_signature(models::Regressor& model) {
   compile::StructureWalk w = compile::walk_structure(model);
   std::vector<float> sig;
   for (nn::Dense* d : w.dense) {
-    const nn::QuantizedDense* q = d->quantized_state();
-    if (q == nullptr) {
+    const nn::EvalWeights& q = d->eval_weights();
+    if (q.kind != nn::EvalWeights::Kind::kInt8) {
       sig.push_back(-1.0f);
       continue;
     }
-    sig.push_back(q->act_scale);
-    sig.insert(sig.end(), q->scales, q->scales + d->out_features());
+    sig.push_back(q.act_scale);
+    sig.insert(sig.end(), q.scales, q.scales + d->out_features());
   }
   for (nn::Conv3d* c : w.conv) {
-    const nn::QuantizedConv* q = c->quantized_state();
-    if (q == nullptr) {
+    const nn::EvalWeights& q = c->eval_weights();
+    if (q.kind != nn::EvalWeights::Kind::kInt8) {
       sig.push_back(-1.0f);
       continue;
     }
-    sig.push_back(q->act_scale);
-    sig.insert(sig.end(), q->scales, q->scales + c->out_channels());
+    sig.push_back(q.act_scale);
+    sig.insert(sig.end(), q.scales, q.scales + c->out_channels());
   }
   return sig;
 }
@@ -426,7 +426,7 @@ TEST(Calibration, ScalesBitwiseIdenticalAtAnyThreadCountAndRerunStable) {
     fcfg.model_specific_layers = true;
     fcfg.fusion_nodes = 12;
     auto model = std::make_unique<models::FusionModel>(fcfg, cnn, sg, rng);
-    compile::ModelCompiler().compile(*model);
+    compile::compile_model(*model);
     const quant::QuantizeReport rep = quant::quantize_model(*model, cptrs, quantize_all());
     EXPECT_GT(rep.quantized_dense, 0);
     EXPECT_GT(rep.quantized_conv, 0);
@@ -451,12 +451,13 @@ TEST(Quantize, HeadsStayFp32) {
   for (auto& [name, factory] : family_factories()) {
     SCOPED_TRACE(name);
     auto model = factory();
-    compile::ModelCompiler().compile(*model);
+    compile::compile_model(*model);
     quant::quantize_model(*model, ptrs_of(calib), quantize_all());
     compile::StructureWalk w = compile::walk_structure(*model);
     for (nn::Dense* d : w.dense) {
       if (d->out_features() == 1) {
-        EXPECT_EQ(d->quantized_state(), nullptr) << "a regression head was quantized";
+        EXPECT_NE(d->eval_weights().kind, nn::EvalWeights::Kind::kInt8)
+            << "a regression head was quantized";
       }
     }
   }
@@ -485,11 +486,11 @@ TEST(Quantize, AccuracyDriftWithinBudget) {
   for (auto& [name, factory] : family_factories()) {
     SCOPED_TRACE(name);
     auto fp32 = factory();
-    compile::ModelCompiler().compile(*fp32);
+    compile::compile_model(*fp32);
     const std::vector<float> want = fp32->predict_batch(eptrs);
 
     auto int8 = factory();
-    compile::ModelCompiler().compile(*int8);
+    compile::compile_model(*int8);
     quant::quantize_model(*int8, ptrs_of(calib), quantize_all());
     const std::vector<float> got = int8->predict_batch(eptrs);
 
@@ -530,17 +531,17 @@ TEST(Quantize, ArtifactRoundTripReproducesScoresBitwise) {
     SCOPED_TRACE(name);
     const std::string artifact = tmp_path("dfq_" + name + ".dfca");
     auto model = factory();
-    compile::ModelCompiler().compile(*model);
+    compile::compile_model(*model);
     quant::quantize_model(*model, ptrs_of(calib), quantize_all());
     const std::vector<float> want = model->predict_batch(eptrs);
     const std::vector<float> sig = quant_signature(*model);
     compile::save_compiled(*model, artifact);
 
-    // The artifact carries the quantized sections (version 2 layout).
+    // The artifact carries the int8 handles verbatim (version 3 layout).
     {
       std::shared_ptr<io::ArtifactReader> r = io::ArtifactReader::open(artifact);
-      EXPECT_TRUE(r->has("quant/dense_mask"));
-      EXPECT_TRUE(r->has("quant/conv_mask"));
+      EXPECT_EQ(r->scalar("dense/0/kind"), static_cast<int64_t>(nn::EvalWeights::Kind::kInt8));
+      EXPECT_TRUE(r->has("dense/0/comp"));
     }
 
     compile::CompiledModel cm = compile::load_compiled(artifact);
@@ -568,7 +569,7 @@ TEST(Quantize, CostModelSkipsNarrowConvs) {
   {
     Rng rng(41);
     auto model = std::make_unique<models::Cnn3d>(tiny_cnn_cfg(), rng);
-    compile::ModelCompiler().compile(*model);
+    compile::compile_model(*model);
     const quant::QuantizeReport rep = quant::quantize_model(*model, cptrs);
     compile::StructureWalk w = compile::walk_structure(*model);
     EXPECT_EQ(rep.quantized_conv, 0);
@@ -576,7 +577,7 @@ TEST(Quantize, CostModelSkipsNarrowConvs) {
     ASSERT_EQ(rep.skipped_conv_layers.size(), w.conv.size());
     for (size_t i = 0; i < w.conv.size(); ++i) {
       EXPECT_EQ(rep.skipped_conv_layers[i], static_cast<int>(i));
-      EXPECT_EQ(w.conv[i]->quantized_state(), nullptr);
+      EXPECT_NE(w.conv[i]->eval_weights().kind, nn::EvalWeights::Kind::kInt8);
     }
     EXPECT_GT(rep.quantized_dense, 0);
 
@@ -584,7 +585,7 @@ TEST(Quantize, CostModelSkipsNarrowConvs) {
     // changes what runs int8, never what the surviving layers compute.
     Rng rng2(41);
     auto noconv = std::make_unique<models::Cnn3d>(tiny_cnn_cfg(), rng2);
-    compile::ModelCompiler().compile(*noconv);
+    compile::compile_model(*noconv);
     quant::QuantizeOptions no_conv_opts;
     no_conv_opts.quantize_conv = false;
     quant::quantize_model(*noconv, cptrs, no_conv_opts);
@@ -596,7 +597,7 @@ TEST(Quantize, CostModelSkipsNarrowConvs) {
   {
     Rng rng(41);
     auto model = std::make_unique<models::Cnn3d>(tiny_cnn_cfg(), rng);
-    compile::ModelCompiler().compile(*model);
+    compile::compile_model(*model);
     quant::QuantizeOptions opts;
     opts.min_conv_out_channels_for_int8 = 8;
     const quant::QuantizeReport rep = quant::quantize_model(*model, cptrs, opts);
@@ -608,10 +609,10 @@ TEST(Quantize, CostModelSkipsNarrowConvs) {
     for (size_t i = 0; i < w.conv.size(); ++i) {
       if (w.conv[i]->out_channels() < 8) {
         EXPECT_TRUE(skipped.count(static_cast<int>(i))) << "conv " << i;
-        EXPECT_EQ(w.conv[i]->quantized_state(), nullptr) << "conv " << i;
+        EXPECT_NE(w.conv[i]->eval_weights().kind, nn::EvalWeights::Kind::kInt8) << "conv " << i;
       } else {
         EXPECT_FALSE(skipped.count(static_cast<int>(i))) << "conv " << i;
-        EXPECT_NE(w.conv[i]->quantized_state(), nullptr) << "conv " << i;
+        EXPECT_EQ(w.conv[i]->eval_weights().kind, nn::EvalWeights::Kind::kInt8) << "conv " << i;
       }
     }
   }
@@ -620,7 +621,7 @@ TEST(Quantize, CostModelSkipsNarrowConvs) {
   {
     Rng rng(41);
     auto model = std::make_unique<models::Cnn3d>(tiny_cnn_cfg(), rng);
-    compile::ModelCompiler().compile(*model);
+    compile::compile_model(*model);
     const quant::QuantizeReport rep = quant::quantize_model(*model, cptrs, quantize_all());
     compile::StructureWalk w = compile::walk_structure(*model);
     EXPECT_EQ(rep.quantized_conv, static_cast<int>(w.conv.size()));
