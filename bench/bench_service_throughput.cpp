@@ -491,8 +491,10 @@ std::vector<NeighborResult> run_neighbor_bench() {
   return out;
 }
 
-// ---- cold start: h5 checkpoint vs compiled artifact ----------------------
+// ---- cold start: weight checkpoint vs compiled artifact ------------------
 
+// The h5_* names predate the shared container; they stay for the JSON
+// trajectory and mean the weight-checkpoint path.
 struct ColdStartResult {
   double h5_restore_ms = 0.0;        // factory + load_checkpoint
   double h5_first_batch_ms = 0.0;    // … + first scored batch
@@ -501,8 +503,8 @@ struct ColdStartResult {
 };
 
 /// Time-to-first-scored-batch for a fresh cnn3d replica, both restore
-/// paths. The h5 path pays checkpoint parsing, per-call GEMM packing on the
-/// first forward, conv-plan construction and arena growth; the compiled
+/// paths. The checkpoint path pays weight copies, per-call GEMM packing on
+/// the first forward, conv-plan construction and arena growth; the compiled
 /// artifact ships pre-packed panels, pre-folded layers and the arena
 /// high-water budgets, so its first batch is already the steady state. The
 /// artifact mapping is opened once outside the timer (registration cost,
@@ -515,7 +517,7 @@ ColdStartResult run_cold_start_bench(const Workload& w) {
     return std::make_unique<models::Cnn3d>(service_cnn_config(), mrng);
   };
   const auto tmp = std::filesystem::temp_directory_path();
-  const std::string h5 = (tmp / "BENCH_coldstart.h5lt").string();
+  const std::string h5 = (tmp / "BENCH_coldstart_weights.dfca").string();
   const std::string dfca = (tmp / "BENCH_coldstart.dfca").string();
 
   std::vector<const serve::PoseInput*> batch;
@@ -712,14 +714,15 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // ---- cold start ----
-  print_header("Replica cold start — h5 checkpoint vs compiled artifact (cnn3d)");
+  print_header("Replica cold start — weight checkpoint vs compiled artifact (cnn3d)");
   const ColdStartResult cold = run_cold_start_bench(w);
-  std::printf("replica restore:            h5 %.2f ms, compiled artifact %.2f ms (%.2fx)\n",
-              cold.h5_restore_ms, cold.artifact_restore_ms,
-              cold.h5_restore_ms / cold.artifact_restore_ms);
-  std::printf("time to first scored batch: h5 %.2f ms, compiled artifact %.2f ms (%.2fx)\n\n",
-              cold.h5_first_batch_ms, cold.artifact_first_batch_ms,
-              cold.h5_first_batch_ms / cold.artifact_first_batch_ms);
+  std::printf(
+      "replica restore:            checkpoint %.2f ms, compiled artifact %.2f ms (%.2fx)\n",
+      cold.h5_restore_ms, cold.artifact_restore_ms, cold.h5_restore_ms / cold.artifact_restore_ms);
+  std::printf(
+      "time to first scored batch: checkpoint %.2f ms, compiled artifact %.2f ms (%.2fx)\n\n",
+      cold.h5_first_batch_ms, cold.artifact_first_batch_ms,
+      cold.h5_first_batch_ms / cold.artifact_first_batch_ms);
 
   // ---- service comparison ----
   print_header("ScoringService — cross-client batching vs per-client serial scoring");

@@ -308,11 +308,6 @@ io::H5LiteError format_error(const std::string& msg) {
   return io::H5LiteError(io::H5LiteError::Kind::Format, "artifact: " + msg);
 }
 
-void check_len(const io::ArtifactReader& a, const std::string& name, int64_t numel) {
-  if (a.section(name).numel() != numel)
-    throw format_error("section " + name + " has wrong length in " + a.path());
-}
-
 void add_cnn_cfg(io::ArtifactWriter& w, const models::Cnn3dConfig& c) {
   const int64_t iv[] = {c.in_channels,        c.grid_dim,           c.conv_filters1,
                         c.conv_filters2,      c.dense_nodes,        c.batch_norm ? 1 : 0,
@@ -323,10 +318,8 @@ void add_cnn_cfg(io::ArtifactWriter& w, const models::Cnn3dConfig& c) {
 }
 
 models::Cnn3dConfig read_cnn_cfg(const io::ArtifactReader& a) {
-  check_len(a, "cfg/cnn/int", 8);
-  check_len(a, "cfg/cnn/float", 2);
-  const int64_t* iv = a.ints("cfg/cnn/int");
-  const float* fv = a.floats("cfg/cnn/float");
+  const int64_t* iv = a.ints("cfg/cnn/int", 8);
+  const float* fv = a.floats("cfg/cnn/float", 2);
   models::Cnn3dConfig c;
   c.in_channels = static_cast<int>(iv[0]);
   c.grid_dim = static_cast<int>(iv[1]);
@@ -348,8 +341,7 @@ void add_sg_cfg(io::ArtifactWriter& w, const models::SgcnnConfig& c) {
 }
 
 models::SgcnnConfig read_sg_cfg(const io::ArtifactReader& a) {
-  check_len(a, "cfg/sg/int", 5);
-  const int64_t* iv = a.ints("cfg/sg/int");
+  const int64_t* iv = a.ints("cfg/sg/int", 5);
   models::SgcnnConfig c;
   c.node_features = static_cast<int>(iv[0]);
   c.covalent_k = static_cast<int>(iv[1]);
@@ -372,10 +364,8 @@ void add_fusion_cfg(io::ArtifactWriter& w, const models::FusionConfig& c) {
 }
 
 models::FusionConfig read_fusion_cfg(const io::ArtifactReader& a) {
-  check_len(a, "cfg/fusion/int", 6);
-  check_len(a, "cfg/fusion/float", 3);
-  const int64_t* iv = a.ints("cfg/fusion/int");
-  const float* fv = a.floats("cfg/fusion/float");
+  const int64_t* iv = a.ints("cfg/fusion/int", 6);
+  const float* fv = a.floats("cfg/fusion/float", 3);
   if (iv[0] < 0 || iv[0] > 2) throw format_error("bad fusion kind in " + a.path());
   if (iv[5] < 0 || iv[5] > 2) throw format_error("bad fusion activation in " + a.path());
   models::FusionConfig c;
@@ -532,8 +522,7 @@ void read_eval_weights(const std::shared_ptr<io::ArtifactReader>& image, const s
       e.comp = a.int32s(comp);
       e.comp_len = a.section(comp).numel();
     }
-    check_len(a, base + "act", 1);
-    e.act_scale = a.floats(base + "act")[0];
+    e.act_scale = a.floats(base + "act", 1)[0];
   }
   try {
     layer.set_eval_weights(std::move(e));
@@ -592,6 +581,7 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
   }
 
   io::ArtifactWriter out;
+  out.add_scalar("compile/schema", kCompiledSchema);
   out.add_scalar("family", static_cast<int64_t>(fam));
   out.add_scalar("poses_per_batch", poses_per_batch);
   out.add_scalar("ws/forward", budget.forward_floats);
@@ -622,16 +612,19 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
 
 CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
   const io::ArtifactReader& a = *image;
+  const int64_t schema = a.has("compile/schema") ? a.scalar("compile/schema") : 0;
+  if (schema != kCompiledSchema) {
+    throw format_error("compiled schema " + std::to_string(schema) + " in " + a.path() +
+                       " (reader supports " + std::to_string(kCompiledSchema) +
+                       "; recompile the artifact)");
+  }
   CompiledModel out;
   const int64_t fam_raw = a.scalar("family");
   if (fam_raw < 0 || fam_raw > 3) throw format_error("bad family in " + a.path());
   out.family = static_cast<ModelFamily>(fam_raw);
   out.poses_per_batch = a.scalar("poses_per_batch");
   out.budget = {a.scalar("ws/forward"), a.scalar("ws/feat")};
-  // Pre-versioning artifacts carry no section: they were trained against
-  // the historical (v1) feature set.
-  out.feature_set_version =
-      a.has("meta/feature_set_version") ? a.scalar("meta/feature_set_version") : 1;
+  out.feature_set_version = a.scalar("meta/feature_set_version");
 
   std::unique_ptr<models::Regressor> model = rebuild(a, out.family);
 

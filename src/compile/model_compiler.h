@@ -27,9 +27,11 @@
 // unaffected — training forwards ignore the handles — but the next eval
 // would read the stale pack). save_compiled/load_compiled serialize the
 // compiled form — folded weights, each GEMM layer's serving handle verbatim,
-// workspace high-water budgets — into the mmap-friendly artifact of
-// io/model_artifact.h, so replicas cold-start without the h5/init path and
-// their handles point straight into the shared file mapping.
+// workspace high-water budgets — into the mmap-friendly container of
+// io/model_artifact.h, so replicas cold-start without the checkpoint/init
+// path and their handles point straight into the shared file mapping. The
+// container's version covers only its byte layout; the compiled sections
+// are versioned by kCompiledSchema, stored as "compile/schema".
 #pragma once
 
 #include <cstdint>
@@ -47,6 +49,14 @@ class Conv3d;
 }  // namespace df::nn
 
 namespace df::compile {
+
+/// Bump on any change to the sections save_compiled writes or how
+/// load_compiled reads them. A reader only accepts its own schema: compiled
+/// artifacts are caches derived from checkpoints, so the recovery path for
+/// a mismatch is recompile, never in-place migration.
+/// 3: one section group per GEMM layer ("dense/<i>/...", "conv/<i>/...")
+///    holding its serving handle verbatim.
+constexpr int64_t kCompiledSchema = 3;
 
 /// The four servable model families an artifact can carry.
 enum class ModelFamily : int64_t {
@@ -114,12 +124,13 @@ struct CompiledModel {
   ModelFamily family = ModelFamily::kCnn3d;
   int64_t poses_per_batch = 0;
   WorkspaceBudget budget;
-  /// Featurization contract the model expects; artifacts written before the
-  /// section existed load as 1 (the historical feature set).
+  /// Featurization contract the model expects.
   int64_t feature_set_version = 1;
 };
 
 /// Restore from an already-open artifact (replicas share one mapping).
+/// Throws io::H5LiteError{Format} with a "recompile" hint when the artifact
+/// lacks "compile/schema" or holds another schema than kCompiledSchema.
 CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image);
 /// Convenience: open + restore.
 CompiledModel load_compiled(const std::string& path);

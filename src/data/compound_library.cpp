@@ -1,7 +1,7 @@
 #include "data/compound_library.h"
 
 #include "chem/smiles.h"
-#include "io/h5lite.h"
+#include "io/model_artifact.h"
 
 namespace df::data {
 

@@ -1,5 +1,6 @@
 #include "io/model_artifact.h"
 
+#include <array>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,9 @@ namespace {
 constexpr char kMagic[4] = {'D', 'F', 'C', 'A'};
 constexpr uint64_t kHeaderBytes = 16;  // magic + version + payload_bytes
 constexpr uint64_t kBlobAlign = 64;
+constexpr uint64_t kDtypeBytes[] = {sizeof(float), sizeof(int64_t), sizeof(int8_t),
+                                    sizeof(int32_t)};
+constexpr const char* kDtypeNames[] = {"float32", "int64", "int8", "int32"};
 
 uint64_t align_up(uint64_t v, uint64_t to) { return (v + to - 1) / to * to; }
 
@@ -25,49 +29,73 @@ void append_pod(std::string& buf, const T& v) {
   buf.append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-void fsync_fd_path(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
+std::array<uint32_t, 256> make_crc_table() {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
   }
-#else
-  (void)path;
-#endif
+  return table;
 }
 
-// An empty section (e.g. the conv mask of a conv-less model) has no bytes
-// and possibly a null source: memcpy with a null pointer is undefined even
-// for zero bytes.
-void copy_section(std::vector<char>& bytes, const void* data) {
-  if (!bytes.empty()) std::memcpy(bytes.data(), data, bytes.size());
+// Flush `path` (a file or a directory) to stable storage. An atomic-rename
+// commit is only durable once BOTH the renamed file's bytes and the parent
+// directory entry are synced — rename alone survives a crash of the process
+// but not of the machine. No-op on platforms without fsync.
+void fsync_path(const std::string& path, bool required) {
+#if defined(__unix__) || defined(__APPLE__)
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (required)
+      throw H5LiteError(H5LiteError::Kind::Open, "artifact: cannot open for fsync: " + path);
+    return;
+  }
+  const int rc = ::fsync(fd);
+  ::close(fd);
+  // Some filesystems refuse fsync on directories (EINVAL); that is the
+  // platform's durability ceiling, not a failed save.
+  if (rc != 0 && required)
+    throw H5LiteError(H5LiteError::Kind::Open, "artifact: fsync failed: " + path);
+#else
+  (void)path;
+  (void)required;
+#endif
 }
 
 }  // namespace
 
-void ArtifactWriter::add_floats(const std::string& name, std::vector<int64_t> dims,
-                                const float* data) {
+uint32_t crc32(const void* data, size_t len, uint32_t crc) {
+  static const std::array<uint32_t, 256> table = make_crc_table();
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t c = crc ^ 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+void ArtifactWriter::add(const std::string& name, uint8_t dtype, std::vector<int64_t> dims,
+                         const void* data) {
   Pending p;
-  p.dtype = 0;
+  p.dtype = dtype;
   p.dims = std::move(dims);
   int64_t n = 1;
   for (int64_t d : p.dims) n *= d;
-  p.bytes.resize(static_cast<size_t>(n) * sizeof(float));
-  copy_section(p.bytes, data);
+  p.bytes.resize(static_cast<size_t>(n) * kDtypeBytes[dtype]);
+  // An empty section (e.g. zero completed epochs) has no bytes and possibly
+  // a null source: memcpy with a null pointer is undefined even for zero
+  // bytes.
+  if (!p.bytes.empty()) std::memcpy(p.bytes.data(), data, p.bytes.size());
   sections_[name] = std::move(p);
+}
+
+void ArtifactWriter::add_floats(const std::string& name, std::vector<int64_t> dims,
+                                const float* data) {
+  add(name, 0, std::move(dims), data);
 }
 
 void ArtifactWriter::add_ints(const std::string& name, std::vector<int64_t> dims,
                               const int64_t* data) {
-  Pending p;
-  p.dtype = 1;
-  p.dims = std::move(dims);
-  int64_t n = 1;
-  for (int64_t d : p.dims) n *= d;
-  p.bytes.resize(static_cast<size_t>(n) * sizeof(int64_t));
-  copy_section(p.bytes, data);
-  sections_[name] = std::move(p);
+  add(name, 1, std::move(dims), data);
 }
 
 void ArtifactWriter::add_scalar(const std::string& name, int64_t v) {
@@ -76,26 +104,12 @@ void ArtifactWriter::add_scalar(const std::string& name, int64_t v) {
 
 void ArtifactWriter::add_int8s(const std::string& name, std::vector<int64_t> dims,
                                const int8_t* data) {
-  Pending p;
-  p.dtype = 2;
-  p.dims = std::move(dims);
-  int64_t n = 1;
-  for (int64_t d : p.dims) n *= d;
-  p.bytes.resize(static_cast<size_t>(n));
-  copy_section(p.bytes, data);
-  sections_[name] = std::move(p);
+  add(name, 2, std::move(dims), data);
 }
 
 void ArtifactWriter::add_int32s(const std::string& name, std::vector<int64_t> dims,
                                 const int32_t* data) {
-  Pending p;
-  p.dtype = 3;
-  p.dims = std::move(dims);
-  int64_t n = 1;
-  for (int64_t d : p.dims) n *= d;
-  p.bytes.resize(static_cast<size_t>(n) * sizeof(int32_t));
-  copy_section(p.bytes, data);
-  sections_[name] = std::move(p);
+  add(name, 3, std::move(dims), data);
 }
 
 void ArtifactWriter::save(const std::string& path) const {
@@ -148,13 +162,16 @@ void ArtifactWriter::save(const std::string& path) const {
     f.write(reinterpret_cast<const char*>(&payload_bytes), sizeof(payload_bytes));
     f.write(payload.data(), static_cast<std::streamsize>(payload.size()));
     f.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    // Flush before checking: a late error (e.g. ENOSPC on the buffered
+    // tail) must fail the save, or the rename would publish a torn file.
     f.close();
     if (f.fail())
       throw H5LiteError(H5LiteError::Kind::Open, "artifact: write failed: " + tmp);
   }
-  // Same durability contract as h5lite::save_atomic: file bytes synced
-  // before the rename publishes them, parent directory synced after.
-  fsync_fd_path(tmp);
+  // Sync the temp file's bytes BEFORE the rename: renaming first could
+  // publish a directory entry pointing at data still in the page cache,
+  // which a power loss then tears.
+  fsync_path(tmp, /*required=*/true);
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
@@ -162,7 +179,7 @@ void ArtifactWriter::save(const std::string& path) const {
                       "artifact: atomic rename failed: " + path + " (" + ec.message() + ")");
   }
   const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  fsync_fd_path(parent.empty() ? "." : parent.string());
+  fsync_path(parent.empty() ? "." : parent.string(), /*required=*/false);
 }
 
 std::shared_ptr<ArtifactReader> ArtifactReader::open(const std::string& path) {
@@ -208,7 +225,7 @@ std::shared_ptr<ArtifactReader> ArtifactReader::open(const std::string& path) {
     throw H5LiteError(H5LiteError::Kind::Format,
                       "artifact: unsupported version " + std::to_string(version) + " in " + path +
                           " (reader supports " + std::to_string(kArtifactVersion) +
-                          "; recompile the artifact)");
+                          "; recompile the artifact or rewrite the checkpoint)");
   }
   uint64_t payload_bytes;
   std::memcpy(&payload_bytes, d + 8, sizeof(payload_bytes));
@@ -265,17 +282,15 @@ std::shared_ptr<ArtifactReader> ArtifactReader::open(const std::string& path) {
       if (dim < 0)
         throw H5LiteError(H5LiteError::Kind::Format, "artifact: negative dim in " + path);
       s.dims.push_back(dim);
-      if (dim != 0 && numel > UINT64_MAX / static_cast<uint64_t>(dim))
+      // Every prefix product stays within the payload, so neither
+      // numel * elem below nor ArtifactSection::numel() can overflow.
+      if (dim != 0 && numel > payload_bytes / static_cast<uint64_t>(dim))
         throw H5LiteError(H5LiteError::Kind::Truncated, "artifact: blob larger than file: " + path);
       numel *= static_cast<uint64_t>(dim);
     }
     s.byte_offset = read_u64();
     s.byte_len = read_u64();
-    const uint64_t elem = s.dtype == 0   ? sizeof(float)
-                          : s.dtype == 1 ? sizeof(int64_t)
-                          : s.dtype == 2 ? sizeof(int8_t)
-                                         : sizeof(int32_t);
-    if (s.byte_len != numel * elem || s.byte_offset % kBlobAlign != 0 ||
+    if (s.byte_len != numel * kDtypeBytes[s.dtype] || s.byte_offset % kBlobAlign != 0 ||
         s.byte_offset < kHeaderBytes || s.byte_offset > payload_end ||
         s.byte_len > payload_end - s.byte_offset) {
       throw H5LiteError(H5LiteError::Kind::Truncated,
@@ -299,39 +314,50 @@ const ArtifactSection& ArtifactReader::section(const std::string& name) const {
   return it->second;
 }
 
-const float* ArtifactReader::floats(const std::string& name) const {
+const char* ArtifactReader::blob(const std::string& name, uint8_t dtype) const {
   const ArtifactSection& s = section(name);
-  if (s.dtype != 0)
-    throw H5LiteError(H5LiteError::Kind::Format, "artifact: " + name + " is not float32");
-  return reinterpret_cast<const float*>(data_ + s.byte_offset);
+  if (s.dtype != dtype) {
+    throw H5LiteError(H5LiteError::Kind::Format, "artifact: " + name + " is not " +
+                                                     kDtypeNames[dtype] + " in " + path_);
+  }
+  return data_ + s.byte_offset;
+}
+
+const char* ArtifactReader::blob(const std::string& name, uint8_t dtype, int64_t numel) const {
+  const char* p = blob(name, dtype);
+  const int64_t have = section(name).numel();
+  if (have != numel) {
+    throw H5LiteError(H5LiteError::Kind::Format,
+                      "artifact: " + name + " holds " + std::to_string(have) + " elements, " +
+                          std::to_string(numel) + " expected, in " + path_);
+  }
+  return p;
+}
+
+const float* ArtifactReader::floats(const std::string& name) const {
+  return reinterpret_cast<const float*>(blob(name, 0));
+}
+
+const float* ArtifactReader::floats(const std::string& name, int64_t numel) const {
+  return reinterpret_cast<const float*>(blob(name, 0, numel));
 }
 
 const int64_t* ArtifactReader::ints(const std::string& name) const {
-  const ArtifactSection& s = section(name);
-  if (s.dtype != 1)
-    throw H5LiteError(H5LiteError::Kind::Format, "artifact: " + name + " is not int64");
-  return reinterpret_cast<const int64_t*>(data_ + s.byte_offset);
+  return reinterpret_cast<const int64_t*>(blob(name, 1));
+}
+
+const int64_t* ArtifactReader::ints(const std::string& name, int64_t numel) const {
+  return reinterpret_cast<const int64_t*>(blob(name, 1, numel));
 }
 
 const int8_t* ArtifactReader::int8s(const std::string& name) const {
-  const ArtifactSection& s = section(name);
-  if (s.dtype != 2)
-    throw H5LiteError(H5LiteError::Kind::Format, "artifact: " + name + " is not int8");
-  return reinterpret_cast<const int8_t*>(data_ + s.byte_offset);
+  return reinterpret_cast<const int8_t*>(blob(name, 2));
 }
 
 const int32_t* ArtifactReader::int32s(const std::string& name) const {
-  const ArtifactSection& s = section(name);
-  if (s.dtype != 3)
-    throw H5LiteError(H5LiteError::Kind::Format, "artifact: " + name + " is not int32");
-  return reinterpret_cast<const int32_t*>(data_ + s.byte_offset);
+  return reinterpret_cast<const int32_t*>(blob(name, 3));
 }
 
-int64_t ArtifactReader::scalar(const std::string& name) const {
-  const ArtifactSection& s = section(name);
-  if (s.dtype != 1 || s.numel() != 1)
-    throw H5LiteError(H5LiteError::Kind::Format, "artifact: " + name + " is not a scalar");
-  return *reinterpret_cast<const int64_t*>(data_ + s.byte_offset);
-}
+int64_t ArtifactReader::scalar(const std::string& name) const { return *ints(name, 1); }
 
 }  // namespace df::io

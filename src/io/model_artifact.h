@@ -1,10 +1,15 @@
-// Compiled-model artifact container — the mmap-friendly on-disk format the
-// ahead-of-time model compiler (src/compile/) serializes compiled models into.
+// The repository's one on-disk container (".dfca"). Everything that goes to
+// disk whole — compiled models (src/compile/), weight and train checkpoints
+// (models/checkpoint.h), campaign checkpoints (screen/checkpoint.h), shard
+// manifests and one-shot job shards (screen/writer.h) — is written by
+// ArtifactWriter and read back by ArtifactReader. Only the append-mode
+// campaign shard stream (".dfsh") has its own framing, because it must
+// salvage the valid prefix of a torn file.
 //
 // Layout (all integers little-endian, as written by the host):
 //
 //   offset 0   : magic "DFCA" (4 bytes)
-//   offset 4   : u32 format version (kArtifactVersion)
+//   offset 4   : u32 container version (kArtifactVersion)
 //   offset 8   : u64 payload_bytes
 //   offset 16  : payload —
 //                  u32 section_count
@@ -23,29 +28,52 @@
 // straight into the mapping — no copy, no parse, shared page cache across
 // replicas.
 //
-// Failures reuse io::H5LiteError so callers discriminate damage kinds the
-// same way they do for checkpoints: Format (bad magic / unsupported
-// version), Truncated (directory or blob past EOF), Crc (payload bytes do
-// not match the stored checksum). All three reject the whole file before
-// any section is handed out — there is no partial load.
+// Failures are io::H5LiteError, so callers discriminate damage kinds:
+// Open (missing / unreadable / unwritable), Format (bad magic, unsupported
+// version, missing section, or a section of the wrong dtype or element
+// count), Truncated (directory or blob past EOF), Crc (payload bytes do not
+// match the stored checksum). Open rejects the whole file before any
+// section is handed out — there is no partial load.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "io/h5lite.h"
-
 namespace df::io {
 
-/// Bump on any incompatible layout change. A reader only accepts its own
-/// version: compiled artifacts are caches derived from checkpoints, so the
-/// recovery path for a mismatch is recompile, never in-place migration.
-/// v2: int8/int32 section dtypes for quantized compiled plans (src/quant/).
-/// v3: one section group per GEMM layer ("dense/<i>/...", "conv/<i>/...")
-///     holding its serving handle verbatim, replacing "pack/..." + "quant/...".
+/// IEEE CRC-32 (zlib-compatible). Pass the previous return value as `crc`
+/// to checksum data incrementally; start from 0.
+uint32_t crc32(const void* data, size_t len, uint32_t crc = 0);
+
+/// Typed I/O failure so callers (e.g. the sharded-result reader) can report
+/// *what kind* of damage a file has rather than string-matching messages.
+class H5LiteError : public std::runtime_error {
+ public:
+  enum class Kind {
+    Open,       // file missing / unreadable / unwritable
+    Format,     // bad magic, unsupported version, or wrong contents
+    Truncated,  // file ends before the sections it promises
+    Crc,        // payload bytes do not match the stored checksum
+  };
+  H5LiteError(Kind kind, const std::string& msg) : std::runtime_error(msg), kind_(kind) {}
+  Kind kind() const { return kind_; }
+
+ private:
+  Kind kind_;
+};
+
+/// Version of the byte layout above, and of nothing else. A reader only
+/// accepts its own version. What the sections of a file mean is versioned
+/// by its writer inside the file (compile::kCompiledSchema as
+/// "compile/schema", the campaign checkpoint's "schema"), so a change to
+/// one file kind never makes the others unreadable.
+/// v2: int8/int32 section dtypes.
+/// v3: no layout change; bumped when the compiled-model sections changed,
+///     before that schema had a section of its own.
 constexpr uint32_t kArtifactVersion = 3;
 
 struct ArtifactSection {
@@ -61,8 +89,11 @@ struct ArtifactSection {
   }
 };
 
-/// Collects named sections and writes them as one artifact file, durably
-/// (temp + fsync + rename + parent-dir fsync, like h5lite::save_atomic).
+/// Collects named sections and writes them as one file, atomically and
+/// durably: the bytes go to `path + ".tmp"`, which must fsync (a failure
+/// throws H5LiteError{Open} and leaves `path` untouched) before the rename
+/// publishes it; the parent directory is then synced best-effort. A stale
+/// `.tmp` from a killed save is overwritten, never read.
 /// Data is copied at add() time so callers may hand in transient buffers.
 class ArtifactWriter {
  public:
@@ -77,6 +108,8 @@ class ArtifactWriter {
   void save(const std::string& path) const;
 
  private:
+  void add(const std::string& name, uint8_t dtype, std::vector<int64_t> dims, const void* data);
+
   struct Pending {
     uint8_t dtype;
     std::vector<int64_t> dims;
@@ -85,7 +118,7 @@ class ArtifactWriter {
   std::map<std::string, Pending> sections_;
 };
 
-/// Read-only view of an artifact file. Prefers mmap (shared, read-only) and
+/// Read-only view of a container file. Prefers mmap (shared, read-only) and
 /// falls back to a heap image when mapping is unavailable; either way the
 /// full directory is validated and the payload CRC checked before open()
 /// returns. Section pointers stay valid for the reader's lifetime — weight
@@ -98,13 +131,18 @@ class ArtifactReader {
   ArtifactReader& operator=(const ArtifactReader&) = delete;
 
   bool has(const std::string& name) const { return sections_.count(name) > 0; }
+  /// Throws H5LiteError{Format} when the section is missing.
   const ArtifactSection& section(const std::string& name) const;
 
-  /// Typed blob access; throws H5LiteError{Format} on a dtype mismatch.
+  /// Typed blob access; throws H5LiteError{Format} on a dtype mismatch, and
+  /// for the sized overloads when the section does not hold `numel` elements.
   const float* floats(const std::string& name) const;
+  const float* floats(const std::string& name, int64_t numel) const;
   const int64_t* ints(const std::string& name) const;
+  const int64_t* ints(const std::string& name, int64_t numel) const;
   const int8_t* int8s(const std::string& name) const;
   const int32_t* int32s(const std::string& name) const;
+  /// A one-element int64 section.
   int64_t scalar(const std::string& name) const;
 
   const std::map<std::string, ArtifactSection>& sections() const { return sections_; }
@@ -112,6 +150,8 @@ class ArtifactReader {
 
  private:
   ArtifactReader() = default;
+  const char* blob(const std::string& name, uint8_t dtype) const;
+  const char* blob(const std::string& name, uint8_t dtype, int64_t numel) const;
 
   std::string path_;
   const char* data_ = nullptr;

@@ -1,5 +1,6 @@
 // Model checkpointing: serialize a Regressor's trainable parameters to the
-// h5lite container and restore them into a structurally identical model.
+// repository's one on-disk container (io/model_artifact.h) and restore them
+// into a structurally identical model.
 // This is what Ray Tune's PB2 exploitation does with checkpoints (§3.2) and
 // what lets a screening deployment ship one trained weight file to every
 // rank instead of re-training per process.
@@ -25,14 +26,15 @@
 
 namespace df::models {
 
-/// Write all trainable parameters (values only, not optimizer state) to
-/// `path`. Dataset names are "p<index>" in trainable_parameters() order,
-/// plus a "meta" record holding the parameter count for validation.
+/// Atomically write all trainable parameters (values only, not optimizer
+/// state) to `path`. Section names are "p<index>" in trainable_parameters()
+/// order, plus a "meta" scalar holding the parameter count for validation.
 void save_checkpoint(Regressor& model, const std::string& path);
 
 /// Load parameters saved by save_checkpoint into `model`. Throws
-/// std::runtime_error if the file does not match the model's structure
-/// (parameter count or any shape differs).
+/// io::H5LiteError on damage (Format for a missing section or one of the
+/// wrong dtype or size) and std::runtime_error if the file does not match
+/// the model's structure (parameter count or any shape differs).
 void load_checkpoint(Regressor& model, const std::string& path);
 
 /// Everything beyond the weights that a resumed train_model needs.
@@ -65,7 +67,8 @@ void save_train_checkpoint(Regressor& model, nn::Optimizer& opt, const TrainProg
                            const std::string& path);
 
 /// Restore weights into `model` and state into `opt`; returns the saved
-/// progress. Throws io::H5LiteError on damage and std::runtime_error when
+/// progress. Throws io::H5LiteError on damage (as load_checkpoint; a
+/// weights-only file lacks the train sections) and std::runtime_error when
 /// the file does not match the model/optimizer structure. When
 /// `expected_geometry` is given, its guard fields (seed, optimizer kind,
 /// batch size, grad shards, dataset sizes, lr, grad clip) are validated

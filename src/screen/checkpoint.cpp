@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "io/h5lite.h"
+#include "io/model_artifact.h"
 
 namespace df::screen {
 
@@ -14,41 +14,49 @@ void save_campaign_checkpoint(const CampaignCheckpoint& ck, const std::string& p
   if (ck.unit_status.size() != ck.unit_attempts.size()) {
     throw std::invalid_argument("campaign checkpoint: status/attempts size mismatch");
   }
-  io::H5LiteFile f;
-  f.put_ints("schema", {1}, {kCheckpointSchema});
-  f.put_ints("campaign_seed", {1}, {static_cast<int64_t>(ck.campaign_seed)});
-  f.put_ints("library_fingerprint", {1}, {static_cast<int64_t>(ck.library_fingerprint)});
-  f.put_ints("total_poses", {1}, {ck.total_poses});
-  f.put_ints("geometry", {5},
-             {ck.poses_per_job, ck.nodes, ck.gpus_per_node, ck.num_shards, ck.scoring_batch});
-  f.put_ints("unit_status", {ck.units()}, ck.unit_status);
-  f.put_ints("unit_attempts", {ck.units()}, ck.unit_attempts);
-  f.save_atomic(path);
+  io::ArtifactWriter w;
+  w.add_scalar("schema", kCheckpointSchema);
+  w.add_scalar("campaign_seed", static_cast<int64_t>(ck.campaign_seed));
+  w.add_scalar("library_fingerprint", static_cast<int64_t>(ck.library_fingerprint));
+  w.add_scalar("total_poses", ck.total_poses);
+  const int64_t geom[] = {ck.poses_per_job, ck.nodes, ck.gpus_per_node, ck.num_shards,
+                          ck.scoring_batch};
+  w.add_ints("geometry", {5}, geom);
+  w.add_ints("unit_status", {ck.units()}, ck.unit_status.data());
+  w.add_ints("unit_attempts", {ck.units()}, ck.unit_attempts.data());
+  w.save(path);
 }
 
 CampaignCheckpoint load_campaign_checkpoint(const std::string& path) {
-  const io::H5LiteFile f = io::H5LiteFile::load(path);
-  if (!f.has("schema") || f.get("schema").ints().at(0) != kCheckpointSchema) {
+  const auto r = io::ArtifactReader::open(path);
+  if (!r->has("schema") || r->scalar("schema") != kCheckpointSchema) {
     throw std::runtime_error("campaign checkpoint: unsupported schema in " + path);
   }
   CampaignCheckpoint ck;
-  ck.campaign_seed = static_cast<uint64_t>(f.get("campaign_seed").ints().at(0));
-  ck.library_fingerprint = static_cast<uint64_t>(f.get("library_fingerprint").ints().at(0));
-  ck.total_poses = f.get("total_poses").ints().at(0);
-  const auto& geom = f.get("geometry").ints();
-  if (geom.size() != 5) {
-    throw std::runtime_error("campaign checkpoint: malformed geometry in " + path);
-  }
+  ck.campaign_seed = static_cast<uint64_t>(r->scalar("campaign_seed"));
+  ck.library_fingerprint = static_cast<uint64_t>(r->scalar("library_fingerprint"));
+  ck.total_poses = r->scalar("total_poses");
+  const int64_t* geom = r->ints("geometry", 5);
   ck.poses_per_job = geom[0];
   ck.nodes = geom[1];
   ck.gpus_per_node = geom[2];
   ck.num_shards = geom[3];
   ck.scoring_batch = geom[4];
-  ck.unit_status = f.get("unit_status").ints();
-  ck.unit_attempts = f.get("unit_attempts").ints();
-  if (ck.unit_status.size() != ck.unit_attempts.size()) {
-    throw std::runtime_error("campaign checkpoint: status/attempts size mismatch in " + path);
+  const int64_t units = r->section("unit_status").numel();
+  const int64_t* status = r->ints("unit_status", units);
+  const int64_t* attempts = r->ints("unit_attempts", units);
+  for (int64_t u = 0; u < units; ++u) {
+    // A status outside the enum would count as resumed yet lose its shard
+    // block at compaction (only Done units keep theirs): never scored.
+    if (status[u] < static_cast<int64_t>(UnitStatus::Pending) ||
+        status[u] > static_cast<int64_t>(UnitStatus::Exhausted) || attempts[u] < 0) {
+      throw std::runtime_error("campaign checkpoint: unit " + std::to_string(u) +
+                               " has status " + std::to_string(status[u]) + ", attempts " +
+                               std::to_string(attempts[u]) + " in " + path);
+    }
   }
+  ck.unit_status.assign(status, status + units);
+  ck.unit_attempts.assign(attempts, attempts + units);
   return ck;
 }
 

@@ -6,8 +6,8 @@
 // (campaign seed, unit id, attempt) — job scoring streams, fault draws,
 // assay noise — the attempt counters ARE the RNG cursors, and the final
 // CampaignReport is derivable from them bit-for-bit no matter where the
-// previous process died. Serialized through io/h5lite (same container as
-// model checkpoints), written atomically.
+// previous process died. Serialized through the on-disk container of
+// io/model_artifact.h (as model checkpoints are), written atomically.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,9 @@ struct CampaignCheckpoint {
 /// previous valid checkpoint in place, never a torn one.
 void save_campaign_checkpoint(const CampaignCheckpoint& ck, const std::string& path);
 
-/// Throws io::H5LiteError on damage, std::runtime_error on schema drift.
+/// Throws io::H5LiteError on damage (Format for a missing section or one of
+/// the wrong dtype or size), std::runtime_error on schema drift or a unit
+/// status outside UnitStatus or a negative attempt count.
 CampaignCheckpoint load_campaign_checkpoint(const std::string& path);
 
 }  // namespace df::screen

@@ -5,7 +5,7 @@
 #include <filesystem>
 #include <thread>
 
-#include "io/h5lite.h"
+#include "io/model_artifact.h"
 
 namespace df::screen {
 
@@ -76,7 +76,7 @@ const char* shard_damage_name(ShardDamageKind kind) {
 }
 
 // ---------------------------------------------------------------------------
-// One-shot h5lite shards.
+// One-shot job shards.
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> write_sharded_results(const std::string& prefix, int num_shards,
@@ -89,9 +89,8 @@ std::vector<std::string> write_sharded_results(const std::string& prefix, int nu
   std::vector<std::thread> writers;
   writers.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    files[static_cast<size_t>(s)] = prefix + ".rank" + std::to_string(s) + ".h5lt";
+    files[static_cast<size_t>(s)] = prefix + ".rank" + std::to_string(s) + ".dfca";
     writers.emplace_back([&, s] {
-      io::H5LiteFile f;
       std::vector<int64_t> c, t, p;
       std::vector<float> y;
       for (size_t i = static_cast<size_t>(s); i < n; i += static_cast<size_t>(num_shards)) {
@@ -101,11 +100,12 @@ std::vector<std::string> write_sharded_results(const std::string& prefix, int nu
         y.push_back(predictions[i]);
       }
       const int64_t rows = static_cast<int64_t>(y.size());
-      f.put_ints("compound_id", {rows}, std::move(c));
-      f.put_ints("target_id", {rows}, std::move(t));
-      f.put_ints("pose_id", {rows}, std::move(p));
-      f.put_floats("predicted_pk", {rows}, std::move(y));
-      f.save(files[static_cast<size_t>(s)]);
+      io::ArtifactWriter w;
+      w.add_ints("compound_id", {rows}, c.data());
+      w.add_ints("target_id", {rows}, t.data());
+      w.add_ints("pose_id", {rows}, p.data());
+      w.add_floats("predicted_pk", {rows}, y.data());
+      w.save(files[static_cast<size_t>(s)]);
     });
   }
   for (auto& w : writers) w.join();
@@ -120,19 +120,18 @@ GatheredResults read_sharded_results(const std::vector<std::string>& files) {
       continue;
     }
     try {
-      const io::H5LiteFile f = io::H5LiteFile::load(path);
-      const auto& c = f.get("compound_id").ints();
-      const auto& t = f.get("target_id").ints();
-      const auto& p = f.get("pose_id").ints();
-      const auto& y = f.get("predicted_pk").floats();
-      out.compound_ids.insert(out.compound_ids.end(), c.begin(), c.end());
-      out.target_ids.insert(out.target_ids.end(), t.begin(), t.end());
-      out.pose_ids.insert(out.pose_ids.end(), p.begin(), p.end());
-      out.predictions.insert(out.predictions.end(), y.begin(), y.end());
+      const auto r = io::ArtifactReader::open(path);
+      const int64_t rows = r->section("predicted_pk").numel();
+      const float* y = r->floats("predicted_pk", rows);
+      const int64_t* c = r->ints("compound_id", rows);
+      const int64_t* t = r->ints("target_id", rows);
+      const int64_t* p = r->ints("pose_id", rows);
+      out.compound_ids.insert(out.compound_ids.end(), c, c + rows);
+      out.target_ids.insert(out.target_ids.end(), t, t + rows);
+      out.pose_ids.insert(out.pose_ids.end(), p, p + rows);
+      out.predictions.insert(out.predictions.end(), y, y + rows);
     } catch (const io::H5LiteError& e) {
       out.damage.push_back({path, classify(e), 0});
-    } catch (const std::exception&) {
-      out.damage.push_back({path, ShardDamageKind::BadHeader, 0});
     }
   }
   return out;
@@ -147,7 +146,7 @@ std::string shard_stream_path(const std::string& prefix, int shard) {
 }
 
 std::string shard_manifest_path(const std::string& prefix) {
-  return prefix + ".manifest.h5lt";
+  return prefix + ".manifest.dfca";
 }
 
 ShardStream::ShardStream(std::string path) : path_(std::move(path)) {
@@ -298,7 +297,6 @@ void tear_shard_tail(const std::string& path, size_t bytes) {
 }
 
 void write_shard_manifest(const std::string& prefix, int num_shards) {
-  io::H5LiteFile m;
   std::vector<int64_t> rows, crcs, sizes;
   for (int s = 0; s < num_shards; ++s) {
     const std::string path = shard_stream_path(prefix, s);
@@ -315,33 +313,29 @@ void write_shard_manifest(const std::string& prefix, int num_shards) {
     sizes.push_back(static_cast<int64_t>(fs::file_size(path)));
   }
   const int64_t n = static_cast<int64_t>(num_shards);
-  m.put_ints("num_shards", {1}, {n});
-  m.put_ints("rows", {n}, std::move(rows));
-  m.put_ints("crc", {n}, std::move(crcs));
-  m.put_ints("bytes", {n}, std::move(sizes));
-  m.save_atomic(shard_manifest_path(prefix));
+  io::ArtifactWriter m;
+  m.add_scalar("num_shards", n);
+  m.add_ints("rows", {n}, rows.data());
+  m.add_ints("crc", {n}, crcs.data());
+  m.add_ints("bytes", {n}, sizes.data());
+  m.save(shard_manifest_path(prefix));
 }
 
 std::vector<ShardDamage> verify_shard_manifest(const std::string& prefix) {
   std::vector<ShardDamage> damage;
   const std::string mpath = shard_manifest_path(prefix);
-  io::H5LiteFile m;
+  std::shared_ptr<io::ArtifactReader> m;
   int64_t n = 0;
-  std::vector<int64_t> crcs, sizes;
+  const int64_t *crcs = nullptr, *sizes = nullptr;
   try {
-    m = io::H5LiteFile::load(mpath);
-    n = m.get("num_shards").ints().at(0);
-    crcs = m.get("crc").ints();
-    sizes = m.get("bytes").ints();
-    if (crcs.size() != static_cast<size_t>(n) || sizes.size() != static_cast<size_t>(n)) {
-      throw std::runtime_error("manifest shard-count mismatch");
-    }
+    // A container with other contents (e.g. another .dfca copied over the
+    // manifest) fails the sized reads: Format, reported as BadHeader.
+    m = io::ArtifactReader::open(mpath);
+    n = m->scalar("num_shards");
+    crcs = m->ints("crc", n);
+    sizes = m->ints("bytes", n);
   } catch (const io::H5LiteError& e) {
     damage.push_back({mpath, classify(e), 0});
-    return damage;
-  } catch (const std::exception&) {
-    // Valid container, wrong contents (e.g. another .h5lt copied over it).
-    damage.push_back({mpath, ShardDamageKind::BadHeader, 0});
     return damage;
   }
   for (int64_t s = 0; s < n; ++s) {
@@ -352,11 +346,11 @@ std::vector<ShardDamage> verify_shard_manifest(const std::string& prefix) {
     }
     const int64_t size = static_cast<int64_t>(fs::file_size(path));
     const uint32_t crc = file_crc32(path);
-    if (crc == static_cast<uint32_t>(crcs[static_cast<size_t>(s)])) continue;
+    if (crc == static_cast<uint32_t>(crcs[s])) continue;
     const ShardScan scan = scan_shard_stream(path);
     damage.push_back({path,
-                      size < sizes[static_cast<size_t>(s)] ? ShardDamageKind::TruncatedBlock
-                                                           : ShardDamageKind::CrcMismatch,
+                      size < sizes[s] ? ShardDamageKind::TruncatedBlock
+                                      : ShardDamageKind::CrcMismatch,
                       scan.rows()});
   }
   return damage;

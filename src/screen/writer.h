@@ -2,9 +2,9 @@
 // bottleneck is that every rank writes its own file. Two forms live here:
 //
 //  * write_sharded_results / read_sharded_results — the original one-shot
-//    h5lite shards a finished job dumps after its allgather. Reading now
-//    *reports* damage (missing / truncated / corrupt shards) instead of
-//    throwing away the healthy ones.
+//    shards a finished job dumps after its allgather, one container file
+//    (io/model_artifact.h) per rank. Reading *reports* damage (missing /
+//    truncated / corrupt shards) instead of throwing away the healthy ones.
 //
 //  * ShardStream — an append-mode shard for the campaign driver: each
 //    finished work unit is flushed immediately as one CRC-framed block, so
@@ -12,8 +12,8 @@
 //    valid block prefix from a torn file; compact() drops blocks that a
 //    checkpoint does not vouch for (the resume reconciliation step).
 //
-// A manifest (h5lite, itself CRC-protected) records per-shard row counts
-// and whole-file CRCs so a finished campaign's output can be audited
+// A manifest (a container file, itself CRC-protected) records per-shard row
+// counts and whole-file CRCs so a finished campaign's output can be audited
 // without re-reading every row.
 #pragma once
 
@@ -41,11 +41,12 @@ struct ShardDamage {
 const char* shard_damage_name(ShardDamageKind kind);
 
 // ---------------------------------------------------------------------------
-// One-shot h5lite shards (per-job output).
+// One-shot job shards (per-job output).
 // ---------------------------------------------------------------------------
 
-/// Write `num_shards` h5lite files named <prefix>.rankN.h5lt in parallel.
-/// Returns the file paths. Row i goes to shard i % num_shards.
+/// Write `num_shards` container files named <prefix>.rankN.dfca in
+/// parallel, each atomically. Returns the file paths. Row i goes to shard
+/// i % num_shards.
 std::vector<std::string> write_sharded_results(const std::string& prefix, int num_shards,
                                                const std::vector<int64_t>& compound_ids,
                                                const std::vector<int64_t>& target_ids,
@@ -54,7 +55,10 @@ std::vector<std::string> write_sharded_results(const std::string& prefix, int nu
 
 /// Load all shards written by write_sharded_results back into flat arrays.
 /// Damaged shards contribute nothing to the arrays but are *reported* in
-/// `damage` — callers decide whether partial results are acceptable.
+/// `damage` — callers decide whether partial results are acceptable. The
+/// container's error kinds map onto ShardDamageKind: Open → MissingFile,
+/// Format (also a missing or mis-sized column) → BadHeader, Truncated →
+/// TruncatedBlock, Crc → CrcMismatch.
 struct GatheredResults {
   std::vector<int64_t> compound_ids, target_ids, pose_ids;
   std::vector<float> predictions;
@@ -119,7 +123,7 @@ void compact_shard_stream(const std::string& path, const std::function<bool(uint
 void tear_shard_tail(const std::string& path, size_t bytes);
 
 /// Record per-shard row counts and whole-file CRCs in
-/// <prefix>.manifest.h5lt (atomic write).
+/// <prefix>.manifest.dfca (atomic write).
 void write_shard_manifest(const std::string& prefix, int num_shards);
 
 /// Re-check every shard against the manifest (existence + whole-file CRC).

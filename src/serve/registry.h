@@ -72,12 +72,11 @@ void add_regressor(ModelRegistry& registry, const std::string& name,
 /// each replica rebuilds its own (private) layer caches but reads weights
 /// and packed GEMM panels straight from the common mmap. Replicas pre-grow
 /// their workspace arenas to the budgets recorded in the artifact, so the
-/// cold-start path skips h5 parsing, weight packing, conv-plan construction
-/// AND steady-state arena growth. Registration also validates the
+/// cold-start path skips checkpoint loading, weight packing, conv-plan
+/// construction AND steady-state arena growth. Registration also validates the
 /// artifact's recorded meta/feature_set_version against both featurizer
 /// configs (throws std::invalid_argument on mismatch): a model trained on
 /// the v1 feature set must never be served v2 features, and vice versa.
-/// Artifacts written before the section existed count as v1.
 void add_compiled(ModelRegistry& registry, const std::string& name,
                   const std::string& artifact_path, const chem::VoxelConfig& voxel,
                   const chem::GraphFeaturizerConfig& graph = {});

@@ -3,7 +3,7 @@
 #include <cstring>
 #include <map>
 
-#include "io/h5lite.h"
+#include "io/model_artifact.h"
 
 namespace df::serve::wire {
 

@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "campaign_test_utils.h"
+#include "screen/checkpoint.h"
 #include "screen/writer.h"
 
 namespace df::screen {
@@ -180,6 +181,31 @@ TEST_F(CampaignResumeTest, LostShardBlockIsReRunNotLost) {
   }
   cfg.kill_after_attempts = -1;
   testutil::expect_reports_bitwise_equal(reference, run(cfg));
+}
+
+TEST_F(CampaignResumeTest, OutOfRangeUnitRecordRejectedOnResume) {
+  // A unit status outside UnitStatus would count as resumed, yet lose its
+  // shard block at compaction (only Done units keep theirs) and never be
+  // scored; a negative attempt count is no cursor either. Both are
+  // rejected before anything resumes.
+  CampaignConfig cfg = durable_cfg("bad_unit");
+  run(cfg);
+  const CampaignCheckpoint finished = load_campaign_checkpoint(cfg.checkpoint_path);
+  ASSERT_GT(finished.units(), 0);
+
+  CampaignCheckpoint bad_status = finished;
+  bad_status.unit_status[0] = 7;
+  save_campaign_checkpoint(bad_status, cfg.checkpoint_path);
+  EXPECT_THROW(run(cfg), std::runtime_error);
+
+  CampaignCheckpoint bad_attempts = finished;
+  bad_attempts.unit_attempts[0] = -1;
+  save_campaign_checkpoint(bad_attempts, cfg.checkpoint_path);
+  EXPECT_THROW(run(cfg), std::runtime_error);
+
+  // The untouched record still resumes.
+  save_campaign_checkpoint(finished, cfg.checkpoint_path);
+  EXPECT_NO_THROW(run(cfg));
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 
 #include "chem/conformer.h"
 #include "chem/smiles.h"
 #include "data/target.h"
+#include "io/model_artifact.h"
 #include "models/checkpoint.h"
 #include "models/fusion.h"
 #include "models/trainer.h"
@@ -114,6 +116,88 @@ TEST(Checkpoint, CopyParametersAgreesWithCheckpoint) {
   const data::Sample s = sample(srng);
   EXPECT_FLOAT_EQ(b.predict(s), c.predict(s));
   std::filesystem::remove(path);
+}
+
+// Copy checkpoint `src` to `dst` through ArtifactWriter (so the copy is
+// CRC-valid), with section `edited` replaced by what `edit` writes; writing
+// nothing drops it.
+void rewrite_checkpoint(
+    const std::string& src, const std::string& dst, const std::string& edited,
+    const std::function<void(const io::ArtifactReader&, io::ArtifactWriter&)>& edit) {
+  auto r = io::ArtifactReader::open(src);
+  io::ArtifactWriter w;
+  for (const auto& [name, sec] : r->sections()) {
+    if (name == edited) {
+      edit(*r, w);
+    } else if (sec.dtype == 0) {
+      w.add_floats(name, sec.dims, r->floats(name));
+    } else {
+      w.add_ints(name, sec.dims, r->ints(name));  // checkpoints hold no int8/int32
+    }
+  }
+  w.save(dst);
+}
+
+TEST(Checkpoint, MalformedSectionsAreTypedFormatErrors) {
+  // A CRC-valid file whose sections are mistyped, short, missing or of the
+  // wrong rank is damage: io::H5LiteError Format, never a
+  // std::bad_variant_access or std::out_of_range from the parse.
+  Rng rng(10);
+  Sgcnn model(tiny_sg(), rng);
+  auto opt = nn::make_optimizer(nn::OptimizerKind::kAdam, model.trainable_parameters(), 1e-3f);
+  TrainProgress progress;
+  progress.train_mse = {1.0f, 0.5f};
+  progress.val_mse = {1.5f, 0.75f};
+  const std::string good = tmp("df_ckpt_malformed_src.ckpt");
+  const std::string bad = tmp("df_ckpt_malformed.ckpt");
+  save_train_checkpoint(model, *opt, progress, good);
+
+  const auto expect_format = [&](const char* what, bool train) {
+    try {
+      if (train) {
+        load_train_checkpoint(model, *opt, bad);
+      } else {
+        load_checkpoint(model, bad);
+      }
+      ADD_FAILURE() << what << " not rejected";
+    } catch (const io::H5LiteError& e) {
+      EXPECT_EQ(e.kind(), io::H5LiteError::Kind::Format) << what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << " raised an untyped error: " << e.what();
+    }
+  };
+
+  // The unedited copy loads: the rewrite itself is faithful.
+  rewrite_checkpoint(good, bad, "", [](const auto&, auto&) {});
+  EXPECT_NO_THROW(load_train_checkpoint(model, *opt, bad));
+  EXPECT_NO_THROW(load_checkpoint(model, bad));
+
+  rewrite_checkpoint(good, bad, "meta", [](const auto&, auto& w) {
+    const float count = 1.0f;
+    w.add_floats("meta", {1}, &count);
+  });
+  expect_format("meta stored as float", false);
+  rewrite_checkpoint(good, bad, "meta", [](const auto&, auto& w) {
+    w.add_ints("meta", {0}, nullptr);
+  });
+  expect_format("empty meta", false);
+  rewrite_checkpoint(good, bad, "train/geom", [](const auto& r, auto& w) {
+    w.add_ints("train/geom", {2}, r.ints("train/geom"));
+  });
+  expect_format("2-element train/geom", true);
+  rewrite_checkpoint(good, bad, "train/cursor", [](const auto&, auto&) {});
+  expect_format("missing train/cursor", true);
+  rewrite_checkpoint(good, bad, "train/stats", [](const auto& r, auto& w) {
+    w.add_floats("train/stats", {4}, r.floats("train/stats"));
+  });
+  expect_format("rank-1 train/stats", true);
+  rewrite_checkpoint(good, bad, "train/stats", [](const auto& r, auto& w) {
+    w.add_floats("train/stats", {2, 2, 1}, r.floats("train/stats"));
+  });
+  expect_format("rank-3 train/stats", true);
+
+  std::filesystem::remove(good);
+  std::filesystem::remove(bad);
 }
 
 }  // namespace

@@ -537,6 +537,45 @@ TEST(CompiledArtifact, WeightSectionsThatDoNotFitTheirLayerRejectedTyped) {
   for (const std::string& p : {fp32, int8, bad}) std::filesystem::remove(p);
 }
 
+TEST(CompiledArtifact, CompiledSchemaIsVersionedApartFromTheContainer) {
+  // The container version covers only the byte layout; the compiled
+  // sections carry their own schema. A different or missing schema is
+  // rejected whole (Format, with the recompile hint), while a weight
+  // checkpoint in the same container, which has no compiled schema, loads.
+  const std::string art = tmp_path("df_artifact_schema.dfca");
+  const std::string bad = tmp_path("df_artifact_schema_bad.dfca");
+  const std::string ckpt = tmp_path("df_artifact_schema_weights.dfca");
+  auto model = family_factories()[0].second();  // cnn3d
+  models::save_checkpoint(*model, ckpt);
+  compile::save_compiled(*model, art);
+  ASSERT_EQ(io::ArtifactReader::open(art)->scalar("compile/schema"), compile::kCompiledSchema);
+
+  const auto expect_recompile = [&](const char* what) {
+    try {
+      compile::load_compiled(bad);
+      ADD_FAILURE() << what << " not rejected";
+    } catch (const io::H5LiteError& e) {
+      EXPECT_EQ(e.kind(), io::H5LiteError::Kind::Format) << what;
+      EXPECT_NE(std::string(e.what()).find("recompile"), std::string::npos) << what;
+    }
+  };
+  rewrite_artifact(art, bad, [](const std::string& name, const auto&, io::ArtifactWriter& w) {
+    if (name != "compile/schema") return false;
+    w.add_scalar(name, compile::kCompiledSchema + 1);
+    return true;
+  });
+  expect_recompile("next compiled schema");
+  rewrite_artifact(art, bad, [](const std::string& name, const auto&, auto&) {
+    return name == "compile/schema";  // dropped
+  });
+  expect_recompile("missing compiled schema");
+
+  auto restored = family_factories()[0].second();
+  EXPECT_FALSE(io::ArtifactReader::open(ckpt)->has("compile/schema"));
+  EXPECT_NO_THROW(models::load_checkpoint(*restored, ckpt));
+  for (const std::string& p : {art, bad, ckpt}) std::filesystem::remove(p);
+}
+
 // ---- end-to-end: artifact replicas vs h5-checkpoint replicas -------------
 
 TEST(CompiledArtifact, AllFamiliesScoreBitwiseEqualToH5PathWithZeroColdStartAllocs) {

@@ -3,10 +3,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "io/csv.h"
-#include "io/h5lite.h"
 #include "io/log.h"
+#include "io/model_artifact.h"
 
 namespace df::io {
 namespace {
@@ -15,95 +16,111 @@ std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-TEST(H5Lite, RoundTripFloatAndIntDatasets) {
-  H5LiteFile f;
-  f.put_floats("pred", {2, 2}, {1.5f, 2.5f, 3.5f, 4.5f});
-  f.put_ints("ids", {4}, {10, 20, 30, 40});
-  const std::string path = temp_path("df_h5lite_rt.h5lt");
-  f.save(path);
+void expect_kind(const std::function<void()>& fn, H5LiteError::Kind kind, const char* what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": no H5LiteError";
+  } catch (const H5LiteError& e) {
+    EXPECT_EQ(e.kind(), kind) << what << ": " << e.what();
+  }
+}
 
-  const H5LiteFile g = H5LiteFile::load(path);
-  ASSERT_TRUE(g.has("pred"));
-  ASSERT_TRUE(g.has("ids"));
-  EXPECT_EQ(g.get("pred").shape, (std::vector<int64_t>{2, 2}));
-  EXPECT_FLOAT_EQ(g.get("pred").floats()[3], 4.5f);
-  EXPECT_EQ(g.get("ids").ints()[2], 30);
+TEST(Container, RoundTripFloatAndIntSections) {
+  const std::vector<float> pred = {1.5f, 2.5f, 3.5f, 4.5f};
+  const std::vector<int64_t> ids = {10, 20, 30, 40};
+  ArtifactWriter w;
+  w.add_floats("pred", {2, 2}, pred.data());
+  w.add_ints("ids", {4}, ids.data());
+  const std::string path = temp_path("df_container_rt.dfca");
+  w.save(path);
+
+  const auto r = ArtifactReader::open(path);
+  ASSERT_TRUE(r->has("pred"));
+  ASSERT_TRUE(r->has("ids"));
+  EXPECT_EQ(r->section("pred").dims, (std::vector<int64_t>{2, 2}));
+  EXPECT_FLOAT_EQ(r->floats("pred", 4)[3], 4.5f);
+  EXPECT_EQ(r->ints("ids", 4)[2], 30);
+  // Sized reads check the element count as well as the dtype.
+  expect_kind([&] { r->floats("pred", 3); }, H5LiteError::Kind::Format, "short float read");
+  expect_kind([&] { r->ints("ids", 5); }, H5LiteError::Kind::Format, "long int read");
+  expect_kind([&] { r->ints("pred", 4); }, H5LiteError::Kind::Format, "mistyped read");
+  expect_kind([&] { r->scalar("ids"); }, H5LiteError::Kind::Format, "vector as scalar");
   std::filesystem::remove(path);
 }
 
-TEST(H5Lite, ShapeDataMismatchThrows) {
-  H5LiteFile f;
-  EXPECT_THROW(f.put_floats("x", {3}, {1.0f}), std::invalid_argument);
-}
-
-TEST(H5Lite, MissingDatasetThrows) {
-  H5LiteFile f;
-  EXPECT_THROW(f.get("nope"), std::out_of_range);
-}
-
-TEST(H5Lite, BadMagicRejected) {
-  const std::string path = temp_path("df_h5lite_bad.h5lt");
-  std::ofstream(path) << "this is not an h5lite file at all";
-  EXPECT_THROW(H5LiteFile::load(path), std::runtime_error);
+TEST(Container, MissingSectionThrowsFormat) {
+  const std::string path = temp_path("df_container_missing.dfca");
+  ArtifactWriter().save(path);
+  const auto r = ArtifactReader::open(path);
+  EXPECT_FALSE(r->has("nope"));
+  expect_kind([&] { r->section("nope"); }, H5LiteError::Kind::Format, "missing section");
+  expect_kind([&] { r->floats("nope", 1); }, H5LiteError::Kind::Format, "missing sized read");
   std::filesystem::remove(path);
 }
 
-TEST(H5Lite, TruncatedFileRejected) {
-  H5LiteFile f;
-  f.put_floats("x", {100}, std::vector<float>(100, 1.0f));
-  const std::string path = temp_path("df_h5lite_trunc.h5lt");
-  f.save(path);
-  // chop the payload
-  std::filesystem::resize_file(path, 40);
-  EXPECT_THROW(H5LiteFile::load(path), std::runtime_error);
+TEST(Container, BadMagicRejected) {
+  const std::string path = temp_path("df_container_bad.dfca");
+  std::ofstream(path) << "this is not a container file at all";
+  expect_kind([&] { ArtifactReader::open(path); }, H5LiteError::Kind::Format, "bad magic");
   std::filesystem::remove(path);
 }
 
-TEST(H5Lite, NonexistentPathThrows) {
-  EXPECT_THROW(H5LiteFile::load("/nonexistent/dir/x.h5lt"), std::runtime_error);
-}
-
-TEST(H5Lite, EmptyFileRoundTrips) {
-  H5LiteFile f;
-  const std::string path = temp_path("df_h5lite_empty.h5lt");
-  f.save(path);
-  const H5LiteFile g = H5LiteFile::load(path);
-  EXPECT_TRUE(g.datasets().empty());
+TEST(Container, TruncatedFileRejected) {
+  const std::vector<float> x(100, 1.0f);
+  ArtifactWriter w;
+  w.add_floats("x", {100}, x.data());
+  const std::string path = temp_path("df_container_trunc.dfca");
+  w.save(path);
+  std::filesystem::resize_file(path, 40);  // chop the payload
+  expect_kind([&] { ArtifactReader::open(path); }, H5LiteError::Kind::Truncated, "truncation");
   std::filesystem::remove(path);
 }
 
-TEST(H5Lite, SaveAtomicLeavesNoTempFile) {
-  H5LiteFile f;
-  f.put_floats("w", {2}, {1.0f, 2.0f});
-  const std::string path = temp_path("df_h5lite_atomic.h5lt");
-  f.save_atomic(path);
+TEST(Container, NonexistentPathThrowsOpen) {
+  expect_kind([] { ArtifactReader::open("/nonexistent/dir/x.dfca"); }, H5LiteError::Kind::Open,
+              "read");
+  expect_kind([] { ArtifactWriter().save("/nonexistent/dir/x.dfca"); }, H5LiteError::Kind::Open,
+              "write");
+}
+
+TEST(Container, EmptyFileRoundTrips) {
+  const std::string path = temp_path("df_container_empty.dfca");
+  ArtifactWriter().save(path);
+  EXPECT_TRUE(ArtifactReader::open(path)->sections().empty());
+  std::filesystem::remove(path);
+}
+
+TEST(Container, SaveLeavesNoTempFile) {
+  const float v[] = {1.0f, 2.0f};
+  ArtifactWriter w;
+  w.add_floats("w", {2}, v);
+  const std::string path = temp_path("df_container_atomic.dfca");
+  w.save(path);
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  EXPECT_FLOAT_EQ(H5LiteFile::load(path).get("w").floats()[1], 2.0f);
+  EXPECT_FLOAT_EQ(ArtifactReader::open(path)->floats("w", 2)[1], 2.0f);
   std::filesystem::remove(path);
 }
 
-TEST(H5Lite, StaleTempFromKilledSaveIsSweptAndIgnored) {
-  // A process killed between save(tmp) and the rename leaves `path.tmp`
-  // behind. It must never shadow or corrupt the committed file, and the
-  // next load sweeps it so retried save_atomic calls start clean.
-  H5LiteFile f;
-  f.put_floats("w", {2}, {1.0f, 2.0f});
-  const std::string path = temp_path("df_h5lite_stale.h5lt");
-  f.save_atomic(path);
+TEST(Container, StaleTempNeitherShadowsTheFileNorBlocksASave) {
+  // A process killed between writing `path.tmp` and the rename leaves the
+  // temp behind. It must never shadow the committed file, and a retried
+  // save must still commit.
+  const float v[] = {1.0f, 2.0f};
+  ArtifactWriter w;
+  w.add_floats("w", {2}, v);
+  const std::string path = temp_path("df_container_stale.dfca");
+  w.save(path);
   std::ofstream(path + ".tmp") << "torn write from a killed saver";
-  ASSERT_TRUE(std::filesystem::exists(path + ".tmp"));
 
-  const H5LiteFile g = H5LiteFile::load(path);  // reads the committed file…
-  EXPECT_FLOAT_EQ(g.get("w").floats()[0], 1.0f);
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));  // …and sweeps the temp
+  EXPECT_FLOAT_EQ(ArtifactReader::open(path)->floats("w", 2)[0], 1.0f);
+  // Opening leaves the temp alone: it may belong to a concurrent save of
+  // the same path, whose rename would fail if a reader deleted it.
+  EXPECT_TRUE(std::filesystem::exists(path + ".tmp"));
 
-  // A retried atomic save on the same path also succeeds after a stale temp
-  // reappears (rename replaces it).
-  std::ofstream(path + ".tmp") << "torn again";
-  f.save_atomic(path);
+  w.save(path);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  EXPECT_FLOAT_EQ(H5LiteFile::load(path).get("w").floats()[1], 2.0f);
+  EXPECT_FLOAT_EQ(ArtifactReader::open(path)->floats("w", 2)[1], 2.0f);
   std::filesystem::remove(path);
 }
 

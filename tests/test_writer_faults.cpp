@@ -8,7 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "io/h5lite.h"
+#include "io/model_artifact.h"
 #include "screen/cluster.h"
 #include "screen/writer.h"
 
