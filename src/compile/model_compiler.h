@@ -19,8 +19,9 @@
 //     serving handle its own packed_f32() produces (nn/eval_weights.h), so
 //     steady-state sgemm calls skip pack_a/pack_b. Bitwise identical on
 //     every dispatch path (core::sgemm_prepacked).
-//   * Conv-plan prewarming — the 3D-CNN trunk's lowering tables are
-//     built for the model's voxel geometry ahead of the first request.
+//   * Conv-plan prewarming — the 3D-CNN trunk's Conv3d lowerings (the
+//     per-geometry base and tap offsets) are built for the model's voxel
+//     geometry ahead of the first request.
 //
 // The compiled model is eval-only: training after compilation would update
 // weights underneath stale packed images (the training path itself is

@@ -44,31 +44,37 @@ inline float apply_epilogue(const Epilogue& ep, float v, int64_t i, int64_t j) {
 }
 
 #if defined(__GNUC__) || defined(__clang__)
+// Vector epilogue of one 16-lane chunk `v` of row i, in place. `bias16` is
+// the chunk's slice of the padded column-bias image (or null).
+inline void epilogue_vec(const Epilogue& ep, const float* bias16, int64_t i, simd::vf16& v) {
+  using simd::vf16;
+  const vf16 zero = {};
+  if (bias16 != nullptr) {
+    vf16 b;
+    std::memcpy(&b, bias16, sizeof(b));
+    v += b;
+  }
+  if (ep.bias_row != nullptr) v += simd::splat(ep.bias_row[i]);
+  switch (ep.act) {
+    case EpilogueAct::kNone: break;
+    case EpilogueAct::kReLU: v = v > zero ? v : zero; break;
+    case EpilogueAct::kLeakyReLU: v = v > zero ? v : simd::splat(ep.leaky_slope) * v; break;
+    case EpilogueAct::kSELU: v = simd::vselu16(v, kSeluScale, kSeluAlpha); break;
+    case EpilogueAct::kSigmoid: v = simd::vsigmoid16(v); break;
+    case EpilogueAct::kTanh: v = simd::vtanh16(v); break;
+  }
+}
+
 // Vector epilogue over `lanes` (a multiple of 16) padded values of row i
 // starting at global column j0. `bias_padded` must extend to j0 + lanes
 // (the sgemm entry points pad it); garbage in the pad lanes is fine — the
 // caller only stores the first n results back.
 inline void apply_epilogue_lanes(const Epilogue& ep, const float* bias_padded, float* buf,
                                  int64_t i, int64_t lanes) {
-  using simd::vf16;
-  const vf16 zero = {};
   for (int64_t c = 0; c < lanes; c += 16) {
-    vf16 v;
+    simd::vf16 v;
     std::memcpy(&v, buf + c, sizeof(v));
-    if (bias_padded != nullptr) {
-      vf16 b;
-      std::memcpy(&b, bias_padded + c, sizeof(b));
-      v += b;
-    }
-    if (ep.bias_row != nullptr) v += simd::splat(ep.bias_row[i]);
-    switch (ep.act) {
-      case EpilogueAct::kNone: break;
-      case EpilogueAct::kReLU: v = v > zero ? v : zero; break;
-      case EpilogueAct::kLeakyReLU: v = v > zero ? v : simd::splat(ep.leaky_slope) * v; break;
-      case EpilogueAct::kSELU: v = simd::vselu16(v, kSeluScale, kSeluAlpha); break;
-      case EpilogueAct::kSigmoid: v = simd::vsigmoid16(v); break;
-      case EpilogueAct::kTanh: v = simd::vtanh16(v); break;
-    }
+    epilogue_vec(ep, bias_padded != nullptr ? bias_padded + c : nullptr, i, v);
     std::memcpy(buf + c, &v, sizeof(v));
   }
 }
@@ -278,15 +284,76 @@ void micro_kernel(int64_t kc, const float* ap, const float* bp, float* C, int64_
 constexpr int64_t kSkinnyN = 96;
 
 #if defined(__GNUC__) || defined(__clang__)
+// Write one finished row: add C's prior partial sums when accumulating, run
+// the epilogue, store. Whole 16-lane chunks load and store as vectors; only
+// the n % 16 tail goes lane by lane through a stack buffer.
 template <int NV>
 inline void skinny_finalize(const v16f (&acc)[NV], float* crow, int64_t n, int64_t i,
                             bool accumulate, const Epilogue* ep, const float* bias_padded) {
-  alignas(64) float tmp[NV * 16];
-  std::memcpy(tmp, acc, sizeof(tmp));
-  if (accumulate)
-    for (int64_t j = 0; j < n; ++j) tmp[j] += crow[j];
-  if (ep != nullptr) apply_epilogue_lanes(*ep, bias_padded, tmp, i, NV * 16);
-  for (int64_t j = 0; j < n; ++j) crow[j] = tmp[j];
+  for (int v = 0; v < NV; ++v) {
+    float* dst = crow + v * 16;
+    const float* bias16 = bias_padded != nullptr ? bias_padded + v * 16 : nullptr;
+    v16f x = acc[v];
+    const int64_t lanes = n - v * 16;
+    if (lanes >= 16) {
+      if (accumulate) {
+        v16f c;
+        std::memcpy(&c, dst, sizeof(c));
+        x += c;
+      }
+      if (ep != nullptr) epilogue_vec(*ep, bias16, i, x);
+      std::memcpy(dst, &x, sizeof(x));
+    } else {
+      alignas(64) float tmp[16];
+      std::memcpy(tmp, &x, sizeof(tmp));
+      if (accumulate)
+        for (int64_t j = 0; j < lanes; ++j) tmp[j] += dst[j];
+      if (ep != nullptr) apply_epilogue_lanes(*ep, bias16, tmp, i, 16);
+      for (int64_t j = 0; j < lanes; ++j) dst[j] = tmp[j];
+    }
+  }
+}
+
+// Rows per register-blocked pass at NV 16-lane chunks per row. A pass holds
+// R * NV accumulators plus the NV B vectors of one k-step in registers, so
+// each B load feeds R rows of FMAs: the B stream, not the FMAs, bounds these
+// shapes. AVX-512's 32 vector registers fit R = 8, 8, 6, 4, 4, 3 for
+// NV = 1..6 (8 rows at NV = 2 divide the 32- and 64-row conv GEMMs evenly);
+// narrower ISAs split each 16-lane vector over two or four registers and
+// keep at most two rows.
+template <int NV>
+constexpr int skinny_block_rows() {
+#if defined(__AVX512F__)
+  constexpr int kRows[6] = {8, 8, 6, 4, 4, 3};
+  return kRows[NV - 1];
+#else
+  return NV <= 4 ? 2 : 1;
+#endif
+}
+
+// R consecutive rows from local row i. Each output element sums p = 0..k-1
+// in order whatever R is, so the blocking changes no bit.
+template <int NV, int R>
+inline void skinny_pass(int64_t i, int64_t row0, int64_t n, int64_t k, const float* A,
+                        int64_t lda, const float* bpad, int64_t bstride, float* C, int64_t ldc,
+                        bool accumulate, const Epilogue* ep, const float* bias_padded) {
+  const float* a[R];
+  for (int r = 0; r < R; ++r) a[r] = A + (i + r) * lda;
+  v16f acc[R][NV] = {};
+  const float* bp = bpad;
+  for (int64_t p = 0; p < k; ++p, bp += bstride) {
+    v16f bv[NV];
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) std::memcpy(&bv[v], bp + v * 16, sizeof(v16f));
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const v16f av = v16f{} + a[r][p];
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
+    }
+  }
+  for (int r = 0; r < R; ++r)
+    skinny_finalize<NV>(acc[r], C + (i + r) * ldc, n, row0 + i + r, accumulate, ep, bias_padded);
 }
 
 template <int NV>
@@ -295,43 +362,12 @@ void skinny_rows(int64_t row0, int64_t m, int64_t n, int64_t k, const float* A, 
                  const Epilogue* ep, const float* bias_padded) {
   // `row0` is the global C row of A/C's first row — epilogue row-bias
   // indexing must see global coordinates when the caller chunks m.
+  constexpr int R = skinny_block_rows<NV>();
   int64_t i = 0;
-  if constexpr (NV <= 4) {
-    // Two rows per pass share every B load — the B stream, not the FMAs, is
-    // what bounds these shapes. Beyond NV=4 the paired accumulators spill.
-    for (; i + 2 <= m; i += 2) {
-      const float* a0 = A + i * lda;
-      const float* a1 = a0 + lda;
-      v16f acc0[NV] = {}, acc1[NV] = {};
-      const float* bp = bpad;
-      for (int64_t p = 0; p < k; ++p, bp += bstride) {
-        const v16f av0 = v16f{} + a0[p];
-        const v16f av1 = v16f{} + a1[p];
-        for (int v = 0; v < NV; ++v) {
-          v16f bv;
-          std::memcpy(&bv, bp + v * 16, sizeof(bv));
-          acc0[v] += av0 * bv;
-          acc1[v] += av1 * bv;
-        }
-      }
-      skinny_finalize<NV>(acc0, C + i * ldc, n, row0 + i, accumulate, ep, bias_padded);
-      skinny_finalize<NV>(acc1, C + (i + 1) * ldc, n, row0 + i + 1, accumulate, ep, bias_padded);
-    }
-  }
-  for (; i < m; ++i) {
-    const float* a = A + i * lda;
-    v16f acc[NV] = {};
-    const float* bp = bpad;
-    for (int64_t p = 0; p < k; ++p, bp += bstride) {
-      const v16f av = v16f{} + a[p];
-      for (int v = 0; v < NV; ++v) {
-        v16f bv;
-        std::memcpy(&bv, bp + v * 16, sizeof(bv));
-        acc[v] += av * bv;
-      }
-    }
-    skinny_finalize<NV>(acc, C + i * ldc, n, row0 + i, accumulate, ep, bias_padded);
-  }
+  for (; i + R <= m; i += R)
+    skinny_pass<NV, R>(i, row0, n, k, A, lda, bpad, bstride, C, ldc, accumulate, ep, bias_padded);
+  for (; i < m; ++i)
+    skinny_pass<NV, 1>(i, row0, n, k, A, lda, bpad, bstride, C, ldc, accumulate, ep, bias_padded);
 }
 
 void sgemm_skinny(int64_t m, int64_t n, int64_t k, const float* A, int64_t lda, const float* B,

@@ -11,6 +11,13 @@
 namespace df::models {
 
 Cnn3d::Cnn3d(const Cnn3dConfig& cfg, core::Rng& rng) : cfg_(cfg) {
+  // The trunk ends on conv1's output halved by the 2^3 pool; at least one
+  // voxel must survive it (grid_dim >= 3).
+  const int64_t g1 = nn::Conv3d::out_size(cfg.grid_dim, 5, 2, 2);
+  const int64_t g2 = g1 / 2;  // maxpool
+  if (g2 < 1)
+    throw std::invalid_argument("Cnn3d: grid_dim " + std::to_string(cfg.grid_dim) +
+                                " leaves no voxel after conv1 and the 2^3 pool");
   const int f1 = cfg.conv_filters1, f2 = cfg.conv_filters2;
   // Stage 1: 5x5x5 stride-2 filters downsample the grid immediately (the
   // deeper-than-FAST variant of §3.3.1 at our reduced grid size).
@@ -44,8 +51,6 @@ Cnn3d::Cnn3d(const Cnn3dConfig& cfg, core::Rng& rng) : cfg_(cfg) {
   trunk_.emplace<nn::ReLU>();
   trunk_.emplace<nn::Flatten>();
 
-  const int64_t g1 = nn::Conv3d::out_size(cfg.grid_dim, 5, 2, 2);
-  const int64_t g2 = g1 / 2;  // maxpool
   const int64_t flat = g2 * g2 * g2 * f2;
   trunk_.emplace<nn::Dropout>(cfg.dropout1, rng);
   trunk_.emplace<nn::Dense>(flat, cfg.dense_nodes, rng);

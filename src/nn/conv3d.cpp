@@ -1,12 +1,17 @@
 #include "nn/conv3d.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
+
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 #include "core/gemm.h"
 #include "core/gemm_s8.h"
@@ -16,14 +21,45 @@ namespace df::nn {
 
 namespace {
 
-// Positions per lowering-table block: one 16-float vector.
-constexpr int64_t kLanes = 16;
-
 // Samples lowered side by side into one column matrix when a layer's
 // per-sample output has N positions. Below 32 columns the per-sample GEMM
 // is too narrow to fill the micro-kernel's lanes, so ceil(32 / N) samples
 // share one (K, g*N) GEMM; at N >= 32 each sample's GEMM stands alone.
 int64_t group_size(int64_t N) { return N > 0 && N < 32 ? (32 + N - 1) / N : 1; }
+
+// row[n] = src[base[n]] for n < N: the branch-free gather of one column
+// row. GCC's generic tuning emulates vector gathers with scalar loads, so
+// AVX-512 builds issue the hardware gather (masked for the N % 16 tail);
+// elsewhere the restrict-qualified loop is left to the vectorizer.
+void gather_row(const float* __restrict src, const int32_t* __restrict base,
+                float* __restrict row, int64_t N) {
+#if defined(__AVX512F__)
+  for (int64_t n = 0; n < N; n += 16) {
+    const __mmask16 lanes =
+        N - n >= 16 ? __mmask16{0xFFFF} : static_cast<__mmask16>((1u << (N - n)) - 1);
+    const __m512i idx = _mm512_maskz_loadu_epi32(lanes, base + n);
+    _mm512_mask_storeu_ps(row + n, lanes,
+                          _mm512_mask_i32gather_ps(_mm512_setzero_ps(), lanes, idx, src, 4));
+  }
+#else
+  for (int64_t n = 0; n < N; ++n) row[n] = src[base[n]];
+#endif
+}
+
+// This thread's zero-bordered channel image for a (D, H, W) input at
+// padding `pad`. pad_channel rewrites only the interior, so the border is
+// zeroed when the thread last lowered another geometry and stays zero for
+// every later (sample, channel) of this one.
+float* padded_scratch(int64_t D, int64_t H, int64_t W, int64_t pad, int64_t floats) {
+  static thread_local std::vector<float> image;
+  static thread_local std::array<int64_t, 4> geometry{-1, -1, -1, -1};
+  const std::array<int64_t, 4> want{D, H, W, pad};
+  if (geometry != want) {
+    image.assign(static_cast<size_t>(floats), 0.0f);
+    geometry = want;
+  }
+  return image.data();
+}
 
 }  // namespace
 
@@ -38,95 +74,51 @@ Conv3d::Conv3d(int64_t in_channels, int64_t out_channels, int64_t kernel, core::
 
 Tensor Conv3d::forward(const Tensor& x) { return forward_act(x, core::EpilogueAct::kNone); }
 
-void Conv3d::build_table(int64_t D, int64_t H, int64_t W) {
-  if (table_.D == D && table_.H == H && table_.W == W) return;
-  if (D * H * W > std::numeric_limits<int32_t>::max())
+void Conv3d::build_lowering(int64_t D, int64_t H, int64_t W) {
+  Lowering& l = lowering_;
+  if (l.D == D && l.H == H && l.W == W) return;
+  if (D + 2 * pad_ < k_ || H + 2 * pad_ < k_ || W + 2 * pad_ < k_)
+    throw std::invalid_argument("Conv3d: a " + std::to_string(k_) + "^3 window does not fit a " +
+                                std::to_string(D) + "x" + std::to_string(H) + "x" +
+                                std::to_string(W) + " input at padding " + std::to_string(pad_));
+  const int64_t Dp = D + 2 * pad_, Hp = H + 2 * pad_, Wp = W + 2 * pad_;
+  if (Dp * Hp * Wp > std::numeric_limits<int32_t>::max())
     throw std::invalid_argument("Conv3d: input channel too large to lower");
   const int64_t Do = out_size(D, k_, stride_, pad_);
   const int64_t Ho = out_size(H, k_, stride_, pad_);
   const int64_t Wo = out_size(W, k_, stride_, pad_);
-  LoweringTable& t = table_;
-  t.D = D;
-  t.H = H;
-  t.W = W;
-  t.N = Do * Ho * Wo;
-  t.blocks.clear();
-  t.index.clear();
+  l.D = D;
+  l.H = H;
+  l.W = W;
+  l.Hp = Hp;
+  l.Wp = Wp;
+  l.origin = (pad_ * Hp + pad_) * Wp + pad_;
+  l.padded = Dp * Hp * Wp;
+  l.N = Do * Ho * Wo;
+  l.base.clear();
+  for (int64_t zo = 0; zo < Do; ++zo)
+    for (int64_t yo = 0; yo < Ho; ++yo)
+      for (int64_t xo = 0; xo < Wo; ++xo)
+        l.base.push_back(static_cast<int32_t>(((zo * Hp + yo) * Wp + xo) * stride_));
+  l.off.clear();
   for (int64_t kz = 0; kz < k_; ++kz)
     for (int64_t ky = 0; ky < k_; ++ky)
       for (int64_t kx = 0; kx < k_; ++kx)
-        for (int64_t n0 = 0; n0 < t.N; n0 += kLanes) {
-          const int64_t len = std::min(kLanes, t.N - n0);
-          int32_t lane[kLanes];
-          std::fill(lane, lane + kLanes, -1);
-          bool padding = true, run = true;
-          for (int64_t j = 0; j < len; ++j) {
-            const int64_t n = n0 + j;
-            const int64_t z = n / (Ho * Wo) * stride_ - pad_ + kz;
-            const int64_t y = n / Wo % Ho * stride_ - pad_ + ky;
-            const int64_t x = n % Wo * stride_ - pad_ + kx;
-            if (z >= 0 && z < D && y >= 0 && y < H && x >= 0 && x < W)
-              lane[j] = static_cast<int32_t>((z * H + y) * W + x);
-            padding = padding && lane[j] < 0;
-            run = run && lane[j] >= 0 && lane[j] == lane[0] + j;
-          }
-          if (padding) {
-            t.blocks.push_back({LoweringTable::kZero, 0});
-          } else if (run) {
-            t.blocks.push_back({LoweringTable::kCopy, lane[0]});
-          } else {
-            t.blocks.push_back({LoweringTable::kGather, static_cast<int32_t>(t.index.size())});
-            t.index.insert(t.index.end(), lane, lane + kLanes);
-          }
-        }
+        l.off.push_back(static_cast<int32_t>((kz * Hp + ky) * Wp + kx));
 }
 
-void Conv3d::lower_channel(const float* x, float* cols, int64_t ld) const {
-  const LoweringTable& t = table_;
-  const int64_t nb = (t.N + kLanes - 1) / kLanes;
-  for (int64_t r = 0; r < k_ * k_ * k_; ++r) {
-    const LoweringTable::Block* blk = t.blocks.data() + r * nb;
-    float* row = cols + r * ld;
-    for (int64_t b = 0; b < nb; ++b) {
-      float* dst = row + b * kLanes;
-      const int64_t len = std::min(kLanes, t.N - b * kLanes);
-      switch (blk[b].kind) {
-        case LoweringTable::kZero:
-          std::memset(dst, 0, static_cast<size_t>(len) * sizeof(float));
-          break;
-        case LoweringTable::kCopy:
-          std::memcpy(dst, x + blk[b].src, static_cast<size_t>(len) * sizeof(float));
-          break;
-        case LoweringTable::kGather: {
-          const int32_t* idx = t.index.data() + blk[b].src;
-          for (int64_t j = 0; j < len; ++j) dst[j] = idx[j] < 0 ? 0.0f : x[idx[j]];
-          break;
-        }
-      }
-    }
-  }
+void Conv3d::pad_channel(const float* x, float* xp) const {
+  const Lowering& l = lowering_;
+  for (int64_t z = 0; z < l.D; ++z)
+    for (int64_t y = 0; y < l.H; ++y)
+      std::memcpy(xp + l.origin + (z * l.Hp + y) * l.Wp, x + (z * l.H + y) * l.W,
+                  static_cast<size_t>(l.W) * sizeof(float));
 }
 
-void Conv3d::scatter_channel(const float* cols, float* gx) const {
-  // Tap row, then position: each input element's contributions are summed
-  // in the order a plain col2im adds them, whatever the blocks' kinds.
-  const LoweringTable& t = table_;
-  const int64_t nb = (t.N + kLanes - 1) / kLanes;
-  for (int64_t r = 0; r < k_ * k_ * k_; ++r) {
-    const LoweringTable::Block* blk = t.blocks.data() + r * nb;
-    for (int64_t b = 0; b < nb; ++b) {
-      const float* src = cols + r * t.N + b * kLanes;
-      const int64_t len = std::min(kLanes, t.N - b * kLanes);
-      if (blk[b].kind == LoweringTable::kCopy) {
-        float* dst = gx + blk[b].src;
-        for (int64_t j = 0; j < len; ++j) dst[j] += src[j];
-      } else if (blk[b].kind == LoweringTable::kGather) {
-        const int32_t* idx = t.index.data() + blk[b].src;
-        for (int64_t j = 0; j < len; ++j)
-          if (idx[j] >= 0) gx[idx[j]] += src[j];
-      }
-    }
-  }
+void Conv3d::lower_channel(const float* xp, float* cols, int64_t ld) const {
+  const Lowering& l = lowering_;
+  for (size_t t = 0; t < l.off.size(); ++t)
+    gather_row(xp + l.off[t], l.base.data(), cols + static_cast<int64_t>(t) * ld, l.N);
 }
 
 Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_slope) {
@@ -137,6 +129,7 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   if (training_) cached_input_ = x;
   if (!training_ && observer_ != nullptr) observer_->observe(x.data(), x.numel());
   const int64_t B = x.dim(0), D = x.dim(2), H = x.dim(3), W = x.dim(4);
+  build_lowering(D, H, W);
   const int64_t Do = out_size(D, k_, stride_, pad_);
   const int64_t Ho = out_size(H, k_, stride_, pad_);
   const int64_t Wo = out_size(W, k_, stride_, pad_);
@@ -156,19 +149,19 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   ep.bias_row = b_.value.data();
   ep.leaky_slope = leaky_slope;
 
-  // One table replay per (sample, channel) and one GEMM per group of g
-  // samples; groups fan out over the compute pool (sgemm detects it runs on
-  // a worker and stays serial inside, and workers only read the shared
-  // table). A group's samples sit side by side in one (K, g*N) column
-  // matrix, so a small output grid still feeds the GEMM >= 32 columns; a
-  // large one keeps g = 1, whose column matrix stays cache-resident across
-  // samples. Each output element's accumulation and epilogue are the same
-  // for any GEMM width, so grouping changes no output bit. The int8 path
-  // quantizes one sample's columns at a time and keeps g = 1.
+  // One padded copy and gather per (sample, channel) and one GEMM per group
+  // of g samples; groups fan out over the compute pool (sgemm detects it
+  // runs on a worker and stays serial inside, and workers only read the
+  // shared lowering). A group's samples sit side by side in one (K, g*N)
+  // column matrix, so a small output grid still feeds the GEMM >= 32
+  // columns; a large one keeps g = 1, whose column matrix stays
+  // cache-resident across samples. Each output element's accumulation and
+  // epilogue are the same for any GEMM width, so grouping changes no output
+  // bit. The int8 path quantizes one sample's columns at a time and keeps
+  // g = 1.
   const bool int8 = !training_ && eval_.kind == EvalWeights::Kind::kInt8;
   const int64_t g = int8 ? 1 : group_size(N);
   const int64_t ld = g * N;
-  build_table(D, H, W);
   const int64_t chan_in = D * H * W;
   const int64_t chan_cols = k_ * k_ * k_ * ld;
   core::parallel_for_auto(static_cast<size_t>((B + g - 1) / g), 2, [&](size_t gi) {
@@ -177,10 +170,12 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
     const int64_t n = gb * N;
     static thread_local std::vector<float> cols;
     cols.resize(static_cast<size_t>(K * ld));
+    float* xp = padded_scratch(D, H, W, pad_, lowering_.padded);
     for (int64_t s = 0; s < gb; ++s)
-      for (int64_t ci = 0; ci < cin_; ++ci)
-        lower_channel(in + ((b0 + s) * cin_ + ci) * chan_in, cols.data() + ci * chan_cols + s * N,
-                      ld);
+      for (int64_t ci = 0; ci < cin_; ++ci) {
+        pad_channel(in + ((b0 + s) * cin_ + ci) * chan_in, xp);
+        lower_channel(xp, cols.data() + ci * chan_cols + s * N, ld);
+      }
     float* ob = o + b0 * cout_ * N;
     if (int8) {
       // Int8 path: quantize this sample's column matrix to packed s8 panels
@@ -282,9 +277,9 @@ Tensor Conv3d::backward(const Tensor& grad_out) {
   if (cached_input_.empty()) throw std::runtime_error("Conv3d::backward before forward");
   const Tensor& x = cached_input_;
   const int64_t B = x.dim(0), D = x.dim(2), H = x.dim(3), W = x.dim(4);
+  build_lowering(D, H, W);
   const int64_t Do = grad_out.dim(2), Ho = grad_out.dim(3), Wo = grad_out.dim(4);
-  Tensor grad_in(x.shape());
-  build_table(D, H, W);
+  Tensor grad_in = Tensor::uninit(x.shape());
 
   const int64_t K = cin_ * k_ * k_ * k_;
   const int64_t N = Do * Ho * Wo;
@@ -296,11 +291,14 @@ Tensor Conv3d::backward(const Tensor& grad_out) {
   float* gw = w_.grad.data();
   float* gb = b_.grad.data();
   float* gi = grad_in.data();
+  const Lowering& l = lowering_;
 
   // Serial over samples: grad_w/grad_b accumulate across the batch, and the
   // per-sample gemms already use the pool when one is installed.
   std::vector<float> cols(static_cast<size_t>(K * N));
   std::vector<float> cols_grad(static_cast<size_t>(K * N));
+  std::vector<float> gpad(static_cast<size_t>(l.padded));
+  float* xp = padded_scratch(D, H, W, pad_, l.padded);
   for (int64_t b = 0; b < B; ++b) {
     const float* gbatch = g + b * cout_ * N;
     for (int64_t co = 0; co < cout_; ++co) {
@@ -309,14 +307,31 @@ Tensor Conv3d::backward(const Tensor& grad_out) {
       for (int64_t j = 0; j < N; ++j) acc += row[j];
       gb[co] += acc;
     }
-    for (int64_t ci = 0; ci < cin_; ++ci)
-      lower_channel(in + (b * cin_ + ci) * chan_in, cols.data() + ci * chan_cols, N);
+    for (int64_t ci = 0; ci < cin_; ++ci) {
+      pad_channel(in + (b * cin_ + ci) * chan_in, xp);
+      lower_channel(xp, cols.data() + ci * chan_cols, N);
+    }
     // dW (cout,K) += gOut (cout,N) x cols^T (N,K)
     core::sgemm(false, true, cout_, K, N, gbatch, N, cols.data(), N, gw, K, /*accumulate=*/true);
     // dCols (K,N) = W^T (K,cout) x gOut (cout,N), scattered back to dInput.
     core::sgemm(true, false, K, N, cout_, w, K, gbatch, N, cols_grad.data(), N);
-    for (int64_t ci = 0; ci < cin_; ++ci)
-      scatter_channel(cols_grad.data() + ci * chan_cols, gi + (b * cin_ + ci) * chan_in);
+    for (int64_t ci = 0; ci < cin_; ++ci) {
+      // Tap row, then position: each input element's contributions are
+      // summed in the order a plain col2im adds them. The padding border
+      // collects the out-of-range taps and is dropped with the copy-out.
+      std::fill(gpad.begin(), gpad.end(), 0.0f);
+      const float* dc = cols_grad.data() + ci * chan_cols;
+      for (size_t t = 0; t < l.off.size(); ++t) {
+        float* dst = gpad.data() + l.off[t];
+        const float* src = dc + static_cast<int64_t>(t) * N;
+        for (int64_t n = 0; n < N; ++n) dst[l.base[static_cast<size_t>(n)]] += src[n];
+      }
+      float* gx = gi + (b * cin_ + ci) * chan_in;
+      for (int64_t z = 0; z < D; ++z)
+        for (int64_t y = 0; y < H; ++y)
+          std::memcpy(gx + (z * H + y) * W, gpad.data() + l.origin + (z * l.Hp + y) * l.Wp,
+                      static_cast<size_t>(W) * sizeof(float));
+    }
   }
   return grad_in;
 }
@@ -438,6 +453,9 @@ Tensor MaxPool3d::forward(const Tensor& x) {
   if (x.ndim() != 5) throw std::invalid_argument("MaxPool3d: expected 5-D, got " + x.shape_str());
   in_shape_ = x.shape();
   const int64_t B = x.dim(0), C = x.dim(1), D = x.dim(2), H = x.dim(3), W = x.dim(4);
+  if (D < k_ || H < k_ || W < k_)
+    throw std::invalid_argument("MaxPool3d: a " + std::to_string(k_) + "^3 window does not fit " +
+                                x.shape_str());
   const int64_t Do = (D - k_) / stride_ + 1, Ho = (H - k_) / stride_ + 1, Wo = (W - k_) / stride_ + 1;
   Tensor out = Tensor::uninit({B, C, Do, Ho, Wo});
   // Only backward reads the argmax indices, so eval forwards skip them.

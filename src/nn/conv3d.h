@@ -1,11 +1,12 @@
 // 3-D convolution and max-pooling over voxelized protein–ligand complexes.
 // Input layout is (batch, channels, depth, height, width), matching the
 // voxelizer's output. Conv3d lowers each sample to a (cin*k³, Do*Ho*Wo)
-// column matrix by replaying a per-geometry lowering table, then runs one
-// blocked sgemm per sample (or per group of samples when the output grid is
-// small); backward scatters the column gradients back through the same
-// table. The original direct 7-loop implementation is retained below as the
-// equivalence reference for tests and the speedup benchmark.
+// column matrix by gathering from a zero-padded copy of each channel through
+// per-geometry offsets, then runs one blocked sgemm per sample (or per group
+// of samples when the output grid is small); backward scatters the column
+// gradients back through a zero-padded gradient image. The original direct
+// 7-loop implementation is retained below as the equivalence reference for
+// tests and the speedup benchmark.
 #pragma once
 
 #include <vector>
@@ -23,6 +24,8 @@ class Conv3d : public Module {
   Conv3d(int64_t in_channels, int64_t out_channels, int64_t kernel, core::Rng& rng,
          int64_t stride = 1, int64_t padding = 0);
 
+  /// Throws std::invalid_argument when a k^3 window does not fit the
+  /// padded input (some extent + 2 * padding < kernel).
   Tensor forward(const Tensor& x) override;
   /// Forward with a fused activation epilogue (bias + act applied on the
   /// per-sample GEMM's hot micro-tiles); bitwise identical to forward()
@@ -32,9 +35,10 @@ class Conv3d : public Module {
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
-  /// Spatial output size for one dimension.
+  /// Spatial output size for one dimension: the number of windows that
+  /// fit, 0 when the padded input is shorter than the kernel.
   static int64_t out_size(int64_t in, int64_t kernel, int64_t stride, int64_t padding) {
-    return (in + 2 * padding - kernel) / stride + 1;
+    return in + 2 * padding < kernel ? 0 : (in + 2 * padding - kernel) / stride + 1;
   }
 
   int64_t in_channels() const { return cin_; }
@@ -69,36 +73,35 @@ class Conv3d : public Module {
   void set_observer(ActivationObserver* obs) { observer_ = obs; }
 
  private:
-  // Lowering table for one input channel of a (D, H, W) input. Column row
-  // t = (kz, ky, kx) of the (k^3, N) lowering is cut into 16-position
-  // blocks, and each block is all padding, one contiguous source run, or an
-  // index gather (-1 = padding). It depends only on the input geometry, so
-  // it is built once per shape and replayed for every (sample, channel) and
-  // by backward's scatter-add. Replica state (the layer is single-threaded
-  // per replica; pool workers only read it).
-  struct LoweringTable {
-    enum Kind : uint8_t { kZero, kCopy, kGather };
-    struct Block {
-      Kind kind;
-      int32_t src;  // kCopy: first source element; kGather: offset into `index`
-    };
-    int64_t D = -1, H = -1, W = -1;  // geometry the table was built for
+  // Lowering of one input channel of a (D, H, W) input. Each channel is
+  // copied into the interior of a zero-bordered (D+2p, H+2p, W+2p) image,
+  // so column row t = (kz, ky, kx) at output position n reads the padded
+  // element base[n] + off[t], with no bounds test. It depends only on the
+  // input geometry, so it is built once per shape and shared by every
+  // (sample, channel) and by backward's scatter-add. Replica state (the
+  // layer is single-threaded per replica; pool workers only read it).
+  struct Lowering {
+    int64_t D = -1, H = -1, W = -1;  // geometry it was built for
+    int64_t Hp = 0, Wp = 0;          // padded extents (rows, row length)
+    int64_t origin = 0;              // padded offset of input voxel (0, 0, 0)
+    int64_t padded = 0;              // floats in one padded channel image
     int64_t N = 0;                   // output positions per sample
-    std::vector<Block> blocks;       // (k^3, ceil(N / 16)) row-major
-    std::vector<int32_t> index;      // 16 source elements per gather block
+    std::vector<int32_t> base;       // N: padded offset of position n's window origin
+    std::vector<int32_t> off;        // k^3: padded offset of each tap
   };
-  // Build table_ for a (D, H, W) input; a no-op when it is already built for it.
-  void build_table(int64_t D, int64_t H, int64_t W);
-  // Write one (sample, channel)'s k^3 column rows, `ld` floats apart.
-  void lower_channel(const float* x, float* cols, int64_t ld) const;
-  // Add one channel's (k^3, N) column gradients back into its input gradient.
-  void scatter_channel(const float* cols, float* gx) const;
+  // Check that the window fits the input, then build lowering_ for a
+  // (D, H, W) input; a no-op when it is already built for it.
+  void build_lowering(int64_t D, int64_t H, int64_t W);
+  // Copy one (D, H, W) channel into the interior of its padded image `xp`.
+  void pad_channel(const float* x, float* xp) const;
+  // Write one padded channel's k^3 column rows, `ld` floats apart.
+  void lower_channel(const float* xp, float* cols, int64_t ld) const;
 
   int64_t cin_, cout_, k_, stride_, pad_;
   Parameter w_;  // (cout, cin, k, k, k)
   Parameter b_;  // (cout)
   Tensor cached_input_;
-  LoweringTable table_;
+  Lowering lowering_;
   EvalWeights eval_;
   ActivationObserver* observer_ = nullptr;
 };
@@ -107,6 +110,7 @@ class MaxPool3d : public Module {
  public:
   explicit MaxPool3d(int64_t kernel = 2, int64_t stride = 2) : k_(kernel), stride_(stride) {}
 
+  /// Throws std::invalid_argument when a window does not fit the input.
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
 

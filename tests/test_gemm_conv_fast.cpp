@@ -1,7 +1,8 @@
 // Equivalence pins for the blocked inference engine: sgemm vs the naive
-// reference (all transpose variants, odd shapes, 1-8 threads), table-lowered
-// Conv3d forward/backward vs the direct 7-loop reference and (bitwise) vs a
-// plain im2col + sgemm reference, sample-grouped conv batches vs per-sample
+// reference (all transpose variants, odd shapes, 1-8 threads), the skinny-RHS
+// kernel vs the packed kernel (bitwise), gather-lowered Conv3d
+// forward/backward vs the direct 7-loop reference and (bitwise) vs a plain
+// im2col + sgemm reference, sample-grouped conv batches vs per-sample
 // forwards, the ligand-only graph readout vs the full per-node readout,
 // parallel voxelizer/maxpool vs serial, batched predict vs per-pose predict,
 // and ThreadPool exception propagation.
@@ -79,6 +80,53 @@ TEST(Gemm, MatchesNaiveAcrossShapesAndTransposes) {
       for (bool tb : {false, true}) check_gemm_case(ta, tb, s[0], s[1], s[2], rng);
     }
   }
+}
+
+// The skinny-RHS kernel (B stored k x n, n <= 96) against the packed-panel
+// kernel (the same B passed transposed, which never takes the skinny path):
+// each output element gets the same KC-panel sums and the same epilogue, so
+// the two must agree bit for bit. The shapes cover every 16-lane chunk
+// count, every rows-per-pass remainder and multi-panel k.
+TEST(Gemm, SkinnyPathBitwiseMatchesPackedPath) {
+  Rng rng(83);
+  const int64_t ns[] = {1, 8, 15, 16, 17, 24, 31, 32, 33, 48, 63, 64, 65, 72, 80, 95, 96};
+  const int64_t ms[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 17, 31, 32, 64, 100};
+  const int64_t ks[] = {1, 24, 192, 193, 400};
+  const core::EpilogueAct acts[] = {core::EpilogueAct::kSigmoid, core::EpilogueAct::kTanh,
+                                    core::EpilogueAct::kSELU};
+  int64_t cases = 0;
+  for (const int64_t n : ns)
+    for (const int64_t m : ms)
+      for (const int64_t k : ks) {
+        if (k > 192 && m > 64) continue;  // deep k runs the skinny kernel only for m <= 64
+        const std::vector<float> A = random_buf(m * k, rng);
+        const std::vector<float> B = random_buf(k * n, rng);
+        std::vector<float> Bt(static_cast<size_t>(n * k));
+        for (int64_t p = 0; p < k; ++p)
+          for (int64_t j = 0; j < n; ++j) Bt[static_cast<size_t>(j * k + p)] = B[p * n + j];
+        const std::vector<float> bias_col = random_buf(n, rng);
+        const std::vector<float> bias_row = random_buf(m, rng);
+        const int64_t ldc = n + 3;
+        for (const bool accumulate : {false, true})
+          for (const bool fused : {false, true}) {
+            core::Epilogue ep;
+            ep.act = acts[cases % 3];
+            ep.bias_col = bias_col.data();
+            ep.bias_row = bias_row.data();
+            const core::Epilogue* epp = fused ? &ep : nullptr;
+            std::vector<float> skinny = random_buf(m * ldc, rng);
+            std::vector<float> packed = skinny;
+            core::sgemm(false, false, m, n, k, A.data(), k, B.data(), n, skinny.data(), ldc,
+                        accumulate, epp);
+            core::sgemm(false, true, m, n, k, A.data(), k, Bt.data(), k, packed.data(), ldc,
+                        accumulate, epp);
+            ASSERT_EQ(std::memcmp(skinny.data(), packed.data(), skinny.size() * sizeof(float)), 0)
+                << "m=" << m << " n=" << n << " k=" << k << " accumulate=" << accumulate
+                << " epilogue=" << fused;
+            ++cases;
+          }
+      }
+  EXPECT_EQ(cases, 4964);
 }
 
 TEST(Gemm, KZeroClearsOrKeepsC) {
@@ -264,12 +312,15 @@ void check_conv_bitwise_vs_im2col(const ConvCase& cc, Rng& rng) {
 TEST(Conv3dFast, BitwiseMatchesIm2colReference) {
   Rng rng(61);
   // {B, cin, cout, D, H, W, k, stride, pad}: k in {1, 3, 5}, stride 1-3,
-  // pad 0-2, non-cubic inputs, output grids on both sides of 32 positions.
+  // pad 0-2, non-cubic inputs, output grids on both sides of 32 positions
+  // and one of several thousand.
   const ConvCase cases[] = {
       {2, 3, 4, 5, 6, 7, 1, 1, 0},   {3, 2, 5, 4, 7, 5, 1, 2, 1},  {2, 3, 3, 7, 6, 5, 3, 1, 1},
       {3, 2, 4, 9, 8, 7, 3, 2, 0},   {2, 4, 3, 9, 10, 8, 3, 3, 1}, {2, 2, 5, 6, 7, 8, 5, 1, 2},
       {3, 3, 2, 9, 7, 8, 5, 2, 2},   {2, 2, 3, 11, 9, 10, 5, 3, 2}, {5, 3, 4, 2, 3, 2, 3, 1, 1},
       {3, 16, 8, 8, 8, 8, 5, 2, 2},
+      // N = 4896: offsets across hundreds of 16-position blocks.
+      {1, 2, 3, 18, 17, 16, 3, 1, 1},
   };
   for (const ConvCase& cc : cases) check_conv_bitwise_vs_im2col(cc, rng);
 }

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "core/rng.h"
+#include "models/cnn3d.h"
 #include "nn/activations.h"
 #include "nn/conv3d.h"
 #include "nn/dense.h"
@@ -99,6 +100,50 @@ TEST(Conv3d, IdentityKernelReproducesInput) {
   Tensor x = Tensor::randn({1, 1, 4, 4, 4}, rng);
   Tensor y = conv.forward(x);
   for (int64_t i = 0; i < x.numel(); ++i) EXPECT_NEAR(y[i], x[i], 1e-6f);
+}
+
+// A window longer than its input would read past the channel. Conv and
+// pool reject it instead of truncating the output extent up to 1.
+TEST(Conv3d, RejectsWindowLongerThanPaddedInput) {
+  Rng rng(2);
+  // 2 + 2*1 falls one voxel short of 5, less than the stride.
+  Conv3d conv(1, 2, 5, rng, /*stride=*/2, /*padding=*/1);
+  EXPECT_EQ(Conv3d::out_size(2, 5, 2, 1), 0);
+  EXPECT_THROW(conv.forward(Tensor::randn({1, 1, 2, 6, 6}, rng)), std::invalid_argument);
+  EXPECT_THROW(conv.forward(Tensor::randn({1, 1, 6, 6, 2}, rng)), std::invalid_argument);
+  // A larger shortfall, unpadded.
+  Conv3d narrow(1, 2, 3, rng, 1, 0);
+  EXPECT_EQ(Conv3d::out_size(1, 3, 1, 0), 0);
+  EXPECT_THROW(narrow.forward(Tensor::randn({1, 1, 4, 1, 4}, rng)), std::invalid_argument);
+}
+
+TEST(Conv3d, ExactFitRuns) {
+  // D + 2p == k: one window per axis, every tap but the center in padding.
+  Rng rng(2);
+  Conv3d conv(3, 5, 3, rng, 1, 1);
+  const Tensor x = Tensor::randn({2, 3, 1, 1, 1}, rng);
+  const Tensor y = conv.forward(x);
+  EXPECT_EQ(y.shape(), (std::vector<int64_t>{2, 5, 1, 1, 1}));
+  const Tensor ref = conv3d_forward_naive(x, conv.weight().value, conv.bias().value, 1, 1);
+  for (int64_t i = 0; i < y.numel(); ++i) EXPECT_NEAR(y[i], ref[i], 1e-6f);
+}
+
+TEST(MaxPool3d, RejectsWindowLongerThanInput) {
+  MaxPool3d pool(2, 2);
+  EXPECT_THROW(pool.forward(Tensor({1, 1, 1, 1, 64})), std::invalid_argument);
+  EXPECT_THROW(pool.forward(Tensor({1, 1, 2, 1, 2})), std::invalid_argument);
+}
+
+TEST(Cnn3d, RejectsGridWithNoVoxelAfterPool) {
+  Rng rng(2);
+  models::Cnn3dConfig cfg;
+  cfg.grid_dim = 2;  // conv1 -> 1^3, which the 2^3 pool cannot cover
+  EXPECT_THROW(models::Cnn3d(cfg, rng), std::invalid_argument);
+  cfg.grid_dim = 3;  // the smallest grid that runs: conv1 -> 2^3, pool -> 1^3
+  models::Cnn3d net(cfg, rng);
+  const Tensor x = Tensor::randn({1, cfg.in_channels, 3, 3, 3}, rng);
+  const Tensor latent = net.forward_latent(x, /*training=*/false);
+  EXPECT_EQ(latent.shape(), (std::vector<int64_t>{1, net.latent_dim()}));
 }
 
 TEST(MaxPool3d, SelectsMaxima) {
