@@ -252,7 +252,6 @@ ClientPhase run_client_phase(std::vector<std::unique_ptr<ServerProcess>>& fleet,
         ++seq;
         serve::ScoreRequest req;
         req.scorer = "sgcnn";
-        req.client = "loadgen" + std::to_string(c);
         req.poses = w.poses;
         const auto r0 = std::chrono::steady_clock::now();
         const serve::ScoreResponse resp = client.score(req);

@@ -86,7 +86,6 @@ int main() {
       screen::JobConfig jc;
       jc.nodes = 1;
       jc.gpus_per_node = ranks;
-      jc.batch_size_per_rank = batch;
       const screen::JobReport r = screen::FusionScoringJob(jc).run(items, service, "sgcnn");
       std::printf("%-8d %-8d %12.2f %14.1f\n", ranks, batch, r.eval_seconds, r.poses_per_second);
     }

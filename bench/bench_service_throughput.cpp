@@ -613,7 +613,6 @@ double run_service(const serve::ModelRegistry& reg, const Workload& w, bool orde
       for (size_t i = 0; i < poses.size(); i += kPosesPerRequest) {
         serve::ScoreRequest req;
         req.scorer = "cnn3d";
-        req.client = "client" + std::to_string(c);
         const size_t end = std::min(poses.size(), i + kPosesPerRequest);
         req.poses.assign(poses.begin() + static_cast<long>(i),
                          poses.begin() + static_cast<long>(end));

@@ -12,8 +12,11 @@
 //   bench_table7_throughput --json[=PATH]  — also write the measurements to
 //                                            PATH (default
 //                                            BENCH_table7_throughput.json)
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "bench_common.h"
@@ -47,10 +50,17 @@ int main(int argc, char** argv) {
     items.push_back(std::move(item));
   }
 
+  // The "File output" row times the per-rank shard write Table 7's phase
+  // names, into a scratch directory removed afterwards.
+  namespace fs = std::filesystem;
+  const fs::path out_dir =
+      fs::temp_directory_path() / ("df_table7_" + std::to_string(::getpid()));
+  fs::create_directories(out_dir);
+
   screen::JobConfig jc;
   jc.nodes = 1;
   jc.gpus_per_node = 4;  // 4 rank clients = 4 "GPU ranks"
-  jc.batch_size_per_rank = 56;
+  jc.output_prefix = (out_dir / "table7").string();
 
   serve::ModelRegistry registry;
   chem::VoxelConfig voxel;
@@ -67,6 +77,8 @@ int main(int argc, char** argv) {
   std::printf("running a real mini-job: %d poses, %d ranks...\n", n_poses,
               jc.nodes * jc.gpus_per_node);
   const screen::JobReport r = job.run(items, service, "sgcnn");
+  std::error_code ec;
+  fs::remove_all(out_dir, ec);
   const double per_rank = r.poses_per_second / (jc.nodes * jc.gpus_per_node);
   std::printf("\n%-28s %12s\n", "Metric (measured mini-job)", "Value");
   print_rule(44);

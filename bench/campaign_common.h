@@ -71,7 +71,6 @@ inline screen::CampaignReport run_sarscov2_campaign(const FusionBundle& master, 
   screen::CampaignConfig cfg;
   cfg.job.nodes = 1;
   cfg.job.gpus_per_node = 4;
-  cfg.job.batch_size_per_rank = 56;
   cfg.job.voxel.grid_dim = kGridDim;
   cfg.poses_per_job = 256;
   cfg.pipeline.docking.num_runs = 4;

@@ -86,7 +86,6 @@ int main() {
       for (int r = 0; r < plan.requests; ++r) {
         serve::ScoreRequest req;
         req.scorer = plan.scorer;
-        req.client = plan.name;
         req.poses = random_poses(plan.poses_per_request, &pocket, crng);
         futures.push_back(service.submit(std::move(req)));
       }

@@ -165,7 +165,7 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
   }
 
   // --- rank plan: the §4.3 schedule of work units over the cluster ---
-  const RankPlan plan = RankPlan::build(work.size(), cfg_.poses_per_job, cfg_.job, cfg_.cluster);
+  const RankPlan plan = RankPlan::build(work.size(), cfg_.poses_per_job, cfg_.job);
   report.units_total = static_cast<int>(plan.units.size());
   const uint64_t lib_fp = data::library_fingerprint(compounds);
 
@@ -327,7 +327,6 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
       for (int attempt = 0; attempt <= cfg_.max_job_retries; ++attempt) {
         JobConfig jc = cfg_.job;
         jc.pool = &pool;
-        jc.seed = unit_seed(cfg_.seed, unit.id, attempt);
         if (injector != nullptr) {
           jc.inject_failures = false;
           jc.doomed_rank = injector->doomed_rank(cfg_.seed, unit.id, attempt, jc.nodes, unit.ranks);

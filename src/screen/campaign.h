@@ -59,7 +59,6 @@ struct CampaignConfig {
   uint64_t seed = 2021;
 
   // --- multi-rank / fault-tolerance layer ---
-  ClusterConfig cluster;                 // geometry for the RankPlan schedule
   FaultInjector* fault_injector = nullptr;  // not owned; nullptr + job.inject_failures
                                             // = default §4.3 stochastic injector
   std::string output_prefix;             // non-empty = stream finished units to

@@ -6,7 +6,7 @@ namespace df::screen {
 
 namespace {
 // Stream tag for fault-injection draws; keeps them independent of the
-// per-job scoring streams derived from the same campaign seed.
+// other streams (assay noise) derived from the same campaign seed.
 constexpr uint64_t kFaultStreamTag = 0x4641554c54ULL;  // "FAULT"
 }  // namespace
 

@@ -1,10 +1,9 @@
 // Simulated Lassen-like cluster description (DESIGN.md substitution #2).
 // Node geometry follows the paper §3.2: 4 NVIDIA V100s, 44 Power9 cores and
-// 256 GB per node; jobs are limited to 12 hours by the LSF scheduler. The
-// per-job failure model encodes the §4.3 observation that inter-node
-// communication instability grows sharply with job width, and the
-// FaultInjector hierarchy turns that model into deterministic, replayable
-// job deaths the campaign driver can schedule around.
+// 256 GB per node. The per-job failure model encodes the §4.3 observation
+// that inter-node communication instability grows sharply with job width,
+// and the FaultInjector hierarchy turns that model into deterministic,
+// replayable job deaths the campaign driver can schedule around.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +17,6 @@ struct NodeSpec {
   int cpu_cores = 44;
   double gpu_memory_gb = 16.0;
   double node_memory_gb = 256.0;
-};
-
-struct ClusterConfig {
-  int num_nodes = 792;           // Lassen
-  NodeSpec node;
-  double max_job_hours = 12.0;   // LSF run-time limit
 };
 
 /// Probability that a job of `nodes_per_job` nodes dies from the

@@ -259,7 +259,6 @@ void ClusterController::dispatch_loop(Node* node) {
 
     serve::ScoreRequest req;
     req.scorer = cfg_.scorer;
-    req.client = "cluster:" + std::to_string(unit.id);
     req.poses = unit.poses;  // pockets borrowed; submitter keeps them alive
     serve::ScoreResponse resp = node->client->score(req);
 

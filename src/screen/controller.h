@@ -5,7 +5,7 @@
 //
 // Work model: submit_unit() enqueues a work unit (one campaign scoring
 // job's poses); per-node dispatcher threads pull units and score them over
-// ScoreClient. A transport failure — connection refused, reset mid-stream,
+// ScoreClient. A transport failure — connection refused, reset mid-request,
 // node draining — marks the node unhealthy and puts the unit back at the
 // FRONT of the queue for the next healthy node, so node death never loses
 // a unit and never records it twice (the dispatcher owns the unit until a

@@ -67,7 +67,6 @@ JobReport FusionScoringJob::run(const std::vector<PoseWorkItem>& items,
     if (lo == hi) return;
     serve::ScoreRequest req;
     req.scorer = scorer;
-    req.client = "rank" + std::to_string(r);
     req.poses.reserve(hi - lo);
     for (size_t i = lo; i < hi; ++i) {
       const PoseWorkItem& item = items[i];

@@ -39,9 +39,7 @@ struct PoseWorkItem {
 struct JobConfig {
   int nodes = 4;
   int gpus_per_node = 4;           // ranks = nodes * gpus_per_node
-  int batch_size_per_rank = 56;    // recorded; throughput model consumes it
-  int loaders_per_rank = 12;       // recorded; throughput model consumes it
-  uint64_t seed = 99;
+  uint64_t seed = 99;              // stream of the inject_failures draw
   bool inject_failures = false;    // sample §4.3 failure probabilities
   // When set, the campaign's FaultInjector has already decided this job's
   // fate: >= 0 kills that rank mid-eval, -1 runs clean. Overrides

@@ -2,20 +2,12 @@
 
 #include <algorithm>
 
-#include "core/rng.h"
-
 namespace df::screen {
 
-namespace {
-constexpr uint64_t kJobStreamTag = 0x4a4f4253ULL;  // "JOBS"
-}  // namespace
-
-RankPlan RankPlan::build(size_t total_poses, int poses_per_job, const JobConfig& job,
-                         const ClusterConfig& cluster) {
+RankPlan RankPlan::build(size_t total_poses, int poses_per_job, const JobConfig& job) {
   RankPlan plan;
   plan.total_poses = total_poses;
   plan.ranks_per_job = std::max(1, job.nodes) * std::max(1, job.gpus_per_node);
-  plan.concurrent_jobs = std::max(1, cluster.num_nodes / std::max(1, job.nodes));
   const size_t per = static_cast<size_t>(std::max(1, poses_per_job));
   const size_t n_units = (total_poses + per - 1) / per;
   plan.units.reserve(n_units);
@@ -26,16 +18,9 @@ RankPlan RankPlan::build(size_t total_poses, int poses_per_job, const JobConfig&
     unit.pose_end = std::min(total_poses, (u + 1) * per);
     unit.nodes = job.nodes;
     unit.ranks = plan.ranks_per_job;
-    unit.slot = static_cast<int>(u % static_cast<size_t>(plan.concurrent_jobs));
     plan.units.push_back(unit);
   }
   return plan;
-}
-
-uint64_t unit_seed(uint64_t campaign_seed, uint32_t unit_id, int attempt) {
-  return core::derive_stream(
-      campaign_seed, kJobStreamTag,
-      (static_cast<uint64_t>(unit_id) << 8) | static_cast<uint64_t>(attempt & 0xff));
 }
 
 }  // namespace df::screen

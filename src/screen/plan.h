@@ -1,29 +1,25 @@
 // RankPlan: the static partition of a campaign's pose list into work units,
 // the §4.3 scheduling picture in miniature. Each unit is one scoring job
-// (nodes x gpus ranks over a contiguous pose range) with a stable id; the
-// cluster geometry determines how many such jobs Lassen would run
-// concurrently ("another job takes its place" — a killed unit is simply
-// resubmitted into its slot). Unit ids, not submission order, key every
-// derived RNG stream, so the plan is the determinism anchor for
-// checkpoint/resume and fault replay.
+// (nodes x gpus ranks over a contiguous pose range) with a stable id; a
+// killed unit is simply resubmitted ("another job takes its place"). Unit
+// ids, not submission order, key the fault-injection draws, so the plan is
+// the determinism anchor for checkpoint/resume and fault replay.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "screen/cluster.h"
 #include "screen/job.h"
 
 namespace df::screen {
 
 struct WorkUnit {
-  uint32_t id = 0;          // stable index; keys RNG streams and checkpoints
+  uint32_t id = 0;          // stable index; keys fault draws and checkpoints
   size_t pose_begin = 0;    // contiguous range into the campaign pose list
   size_t pose_end = 0;
   int nodes = 1;            // job width (drives the §4.3 failure rate)
   int ranks = 1;            // nodes * gpus_per_node
-  int slot = 0;             // simulated scheduler slot on the cluster
 
   size_t poses() const { return pose_end - pose_begin; }
 };
@@ -31,17 +27,11 @@ struct WorkUnit {
 struct RankPlan {
   std::vector<WorkUnit> units;
   int ranks_per_job = 1;
-  int concurrent_jobs = 1;   // how many such jobs the cluster fits at once
   size_t total_poses = 0;
 
   /// Partition `total_poses` into `poses_per_job`-sized units shaped by
-  /// `job` (width) and `cluster` (slot count). Deterministic.
-  static RankPlan build(size_t total_poses, int poses_per_job, const JobConfig& job,
-                        const ClusterConfig& cluster);
+  /// `job` (width). Deterministic.
+  static RankPlan build(size_t total_poses, int poses_per_job, const JobConfig& job);
 };
-
-/// Seed for the scoring job running (unit, attempt): a pure function of the
-/// campaign seed and stable identifiers, never of pool-arrival order.
-uint64_t unit_seed(uint64_t campaign_seed, uint32_t unit_id, int attempt);
 
 }  // namespace df::screen

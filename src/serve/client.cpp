@@ -141,85 +141,49 @@ ScoreResponse ScoreClient::attempt(Slot* slot, const ScoreRequest& req,
                                    uint64_t request_id, bool* transport_failed,
                                    std::string* transport_error) {
   *transport_failed = false;
+  const auto fail = [&](std::string why) {
+    *transport_failed = true;
+    *transport_error = std::move(why);
+    slot->conn.close();
+    return ScoreResponse{};
+  };
   const wire::ScoreRequestPayload payload = wire::pack_request(req, request_id);
   if (!wire::write_frame(slot->conn, wire::FrameType::kScoreRequest, payload.encode(),
                          cfg_.io_timeout_ms)) {
-    *transport_failed = true;
-    *transport_error = "request send failed: " + slot->conn.last_error();
-    slot->conn.close();
-    return {};
+    return fail("request send failed: " + slot->conn.last_error());
   }
 
-  const size_t n = req.poses.size();
-  ScoreResponse resp;
-  resp.scores.assign(n, 0.0f);
-  size_t received = 0;
-  for (;;) {
-    wire::Frame frame;
-    const wire::WireError werr = wire::read_frame(slot->conn, &frame, cfg_.io_timeout_ms);
-    if (werr != wire::WireError::kNone) {
-      *transport_failed = true;
-      *transport_error = std::string("response read failed: ") + wire::wire_error_name(werr) +
-                         (slot->conn.last_error().empty() ? "" : " (" + slot->conn.last_error() + ")");
-      slot->conn.close();
-      return {};
-    }
-    try {
-      if (frame.type == wire::FrameType::kScoreChunk) {
-        wire::ScoreChunkPayload chunk = wire::ScoreChunkPayload::decode(frame.payload);
-        if (chunk.request_id != request_id || chunk.offset > n ||
-            chunk.scores.size() > n - static_cast<size_t>(chunk.offset)) {
-          *transport_failed = true;
-          *transport_error = "response stream desynchronized (bad chunk)";
-          slot->conn.close();
-          return {};
-        }
-        std::copy(chunk.scores.begin(), chunk.scores.end(),
-                  resp.scores.begin() + static_cast<std::ptrdiff_t>(chunk.offset));
-        received += chunk.scores.size();
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.chunks;
-        continue;
-      }
-      if (frame.type == wire::FrameType::kScoreDone) {
-        wire::ScoreDonePayload done = wire::ScoreDonePayload::decode(frame.payload);
-        if (done.request_id != request_id) {
-          *transport_failed = true;
-          *transport_error = "response stream desynchronized (bad done id)";
-          slot->conn.close();
-          return {};
-        }
-        resp.error = done.error;
-        resp.message = done.message;
-        resp.micro_batches = static_cast<int>(done.micro_batches);
-        resp.coalesced = done.coalesced;
-        if (done.error != ScoreError::kNone) {
-          resp.scores.clear();
-          return resp;
-        }
-        if (received != n) {
-          // The server says success but some span never arrived — a framing
-          // bug or a truncated stream; treat as transport and retry.
-          *transport_failed = true;
-          *transport_error = "response incomplete: " + std::to_string(received) + "/" +
-                             std::to_string(n) + " scores";
-          slot->conn.close();
-          return {};
-        }
-        return resp;
-      }
-    } catch (const wire::WireDecodeError& e) {
-      *transport_failed = true;
-      *transport_error = std::string("response decode failed: ") + e.what();
-      slot->conn.close();
-      return {};
-    }
-    // Any other frame type mid-response means the stream is desynchronized.
-    *transport_failed = true;
-    *transport_error = "response stream desynchronized (unexpected frame)";
-    slot->conn.close();
-    return {};
+  wire::Frame frame;
+  const wire::WireError werr = wire::read_frame(slot->conn, &frame, cfg_.io_timeout_ms);
+  if (werr != wire::WireError::kNone) {
+    return fail(std::string("response read failed: ") + wire::wire_error_name(werr) +
+                (slot->conn.last_error().empty() ? "" : " (" + slot->conn.last_error() + ")"));
   }
+  if (frame.type != wire::FrameType::kScoreDone) {
+    return fail("response stream desynchronized (unexpected frame)");
+  }
+  wire::ScoreDonePayload done;
+  try {
+    done = wire::ScoreDonePayload::decode(frame.payload);
+  } catch (const wire::WireDecodeError& e) {
+    return fail(std::string("response decode failed: ") + e.what());
+  }
+  if (done.request_id != request_id) {
+    return fail("response stream desynchronized (bad done id)");
+  }
+  if (done.error == ScoreError::kNone && done.scores.size() != req.poses.size()) {
+    // A success that does not score every pose is a framing bug or a
+    // desynchronized stream, not a verdict: treat as transport and retry.
+    return fail("response incomplete: " + std::to_string(done.scores.size()) + "/" +
+                std::to_string(req.poses.size()) + " scores");
+  }
+  ScoreResponse resp;
+  resp.error = done.error;
+  resp.message = std::move(done.message);
+  resp.micro_batches = static_cast<int>(done.micro_batches);
+  resp.coalesced = done.coalesced;
+  if (done.error == ScoreError::kNone) resp.scores = std::move(done.scores);
+  return resp;
 }
 
 ScoreResponse ScoreClient::score(const ScoreRequest& req) {

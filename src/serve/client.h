@@ -7,10 +7,12 @@
 // Reliability model:
 //   * Pooled connections, one request in flight per connection; concurrent
 //     score() calls multiplex over the pool and block (bounded) for a slot.
+//     A request is answered by one kScoreDone frame.
 //   * Transport failures — connect refusal, frame I/O error, CRC, stream
-//     desync — close the connection, back off exponentially with
-//     deterministic jitter, and retry on a fresh connection up to
-//     max_retries times before resolving kTransport.
+//     desync (a foreign frame or request id, or a success whose score
+//     count differs from the pose count) — close the connection, back off
+//     exponentially with deterministic jitter, and retry on a fresh
+//     connection up to max_retries times before resolving kTransport.
 //   * Server-typed errors (unknown scorer, queue full, shutdown/draining,
 //     scorer failure, deadline timeout) are verdicts, not faults: they pass
 //     through un-retried.
@@ -52,7 +54,6 @@ struct ClientStats {
   uint64_t transport_failures = 0; // failed wire attempts
   uint64_t timeouts = 0;           // score() calls that resolved kTimeout
   uint64_t reconnects = 0;         // connections (re)established
-  uint64_t chunks = 0;             // kScoreChunk frames received
 };
 
 /// Result of one heartbeat probe. kBusy means every pool slot was occupied

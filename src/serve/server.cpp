@@ -1,9 +1,7 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -32,7 +30,6 @@ ScoreServer::ScoreServer(ScoringService& service, ServerConfig cfg)
   node_id_ = cfg_.node_id.empty()
                  ? cfg_.bind_address + ":" + std::to_string(port_)
                  : cfg_.node_id;
-  if (cfg_.chunk_poses <= 0) cfg_.chunk_poses = service_.config().poses_per_batch;
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -240,11 +237,11 @@ bool ScoreServer::handle_score_request(Conn* conn, const std::string& payload_by
     return false;  // request_id unknown — cannot even answer with an error
   }
 
+  wire::ScoreDonePayload done;
+  done.request_id = payload.request_id;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_ || stop_) {
-      wire::ScoreDonePayload done;
-      done.request_id = payload.request_id;
       done.error = ScoreError::kShutdown;
       done.message = "node draining";
       ++stats_.errors;
@@ -254,74 +251,21 @@ bool ScoreServer::handle_score_request(Conn* conn, const std::string& payload_by
     ++inflight_requests_;
   }
 
-  // The unpacked request's pose pockets borrow from `payload` — it stays
-  // alive (this scope) until every sub-request future has resolved.
-  const ScoreRequest req = wire::unpack_request(payload);
-  const size_t n = req.poses.size();
-  const size_t chunk = static_cast<size_t>(cfg_.chunk_poses);
-
-  // Split into service-batch-sized sub-requests and submit them all before
-  // waiting on any: the service pipelines across them while responses
-  // stream back in order. In ordered-stream mode this split coincides with
-  // the service's own request slicing, so the scores are bit-identical to a
-  // single in-process submit of the whole request.
-  struct Sub {
-    size_t offset;
-    std::future<ScoreResponse> future;
-  };
-  std::vector<Sub> subs;
-  subs.reserve(n / chunk + 2);
-  if (n == 0) {
-    ScoreRequest empty = req;
-    subs.push_back({0, service_.submit(std::move(empty))});
-  }
-  for (size_t lo = 0; lo < n; lo += chunk) {
-    const size_t hi = std::min(n, lo + chunk);
-    ScoreRequest sub;
-    sub.scorer = req.scorer;
-    sub.client = req.client;
-    sub.deadline_ms = req.deadline_ms;
-    sub.poses.assign(req.poses.begin() + static_cast<std::ptrdiff_t>(lo),
-                     req.poses.begin() + static_cast<std::ptrdiff_t>(hi));
-    subs.push_back({lo, service_.submit(std::move(sub))});
-  }
-
-  wire::ScoreDonePayload done;
-  done.request_id = payload.request_id;
-  bool peer_ok = true;
-  for (auto& sub : subs) {
-    ScoreResponse resp = sub.future.get();
-    done.micro_batches += static_cast<uint32_t>(resp.micro_batches);
-    done.coalesced = done.coalesced || resp.coalesced;
-    if (resp.error != ScoreError::kNone) {
-      // First error is the request's verdict; later sub-requests still
-      // resolve (the payload must outlive them) but are not reported.
-      if (done.error == ScoreError::kNone) {
-        done.error = resp.error;
-        done.message = resp.message;
-      }
-      continue;
-    }
-    if (done.error != ScoreError::kNone || !peer_ok) continue;
-    wire::ScoreChunkPayload chunk_payload;
-    chunk_payload.request_id = payload.request_id;
-    chunk_payload.offset = sub.offset;
-    chunk_payload.scores = std::move(resp.scores);
-    if (wire::write_frame(conn->conn, wire::FrameType::kScoreChunk,
-                          chunk_payload.encode(), cfg_.io_timeout_ms)) {
-      ++done.chunks;
-    } else {
-      peer_ok = false;  // client gone; keep draining futures, skip writes
-    }
-  }
+  // The unpacked request's pose pockets borrow from `payload`, which stays
+  // alive (this scope) until the future has resolved.
+  ScoreResponse resp = service_.submit(wire::unpack_request(payload)).get();
+  done.error = resp.error;
+  done.message = std::move(resp.message);
+  done.micro_batches = static_cast<uint32_t>(resp.micro_batches);
+  done.coalesced = resp.coalesced;
+  done.scores = std::move(resp.scores);
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     --inflight_requests_;
     if (inflight_requests_ == 0) drain_cv_.notify_all();
     ++stats_.requests;
-    stats_.poses += n;
-    stats_.chunks += done.chunks;
+    stats_.poses += payload.poses.size();
     if (done.error != ScoreError::kNone) {
       ++stats_.errors;
       if (done.error == ScoreError::kTimeout) ++stats_.timeouts;
@@ -329,7 +273,6 @@ bool ScoreServer::handle_score_request(Conn* conn, const std::string& payload_by
     stats_.latency.record_seconds(
         std::chrono::duration<double>(Clock::now() - received).count());
   }
-  if (!peer_ok) return false;
   return wire::write_frame(conn->conn, wire::FrameType::kScoreDone, done.encode(),
                            cfg_.io_timeout_ms);
 }

@@ -5,12 +5,12 @@
 // guarantees — typed errors, micro-batching, ordered-stream determinism,
 // per-request deadlines — holds identically over the network.
 //
-// Responses stream: an incoming request is split into service-batch-sized
-// sub-requests and each span of scores is sent back as its own kScoreChunk
-// frame the moment it resolves, terminated by kScoreDone. In ordered-stream
-// mode the split matches the service's own request slicing exactly, so a
-// request scored through the server is bit-identical to the same request
-// scored in process — the multi-node determinism anchor.
+// One wire request is one service request: the decoded kScoreRequest is
+// submitted to the service once, and its resolved ScoreResponse goes back
+// as one kScoreDone frame (verdict, micro-batch stats and, on success,
+// every score in pose order). The service does all batching, so a request
+// scored through the server is bit-identical to the same request scored in
+// process — the multi-node determinism anchor.
 //
 // Control plane: kPing answers with a health snapshot (draining flag,
 // in-flight count, p50/p99 latency), kDrain stops accepting new score
@@ -44,8 +44,6 @@ struct ServerConfig {
   std::string node_id;          // echoed in Hello; default "<address>:<port>"
   int max_connections = 64;     // beyond this, accepts are closed immediately
   double io_timeout_ms = 30000; // per-frame I/O stall guard on connections
-  int chunk_poses = 0;          // response streaming granularity;
-                                // 0 = the service's poses_per_batch
 };
 
 struct ServerStats {
@@ -53,7 +51,6 @@ struct ServerStats {
   uint64_t rejected_connections = 0;  // over max_connections
   uint64_t requests = 0;          // score requests fully answered
   uint64_t poses = 0;
-  uint64_t chunks = 0;            // kScoreChunk frames sent
   uint64_t errors = 0;            // requests answered with a typed error
   uint64_t timeouts = 0;          // ... of which deadline expiries
   uint64_t protocol_errors = 0;   // bad magic/version/CRC/decoding failures

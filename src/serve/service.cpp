@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <functional>
 #include <stdexcept>
@@ -23,13 +24,17 @@ const char* score_error_name(ScoreError e) {
   return "invalid";
 }
 
+double effective_deadline_ms(double deadline_ms) {
+  if (!(deadline_ms > 0) || std::isinf(deadline_ms)) return 0;
+  return std::min(deadline_ms, kMaxDeadlineMs);
+}
+
 /// One accepted request: the response buffer fills in from possibly many
 /// micro-batches on different workers; `remaining` (guarded by the service
 /// mutex) counts down to fulfillment.
 struct ScoringService::Pending {
   std::vector<PoseInput> poses;
   std::string scorer;
-  std::string client;
   std::promise<ScoreResponse> promise;
   std::vector<float> scores;
   size_t remaining = 0;
@@ -89,6 +94,10 @@ ScoringService::ScoringService(const ModelRegistry& registry, ServiceConfig cfg)
   cfg_.poses_per_batch = std::max(1, cfg_.poses_per_batch);
   cfg_.queue_capacity = std::max<size_t>(1, cfg_.queue_capacity);
   cfg_.pipeline_depth = std::max(0, cfg_.pipeline_depth);
+  // The batcher converts the flush window to integer microseconds: keep it
+  // in the deadline range (NaN or non-positive = dispatch at once).
+  cfg_.flush_deadline_ms =
+      cfg_.flush_deadline_ms > 0 ? std::min(cfg_.flush_deadline_ms, kMaxDeadlineMs) : 0.0;
   if (cfg_.pocket_cache_targets > 0) {
     pocket_cache_ = std::make_shared<PocketCache>(cfg_.pocket_cache_targets);
   }
@@ -113,16 +122,16 @@ std::future<ScoreResponse> ScoringService::submit(ScoreRequest req) {
 
   auto pending = std::make_shared<Pending>();
   pending->scorer = std::move(req.scorer);
-  pending->client = std::move(req.client);
   pending->poses = std::move(req.poses);
   const size_t n = pending->poses.size();
   pending->scores.resize(n, 0.0f);
   pending->remaining = n;
   pending->accepted = std::chrono::steady_clock::now();
-  if (req.deadline_ms > 0) {
+  const double deadline_ms = effective_deadline_ms(req.deadline_ms);
+  if (deadline_ms > 0) {
     pending->has_deadline = true;
     pending->deadline = pending->accepted + std::chrono::microseconds(static_cast<int64_t>(
-                                                req.deadline_ms * 1000.0));
+                                                deadline_ms * 1000.0));
   }
   std::future<ScoreResponse> future = pending->promise.get_future();
 
@@ -145,7 +154,7 @@ std::future<ScoreResponse> ScoringService::submit(ScoreRequest req) {
         ++stats_.timeouts;
         return ready_error(ScoreError::kTimeout,
                            "backpressure wait exceeded the request deadline (" +
-                               std::to_string(req.deadline_ms) + " ms)");
+                               std::to_string(deadline_ms) + " ms)");
       }
     } else {
       space_cv_.wait(lock, [&] { return stop_ || fits(); });

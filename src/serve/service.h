@@ -65,11 +65,21 @@ const char* score_error_name(ScoreError e);
 struct ScoreRequest {
   std::string scorer;            // registry name
   std::vector<PoseInput> poses;  // pocket pointers must outlive the future
-  std::string client;            // optional tag, echoed into stats/logs
   double deadline_ms = 0;        // > 0 bounds backpressure blocking AND queue
                                  // wait: past the deadline the future resolves
                                  // kTimeout instead of waiting for a worker
+                                 // (read through effective_deadline_ms)
 };
+
+/// Longest deadline a request can carry: the wire's uint32_t milliseconds
+/// (~49.7 days).
+constexpr double kMaxDeadlineMs = 4294967295.0;
+
+/// The one reading of ScoreRequest::deadline_ms, shared by
+/// ScoringService::submit and wire::pack_request: a value that is not a
+/// finite positive number means no deadline (0); a finite one is clamped to
+/// kMaxDeadlineMs, so every later integer or chrono conversion is in range.
+double effective_deadline_ms(double deadline_ms);
 
 struct ScoreResponse {
   std::vector<float> scores;  // one per pose, request order; empty on error

@@ -1,5 +1,6 @@
 #include "serve/wire.h"
 
+#include <cmath>
 #include <cstring>
 #include <map>
 
@@ -248,7 +249,6 @@ std::string ScoreRequestPayload::encode() const {
   w.pod(request_id);
   w.pod(deadline_ms);
   w.str(scorer);
-  w.str(client);
   w.pod(static_cast<uint32_t>(pockets.size()));
   for (const auto& pocket : pockets) put_atoms(w, pocket);
   w.pod(static_cast<uint32_t>(poses.size()));
@@ -268,7 +268,6 @@ ScoreRequestPayload ScoreRequestPayload::decode(std::string_view bytes) {
   p.request_id = r.pod<uint64_t>();
   p.deadline_ms = r.pod<uint32_t>();
   p.scorer = r.str();
-  p.client = r.str();
   const uint32_t np = r.count(kMaxPoses, "pocket");
   p.pockets.reserve(np);
   for (uint32_t i = 0; i < np; ++i) p.pockets.push_back(get_atoms(r));
@@ -290,26 +289,6 @@ ScoreRequestPayload ScoreRequestPayload::decode(std::string_view bytes) {
   return p;
 }
 
-std::string ScoreChunkPayload::encode() const {
-  Writer w;
-  w.pod(request_id);
-  w.pod(offset);
-  w.array(scores);
-  return w.take();
-}
-
-ScoreChunkPayload ScoreChunkPayload::decode(std::string_view bytes) {
-  Reader r(bytes);
-  ScoreChunkPayload p;
-  p.request_id = r.pod<uint64_t>();
-  p.offset = r.pod<uint64_t>();
-  const uint32_t n = r.count(kMaxPoses, "score");
-  p.scores.resize(n);
-  for (uint32_t i = 0; i < n; ++i) p.scores[i] = r.pod<float>();
-  r.done();
-  return p;
-}
-
 std::string ScoreDonePayload::encode() const {
   Writer w;
   w.pod(request_id);
@@ -317,7 +296,7 @@ std::string ScoreDonePayload::encode() const {
   w.str(message);
   w.pod(micro_batches);
   w.pod(static_cast<uint8_t>(coalesced ? 1 : 0));
-  w.pod(chunks);
+  w.array(scores);
   return w.take();
 }
 
@@ -333,7 +312,9 @@ ScoreDonePayload ScoreDonePayload::decode(std::string_view bytes) {
   p.message = r.str();
   p.micro_batches = r.pod<uint32_t>();
   p.coalesced = r.pod<uint8_t>() != 0;
-  p.chunks = r.pod<uint32_t>();
+  const uint32_t n = r.count(kMaxPoses, "score");
+  p.scores.resize(n);
+  for (uint32_t i = 0; i < n; ++i) p.scores[i] = r.pod<float>();
   r.done();
   return p;
 }
@@ -395,9 +376,8 @@ DrainAckPayload DrainAckPayload::decode(std::string_view bytes) {
 ScoreRequestPayload pack_request(const ScoreRequest& req, uint64_t request_id) {
   ScoreRequestPayload p;
   p.request_id = request_id;
-  p.deadline_ms = req.deadline_ms > 0 ? static_cast<uint32_t>(req.deadline_ms) : 0;
+  p.deadline_ms = static_cast<uint32_t>(std::ceil(effective_deadline_ms(req.deadline_ms)));
   p.scorer = req.scorer;
-  p.client = req.client;
   std::map<const std::vector<chem::Atom>*, uint32_t> seen;
   p.poses.reserve(req.poses.size());
   for (const PoseInput& pose : req.poses) {
@@ -417,7 +397,6 @@ ScoreRequestPayload pack_request(const ScoreRequest& req, uint64_t request_id) {
 ScoreRequest unpack_request(const ScoreRequestPayload& payload) {
   ScoreRequest req;
   req.scorer = payload.scorer;
-  req.client = payload.client;
   req.deadline_ms = payload.deadline_ms;
   req.poses.reserve(payload.poses.size());
   for (const ScoreRequestPayload::Pose& p : payload.poses) {

@@ -10,11 +10,11 @@
 // so a reader can resynchronize trust cheaply: a bad magic or version is a
 // protocol error before any allocation, a truncated payload is detected by
 // the length prefix, and a flipped bit anywhere after the magic fails the
-// CRC. Scores stream back: a request is answered by zero or more
-// kScoreChunk frames (contiguous score spans, in order) terminated by one
-// kScoreDone carrying the typed ScoreError verdict — a client never has to
-// wait for the whole response before seeing progress, and a connection cut
-// mid-stream is distinguishable from a completed error.
+// CRC. Every kScoreRequest is answered by exactly one kScoreDone frame
+// carrying the typed ScoreError verdict and, on success, every score in
+// pose order — callers use scores only once a whole request has resolved,
+// so there is nothing to stream, and a connection cut before that frame is
+// a transport failure the client retries.
 //
 // All integers are little-endian (the only byte order this codebase
 // targets); floats travel as raw IEEE-754 bits, so scores and coordinates
@@ -33,7 +33,7 @@
 namespace df::serve::wire {
 
 constexpr uint32_t kMagic = 0x44465250u;  // "DFRP"
-constexpr uint16_t kVersion = 1;
+constexpr uint16_t kVersion = 2;
 // Hard cap on one frame's payload — far above any sane micro-batch, small
 // enough that garbage length prefixes cannot OOM the reader.
 constexpr uint32_t kMaxPayload = 1u << 28;
@@ -43,8 +43,7 @@ constexpr uint32_t kNoPocket = 0xFFFFFFFFu;
 enum class FrameType : uint16_t {
   kHello = 1,         // server -> client, once per connection
   kScoreRequest = 2,  // client -> server
-  kScoreChunk = 3,    // server -> client: contiguous span of scores
-  kScoreDone = 4,     // server -> client: terminal status for a request
+  kScoreDone = 4,     // server -> client: verdict + scores for a request
   kPing = 5,          // client -> server: heartbeat probe
   kPong = 6,          // server -> client: health + latency snapshot
   kDrain = 7,         // client -> server: stop accepting new requests
@@ -105,7 +104,6 @@ struct ScoreRequestPayload {
   uint64_t request_id = 0;
   uint32_t deadline_ms = 0;  // 0 = none
   std::string scorer;
-  std::string client;
   // Pockets are deduplicated: poses reference them by index so a work unit
   // of hundreds of poses against one binding site ships its pocket once.
   std::vector<std::vector<chem::Atom>> pockets;
@@ -120,22 +118,13 @@ struct ScoreRequestPayload {
   static ScoreRequestPayload decode(std::string_view bytes);
 };
 
-struct ScoreChunkPayload {
-  uint64_t request_id = 0;
-  uint64_t offset = 0;  // position of scores[0] in the request's pose list
-  std::vector<float> scores;
-
-  std::string encode() const;
-  static ScoreChunkPayload decode(std::string_view bytes);
-};
-
 struct ScoreDonePayload {
   uint64_t request_id = 0;
   ScoreError error = ScoreError::kNone;
   std::string message;
-  uint32_t micro_batches = 0;  // summed over the request's chunks
+  uint32_t micro_batches = 0;
   bool coalesced = false;
-  uint32_t chunks = 0;  // kScoreChunk frames that preceded this
+  std::vector<float> scores;  // one per pose, request order; empty on error
 
   std::string encode() const;
   static ScoreDonePayload decode(std::string_view bytes);
@@ -169,6 +158,8 @@ struct DrainAckPayload {
 };
 
 /// Client side: pack a ScoreRequest, deduplicating borrowed pocket pointers.
+/// The deadline goes through effective_deadline_ms and is rounded up to
+/// whole milliseconds, so a positive deadline never packs as 0 (none).
 ScoreRequestPayload pack_request(const ScoreRequest& req, uint64_t request_id);
 
 /// Server side: materialize a ScoreRequest whose pose pockets borrow from

@@ -303,7 +303,6 @@ TEST(OrderedStream, BitIdenticalAcrossWorkerCountsAndConcurrentClients) {
       clients.emplace_back([&, c] {
         serve::ScoreRequest req;
         req.scorer = "cnn3d";
-        req.client = "client" + std::to_string(c);
         req.poses = client_poses[static_cast<size_t>(c)];
         scores[static_cast<size_t>(c)] = service.score(std::move(req)).scores;
       });
@@ -733,6 +732,42 @@ TEST(ServiceDeadline, GenerousDeadlineDoesNotFireOnHealthyPath) {
   const serve::ScoreResponse resp = service.score(std::move(req));
   EXPECT_EQ(resp.error, serve::ScoreError::kNone) << resp.message;
   EXPECT_EQ(resp.scores.size(), 3u);
+  EXPECT_EQ(service.stats().timeouts, 0u);
+}
+
+TEST(ServiceDeadline, InfiniteOrHugeDeadlineScoresNormally) {
+  // A deadline that is not a finite positive number means none; a finite
+  // one clamps to the wire's u32 millisecond range before any conversion,
+  // so these score instead of overflowing into an instant kTimeout. The
+  // flush window follows the same range rule (NaN = dispatch at once).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(serve::effective_deadline_ms(inf), 0.0);
+  EXPECT_EQ(serve::effective_deadline_ms(nan), 0.0);
+  EXPECT_EQ(serve::effective_deadline_ms(-1.0), 0.0);
+  EXPECT_EQ(serve::effective_deadline_ms(1e300), serve::kMaxDeadlineMs);
+  EXPECT_EQ(serve::effective_deadline_ms(12.5), 12.5);
+
+  serve::ModelRegistry reg = family_registry();
+  serve::ServiceConfig sc;
+  sc.workers = 1;
+  sc.poses_per_batch = 4;
+  sc.flush_deadline_ms = nan;
+  serve::ScoringService service(reg, sc);
+
+  Rng rng(73);
+  const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
+  const std::vector<serve::PoseInput> poses = make_poses(2, &pocket, rng);
+  for (const double deadline_ms : {inf, 1e300, 1e13}) {
+    serve::ScoreRequest req;
+    req.scorer = "sgcnn";
+    req.poses = poses;
+    req.deadline_ms = deadline_ms;
+    const serve::ScoreResponse resp = service.score(std::move(req));
+    EXPECT_EQ(resp.error, serve::ScoreError::kNone) << "deadline_ms " << deadline_ms << ": "
+                                                     << resp.message;
+    EXPECT_EQ(resp.scores.size(), 2u);
+  }
   EXPECT_EQ(service.stats().timeouts, 0u);
 }
 

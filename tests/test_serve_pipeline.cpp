@@ -523,7 +523,6 @@ TEST(PipelinedService, OrderedStreamBitwiseAcrossDepthWorkersAndCache) {
       clients.emplace_back([&, c] {
         serve::ScoreRequest req;
         req.scorer = "fusion";
-        req.client = "client" + std::to_string(c);
         req.poses = client_poses[static_cast<size_t>(c)];
         scores[static_cast<size_t>(c)] = service.score(std::move(req)).scores;
       });

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "serve/net.h"
@@ -62,10 +63,10 @@ TEST(WireFrame, LayoutMagicVersionLengthCrc) {
 
 TEST(WireFrame, RoundtripOverSocket) {
   ConnPair pair;
-  ASSERT_TRUE(wire::write_frame(pair.a, wire::FrameType::kScoreChunk, "payload bytes", 1000));
+  ASSERT_TRUE(wire::write_frame(pair.a, wire::FrameType::kScoreDone, "payload bytes", 1000));
   wire::Frame frame;
   ASSERT_EQ(wire::read_frame(pair.b, &frame, 1000), wire::WireError::kNone);
-  EXPECT_EQ(frame.type, wire::FrameType::kScoreChunk);
+  EXPECT_EQ(frame.type, wire::FrameType::kScoreDone);
   EXPECT_EQ(frame.payload, "payload bytes");
 }
 
@@ -106,13 +107,17 @@ TEST(WireFrame, BadMagicRejectedBeforePayload) {
 }
 
 TEST(WireFrame, VersionMismatchRejected) {
-  ConnPair pair;
-  std::string frame = wire::encode_frame(wire::FrameType::kPing, "x");
-  const uint16_t bad_version = wire::kVersion + 1;
-  std::memcpy(frame.data() + 4, &bad_version, 2);
-  ASSERT_TRUE(pair.a.send_all(frame.data(), frame.size(), 1000));
-  wire::Frame out;
-  EXPECT_EQ(wire::read_frame(pair.b, &out, 1000), wire::WireError::kBadVersion);
+  // An older peer (a v1 node still streaming score chunks) and a newer one
+  // both fail at their first frame.
+  for (const uint16_t bad_version : {uint16_t{wire::kVersion - 1}, uint16_t{wire::kVersion + 1}}) {
+    ConnPair pair;
+    std::string frame = wire::encode_frame(wire::FrameType::kPing, "x");
+    std::memcpy(frame.data() + 4, &bad_version, 2);
+    ASSERT_TRUE(pair.a.send_all(frame.data(), frame.size(), 1000));
+    wire::Frame out;
+    EXPECT_EQ(wire::read_frame(pair.b, &out, 1000), wire::WireError::kBadVersion)
+        << "version " << bad_version;
+  }
 }
 
 TEST(WireFrame, OversizedLengthRejectedWithoutAllocation) {
@@ -167,38 +172,39 @@ TEST(WirePayload, HelloRoundtrip) {
   EXPECT_EQ(back.scorers, hello.scorers);
 }
 
-TEST(WirePayload, ScoreChunkRoundtripIsBitwise) {
-  wire::ScoreChunkPayload chunk;
-  chunk.request_id = 0xDEADBEEFCAFEull;
-  chunk.offset = 96;
-  chunk.scores = {1.5f, -0.0f, 3.1415926f, 1e-38f, -7.25f};
-  const wire::ScoreChunkPayload back = wire::ScoreChunkPayload::decode(chunk.encode());
-  EXPECT_EQ(back.request_id, chunk.request_id);
-  EXPECT_EQ(back.offset, chunk.offset);
-  ASSERT_EQ(back.scores.size(), chunk.scores.size());
-  for (size_t i = 0; i < chunk.scores.size(); ++i) {
+TEST(WirePayload, ScoreDoneRoundtrip) {
+  // A success carries every score, bitwise.
+  wire::ScoreDonePayload ok;
+  ok.request_id = 0xDEADBEEFCAFEull;
+  ok.micro_batches = 3;
+  ok.scores = {1.5f, -0.0f, 3.1415926f, 1e-38f, -7.25f};
+  const wire::ScoreDonePayload ok_back = wire::ScoreDonePayload::decode(ok.encode());
+  EXPECT_EQ(ok_back.request_id, ok.request_id);
+  EXPECT_EQ(ok_back.error, df::serve::ScoreError::kNone);
+  EXPECT_EQ(ok_back.micro_batches, ok.micro_batches);
+  EXPECT_FALSE(ok_back.coalesced);
+  ASSERT_EQ(ok_back.scores.size(), ok.scores.size());
+  for (size_t i = 0; i < ok.scores.size(); ++i) {
     uint32_t a, b;
-    std::memcpy(&a, &chunk.scores[i], 4);
-    std::memcpy(&b, &back.scores[i], 4);
+    std::memcpy(&a, &ok.scores[i], 4);
+    std::memcpy(&b, &ok_back.scores[i], 4);
     EXPECT_EQ(a, b) << "score " << i << " changed bits over the wire";
   }
-}
 
-TEST(WirePayload, ScoreDoneRoundtrip) {
+  // A typed error carries its verdict and no scores.
   wire::ScoreDonePayload done;
   done.request_id = 42;
   done.error = df::serve::ScoreError::kTimeout;
   done.message = "deadline expired";
   done.micro_batches = 7;
   done.coalesced = true;
-  done.chunks = 3;
   const wire::ScoreDonePayload back = wire::ScoreDonePayload::decode(done.encode());
   EXPECT_EQ(back.request_id, done.request_id);
   EXPECT_EQ(back.error, done.error);
   EXPECT_EQ(back.message, done.message);
   EXPECT_EQ(back.micro_batches, done.micro_batches);
   EXPECT_EQ(back.coalesced, done.coalesced);
-  EXPECT_EQ(back.chunks, done.chunks);
+  EXPECT_TRUE(back.scores.empty());
 }
 
 TEST(WirePayload, PingPongRoundtrip) {
@@ -314,8 +320,8 @@ TEST(WirePayload, MalformedPayloadsThrowTyped) {
   req.poses.push_back(pose);
   std::string encoded = wire::pack_request(req, 1).encode();
   // Find the first atom's element byte: u64 id + u32 deadline + str scorer
-  // (4 + 1) + str client (4) + u32 pockets + u32 atom count, then element.
-  const size_t element_at = 8 + 4 + (4 + 1) + 4 + 4 + 4;
+  // (4 + 1) + u32 pockets + u32 atom count, then element.
+  const size_t element_at = 8 + 4 + (4 + 1) + 4 + 4;
   encoded[element_at] = static_cast<char>(0x7F);
   EXPECT_THROW(wire::ScoreRequestPayload::decode(encoded), wire::WireDecodeError);
 
@@ -325,4 +331,35 @@ TEST(WirePayload, MalformedPayloadsThrowTyped) {
   std::string done_bytes = done.encode();
   done_bytes[8] = 0x50;  // error byte follows the u64 request id
   EXPECT_THROW(wire::ScoreDonePayload::decode(done_bytes), wire::WireDecodeError);
+
+  // Done frame whose score count overruns its payload.
+  done.scores = {1.0f, 2.0f, 3.0f};
+  const std::string scored = done.encode();
+  EXPECT_THROW(wire::ScoreDonePayload::decode(std::string_view(scored).substr(0, scored.size() - 2)),
+               wire::WireDecodeError);
+}
+
+TEST(WirePayload, PackedDeadlineFollowsTheServiceRule) {
+  // Not a finite positive number => no deadline (0); a finite one is
+  // clamped to the u32 millisecond range before the cast and rounded up,
+  // so a positive deadline never packs as "none" and never wraps.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    double in;
+    uint32_t packed;
+  } cases[] = {
+      {0, 0},    {-5, 0},   {-inf, 0},  {nan, 0},  {inf, 0},
+      {0.25, 1}, {50, 50},  {50.5, 51},
+      {1e10, 0xFFFFFFFFu},  {1e13, 0xFFFFFFFFu},   {1e300, 0xFFFFFFFFu},
+  };
+  for (const auto& c : cases) {
+    df::serve::ScoreRequest req;
+    req.scorer = "s";
+    req.deadline_ms = c.in;
+    const wire::ScoreRequestPayload p =
+        wire::ScoreRequestPayload::decode(wire::pack_request(req, 1).encode());
+    EXPECT_EQ(p.deadline_ms, c.packed) << "deadline_ms " << c.in;
+    EXPECT_EQ(wire::unpack_request(p).deadline_ms, static_cast<double>(c.packed));
+  }
 }
