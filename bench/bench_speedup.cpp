@@ -2,8 +2,9 @@
 // of Vina docking, MM/GBSA rescoring and Fusion inference; the paper reports
 // Fusion 2.7x faster than Vina and 403x faster than MM/GBSA) and measures
 // the inference-engine speedups this repo adds on top: vol2col+gemm Conv3d
-// vs the direct 7-loop reference, blocked GEMM thread scaling, and the
-// batched fusion scoring job.
+// vs the direct 7-loop reference, blocked GEMM thread scaling, the SG-CNN's
+// graph propagation at the screening batch shape, and the batched fusion
+// scoring job.
 //
 // Two run modes:
 //   bench_speedup                  — Google Benchmark suite (human output)
@@ -28,6 +29,7 @@
 #include "core/parallel.h"
 #include "core/threadpool.h"
 #include "dock/conveyorlc.h"
+#include "graph/gated_graph_conv.h"
 #include "nn/conv3d.h"
 #include "screen/job.h"
 #include "serve/service.h"
@@ -183,6 +185,43 @@ void BM_GemmBatched(benchmark::State& state) {
 // Real time, not CPU time: the work runs on pool workers, so the main
 // thread's CPU clock undercounts and would inflate the rate counter.
 BENCHMARK(BM_GemmBatched)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The SG-CNN's two propagations at the screening benchmark's batch shape:
+// 32 poses packed into 2650 node rows at d = 24, the covalent stage (k = 6,
+// about 2.5 in-edges per node) then the non-covalent one (k = 3, about 29),
+// each edge joining two nodes of one pose. Edges come from a fixed seed and
+// the forward runs on one core, as in a service worker.
+struct GraphPropagationBench {
+  static constexpr int64_t kRows = 2650, kDim = 24, kPoses = 32;
+  core::Rng rng{31};
+  graph::GatedGraphConv cov{kDim, 6, rng};
+  graph::GatedGraphConv noncov{kDim, 3, rng};
+  core::Tensor h0 = core::Tensor::randn({kRows, kDim}, rng, 0.5f);
+  graph::EdgeList cov_edges = edges(2.5), noncov_edges = edges(29.0);
+
+  graph::EdgeList edges(double per_node) {
+    graph::EdgeList e;
+    const auto count = static_cast<int64_t>(per_node * kRows);
+    for (int64_t i = 0; i < count; ++i) {
+      const int64_t dst = rng.randint(0, kRows - 1);
+      const int64_t pose = dst * kPoses / kRows;
+      const int64_t lo = (pose * kRows + kPoses - 1) / kPoses;
+      const int64_t hi = ((pose + 1) * kRows + kPoses - 1) / kPoses - 1;
+      e.add(static_cast<int32_t>(rng.randint(lo, hi)), static_cast<int32_t>(dst));
+    }
+    return e;
+  }
+};
+
+void BM_GatedGraphConvEval(benchmark::State& state) {
+  static GraphPropagationBench g;
+  core::SerialComputeScope serial;
+  for (auto _ : state) {
+    const core::Tensor h1 = g.cov.forward(g.h0, g.cov_edges, /*training=*/false);
+    benchmark::DoNotOptimize(g.noncov.forward(h1, g.noncov_edges, /*training=*/false));
+  }
+}
+BENCHMARK(BM_GatedGraphConvEval)->Unit(benchmark::kMillisecond);
 
 // ---- machine-readable speedup mode (--json) ----
 

@@ -102,7 +102,7 @@ inline const float* pad_bias_col(const float* bias, int64_t n) {
 // on AVX2) without spilling.
 constexpr int64_t MR = 6;
 constexpr int64_t NR = 32;
-constexpr int64_t KC = 192;
+constexpr int64_t KC = kSgemmPanelK;
 constexpr int64_t MC = 96;    // multiple of MR
 constexpr int64_t NC = 1024;  // multiple of NR
 

@@ -36,6 +36,12 @@ struct Epilogue {
   float leaky_slope = 0.01f;        // kLeakyReLU only
 };
 
+/// Depth of sgemm's k-panels. On every path an element of C sums
+/// p = 0..k-1 in order within each panel of this many terms and adds each
+/// panel's sum to C (the first panel overwrites it unless accumulating), so
+/// a kernel that must match sgemm bit for bit splits k the same way.
+inline constexpr int64_t kSgemmPanelK = 192;
+
 /// C (m x n, ldc) = op(A) * op(B), overwriting C — or accumulating into C
 /// when `accumulate` is true. When `epilogue` is non-null its bias/activation
 /// are applied to the final C (after accumulation) on the hot micro-tile.

@@ -2,6 +2,19 @@
 // update, over one edge type. The SG-CNN runs one instance over covalent
 // edges and another over non-covalent edges, with per-stage K and hidden
 // widths chosen by the hyper-parameter search (paper Table 1/2).
+//
+// Training runs each step over the whole (N, dim) matrix: aggregate, the
+// W_msg matmul, then GRUCell::forward, two sgemm calls per gate. Eval runs
+// one fused step per tile of kTileRows node rows: gather the neighbour
+// states through the CSR, multiply by W_msg, run the gate GEMMs
+// register-blocked over several rows per pass, then sigmoid/tanh, the reset
+// product and the update while the tile is in L1, storing only the new
+// state. The states alternate between two lane-padded
+// (N, round_up(dim, 16)) buffers taken once per forward, the weights are
+// packed per forward (nothing is cached between forwards), and tiles fan
+// out over an installed compute pool. Every element keeps training's
+// arithmetic and order, so eval is bitwise equal to training. (Compilers
+// without the GNU vector extension run eval through the training path.)
 #pragma once
 
 #include <vector>
@@ -15,9 +28,13 @@ namespace df::graph {
 
 class GatedGraphConv {
  public:
+  /// Node rows per eval tile: the tile's gate block and operands stay in L1.
+  static constexpr int64_t kTileRows = 32;
+
   GatedGraphConv(int64_t dim, int64_t num_steps, core::Rng& rng);
 
-  /// Propagate node states (N, dim) over `edges` for K steps.
+  /// Propagate node states (N, dim) over `edges` for K steps. Throws
+  /// std::invalid_argument on an edge endpoint outside [0, N).
   Tensor forward(const Tensor& h0, const EdgeList& edges, bool training);
   /// Backward for the most recent forward; returns dL/dh0.
   Tensor backward(const Tensor& grad_h_final);
@@ -27,10 +44,10 @@ class GatedGraphConv {
   int64_t num_steps() const { return steps_; }
 
  private:
-  /// m_v = sum_{(u,v) in E} h_u W_msg  (aggregate-then-transform), reading
-  /// sources through csr_ so each destination row is accumulated in
-  /// registers and stored once.
+  /// m_v = sum_{(u,v) in E} h_u W_msg  (aggregate-then-transform).
   Tensor message(const Tensor& h) const;
+  /// The K fused eval steps (see the header comment).
+  Tensor propagate_eval(const Tensor& h0) const;
   /// Group edge sources by destination (stable within a destination).
   void build_csr(const EdgeList& edges, int64_t num_nodes);
 

@@ -2,8 +2,29 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace df::graph {
+
+namespace {
+// Append `edges` shifted by `shift`. An endpoint outside the graph's own
+// [0, nodes) would land on another pose's nodes, so it is rejected.
+void append_shifted(const EdgeList& edges, int32_t shift, int64_t nodes, EdgeList& out) {
+  if (edges.dst.size() != edges.src.size()) {
+    throw std::invalid_argument("pack_graphs: edge list src/dst sizes differ");
+  }
+  for (size_t e = 0; e < edges.size(); ++e) {
+    const int32_t s = edges.src[e], d = edges.dst[e];
+    if (s < 0 || s >= nodes || d < 0 || d >= nodes) {
+      throw std::invalid_argument("pack_graphs: edge " + std::to_string(s) + " -> " +
+                                  std::to_string(d) + " outside a graph of " +
+                                  std::to_string(nodes) + " nodes");
+    }
+    out.src.push_back(s + shift);
+    out.dst.push_back(d + shift);
+  }
+}
+}  // namespace
 
 PackedGraphBatch pack_graphs(const std::vector<const SpatialGraph*>& graphs) {
   if (graphs.empty()) throw std::invalid_argument("pack_graphs: empty batch");
@@ -42,14 +63,8 @@ PackedGraphBatch pack_graphs(const std::vector<const SpatialGraph*>& graphs) {
     std::memcpy(out.node_features.data() + base * F, g.node_features.data(),
                 static_cast<size_t>(g.num_nodes() * F) * sizeof(float));
     const int32_t shift = static_cast<int32_t>(base);
-    for (size_t e = 0; e < g.covalent.size(); ++e) {
-      out.covalent.src.push_back(g.covalent.src[e] + shift);
-      out.covalent.dst.push_back(g.covalent.dst[e] + shift);
-    }
-    for (size_t e = 0; e < g.noncovalent.size(); ++e) {
-      out.noncovalent.src.push_back(g.noncovalent.src[e] + shift);
-      out.noncovalent.dst.push_back(g.noncovalent.dst[e] + shift);
-    }
+    append_shifted(g.covalent, shift, g.num_nodes(), out.covalent);
+    append_shifted(g.noncovalent, shift, g.num_nodes(), out.noncovalent);
   }
   return out;
 }

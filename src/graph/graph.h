@@ -66,8 +66,8 @@ struct PackedGraphBatch {
 };
 
 /// Pack `graphs` block-diagonally. Throws std::invalid_argument on an empty
-/// batch, an empty graph (no nodes — mirrors Sgcnn's per-pose check) or
-/// mismatched feature widths.
+/// batch, an empty graph (no nodes — mirrors Sgcnn's per-pose check),
+/// mismatched feature widths or an edge endpoint outside its own graph.
 PackedGraphBatch pack_graphs(const std::vector<const SpatialGraph*>& graphs);
 
 }  // namespace df::graph

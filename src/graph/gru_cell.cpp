@@ -1,8 +1,8 @@
 #include "graph/gru_cell.h"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "core/gemm.h"
 #include "nn/activations.h"
@@ -53,7 +53,10 @@ GRUCell::GRUCell(int64_t dim, core::Rng& rng) : dim_(dim) {
 
 Tensor GRUCell::forward(const Tensor& x, const Tensor& h, bool training) {
   core::check_same_shape(x, h, "GRUCell");
-  if (!training) return forward_eval(x, h);
+  if (x.ndim() != 2 || x.dim(1) != dim_) {
+    throw std::invalid_argument("GRUCell: input " + x.shape_str() + " is not (N, " +
+                                std::to_string(dim_) + ")");
+  }
   Tensor z = gate(x, wz_.value, h, uz_.value, bz_.value, core::EpilogueAct::kSigmoid);
   Tensor r = gate(x, wr_.value, h, ur_.value, br_.value, core::EpilogueAct::kSigmoid);
   Tensor rh = Tensor::uninit(h.shape());
@@ -61,64 +64,7 @@ Tensor GRUCell::forward(const Tensor& x, const Tensor& h, bool training) {
   Tensor c = gate(x, wc_.value, rh, uc_.value, bc_.value, core::EpilogueAct::kTanh);
   Tensor h_new = Tensor::uninit(h.shape());
   for (int64_t i = 0; i < h.numel(); ++i) h_new[i] = (1.0f - z[i]) * h[i] + z[i] * c[i];
-  frames_.push_back(Frame{x, h, std::move(z), std::move(r), std::move(c)});
-  return h_new;
-}
-
-Tensor GRUCell::forward_eval(const Tensor& x, const Tensor& h) {
-  // Inference: the three gates share their inputs, so fold the x-side into
-  // ONE (rows, 3*dim) GEMM over column-concatenated weights [Wz|Wr|Wc] and
-  // the z/r h-side into one (rows, 2*dim) accumulate with the bias+sigmoid
-  // epilogue — x is read once instead of three times, h once instead of
-  // twice, and z/r/c live side by side in one activation block. Column
-  // concatenation does not touch any per-element accumulation order, so
-  // the gate values are bitwise identical to the training-path gate().
-  const int64_t rows = x.dim(0), d = dim_;
-  Tensor wcat = Tensor::uninit({d, 3 * d});
-  Tensor ucat = Tensor::uninit({d, 2 * d});
-  Tensor bcat = Tensor::uninit({2 * d});
-  for (int64_t p = 0; p < d; ++p) {
-    float* wrow = wcat.data() + p * 3 * d;
-    std::memcpy(wrow, wz_.value.data() + p * d, static_cast<size_t>(d) * sizeof(float));
-    std::memcpy(wrow + d, wr_.value.data() + p * d, static_cast<size_t>(d) * sizeof(float));
-    std::memcpy(wrow + 2 * d, wc_.value.data() + p * d, static_cast<size_t>(d) * sizeof(float));
-    float* urow = ucat.data() + p * 2 * d;
-    std::memcpy(urow, uz_.value.data() + p * d, static_cast<size_t>(d) * sizeof(float));
-    std::memcpy(urow + d, ur_.value.data() + p * d, static_cast<size_t>(d) * sizeof(float));
-  }
-  std::memcpy(bcat.data(), bz_.value.data(), static_cast<size_t>(d) * sizeof(float));
-  std::memcpy(bcat.data() + d, br_.value.data(), static_cast<size_t>(d) * sizeof(float));
-
-  // a = [z|r|c] pre-activations, finalized block by block in place.
-  Tensor a = Tensor::uninit({rows, 3 * d});
-  core::sgemm(false, false, rows, 3 * d, d, x.data(), d, wcat.data(), 3 * d, a.data(), 3 * d);
-  core::Epilogue ep_zr;
-  ep_zr.act = core::EpilogueAct::kSigmoid;
-  ep_zr.bias_col = bcat.data();
-  core::sgemm(false, false, rows, 2 * d, d, h.data(), d, ucat.data(), 2 * d, a.data(), 3 * d,
-              /*accumulate=*/true, &ep_zr);
-  Tensor rh = Tensor::uninit(h.shape());
-  for (int64_t i = 0; i < rows; ++i) {
-    const float* arow = a.data() + i * 3 * d + d;  // r block
-    const float* hrow = h.data() + i * d;
-    float* out = rh.data() + i * d;
-    for (int64_t j = 0; j < d; ++j) out[j] = arow[j] * hrow[j];
-  }
-  core::Epilogue ep_c;
-  ep_c.act = core::EpilogueAct::kTanh;
-  ep_c.bias_col = bc_.value.data();
-  core::sgemm(false, false, rows, d, d, rh.data(), d, uc_.value.data(), d, a.data() + 2 * d,
-              3 * d, /*accumulate=*/true, &ep_c);
-
-  Tensor h_new = Tensor::uninit(h.shape());
-  for (int64_t i = 0; i < rows; ++i) {
-    const float* arow = a.data() + i * 3 * d;
-    const float* hrow = h.data() + i * d;
-    float* out = h_new.data() + i * d;
-    for (int64_t j = 0; j < d; ++j) {
-      out[j] = (1.0f - arow[j]) * hrow[j] + arow[j] * arow[2 * d + j];
-    }
-  }
+  if (training) frames_.push_back(Frame{x, h, std::move(z), std::move(r), std::move(c)});
   return h_new;
 }
 

@@ -2,9 +2,13 @@
 // "Gated Graph Sequence Neural Networks", the recurrence PotentialNet and
 // hence the paper's SG-CNN are built on).
 //
-// One cell instance is invoked K times per propagation; each invocation
-// pushes a cache frame so backward() can be called K times in reverse order
-// (stack discipline), accumulating weight gradients across steps.
+// One cell instance is invoked K times per propagation; each training
+// invocation pushes a cache frame so backward() can be called K times in
+// reverse order (stack discipline), accumulating weight gradients across
+// steps. forward() runs every gate as two sgemm calls over the whole
+// (N, dim) matrix, in eval too; that is the bitwise reference for
+// GatedGraphConv's fused eval step, which reads the weights through
+// gates().
 #pragma once
 
 #include "core/rng.h"
@@ -21,12 +25,22 @@ class GRUCell {
   /// in GGNN where messages live in the hidden space.
   GRUCell(int64_t dim, core::Rng& rng);
 
-  /// h' = GRU(x, h); caches a frame when training. Inference calls take a
-  /// fused path (one x-side GEMM over [Wz|Wr|Wc], shared h-side reads) that
-  /// is bitwise identical to the training-path gate math.
+  /// h' = GRU(x, h) for (N, dim) x and h (std::invalid_argument otherwise);
+  /// caches a frame when training.
   Tensor forward(const Tensor& x, const Tensor& h, bool training);
   /// Pops the most recent frame. Returns {dL/dx, dL/dh}.
   std::pair<Tensor, Tensor> backward(const Tensor& grad_h_new);
+
+  /// The gate parameters, read-only: W* (dim x dim) act on x, U* on h, b*
+  /// (dim) are biases; z is the update gate, r the reset gate, c the
+  /// candidate.
+  struct Gates {
+    const Tensor &wz, &uz, &bz, &wr, &ur, &br, &wc, &uc, &bc;
+  };
+  Gates gates() const {
+    return {wz_.value, uz_.value, bz_.value, wr_.value, ur_.value,
+            br_.value, wc_.value, uc_.value, bc_.value};
+  }
 
   void collect_parameters(std::vector<Parameter*>& out);
   int64_t dim() const { return dim_; }
@@ -34,9 +48,6 @@ class GRUCell {
   void clear_frames() { frames_.clear(); }
 
  private:
-  /// Fused inference forward (see forward()).
-  Tensor forward_eval(const Tensor& x, const Tensor& h);
-
   struct Frame {
     Tensor x, h, z, r, c;  // inputs and gate activations
   };
