@@ -1,10 +1,10 @@
 // Regenerates the paper's §4.1/§4.2 cost comparison (per-pose scoring cost
 // of Vina docking, MM/GBSA rescoring and Fusion inference; the paper reports
 // Fusion 2.7x faster than Vina and 403x faster than MM/GBSA) and measures
-// the inference-engine speedups this repo adds on top: vol2col+gemm Conv3d
-// vs the direct 7-loop reference, blocked GEMM thread scaling, the SG-CNN's
-// graph propagation at the screening batch shape, and the batched fusion
-// scoring job.
+// the inference-engine speedups this repo adds on top: the indirect-GEMM
+// Conv3d vs the direct 7-loop reference, the 3D-CNN trunk and the SG-CNN's
+// graph propagation at the screening batch shape, blocked GEMM thread
+// scaling, and the batched fusion scoring job.
 //
 // Two run modes:
 //   bench_speedup                  — Google Benchmark suite (human output)
@@ -30,6 +30,7 @@
 #include "core/threadpool.h"
 #include "dock/conveyorlc.h"
 #include "graph/gated_graph_conv.h"
+#include "models/cnn3d.h"
 #include "nn/conv3d.h"
 #include "screen/job.h"
 #include "serve/service.h"
@@ -160,13 +161,42 @@ void BM_Conv3dForwardNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv3dForwardNaive)->Unit(benchmark::kMillisecond);
 
-void BM_Conv3dForwardVol2col(benchmark::State& state) {
+void BM_Conv3dForward(benchmark::State& state) {
   ConvBench& c = conv_bench();
   for (auto _ : state) {
     benchmark::DoNotOptimize(c.conv.forward(c.x));
   }
 }
-BENCHMARK(BM_Conv3dForwardVol2col)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Conv3dForward)->Unit(benchmark::kMillisecond);
+
+// The screening benchmark's 3D-CNN trunk (bench/screening/fixtures.cpp): 16
+// voxel channels on an 8^3 grid, 32/64 filters, 128 dense nodes, the
+// residual on stage 2 only, no batch norm. One 32-pose batch of voxels from
+// a fixed seed, eval forward on one core, as in a service worker.
+void BM_Cnn3dTrunkEval(benchmark::State& state) {
+  static const struct TrunkBench {
+    models::Cnn3dConfig cfg = [] {
+      models::Cnn3dConfig c;
+      c.in_channels = 16;
+      c.grid_dim = 8;
+      c.conv_filters1 = 32;
+      c.conv_filters2 = 64;
+      c.dense_nodes = 128;
+      c.batch_norm = false;
+      c.residual1 = false;
+      c.residual2 = true;
+      return c;
+    }();
+    core::Rng rng{37};
+    std::unique_ptr<models::Cnn3d> cnn = std::make_unique<models::Cnn3d>(cfg, rng);
+    core::Tensor voxels = core::Tensor::uniform({32, 16, 8, 8, 8}, rng, 0.0f, 1.0f);
+  } t;
+  core::SerialComputeScope serial;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(t.cnn->forward_latent(t.voxels, /*training=*/false));
+  }
+}
+BENCHMARK(BM_Cnn3dTrunkEval)->Unit(benchmark::kMillisecond);
 
 void BM_GemmBatched(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
@@ -253,7 +283,7 @@ int emit_json(const std::string& path) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(out, "{\n  \"schema\": \"bench_speedup.v1\",\n  \"hardware_threads\": %u,\n", hw);
 
-  // 1. Conv3d forward: vol2col+gemm vs the direct 7-loop reference,
+  // 1. Conv3d forward: the indirect GEMM vs the direct 7-loop reference,
   //    single-threaded (no pool installed), with an output-equivalence pin.
   {
     ConvBench& c = conv_bench();
@@ -268,7 +298,7 @@ int emit_json(const std::string& path) {
                  "\"naive_ms\": %.4f, \"fast_ms\": %.4f, \"speedup\": %.2f, "
                  "\"max_abs_diff\": %.3g},\n",
                  naive_ms, fast_ms, naive_ms / fast_ms, diff);
-    std::printf("conv3d forward: naive %.3f ms, vol2col %.3f ms -> %.2fx (max diff %.2g)\n",
+    std::printf("conv3d forward: naive %.3f ms, fast %.3f ms -> %.2fx (max diff %.2g)\n",
                 naive_ms, fast_ms, naive_ms / fast_ms, diff);
   }
 

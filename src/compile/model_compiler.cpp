@@ -291,7 +291,7 @@ models::Cnn3d* cnn_head_of(models::Regressor& model) {
   return nullptr;
 }
 
-// Build every Conv3d lowering (base and tap offsets) for the model's voxel
+// Build every Conv3d lowering (row and tap offsets) for the model's voxel
 // geometry with one zero-valued dummy trunk forward (values are discarded;
 // the lowerings depend only on geometry).
 void warm_conv_plans(models::Regressor& model) {

@@ -16,11 +16,12 @@
 //     activation used to sit behind a Dropout becomes directly adjacent to
 //     it, and the Sequential's eval program fuses them into one GEMM.
 //   * Weight prepacking — every Dense/Conv3d that is not int8 gets the fp32
-//     serving handle its own packed_f32() produces (nn/eval_weights.h), so
-//     steady-state sgemm calls skip pack_a/pack_b. Bitwise identical on
-//     every dispatch path (core::sgemm_prepacked).
+//     serving handle its own packed_f32() produces (nn/eval_weights.h):
+//     Dense's B panels, which steady-state sgemm calls stream instead of
+//     packing (core::sgemm_prepacked), and Conv3d's Wᵀ image, which its
+//     forward would otherwise pack per call. Bitwise identical either way.
 //   * Conv-plan prewarming — the 3D-CNN trunk's Conv3d lowerings (the
-//     per-geometry base and tap offsets) are built for the model's voxel
+//     per-geometry row and tap offsets) are built for the model's voxel
 //     geometry ahead of the first request.
 //
 // The compiled model is eval-only: training after compilation would update
@@ -57,7 +58,9 @@ namespace df::compile {
 /// a mismatch is recompile, never in-place migration.
 /// 3: one section group per GEMM layer ("dense/<i>/...", "conv/<i>/...")
 ///    holding its serving handle verbatim.
-constexpr int64_t kCompiledSchema = 3;
+/// 4: a Conv3d fp32 handle is the Wᵀ row image of its indirect-GEMM
+///    forward instead of BLIS A panels.
+constexpr int64_t kCompiledSchema = 4;
 
 /// The four servable model families an artifact can carry.
 enum class ModelFamily : int64_t {

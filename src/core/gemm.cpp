@@ -283,6 +283,32 @@ void micro_kernel(int64_t kc, const float* ap, const float* bp, float* C, int64_
 // result is bitwise identical to both.
 constexpr int64_t kSkinnyN = 96;
 
+// Rows of C per pool chunk when a skinny-shaped GEMM fans out, or 0 when
+// it stays on the calling thread (too little work, no pool, or already a
+// pool worker). Rows are independent (per-row accumulation never crosses
+// rows), so chunking is bitwise identical to serial.
+int64_t pool_row_chunk(int64_t m, int64_t n, int64_t k) {
+  ThreadPool* pool = compute_thread_pool();
+  if (m * n * k < (int64_t{1} << 20) || pool == nullptr || pool->size() <= 1 || in_pool_worker())
+    return 0;
+  const int64_t workers = static_cast<int64_t>(pool->size());
+  return std::max<int64_t>(64, round_up((m + 2 * workers - 1) / (2 * workers), 8));
+}
+
+// run(r0, rows) over [0, m) in pool_row_chunk pieces, or at once.
+template <class Fn>
+void for_row_chunks(int64_t m, int64_t n, int64_t k, const Fn& run) {
+  const int64_t chunk = pool_row_chunk(m, n, k);
+  if (chunk == 0) {
+    run(int64_t{0}, m);
+    return;
+  }
+  parallel_for_auto(static_cast<size_t>((m + chunk - 1) / chunk), 2, [&](size_t ci) {
+    const int64_t r0 = static_cast<int64_t>(ci) * chunk;
+    run(r0, std::min(chunk, m - r0));
+  });
+}
+
 #if defined(__GNUC__) || defined(__clang__)
 // Write one finished row: add C's prior partial sums when accumulating, run
 // the epilogue, store. Whole 16-lane chunks load and store as vectors; only
@@ -318,7 +344,8 @@ inline void skinny_finalize(const v16f (&acc)[NV], float* crow, int64_t n, int64
 // R * NV accumulators plus the NV B vectors of one k-step in registers, so
 // each B load feeds R rows of FMAs: the B stream, not the FMAs, bounds these
 // shapes. AVX-512's 32 vector registers fit R = 8, 8, 6, 4, 4, 3 for
-// NV = 1..6 (8 rows at NV = 2 divide the 32- and 64-row conv GEMMs evenly);
+// NV = 1..6 (Conv3d's g * N GEMM rows, N = 64 or 8 at the screening grid,
+// divide evenly);
 // narrower ISAs split each 16-lane vector over two or four registers and
 // keep at most two rows.
 template <int NV>
@@ -331,23 +358,52 @@ constexpr int skinny_block_rows() {
 #endif
 }
 
+// Row sources of the skinny pass: element (i, p) of A is row(i)[col(p)].
+// StridedA is a row-major matrix; IndirectA is Dukhan's indirect operand
+// (arXiv:1907.02129), whose rows and k-columns are offsets into one buffer,
+// so a convolution multiplies straight from its zero-padded input. at(r0,
+// pc) is the source of the block whose row 0 / column 0 is (r0, pc).
+struct StridedA {
+  const float* a;
+  int64_t lda;
+  const float* row(int64_t i) const { return a + i * lda; }
+  int64_t col(int64_t p) const { return p; }
+  StridedA at(int64_t r0, int64_t pc) const { return {a + r0 * lda + pc, lda}; }
+};
+
+struct IndirectA {
+  const float* x;
+  const int32_t* row_off;
+  const int32_t* k_off;
+  const float* row(int64_t i) const { return x + row_off[i]; }
+  int64_t col(int64_t p) const { return k_off[p]; }
+  IndirectA at(int64_t r0, int64_t pc) const { return {x, row_off + r0, k_off + pc}; }
+};
+
+// Splat an A element read straight from memory (one broadcast load). The
+// packed micro-kernel's 0.0f + a differs from it only for a = -0.0f, which
+// cannot change a sum whose accumulator starts at +0.0f: (+0) + (-0) is +0
+// and a nonzero accumulator absorbs either zero, so no output bit moves.
+inline v16f broadcast(float v) { return v16f{v, v, v, v, v, v, v, v, v, v, v, v, v, v, v, v}; }
+
 // R consecutive rows from local row i. Each output element sums p = 0..k-1
 // in order whatever R is, so the blocking changes no bit.
-template <int NV, int R>
-inline void skinny_pass(int64_t i, int64_t row0, int64_t n, int64_t k, const float* A,
-                        int64_t lda, const float* bpad, int64_t bstride, float* C, int64_t ldc,
+template <int NV, int R, class Src>
+inline void skinny_pass(int64_t i, int64_t row0, int64_t n, int64_t k, const Src& a,
+                        const float* bpad, int64_t bstride, float* C, int64_t ldc,
                         bool accumulate, const Epilogue* ep, const float* bias_padded) {
-  const float* a[R];
-  for (int r = 0; r < R; ++r) a[r] = A + (i + r) * lda;
+  const float* rows[R];
+  for (int r = 0; r < R; ++r) rows[r] = a.row(i + r);
   v16f acc[R][NV] = {};
   const float* bp = bpad;
   for (int64_t p = 0; p < k; ++p, bp += bstride) {
     v16f bv[NV];
 #pragma GCC unroll 8
     for (int v = 0; v < NV; ++v) std::memcpy(&bv[v], bp + v * 16, sizeof(v16f));
+    const int64_t q = a.col(p);
 #pragma GCC unroll 8
     for (int r = 0; r < R; ++r) {
-      const v16f av = v16f{} + a[r][p];
+      const v16f av = broadcast(rows[r][q]);
 #pragma GCC unroll 8
       for (int v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
     }
@@ -356,18 +412,34 @@ inline void skinny_pass(int64_t i, int64_t row0, int64_t n, int64_t k, const flo
     skinny_finalize<NV>(acc[r], C + (i + r) * ldc, n, row0 + i + r, accumulate, ep, bias_padded);
 }
 
-template <int NV>
-void skinny_rows(int64_t row0, int64_t m, int64_t n, int64_t k, const float* A, int64_t lda,
-                 const float* bpad, int64_t bstride, float* C, int64_t ldc, bool accumulate,
-                 const Epilogue* ep, const float* bias_padded) {
+template <int NV, class Src>
+void skinny_rows(int64_t row0, int64_t m, int64_t n, int64_t k, const Src& a, const float* bpad,
+                 int64_t bstride, float* C, int64_t ldc, bool accumulate, const Epilogue* ep,
+                 const float* bias_padded) {
   // `row0` is the global C row of A/C's first row — epilogue row-bias
   // indexing must see global coordinates when the caller chunks m.
   constexpr int R = skinny_block_rows<NV>();
   int64_t i = 0;
   for (; i + R <= m; i += R)
-    skinny_pass<NV, R>(i, row0, n, k, A, lda, bpad, bstride, C, ldc, accumulate, ep, bias_padded);
+    skinny_pass<NV, R>(i, row0, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded);
   for (; i < m; ++i)
-    skinny_pass<NV, 1>(i, row0, n, k, A, lda, bpad, bstride, C, ldc, accumulate, ep, bias_padded);
+    skinny_pass<NV, 1>(i, row0, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded);
+}
+
+// One k-panel of `m` C rows at n <= kSkinnyN columns, dispatched on the
+// 16-lane chunk count. `a` and C start at global row row0.
+template <class Src>
+void skinny_panel(int64_t row0, int64_t m, int64_t n, int64_t k, const Src& a, const float* bpad,
+                  int64_t bstride, float* C, int64_t ldc, bool accumulate, const Epilogue* ep,
+                  const float* bias_padded) {
+  switch ((n + 15) / 16) {
+    case 1: skinny_rows<1>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    case 2: skinny_rows<2>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    case 3: skinny_rows<3>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    case 4: skinny_rows<4>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    case 5: skinny_rows<5>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    default: skinny_rows<6>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+  }
 }
 
 void sgemm_skinny(int64_t m, int64_t n, int64_t k, const float* A, int64_t lda, const float* B,
@@ -413,36 +485,31 @@ void sgemm_skinny(int64_t m, int64_t n, int64_t k, const float* A, int64_t lda, 
       bpad = dst;
       bstride = nv * 16;
     }
-    const float* a = A + pc;
-    auto run_rows = [&](int64_t r0, int64_t rows) {
-      const float* ar = a + r0 * lda;
-      float* cr = C + r0 * ldc;
-      switch (nv) {
-        case 1: skinny_rows<1>(r0, rows, n, kc, ar, lda, bpad, bstride, cr, ldc, acc, pep, bias_padded); break;
-        case 2: skinny_rows<2>(r0, rows, n, kc, ar, lda, bpad, bstride, cr, ldc, acc, pep, bias_padded); break;
-        case 3: skinny_rows<3>(r0, rows, n, kc, ar, lda, bpad, bstride, cr, ldc, acc, pep, bias_padded); break;
-        case 4: skinny_rows<4>(r0, rows, n, kc, ar, lda, bpad, bstride, cr, ldc, acc, pep, bias_padded); break;
-        case 5: skinny_rows<5>(r0, rows, n, kc, ar, lda, bpad, bstride, cr, ldc, acc, pep, bias_padded); break;
-        default: skinny_rows<6>(r0, rows, n, kc, ar, lda, bpad, bstride, cr, ldc, acc, pep, bias_padded); break;
-      }
-    };
-    // Rows are independent (per-row accumulation never crosses rows), so
-    // wide packed-node GEMMs fan row chunks over the compute pool exactly
-    // like the packed kernel's MC blocks — bitwise identical to serial.
-    ThreadPool* pool = compute_thread_pool();
-    const bool parallel = m * n * k >= (int64_t{1} << 20) && pool != nullptr &&
-                          pool->size() > 1 && !in_pool_worker();
-    if (parallel) {
-      const int64_t workers = static_cast<int64_t>(pool->size());
-      const int64_t chunk = std::max<int64_t>(64, (m + 2 * workers - 1) / (2 * workers));
-      const int64_t nchunks = (m + chunk - 1) / chunk;
-      parallel_for_auto(static_cast<size_t>(nchunks), 2, [&](size_t ci) {
-        const int64_t r0 = static_cast<int64_t>(ci) * chunk;
-        run_rows(r0, std::min(chunk, m - r0));
-      });
-    } else {
-      run_rows(0, m);
-    }
+    for_row_chunks(m, n, k, [&](int64_t r0, int64_t rows) {
+      skinny_panel(r0, rows, n, kc, StridedA{A, lda}.at(r0, pc), bpad, bstride, C + r0 * ldc,
+                   ldc, acc, pep, bias_padded);
+    });
+  }
+}
+
+// C rows [r0, r0 + rows) of the indirect GEMM, panel-outer: each k-panel's
+// sums are added to the rows' partial C in order, the last panel's through
+// the epilogue. Columns run in blocks of at most kSkinnyN lanes, split
+// evenly (n = 128 runs as two 64-lane blocks), so a block's B panel stays
+// cache-hot over every row.
+void indirect_rows(int64_t r0, int64_t rows, int64_t n, int64_t k, const IndirectA& a,
+                   const float* B, int64_t ldb, float* C, int64_t ldc, const Epilogue* ep,
+                   const float* bias_padded) {
+  const int64_t nv = (n + 15) / 16;
+  const int64_t blocks = (nv + kSkinnyN / 16 - 1) / (kSkinnyN / 16);
+  const int64_t block = (nv + blocks - 1) / blocks * 16;
+  for (int64_t pc = 0; pc < k; pc += KC) {
+    const int64_t kc = std::min(KC, k - pc);
+    const Epilogue* pep = pc + KC >= k ? ep : nullptr;
+    for (int64_t j0 = 0; j0 < n; j0 += block)
+      skinny_panel(r0, rows, std::min(block, n - j0), kc, a.at(r0, pc), B + pc * ldb + j0, ldb,
+                   C + r0 * ldc + j0, ldc, pc > 0, pep,
+                   bias_padded != nullptr ? bias_padded + j0 : nullptr);
   }
 }
 #else
@@ -466,14 +533,48 @@ void sgemm_skinny(int64_t m, int64_t n, int64_t k, const float* A, int64_t lda, 
     }
   }
 }
+
+struct IndirectA {
+  const float* x;
+  const int32_t* row_off;
+  const int32_t* k_off;
+};
+
+void indirect_rows(int64_t r0, int64_t rows, int64_t n, int64_t k, const IndirectA& a,
+                   const float* B, int64_t ldb, float* C, int64_t ldc, const Epilogue* ep,
+                   const float*) {
+  for (int64_t i = r0; i < r0 + rows; ++i) {
+    const float* x = a.x + a.row_off[i];
+    for (int64_t j = 0; j < n; ++j) {
+      float c = 0.0f;
+      for (int64_t pc = 0; pc < k; pc += KC) {
+        float acc = 0.0f;
+        for (int64_t p = pc; p < std::min(k, pc + KC); ++p) acc += x[a.k_off[p]] * B[p * ldb + j];
+        c = pc == 0 ? acc : c + acc;
+      }
+      C[i * ldc + j] = ep != nullptr ? apply_epilogue(*ep, c, i, j) : c;
+    }
+  }
+}
 #endif
 
-/// Prepacked operand views threaded through the shared blocked driver: when
-/// a pointer is set, the driver substitutes the ahead-of-time image for the
-/// per-call pack_a/pack_b output at the exact offset the per-call pack
-/// would have produced — identical bytes in, identical bytes out.
+// C for k == 0: the empty sum (0, or C itself when accumulating) through
+// the epilogue.
+void finish_empty_k(int64_t m, int64_t n, float* C, int64_t ldc, bool accumulate,
+                    const Epilogue* epilogue) {
+  for (int64_t i = 0; i < m; ++i) {
+    float* row = C + i * ldc;
+    if (!accumulate) std::memset(row, 0, static_cast<size_t>(n) * sizeof(float));
+    if (epilogue != nullptr)
+      for (int64_t j = 0; j < n; ++j) row[j] = apply_epilogue(*epilogue, row[j], i, j);
+  }
+}
+
+/// Prepacked B views threaded through the shared blocked driver: when a
+/// pointer is set, the driver substitutes the ahead-of-time image for the
+/// per-call pack_b output at the exact offset the per-call pack would have
+/// produced — identical bytes in, identical bytes out.
 struct PrepackedViews {
-  const float* a_panels = nullptr;  // pack_a_full image
   const float* b_panels = nullptr;  // pack_b_full panel region
   const float* b_skinny = nullptr;  // pack_b_full skinny row image
 };
@@ -484,17 +585,11 @@ void sgemm_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, con
   if (m < 0 || n < 0 || k < 0) throw std::invalid_argument("sgemm: negative dimension");
   if (m == 0 || n == 0) return;
   if (k == 0) {
-    for (int64_t i = 0; i < m; ++i) {
-      float* row = C + i * ldc;
-      if (!accumulate) std::memset(row, 0, static_cast<size_t>(n) * sizeof(float));
-      if (epilogue != nullptr)
-        for (int64_t j = 0; j < n; ++j) row[j] = apply_epilogue(*epilogue, row[j], i, j);
-    }
+    finish_empty_k(m, n, C, ldc, accumulate, epilogue);
     return;
   }
   // Skinny dispatch: always for a single k-panel; for deeper k only when m
-  // is small enough that the repeated C passes stay cache-resident (the
-  // per-sample conv GEMMs, m = cout).
+  // is small enough that the repeated C passes stay cache-resident.
   if (!trans_a && !trans_b && n <= kSkinnyN && (k <= KC || m <= 64)) {
     sgemm_skinny(m, n, k, A, lda, B, ldb, C, ldc, accumulate, epilogue, pre.b_skinny);
     return;
@@ -535,7 +630,6 @@ void sgemm_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, con
   const float* bias_padded = nullptr;
 #endif
 
-  const int64_t mr_rows = round_up(m, MR);  // A-image floats per unit of pc
   const int64_t nr_cols = round_up(n, NR);  // B-image floats per unit of pc
   for (int64_t pc = 0; pc < k; pc += KC) {
     const int64_t kc = std::min(KC, k - pc);
@@ -555,17 +649,10 @@ void sgemm_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, con
       parallel_for_auto(static_cast<size_t>(n_iblocks), min_parallel, [&](size_t ib) {
         const int64_t ic = static_cast<int64_t>(ib) * iblock;
         const int64_t mc = std::min(iblock, m - ic);
-        const float* apanels;
-        if (pre.a_panels != nullptr) {
-          // Row block ic starts MR-aligned, so its micro-panels sit at a
-          // plain offset inside the full-m image.
-          apanels = pre.a_panels + mr_rows * pc + ic * kc;
-        } else {
-          static thread_local std::vector<float> abuf;
-          abuf.resize(static_cast<size_t>(round_up(mc, MR) * kc));
-          pack_a(A, lda, trans_a, ic, pc, mc, kc, abuf.data());
-          apanels = abuf.data();
-        }
+        static thread_local std::vector<float> abuf;
+        abuf.resize(static_cast<size_t>(round_up(mc, MR) * kc));
+        pack_a(A, lda, trans_a, ic, pc, mc, kc, abuf.data());
+        const float* apanels = abuf.data();
         for (int64_t jr = 0; jr < nc; jr += NR) {
           const int64_t nr = std::min(NR, nc - jr);
           const float* bpanel = bpack + jr * kc;
@@ -589,7 +676,27 @@ void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const fl
              PrepackedViews{});
 }
 
-int64_t packed_a_floats(int64_t m, int64_t k) { return round_up(m, MR) * k; }
+void sgemm_indirect(int64_t m, int64_t n, int64_t k, const float* X, const int32_t* row_off,
+                    const int32_t* k_off, const float* B, int64_t ldb, float* C, int64_t ldc,
+                    const Epilogue* epilogue) {
+  if (m < 0 || n < 0 || k < 0) throw std::invalid_argument("sgemm_indirect: negative dimension");
+  if (ldb < round_up(n, 16))
+    throw std::invalid_argument("sgemm_indirect: ldb below n rounded up to 16 lanes");
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    finish_empty_k(m, n, C, ldc, /*accumulate=*/false, epilogue);
+    return;
+  }
+#if defined(__GNUC__) || defined(__clang__)
+  const float* bias_padded = epilogue != nullptr ? pad_bias_col(epilogue->bias_col, n) : nullptr;
+#else
+  const float* bias_padded = nullptr;
+#endif
+  const IndirectA a{X, row_off, k_off};
+  for_row_chunks(m, n, k, [&](int64_t r0, int64_t rows) {
+    indirect_rows(r0, rows, n, k, a, B, ldb, C, ldc, epilogue, bias_padded);
+  });
+}
 
 int64_t packed_b_floats(int64_t k, int64_t n) {
   int64_t total = round_up(n, NR) * k;
@@ -597,17 +704,6 @@ int64_t packed_b_floats(int64_t k, int64_t n) {
   // enough to qualify also carries the skinny-path row image.
   if (n <= kSkinnyN) total += k * ((n + 15) / 16 * 16);
   return total;
-}
-
-void pack_a_full(bool trans_a, int64_t m, int64_t k, const float* A, int64_t lda, float* out) {
-  const int64_t mr_rows = round_up(m, MR);
-  for (int64_t pc = 0; pc < k; pc += KC) {
-    const int64_t kc = std::min(KC, k - pc);
-    // The per-call path packs each MC row block separately, but the blocks
-    // are MR-aligned and pack_a's layout is micro-panel-major, so one full-m
-    // pack per KC panel produces the same bytes at ic * kc offsets.
-    pack_a(A, lda, trans_a, 0, pc, m, kc, out + mr_rows * pc);
-  }
 }
 
 void pack_b_full(bool trans_b, int64_t k, int64_t n, const float* B, int64_t ldb, float* out) {
@@ -646,16 +742,6 @@ void sgemm_prepacked(int64_t m, const float* A, int64_t lda, const PrepackedB& B
   // Raw B is never dereferenced: the blocked path reads the panel image and
   // the skinny path reads the row image.
   sgemm_impl(false, false, m, B.n, B.k, A, lda, nullptr, B.n, C, ldc, accumulate, epilogue, pre);
-}
-
-void sgemm_prepacked(const PrepackedA& A, int64_t n, const float* B, int64_t ldb, float* C,
-                     int64_t ldc, bool accumulate, const Epilogue* epilogue) {
-  if (A.panels == nullptr || A.raw == nullptr || A.m < 0 || A.k < 0)
-    throw std::invalid_argument("sgemm_prepacked: invalid PrepackedA view");
-  PrepackedViews pre;
-  pre.a_panels = A.panels;
-  // The skinny path streams row-major A directly, so it reads A.raw.
-  sgemm_impl(false, false, A.m, n, A.k, A.raw, A.k, B, ldb, C, ldc, accumulate, epilogue, pre);
 }
 
 void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const float* A,

@@ -1,8 +1,14 @@
 // Cache-blocked, register-tiled single-precision GEMM — the one kernel every
-// dense FLOP in deepfusion (Dense, GatedGraphConv, vol2col Conv3d) lowers
-// onto. Row-major storage with explicit leading dimensions, BLIS-style
-// packed panels (MR x NR micro-tiles), and optional ThreadPool parallelism
-// over row panels via core::compute_thread_pool().
+// dense FLOP in deepfusion (Dense, GatedGraphConv, Conv3d) lowers onto.
+// Row-major storage with explicit leading dimensions, BLIS-style packed
+// panels (MR x NR micro-tiles), a register-blocked row pass for skinny
+// right-hand sides (n <= 96), and optional ThreadPool parallelism over row
+// panels via core::compute_thread_pool().
+//
+// sgemm_indirect runs the same row pass over an indirect A (Dukhan,
+// arXiv:1907.02129): element (i, p) is an offset into one buffer, so
+// Conv3d's forward multiplies straight from its zero-padded input with no
+// column matrix, bit for bit what sgemm gives on the materialized A.
 //
 // An optional fused epilogue applies a bias broadcast and/or a pointwise
 // activation to each C micro-tile while it is still hot from the k-loop,
@@ -60,44 +66,41 @@ void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                  float* C, int64_t ldc, bool accumulate = false,
                  const Epilogue* epilogue = nullptr);
 
-// ---- prepacked operands --------------------------------------------------
+/// C (m x n, ldc) = A * B for an indirect (m x k) A: element (i, p) of A is
+/// X[row_off[i] + k_off[p]]. B is (k x n) row-major with ldb >=
+/// round_up(n, 16): the row pass loads whole 16-lane chunks, so each of
+/// B's k rows must hold that many readable floats, and the lanes past n
+/// never reach C. k runs in kSgemmPanelK panels whose sums are added to C
+/// in order, the last through `epilogue`, so the result is bitwise identical
+/// to sgemm(false, false, m, n, k, A, k, B, ldb, C, ldc, false, epilogue)
+/// on the materialized A. Rows fan out over the compute pool like sgemm's.
+void sgemm_indirect(int64_t m, int64_t n, int64_t k, const float* X, const int32_t* row_off,
+                    const int32_t* k_off, const float* B, int64_t ldb, float* C, int64_t ldc,
+                    const Epilogue* epilogue = nullptr);
+
+// ---- prepacked B ----------------------------------------------------------
 //
 // A weight matrix that is multiplied repeatedly (every Dense layer on the
-// serving path, every per-sample Conv3d GEMM) pays pack_a/pack_b on every
-// sgemm call even though the packed bytes never change. pack_a_full /
-// pack_b_full produce, once, exactly the panel images the blocked kernel
-// would have packed per call — same micro-panel layout, same zero padding,
-// same (pc, jc/ic) traversal order — so sgemm_prepacked streams them
-// directly and its result is bitwise identical to sgemm on the raw operand,
-// on every dispatch path including the skinny-RHS fast path.
+// serving path) pays pack_b on every sgemm call even though the packed bytes
+// never change. pack_b_full produces, once, exactly the panel images the
+// blocked kernel would have packed per call — same micro-panel layout, same
+// zero padding, same (pc, jc) traversal order — so sgemm_prepacked streams
+// them directly and its result is bitwise identical to sgemm on the raw
+// operand, on every dispatch path including the skinny-RHS fast path.
 //
 // The images are position-independent float blobs: the ahead-of-time model
 // compiler serializes them into compiled artifacts and serving replicas
-// point PrepackedA/PrepackedB views straight into the mmap'd file.
+// point PrepackedB views straight into the mmap'd file.
 
-/// Floats pack_a_full writes for an (m x k) op(A): round_up(m, MR) * k.
-int64_t packed_a_floats(int64_t m, int64_t k);
 /// Floats pack_b_full writes for a (k x n) op(B): round_up(n, NR) * k
 /// panels, plus a k * round_up(n, 16) skinny-path row image when n is
 /// within the skinny-RHS dispatch width.
 int64_t packed_b_floats(int64_t k, int64_t n);
 
-/// Pack all KC-panels of op(A) (m x k) into micro-panels of MR rows, the
-/// exact per-row-block layout sgemm's pack_a produces (KC-panel major).
-void pack_a_full(bool trans_a, int64_t m, int64_t k, const float* A, int64_t lda, float* out);
 /// Pack all (KC, NC) blocks of op(B) (k x n) into micro-panels of NR
 /// columns (KC-panel major, NC-block minor), followed by the zero-padded
 /// 16-lane row image the skinny-RHS path streams (when n qualifies).
 void pack_b_full(bool trans_b, int64_t k, int64_t n, const float* B, int64_t ldb, float* out);
-
-/// Non-owning view of a pack_a_full image. `raw` must point at the
-/// row-major (m x k, lda = k) operand — the skinny-RHS path streams A
-/// unpacked, so prepacking A keeps the raw bytes reachable.
-struct PrepackedA {
-  int64_t m = 0, k = 0;
-  const float* panels = nullptr;  // packed_a_floats(m, k) floats
-  const float* raw = nullptr;     // (m x k) row-major, leading dimension k
-};
 
 /// Non-owning view of a pack_b_full image (panels + optional skinny image).
 struct PrepackedB {
@@ -109,12 +112,6 @@ struct PrepackedB {
 /// sgemm(false, false, m, B.n, B.k, A, lda, raw_B, B.n, ...) but without the
 /// per-call pack_b (and without the skinny-path row-image build).
 void sgemm_prepacked(int64_t m, const float* A, int64_t lda, const PrepackedB& B, float* C,
-                     int64_t ldc, bool accumulate = false, const Epilogue* epilogue = nullptr);
-
-/// C (A.m x n) = A * B (A.k x n) with A prepacked — bitwise identical to
-/// sgemm(false, false, A.m, n, A.k, A.raw, A.k, B, ldb, ...) but without the
-/// per-call pack_a in the blocked path.
-void sgemm_prepacked(const PrepackedA& A, int64_t n, const float* B, int64_t ldb, float* C,
                      int64_t ldc, bool accumulate = false, const Epilogue* epilogue = nullptr);
 
 }  // namespace df::core

@@ -15,7 +15,7 @@
 // pin int8 scores exactly instead of within tolerance.
 //
 // Packed layouts (position-independent byte blobs, serialized into .dfca
-// artifacts exactly like the fp32 panel images of pack_a_full/pack_b_full):
+// artifacts exactly like the fp32 serving images of pack_b_full and Conv3d):
 //
 //   B panels: column panels of NR=16 columns (zero-padded), k in groups of
 //     4 (zero-padded to k4 = round_up(k, 4)). Byte index inside panel jp:

@@ -4,9 +4,12 @@
 // consumes them, so the model compiler, the quantizer and the artifact code
 // never see a weight layout. A handle is one of:
 //
-//   * kNone — eval forwards run the plain sgemm on the raw weight;
-//   * kF32  — a core::pack_a_full / pack_b_full panel image, streamed by
-//             core::sgemm_prepacked (bitwise identical to sgemm);
+//   * kNone — eval forwards run on the raw weight (Dense: the plain sgemm;
+//             Conv3d: Wᵀ packed per forward);
+//   * kF32  — Dense: a core::pack_b_full panel image, streamed by
+//             core::sgemm_prepacked; Conv3d: the Wᵀ row image its
+//             core::sgemm_indirect forward multiplies by (both bitwise
+//             identical to the kNone forward);
 //   * kInt8 — a core/gemm_s8.h weight image plus per-output dequant scales,
 //             the Dense u8-offset compensation vector and the calibrated
 //             activation step.

@@ -39,12 +39,14 @@ namespace df::quant {
 struct QuantizeOptions {
   bool quantize_conv = true;
   /// Compile-time cost model: skip Conv3d layers with fewer output
-  /// channels than this — their GEMM is too narrow to amortize the
-  /// per-sample vol2col B-operand quantization pass, so int8 runs them
-  /// *slower* than fp32 (the 0.87x fusion case, docs/PERF.md int8
-  /// section). 24 keeps every Table-3-scale layer (32/64/128 filters)
-  /// quantized while leaving tiny bench/test sub-models fp32
-  /// automatically. 0 disables the model (quantize every conv).
+  /// channels than this. The int8 conv lowers each sample to a column
+  /// matrix and quantizes it, a pass that does not shrink with the output
+  /// channels the int8 GEMM saving grows with. 24 quantizes every
+  /// Table-3-scale layer (32/64/128 filters) and leaves tiny bench/test
+  /// sub-models fp32. Against the fp32 forward's indirect GEMM, which
+  /// writes no column matrix, int8 convs measure slower at the Table-3
+  /// widths too (docs/PERF.md int8 section); the default stands until
+  /// that is decided. 0 disables the model (quantize every conv).
   int min_conv_out_channels_for_int8 = 24;
   CalibConfig calib;
 };

@@ -154,30 +154,6 @@ void check_prepacked_b(int64_t m, int64_t n, int64_t k, bool with_epilogue, Rng&
       << " epilogue=" << with_epilogue;
 }
 
-void check_prepacked_a(int64_t m, int64_t n, int64_t k, bool with_epilogue, Rng& rng) {
-  const std::vector<float> A = random_buf(m * k, rng);
-  const std::vector<float> B = random_buf(k * n, rng);
-  const std::vector<float> bias = random_buf(m, rng);
-  core::Epilogue ep;
-  ep.act = core::EpilogueAct::kLeakyReLU;
-  ep.bias_row = bias.data();
-  ep.leaky_slope = 0.05f;
-  const core::Epilogue* epp = with_epilogue ? &ep : nullptr;
-
-  std::vector<float> C_ref(static_cast<size_t>(m * n), 0.0f);
-  core::sgemm(false, false, m, n, k, A.data(), k, B.data(), n, C_ref.data(), n, false, epp);
-
-  std::vector<float> panels(static_cast<size_t>(core::packed_a_floats(m, k)));
-  core::pack_a_full(false, m, k, A.data(), k, panels.data());
-  core::PrepackedA pa{m, k, panels.data(), A.data()};
-  std::vector<float> C(static_cast<size_t>(m * n), 0.0f);
-  core::sgemm_prepacked(pa, n, B.data(), n, C.data(), n, false, epp);
-
-  ASSERT_EQ(std::memcmp(C.data(), C_ref.data(), C.size() * sizeof(float)), 0)
-      << "prepacked-A mismatch m=" << m << " n=" << n << " k=" << k
-      << " epilogue=" << with_epilogue;
-}
-
 TEST(PrepackedGemm, BitwiseMatchesPerCallPackingAtBlockingBoundaries) {
   Rng rng(7);
   // n spans the NR=32 micro-panel, the skinny-RHS cutoff (96) and the
@@ -199,17 +175,6 @@ TEST(PrepackedGemm, BitwiseMatchesPerCallPackingAtBlockingBoundaries) {
   check_prepacked_b(8, 16, 200, true, rng);
 }
 
-TEST(PrepackedGemm, PrepackedAMatchesAcrossBoundariesIncludingSkinnyStream) {
-  Rng rng(8);
-  for (int64_t m : {1, 5, 6, 7, 95, 97}) {
-    for (int64_t k : {1, 191, 192, 193}) {
-      check_prepacked_a(m, 97, k, false, rng);  // past the skinny cutoff: blocked path
-      check_prepacked_a(m, 33, k, false, rng);  // skinny for m <= 64, blocked above
-      check_prepacked_a(m, 8, k, true, rng);    // skinny path streams A.raw
-    }
-  }
-}
-
 TEST(PrepackedGemm, AccumulateAndNullViewsRejected) {
   Rng rng(9);
   const int64_t m = 7, n = 40, k = 65;
@@ -227,8 +192,6 @@ TEST(PrepackedGemm, AccumulateAndNullViewsRejected) {
 
   core::PrepackedB bad{k, n, nullptr};
   EXPECT_THROW(core::sgemm_prepacked(m, A.data(), k, bad, C.data(), n), std::invalid_argument);
-  core::PrepackedA bad_a{m, k, nullptr, A.data()};
-  EXPECT_THROW(core::sgemm_prepacked(bad_a, n, B.data(), n, C.data(), n), std::invalid_argument);
 }
 
 // ---- BatchNorm folding ---------------------------------------------------
@@ -565,6 +528,13 @@ TEST(CompiledArtifact, CompiledSchemaIsVersionedApartFromTheContainer) {
     return true;
   });
   expect_recompile("next compiled schema");
+  // Schema 3 stored Conv3d's fp32 handle as BLIS A panels, not Wᵀ.
+  rewrite_artifact(art, bad, [](const std::string& name, const auto&, io::ArtifactWriter& w) {
+    if (name != "compile/schema") return false;
+    w.add_scalar(name, 3);
+    return true;
+  });
+  expect_recompile("schema 3");
   rewrite_artifact(art, bad, [](const std::string& name, const auto&, auto&) {
     return name == "compile/schema";  // dropped
   });

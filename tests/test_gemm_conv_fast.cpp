@@ -1,15 +1,16 @@
 // Equivalence pins for the blocked inference engine: sgemm vs the naive
 // reference (all transpose variants, odd shapes, 1-8 threads), the skinny-RHS
-// kernel vs the packed kernel (bitwise), gather-lowered Conv3d
-// forward/backward vs the direct 7-loop reference and (bitwise) vs a plain
-// im2col + sgemm reference, sample-grouped conv batches vs per-sample
-// forwards, the ligand-only graph readout vs the full per-node readout,
-// parallel voxelizer/maxpool vs serial, batched predict vs per-pose predict,
-// and ThreadPool exception propagation.
+// kernel vs the packed kernel (bitwise), the indirect-A GEMM vs sgemm on the
+// materialized A (bitwise), Conv3d forward/backward vs the direct 7-loop
+// reference and (bitwise) vs a plain im2col + sgemm reference, sample-grouped
+// conv batches vs per-sample forwards, the ligand-only graph readout vs the
+// full per-node readout, parallel voxelizer/maxpool vs serial, batched
+// predict vs per-pose predict, and ThreadPool exception propagation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -129,6 +130,73 @@ TEST(Gemm, SkinnyPathBitwiseMatchesPackedPath) {
   EXPECT_EQ(cases, 4964);
 }
 
+// The indirect-A GEMM against sgemm on the gathered A: element (i, p) of A
+// is X[row_off[i] + k_off[p]]. The cases span several 192-term k-panels,
+// every 16-lane chunk count up to two column blocks, row counts around the
+// 8-row pass, every epilogue activation, and pools of 1, 2 and 8 threads
+// for rows enough to fan out. B's pad lanes hold NaN: they must never reach
+// C, and C's prior contents must be overwritten.
+void check_indirect_case(int64_t m, int64_t n, int64_t k, core::EpilogueAct act, Rng& rng) {
+  const int64_t span = 3 * k + 40;
+  const std::vector<float> X = random_buf(m + span, rng);
+  std::vector<int32_t> row_off, k_off;
+  for (int64_t i = 0; i < m; ++i) row_off.push_back(static_cast<int32_t>(rng.randint(0, m)));
+  for (int64_t p = 0; p < k; ++p) k_off.push_back(static_cast<int32_t>(rng.randint(0, span - 1)));
+  std::vector<float> A;
+  for (const int32_t r : row_off)
+    for (const int32_t c : k_off) A.push_back(X[static_cast<size_t>(r + c)]);
+  const int64_t ldb = (n + 15) / 16 * 16;
+  std::vector<float> B(static_cast<size_t>(k * ldb), std::numeric_limits<float>::quiet_NaN());
+  for (int64_t p = 0; p < k; ++p)
+    for (int64_t j = 0; j < n; ++j) B[static_cast<size_t>(p * ldb + j)] = rng.uniform(-1.0f, 1.0f);
+  const std::vector<float> bias_col = random_buf(n, rng), bias_row = random_buf(m, rng);
+  core::Epilogue ep;
+  ep.act = act;
+  ep.bias_col = bias_col.data();
+  ep.bias_row = bias_row.data();
+  ep.leaky_slope = 0.05f;
+  const int64_t ldc = n + 3;
+  for (const core::Epilogue* epp : {static_cast<const core::Epilogue*>(nullptr),
+                                    static_cast<const core::Epilogue*>(&ep)}) {
+    std::vector<float> ref = random_buf(m * ldc, rng);
+    std::vector<float> got = random_buf(m * ldc, rng);
+    core::sgemm(false, false, m, n, k, A.data(), k, B.data(), ldb, ref.data(), ldc, false, epp);
+    core::sgemm_indirect(m, n, k, X.data(), row_off.data(), k_off.data(), B.data(), ldb,
+                         got.data(), ldc, epp);
+    for (int64_t i = 0; i < m; ++i)
+      ASSERT_EQ(std::memcmp(got.data() + i * ldc, ref.data() + i * ldc,
+                            static_cast<size_t>(n) * sizeof(float)),
+                0)
+          << "m=" << m << " n=" << n << " k=" << k << " act=" << static_cast<int>(act)
+          << " epilogue=" << (epp != nullptr) << " row " << i;
+  }
+}
+
+TEST(Gemm, IndirectMatchesMaterializedA) {
+  Rng rng(89);
+  const core::EpilogueAct acts[] = {core::EpilogueAct::kNone,    core::EpilogueAct::kReLU,
+                                    core::EpilogueAct::kLeakyReLU, core::EpilogueAct::kSELU,
+                                    core::EpilogueAct::kSigmoid, core::EpilogueAct::kTanh};
+  int64_t cases = 0;
+  for (const int64_t k : {1, 7, 192, 193, 450})
+    for (const int64_t n : {1, 15, 16, 17, 32, 33, 64, 96, 128})
+      for (const int64_t m : {1, 3, 7, 8, 9, 15, 16, 17, 65})
+        check_indirect_case(m, n, k, acts[cases++ % 6], rng);
+  // Enough rows (m * n * k >= 2^20) to fan row chunks over the pool.
+  for (size_t threads : {1u, 2u, 8u}) {
+    core::ThreadPool pool(threads);
+    core::ComputePoolGuard guard(&pool);
+    for (const int64_t n : {16, 33, 128})
+      for (const int64_t m : {203, 260}) check_indirect_case(m, n, 450, acts[cases++ % 6], rng);
+  }
+  std::vector<float> C = {1, 2};
+  const int32_t zero = 0;
+  core::sgemm_indirect(1, 2, 0, nullptr, &zero, nullptr, nullptr, 16, C.data(), 2);
+  EXPECT_EQ(C, (std::vector<float>{0, 0}));
+  EXPECT_THROW(core::sgemm_indirect(1, 17, 1, C.data(), &zero, &zero, C.data(), 17, C.data(), 17),
+               std::invalid_argument);
+}
+
 TEST(Gemm, KZeroClearsOrKeepsC) {
   std::vector<float> C = {1, 2, 3, 4};
   core::sgemm(false, false, 2, 2, 0, nullptr, 1, nullptr, 2, C.data(), 2, /*accumulate=*/true);
@@ -164,7 +232,7 @@ TEST(Tensor, MatmulVariantsMatchNaive) {
   EXPECT_LE(max_abs_diff(a.matmul_nt(bt), r), kTol);
 }
 
-// ---- Conv3d vol2col vs direct reference ----
+// ---- Conv3d vs direct reference ----
 
 struct ConvCase {
   int64_t B, cin, cout, D, H, W, k, stride, pad;
@@ -273,8 +341,10 @@ void check_conv_bitwise_vs_im2col(const ConvCase& cc, Rng& rng) {
   const int64_t Wo = nn::Conv3d::out_size(cc.W, cc.k, cc.stride, cc.pad);
   const int64_t K = cc.cin * cc.k * cc.k * cc.k, N = Do * Ho * Wo;
   const int64_t chan = cc.cin * cc.D * cc.H * cc.W;
-  std::string where = "k=" + std::to_string(cc.k) + " s=" + std::to_string(cc.stride) +
-                      " p=" + std::to_string(cc.pad) + " N=" + std::to_string(N);
+  std::string where = "B=" + std::to_string(cc.B) + " cin=" + std::to_string(cc.cin) +
+                      " cout=" + std::to_string(cc.cout) + " k=" + std::to_string(cc.k) +
+                      " s=" + std::to_string(cc.stride) + " p=" + std::to_string(cc.pad) +
+                      " N=" + std::to_string(N);
 
   // Reference: one im2col + sgemm per sample; bias through the epilogue.
   core::Epilogue ep;
@@ -301,6 +371,8 @@ void check_conv_bitwise_vs_im2col(const ConvCase& cc, Rng& rng) {
 
   conv.set_training(false);
   EXPECT_TRUE(same_bytes(conv.forward(x), y_ref)) << "eval fwd " << where;
+  conv.set_eval_weights(conv.packed_f32());
+  EXPECT_TRUE(same_bytes(conv.forward(x), y_ref)) << "eval fwd, packed handle " << where;
   conv.set_training(true);
   EXPECT_TRUE(same_bytes(conv.forward(x), y_ref)) << "train fwd " << where;
   conv.zero_grad();
@@ -321,8 +393,23 @@ TEST(Conv3dFast, BitwiseMatchesIm2colReference) {
       {3, 16, 8, 8, 8, 8, 5, 2, 2},
       // N = 4896: offsets across hundreds of 16-position blocks.
       {1, 2, 3, 18, 17, 16, 3, 1, 1},
+      // cout across 16-lane chunks and the 96-lane column block; every
+      // cin * k^3 > 192 puts a k-panel boundary inside a channel's taps.
+      {2, 3, 1, 5, 5, 5, 3, 1, 1},   {2, 8, 17, 4, 4, 4, 3, 1, 1}, {3, 2, 33, 6, 5, 4, 5, 1, 2},
+      {2, 16, 64, 4, 4, 4, 3, 1, 1}, {2, 9, 70, 3, 3, 3, 3, 1, 1}, {2, 12, 128, 3, 3, 3, 3, 1, 1},
+      // B * N = 1, 7, 9 and 65 GEMM rows.
+      {1, 3, 5, 1, 1, 1, 3, 1, 1},   {7, 2, 6, 1, 1, 1, 3, 1, 1},  {1, 4, 5, 1, 3, 3, 3, 1, 1},
+      {5, 3, 4, 1, 13, 1, 1, 1, 0},
   };
   for (const ConvCase& cc : cases) check_conv_bitwise_vs_im2col(cc, rng);
+  // The screening trunk's four convs (16 voxel channels on an 8^3 grid,
+  // 32/64 filters) at batches of 1, 5 and 32.
+  for (const int64_t B : {1, 5, 32}) {
+    check_conv_bitwise_vs_im2col({B, 16, 32, 8, 8, 8, 5, 2, 2}, rng);
+    check_conv_bitwise_vs_im2col({B, 32, 32, 4, 4, 4, 3, 1, 1}, rng);
+    check_conv_bitwise_vs_im2col({B, 32, 64, 2, 2, 2, 3, 1, 1}, rng);
+    check_conv_bitwise_vs_im2col({B, 64, 64, 2, 2, 2, 3, 1, 1}, rng);
+  }
 }
 
 TEST(Conv3dFast, GroupedBatchMatchesPerSampleForward) {

@@ -167,6 +167,51 @@ TEST(MaxPool3d, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gx.sum(), 5.0f);
 }
 
+// A gradient that is not the last training forward's output shape used to
+// size backward's buffers while the lowering wrote the cached input's
+// extent: a (1,3,2,2,2) gradient after a (2,2,4,4,4) forward overflowed.
+TEST(Conv3d, BackwardRejectsGradientOfTheWrongShape) {
+  Rng rng(5);
+  Conv3d conv(2, 3, 3, rng, 1, 1);
+  EXPECT_THROW(conv.backward(Tensor({2, 3, 4, 4, 4})), std::runtime_error);
+  conv.forward(Tensor::randn({2, 2, 4, 4, 4}, rng));
+  for (const std::vector<int64_t>& bad : std::vector<std::vector<int64_t>>{
+           {1, 3, 2, 2, 2}, {2, 3, 4, 4, 5}, {2, 4, 4, 4, 4}, {3, 3, 4, 4, 4}, {2, 3, 64}}) {
+    EXPECT_THROW(conv.backward(Tensor(bad)), std::invalid_argument) << Tensor(bad).shape_str();
+  }
+  EXPECT_EQ(conv.backward(Tensor({2, 3, 4, 4, 4})).shape(), (std::vector<int64_t>{2, 2, 4, 4, 4}));
+}
+
+// Backward routes through the last training forward's indices only: before
+// one it throws, an eval forward (which records none) leaves them alone,
+// and a gradient of another shape (a larger one used to read past the
+// indices) is rejected.
+TEST(MaxPool3d, BackwardNeedsTheTrainingForwardsOutputShape) {
+  MaxPool3d pool(2, 2);
+  EXPECT_THROW(pool.backward(Tensor({1, 1, 1, 1, 1})), std::runtime_error);
+  pool.set_training(false);
+  pool.forward(Tensor({1, 1, 2, 2, 2}));
+  EXPECT_THROW(pool.backward(Tensor({1, 1, 1, 1, 1})), std::runtime_error);
+
+  pool.set_training(true);
+  Tensor x({1, 1, 2, 2, 2});
+  x[6] = 1.0f;
+  pool.forward(x);
+  EXPECT_THROW(pool.backward(Tensor({1, 1, 1, 1, 2})), std::invalid_argument);
+  EXPECT_THROW(pool.backward(Tensor({2, 1, 1, 1, 1})), std::invalid_argument);
+  EXPECT_THROW(pool.backward(Tensor({1, 1})), std::invalid_argument);
+
+  pool.set_training(false);
+  EXPECT_EQ(pool.forward(Tensor({2, 3, 4, 4, 4})).numel(), 48);
+  EXPECT_THROW(pool.backward(Tensor({2, 3, 2, 2, 2})), std::invalid_argument);
+  Tensor g({1, 1, 1, 1, 1});
+  g[0] = 5.0f;
+  const Tensor gx = pool.backward(g);
+  EXPECT_EQ(gx.shape(), x.shape());
+  EXPECT_FLOAT_EQ(gx[6], 5.0f);
+  EXPECT_FLOAT_EQ(gx.sum(), 5.0f);
+}
+
 TEST(Flatten, RoundTrip) {
   Flatten f;
   Rng rng(3);
