@@ -488,7 +488,7 @@ int pack_f32(const std::vector<Layer*>& layers) {
 }
 
 // One layer's serving handle, stored verbatim under `base`: its kind, its
-// image and, when int8, its scales, comp (Dense only) and act step.
+// image and, when int8, its scales and comp.
 void write_eval_weights(io::ArtifactWriter& out, const std::string& base,
                         const nn::EvalWeights& e) {
   out.add_scalar(base + "kind", static_cast<int64_t>(e.kind));
@@ -497,8 +497,7 @@ void write_eval_weights(io::ArtifactWriter& out, const std::string& base,
   if (e.kind != nn::EvalWeights::Kind::kInt8) return;
   out.add_int8s(base + "image", {e.image_len}, e.s8());
   out.add_floats(base + "scales", {e.scales_len}, e.scales);
-  if (e.comp != nullptr) out.add_int32s(base + "comp", {e.comp_len}, e.comp);
-  out.add_floats(base + "act", {1}, &e.act_scale);
+  out.add_int32s(base + "comp", {e.comp_len}, e.comp);
 }
 
 // Give `layer` the handle stored under `base`, as views into the mapping
@@ -518,11 +517,8 @@ void read_eval_weights(const std::shared_ptr<io::ArtifactReader>& image, const s
     e.image_len = a.section(img).numel();
     e.scales = a.floats(scales);
     e.scales_len = a.section(scales).numel();
-    if (a.has(comp)) {
-      e.comp = a.int32s(comp);
-      e.comp_len = a.section(comp).numel();
-    }
-    e.act_scale = a.floats(base + "act", 1)[0];
+    e.comp = a.int32s(comp);
+    e.comp_len = a.section(comp).numel();
   }
   try {
     layer.set_eval_weights(std::move(e));
@@ -596,10 +592,9 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
                    params[i]->value.data());
   }
 
-  // The layers' handles, verbatim: fp32 panels are a pure function of the
-  // folded weights, but int8 images embed calibration results, and the
-  // verbatim copy is what makes a restored replica bitwise-reproduce the
-  // donor's int8 scores (int32 accumulation is exact).
+  // The layers' handles, verbatim, so a restored replica points its
+  // weights straight into the mapping and bitwise-reproduces the donor's
+  // scores, int8 included (int32 accumulation is exact).
   out.add_scalar("dense/count", static_cast<int64_t>(w.dense.size()));
   out.add_scalar("conv/count", static_cast<int64_t>(w.conv.size()));
   for (size_t i = 0; i < w.dense.size(); ++i)
@@ -610,14 +605,18 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
   out.save(path);
 }
 
-CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
-  const io::ArtifactReader& a = *image;
+void check_compiled_schema(const io::ArtifactReader& a) {
   const int64_t schema = a.has("compile/schema") ? a.scalar("compile/schema") : 0;
   if (schema != kCompiledSchema) {
     throw format_error("compiled schema " + std::to_string(schema) + " in " + a.path() +
                        " (reader supports " + std::to_string(kCompiledSchema) +
                        "; recompile the artifact)");
   }
+}
+
+CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
+  const io::ArtifactReader& a = *image;
+  check_compiled_schema(a);
   CompiledModel out;
   const int64_t fam_raw = a.scalar("family");
   if (fam_raw < 0 || fam_raw > 3) throw format_error("bad family in " + a.path());

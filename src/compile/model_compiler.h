@@ -60,7 +60,14 @@ namespace df::compile {
 ///    holding its serving handle verbatim.
 /// 4: a Conv3d fp32 handle is the Wᵀ row image of its indirect-GEMM
 ///    forward instead of BLIS A panels.
-constexpr int64_t kCompiledSchema = 4;
+/// 5: an int8 group no longer carries the calibrated activation step
+///    ("dense/<i>/act"), and no Conv3d group is int8.
+constexpr int64_t kCompiledSchema = 5;
+
+/// Throw io::H5LiteError{Format} with a "recompile" hint unless `a` holds
+/// "compile/schema" == kCompiledSchema. load_compiled runs it before
+/// reading anything else, and serve::add_compiled at registration.
+void check_compiled_schema(const io::ArtifactReader& a);
 
 /// The four servable model families an artifact can carry.
 enum class ModelFamily : int64_t {
@@ -78,7 +85,7 @@ ModelFamily family_of(models::Regressor& model);
 /// flags, recursive left-to-right through Sequentials and Residual inners.
 /// Everything the artifact stores positionally ("param/<i>", "dense/<i>/...",
 /// "conv/<i>/...") depends on save and load walking the model in this
-/// order; the calibrator (src/quant/) reports its ranges in it too.
+/// order; the quantizer (src/quant/) visits the Dense layers in it too.
 struct StructureWalk {
   std::vector<nn::Sequential*> seqs;  // top-level Sequentials, canonical order
   std::vector<nn::Dense*> dense;      // GEMM layers, canonical order
@@ -134,7 +141,7 @@ struct CompiledModel {
 
 /// Restore from an already-open artifact (replicas share one mapping).
 /// Throws io::H5LiteError{Format} with a "recompile" hint when the artifact
-/// lacks "compile/schema" or holds another schema than kCompiledSchema.
+/// fails check_compiled_schema.
 CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image);
 /// Convenience: open + restore.
 CompiledModel load_compiled(const std::string& path);

@@ -53,7 +53,6 @@ inline float requant_elem(const QuantEpilogue& ep, int32_t acc, int64_t i, int64
   if (ep.scale_col != nullptr) v *= ep.scale_col[j];
   if (ep.scale_row != nullptr) v *= ep.scale_row[i];
   if (ep.bias_col != nullptr) v += ep.bias_col[j];
-  if (ep.bias_row != nullptr) v += ep.bias_row[i];
   return apply_act_q(v, ep.act, ep.leaky_slope);
 }
 
@@ -216,11 +215,10 @@ void pack_quantize_b_s8(int64_t k, int64_t n, const float* B, int64_t ldb,
   std::memset(panels, 0, static_cast<size_t>(round_up16(n) * k4));
   if (comp128 != nullptr) std::memset(comp128, 0, static_cast<size_t>(n) * sizeof(int32_t));
   // Row-major traversal: sequential reads of B, a handful of panel write
-  // streams — the shape the per-sample conv path quantizes every call.
-  // Each row is quantized vectorized into `qrow`, then folded into the
-  // panels. A 64-byte panel group is 16 int32 lanes (one per column) whose
-  // byte lane (p & 3) holds depth p, so with the groups pre-zeroed the fold
-  // is an OR of the zero-extended bytes shifted left by 8*(p & 3).
+  // streams. Each row is quantized vectorized into `qrow`, then folded into
+  // the panels. A 64-byte panel group is 16 int32 lanes (one per column)
+  // whose byte lane (p & 3) holds depth p, so with the groups pre-zeroed the
+  // fold is an OR of the zero-extended bytes shifted left by 8*(p & 3).
   thread_local std::vector<int8_t> qrow;
   qrow.resize(static_cast<size_t>(n));
   for (int64_t p = 0; p < k; ++p) {

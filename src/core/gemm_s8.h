@@ -1,8 +1,7 @@
-// Int8 inference GEMM — the quantized sibling of core/gemm.h. One kernel
-// shape serves both quantized layer forms:
+// Int8 inference GEMM — the quantized sibling of core/gemm.h. It serves the
+// quantized Dense forward (convs have no int8 form):
 //
-//   Dense :  C (batch x out) = Xq (u8) * Wq (s8, prepacked panels)
-//   Conv3d:  C (cout  x N )  = Wq (u8, prepacked rows) * colsq (s8 panels)
+//   C (batch x out) = Xq (u8, one runtime step per row) * Wq (s8, prepacked panels)
 //
 // The unsigned operand is always A (VNNI's vpdpbusd computes u8 x s8): real
 // int8 values are stored offset by +128 into u8, and the epilogue subtracts
@@ -11,11 +10,11 @@
 // dispatch path (AVX-512 VNNI, scalar fallback), every blocking choice and
 // every thread count produces bitwise-identical accumulators, and the one
 // shared scalar requantize epilogue keeps the final fp32 outputs bitwise
-// identical everywhere. That is what lets the calibration / artifact tests
+// identical everywhere. That is what lets the artifact and replica tests
 // pin int8 scores exactly instead of within tolerance.
 //
-// Packed layouts (position-independent byte blobs, serialized into .dfca
-// artifacts exactly like the fp32 serving images of pack_b_full and Conv3d):
+// Packed layouts (position-independent byte blobs; a B image is serialized
+// into .dfca artifacts exactly like the fp32 serving image of pack_b_full):
 //
 //   B panels: column panels of NR=16 columns (zero-padded), k in groups of
 //     4 (zero-padded to k4 = round_up(k, 4)). Byte index inside panel jp:
@@ -27,8 +26,7 @@
 //     row, so the "packed" form is just the quantized matrix itself.
 //
 // Full-k register accumulation bounds k: |acc| <= k * 255 * 127 must stay
-// inside int32, so k must be <= 66000 (gemm_s8 throws beyond that; the
-// models' largest lowered K is ~4k).
+// inside int32, so k must be <= 66000 (gemm_s8 throws beyond that).
 #pragma once
 
 #include <cstdint>
@@ -47,12 +45,12 @@ int64_t quantized_a_bytes_s8(int64_t m, int64_t k);
 
 /// Fused requantize + bias + activation tail, applied to every int32
 /// accumulator while the tile is hot:
-///   v = float(acc - comp_col[j]) * scale_col[j] * scale_row[i] (+ bias)
+///   v = float(acc - comp_col[j]) * scale_col[j] * scale_row[i] + bias_col[j]
 ///       -> act(v)
-/// Either scale may be null (skipped). Setting both expresses dynamic
-/// per-row activation quantization against per-column weight scales — the
-/// quantized Dense path, where each batch row carries its own runtime
-/// quant step. comp_col carries 128 * colsum(quantized B) — the u8-offset
+/// Either scale and the bias may be null (skipped). Setting both scales
+/// expresses dynamic per-row activation quantization against per-column
+/// weight scales — the quantized Dense path, where each batch row carries
+/// its own runtime quant step. comp_col carries 128 * colsum(quantized B) — the u8-offset
 /// compensation — and may be null when A was not offset.
 /// The activation evaluates the same core/simd_math.h scalar polynomials as
 /// core::Epilogue, so a quantized layer's epilogue differs from its fp32
@@ -63,7 +61,6 @@ struct QuantEpilogue {
   const float* scale_col = nullptr;   // length n: per-out-column dequant scale
   const float* scale_row = nullptr;   // length m: per-out-row dequant scale
   const float* bias_col = nullptr;    // length n (Dense bias)
-  const float* bias_row = nullptr;    // length m (Conv3d bias)
   const int32_t* comp_col = nullptr;  // length n: 128 * colsum(quantized B)
 };
 

@@ -46,7 +46,6 @@ inline constexpr uint64_t kLoaderShuffle = 0x10adC0FFEE000001ULL;  // + nothing;
 inline constexpr uint64_t kLoaderSample = 0x10adC0FFEE000002ULL;   // + epoch; index = position
 inline constexpr uint64_t kTrainDropout = 0xD0D0C0FFEE000003ULL;   // + epoch; index = position
 inline constexpr uint64_t kEvalSample = 0xE7a1C0FFEE000004ULL;     // + nothing; index = position
-inline constexpr uint64_t kCalibSample = 0xCa11C0FFEE000005ULL;    // + nothing; index = sample id
 }  // namespace stream_tag
 
 class Rng {

@@ -16,7 +16,6 @@
 #endif
 
 #include "core/gemm.h"
-#include "core/gemm_s8.h"
 #include "core/parallel.h"
 #include "core/workspace.h"
 
@@ -206,17 +205,12 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
                                 x.shape_str());
   }
   if (training_) cached_input_ = x;
-  if (!training_ && observer_ != nullptr) observer_->observe(x.data(), x.numel());
   const int64_t B = x.dim(0), D = x.dim(2), H = x.dim(3), W = x.dim(4);
   build_lowering(D, H, W);
   const Lowering& l = lowering_;
   Tensor out = Tensor::uninit({B, cout_, out_size(D, k_, stride_, pad_),
                                out_size(H, k_, stride_, pad_), out_size(W, k_, stride_, pad_)});
   if (B == 0) return out;
-  if (!training_ && eval_.kind == EvalWeights::Kind::kInt8) {
-    forward_int8(x, out, act, leaky_slope);
-    return out;
-  }
 
   // B operand: Wᵀ as a (K, L) image — the installed handle, or packed for
   // this forward (in the replica arena when one is bound, released when the
@@ -270,45 +264,6 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   return out;
 }
 
-void Conv3d::forward_int8(const Tensor& x, Tensor& out, core::EpilogueAct act,
-                          float leaky_slope) const {
-  const Lowering& l = lowering_;
-  const int64_t B = x.dim(0), D = x.dim(2), H = x.dim(3), W = x.dim(4);
-  const int64_t K = cin_ * k_ * k_ * k_, N = l.N, chan_in = D * H * W;
-  const int64_t chan_cols = k_ * k_ * k_ * N;
-  const float* in = x.data();
-  float* o = out.data();
-  // Each sample's column matrix is quantized to packed s8 panels (the
-  // GEMM's B operand) against the prequantized u8 weight image. The
-  // compensation vector depends on the quantized columns, so it is produced
-  // here per call, unlike Dense's static weight-side comp.
-  core::parallel_for_auto(static_cast<size_t>(B), 2, [&](size_t bi) {
-    const int64_t b = static_cast<int64_t>(bi);
-    static thread_local std::vector<float> cols;
-    static thread_local std::vector<int8_t> colsq;
-    static thread_local std::vector<int32_t> comp;
-    cols.resize(static_cast<size_t>(K * N));
-    float* xp = conv_scratch(D, H, W, pad_, l.padded, 1, 0);
-    for (int64_t ci = 0; ci < cin_; ++ci) {
-      pad_channel(in + (b * cin_ + ci) * chan_in, xp);
-      lower_channel(xp, cols.data() + ci * chan_cols, N);
-    }
-    colsq.resize(static_cast<size_t>(core::packed_b_bytes_s8(K, N)));
-    comp.resize(static_cast<size_t>(N));
-    core::pack_quantize_b_s8(K, N, cols.data(), N, /*inv_scale_col=*/nullptr,
-                             1.0f / eval_.act_scale, colsq.data(), comp.data());
-    core::QuantEpilogue qep;
-    qep.act = act;
-    qep.leaky_slope = leaky_slope;
-    qep.scale_row = eval_.scales;
-    qep.bias_row = b_.value.data();
-    qep.comp_col = comp.data();
-    const int64_t k4 = (K + 3) & ~int64_t{3};
-    core::gemm_u8s8f32(cout_, N, K, reinterpret_cast<const uint8_t*>(eval_.s8()), k4,
-                       colsq.data(), o + b * cout_ * N, N, qep);
-  });
-}
-
 EvalWeights Conv3d::packed_f32() const {
   const int64_t K = cin_ * k_ * k_ * k_, L = round_lanes(cout_);
   auto image = std::make_shared<std::vector<float>>(static_cast<size_t>(K * L));
@@ -319,40 +274,8 @@ EvalWeights Conv3d::packed_f32() const {
           .keep_alive = image};
 }
 
-EvalWeights Conv3d::packed_int8(float act_scale) const {
-  const int64_t K = cin_ * k_ * k_ * k_;
-  const float* W = w_.value.data();  // (cout, K) row-major
-  std::vector<float> wmax(static_cast<size_t>(cout_), 0.0f);
-  for (int64_t co = 0; co < cout_; ++co) {
-    const float* row = W + co * K;
-    float m = 0.0f;
-    for (int64_t p = 0; p < K; ++p) {
-      const float a = std::fabs(row[p]);
-      if (a > m) m = a;
-    }
-    wmax[static_cast<size_t>(co)] = m;
-  }
-  std::vector<float> wscale, winv;
-  int8_weight_steps(wmax, wscale, winv);
-  auto q = std::make_shared<Int8Image>();
-  q->image.resize(static_cast<size_t>(core::quantized_a_bytes_s8(cout_, K)));
-  core::quantize_a_u8(cout_, K, W, K, winv.data(), 0.0f,
-                      reinterpret_cast<uint8_t*>(q->image.data()));
-  q->scales.resize(static_cast<size_t>(cout_));
-  for (int64_t co = 0; co < cout_; ++co)
-    q->scales[static_cast<size_t>(co)] = act_scale * wscale[static_cast<size_t>(co)];
-  return {.kind = EvalWeights::Kind::kInt8,
-          .image = q->image.data(),
-          .image_len = static_cast<int64_t>(q->image.size()),
-          .scales = q->scales.data(),
-          .scales_len = cout_,
-          .act_scale = act_scale,
-          .keep_alive = q};
-}
-
 void Conv3d::set_eval_weights(EvalWeights e) {
-  const int64_t K = cin_ * k_ * k_ * k_;
-  e.check_fits(K * round_lanes(cout_), core::quantized_a_bytes_s8(cout_, K), cout_, 0,
+  e.check_fits(cin_ * k_ * k_ * k_ * round_lanes(cout_), /*int8_len=*/0, cout_,
                "Conv3d(" + std::to_string(cin_) + "->" + std::to_string(cout_) + ", k" +
                    std::to_string(k_) + ")");
   eval_ = std::move(e);

@@ -4,12 +4,12 @@
 // arXiv:1907.02129): each group of samples is copied into zero-bordered
 // channel images, and core::sgemm_indirect multiplies the (samples x
 // positions, cin*k³) A, whose elements it reads from those images through
-// per-geometry offsets, by Wᵀ — no column matrix is written. Backward and
-// the int8 forward still lower each sample to a (cin*k³, Do*Ho*Wo) column
-// matrix through the same offsets; backward scatters the column gradients
-// back through a zero-padded gradient image. The original direct 7-loop
-// implementation is retained below as the equivalence reference for tests
-// and the speedup benchmark.
+// per-geometry offsets, by Wᵀ — no column matrix is written. Backward still
+// lowers each sample to a (cin*k³, Do*Ho*Wo) column matrix through the same
+// offsets and scatters the column gradients back through a zero-padded
+// gradient image. Convs have no int8 form: quantized models keep them fp32
+// (quant/quantize.h). The original direct 7-loop implementation is retained
+// below as the equivalence reference for tests and the speedup benchmark.
 #pragma once
 
 #include <vector>
@@ -18,7 +18,6 @@
 #include "core/rng.h"
 #include "nn/eval_weights.h"
 #include "nn/module.h"
-#include "nn/observer.h"
 
 namespace df::nn {
 
@@ -56,27 +55,16 @@ class Conv3d : public Module {
 
   // -- serving form (eval_weights.h) -------------------------------------
   // Same contract as Dense: eval forwards run the GEMM the handle names,
-  // training forwards always use w_.
+  // training forwards always use w_. There is no int8 form.
 
   /// Wᵀ as a (cin*k^3, round_up(cout, 16)) row image, zero past cout: the
   /// B operand of the fp32 forward's indirect GEMM, which otherwise packs it
   /// on every forward.
   EvalWeights packed_f32() const;
-  /// w quantized to per-output-channel symmetric int8: a row-major
-  /// (cout, round_up(cin*k^3, 4)) image of offset-128 bytes, the u8 A
-  /// operand of the per-sample int8 GEMM. Eval forwards quantize each
-  /// sample's columns with the static calibrated step `act_scale`, and the
-  /// per-channel scales fold it in; the compensation vector depends on the
-  /// activations, so it is computed per call and the handle carries none.
-  EvalWeights packed_int8(float act_scale) const;
   const EvalWeights& eval_weights() const { return eval_; }
-  /// Install a handle; throws std::invalid_argument unless its kind and
-  /// lengths fit this layer's (cout, cin*k^3).
+  /// Install a handle; throws std::invalid_argument for kInt8 and for an
+  /// fp32 image that is not this layer's Wᵀ image length.
   void set_eval_weights(EvalWeights e);
-
-  /// Calibration hook: when set, eval forwards report their input to the
-  /// observer before computing. Not used in training mode.
-  void set_observer(ActivationObserver* obs) { observer_ = obs; }
 
  private:
   // Offsets into zero-padded channel images of a (D, H, W) input. Each
@@ -86,9 +74,9 @@ class Conv3d : public Module {
   // sample s reads the element row_off[s * N + n] + k_off[c * k^3 + t], with
   // no bounds test: that is the forward's indirect A. The first N row
   // offsets and k^3 tap offsets are one channel's lowering, which backward
-  // and the int8 forward gather column rows through. It depends only on the
-  // input geometry, so it is built once per shape. Replica state (the layer
-  // is single-threaded per replica; pool workers only read it).
+  // gathers column rows through. It depends only on the input geometry, so
+  // it is built once per shape. Replica state (the layer is single-threaded
+  // per replica; pool workers only read it).
   struct Lowering {
     int64_t D = -1, H = -1, W = -1;  // geometry it was built for
     int64_t Hp = 0, Wp = 0;          // padded extents (rows, row length)
@@ -106,9 +94,6 @@ class Conv3d : public Module {
   void pad_channel(const float* x, float* xp) const;
   // Write one padded channel's k^3 column rows, `ld` floats apart.
   void lower_channel(const float* xp, float* cols, int64_t ld) const;
-  // The int8 eval forward: each sample lowered to columns, quantized, and
-  // multiplied by the int8 weight image into its (cout, N) planes.
-  void forward_int8(const Tensor& x, Tensor& out, core::EpilogueAct act, float leaky_slope) const;
 
   int64_t cin_, cout_, k_, stride_, pad_;
   Parameter w_;  // (cout, cin, k, k, k)
@@ -116,7 +101,6 @@ class Conv3d : public Module {
   Tensor cached_input_;
   Lowering lowering_;
   EvalWeights eval_;
-  ActivationObserver* observer_ = nullptr;
 };
 
 class MaxPool3d : public Module {

@@ -25,12 +25,11 @@ Tensor Dense::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_sl
   }
   if (training_) cached_input_ = x;
   const int64_t batch = x.dim(0);
-  if (!training_ && observer_ != nullptr) observer_->observe(x.data(), x.numel());
   Tensor y = Tensor::uninit({batch, out_});
   if (!training_ && eval_.kind == EvalWeights::Kind::kInt8) {
     // Dynamic per-row activation quantization: each batch row (one pose)
     // gets its own runtime quant step from its own |x| range. Pooled graph
-    // activations scale with ligand size, so a single calibrated step
+    // activations scale with ligand size, so a single static step
     // either clips large poses or starves small ones of levels; a per-row
     // step is exact for whatever range the row actually has. Serial and
     // data-dependent only on this row's bytes — thread-count invariant.
@@ -84,7 +83,7 @@ EvalWeights Dense::packed_f32() const {
           .keep_alive = image};
 }
 
-EvalWeights Dense::packed_int8(float act_scale) const {
+EvalWeights Dense::packed_int8() const {
   const float* W = w_.value.data();  // (in, out)
   std::vector<float> wmax(static_cast<size_t>(out_), 0.0f);
   for (int64_t i = 0; i < in_; ++i) {
@@ -94,11 +93,22 @@ EvalWeights Dense::packed_int8(float act_scale) const {
       if (a > wmax[static_cast<size_t>(j)]) wmax[static_cast<size_t>(j)] = a;
     }
   }
-  // The activations are quantized per batch row at run time, so the dequant
-  // scales carry the weight factor only.
-  auto q = std::make_shared<Int8Image>();
-  std::vector<float> inv;
-  int8_weight_steps(wmax, q->scales, inv);
+  // Per-output symmetric steps wmax / 127, or 1 for an all-zero output
+  // (which quantizes to zeros under any step). The activations are
+  // quantized per batch row at run time, so the dequant scales carry the
+  // weight factor only.
+  struct Image {
+    std::vector<int8_t> image;
+    std::vector<float> scales;
+    std::vector<int32_t> comp;
+  };
+  auto q = std::make_shared<Image>();
+  q->scales.resize(static_cast<size_t>(out_));
+  std::vector<float> inv(static_cast<size_t>(out_));
+  for (size_t j = 0; j < wmax.size(); ++j) {
+    q->scales[j] = wmax[j] > 0.0f ? wmax[j] / 127.0f : 1.0f;
+    inv[j] = 1.0f / q->scales[j];
+  }
   q->image.resize(static_cast<size_t>(core::packed_b_bytes_s8(in_, out_)));
   q->comp.resize(static_cast<size_t>(out_));
   core::pack_quantize_b_s8(in_, out_, W, out_, inv.data(), 0.0f, q->image.data(), q->comp.data());
@@ -109,12 +119,11 @@ EvalWeights Dense::packed_int8(float act_scale) const {
           .scales_len = out_,
           .comp = q->comp.data(),
           .comp_len = out_,
-          .act_scale = act_scale,
           .keep_alive = q};
 }
 
 void Dense::set_eval_weights(EvalWeights e) {
-  e.check_fits(core::packed_b_floats(in_, out_), core::packed_b_bytes_s8(in_, out_), out_, out_,
+  e.check_fits(core::packed_b_floats(in_, out_), core::packed_b_bytes_s8(in_, out_), out_,
                "Dense(" + std::to_string(in_) + "," + std::to_string(out_) + ")");
   eval_ = std::move(e);
 }

@@ -9,7 +9,6 @@
 #include "core/rng.h"
 #include "nn/eval_weights.h"
 #include "nn/module.h"
-#include "nn/observer.h"
 
 namespace df::nn {
 
@@ -43,16 +42,12 @@ class Dense : public Module {
   EvalWeights packed_f32() const;
   /// w quantized to per-output symmetric int8 panels. Eval forwards then
   /// quantize each input row to u8 with a runtime step from its own |x|
-  /// max, so `act_scale` (the calibrated input step) is only recorded.
-  EvalWeights packed_int8(float act_scale) const;
+  /// max.
+  EvalWeights packed_int8() const;
   const EvalWeights& eval_weights() const { return eval_; }
   /// Install a handle; throws std::invalid_argument unless its kind and
   /// lengths fit this layer's (in, out).
   void set_eval_weights(EvalWeights e);
-
-  /// Calibration hook: when set, eval forwards report their input to the
-  /// observer before computing. Not used in training mode.
-  void set_observer(ActivationObserver* obs) { observer_ = obs; }
 
  private:
   int64_t in_, out_;
@@ -61,7 +56,6 @@ class Dense : public Module {
   Parameter b_;  // (out)
   Tensor cached_input_;
   EvalWeights eval_;
-  ActivationObserver* observer_ = nullptr;
 };
 
 }  // namespace df::nn

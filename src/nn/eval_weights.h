@@ -1,8 +1,8 @@
 // The serving form of a Dense/Conv3d GEMM weight. Each layer holds one
 // immutable EvalWeights handle beside its training parameters; the layer
-// itself produces handles (packed_f32 / packed_int8) and its eval forward
-// consumes them, so the model compiler, the quantizer and the artifact code
-// never see a weight layout. A handle is one of:
+// itself produces handles (packed_f32, and Dense's packed_int8) and its
+// eval forward consumes them, so the model compiler, the quantizer and the
+// artifact code never see a weight layout. A handle is one of:
 //
 //   * kNone — eval forwards run on the raw weight (Dense: the plain sgemm;
 //             Conv3d: Wᵀ packed per forward);
@@ -10,9 +10,9 @@
 //             core::sgemm_prepacked; Conv3d: the Wᵀ row image its
 //             core::sgemm_indirect forward multiplies by (both bitwise
 //             identical to the kNone forward);
-//   * kInt8 — a core/gemm_s8.h weight image plus per-output dequant scales,
-//             the Dense u8-offset compensation vector and the calibrated
-//             activation step.
+//   * kInt8 — Dense only: a core/gemm_s8.h panel image plus per-output
+//             dequant scales and the u8-offset compensation vector. Conv3d
+//             has no int8 form and rejects the kind.
 //
 // Owned and borrowed storage differ only in what `keep_alive` points to: the
 // producer's buffers, or the io::ArtifactReader whose mapping the views
@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace df::nn {
 
@@ -34,30 +33,19 @@ struct EvalWeights {
   int64_t image_len = 0;          // elements of `image`
   const float* scales = nullptr;  // kInt8: per-output dequant scales
   int64_t scales_len = 0;
-  const int32_t* comp = nullptr;  // kInt8 Dense: per-output compensation
+  const int32_t* comp = nullptr;  // kInt8: per-output compensation
   int64_t comp_len = 0;
-  float act_scale = 1.0f;         // kInt8: calibrated activation step
   std::shared_ptr<const void> keep_alive;
 
   const float* f32() const { return static_cast<const float*>(image); }
   const int8_t* s8() const { return static_cast<const int8_t*>(image); }
 
   /// Throw std::invalid_argument unless the handle's kind is known and its
-  /// lengths are the given ones for that kind (`who` names the layer).
-  void check_fits(int64_t f32_len, int64_t int8_len, int64_t n_scales, int64_t n_comp,
-                  const std::string& who) const;
+  /// lengths are the given ones for that kind: an fp32 image of `f32_len`
+  /// floats, or an int8 image of `int8_len` bytes with `n_out` scales and
+  /// compensations. A layer with no int8 form passes int8_len = 0, which
+  /// rejects kInt8. `who` names the layer.
+  void check_fits(int64_t f32_len, int64_t int8_len, int64_t n_out, const std::string& who) const;
 };
-
-/// Owning buffers behind a producer-built int8 handle.
-struct Int8Image {
-  std::vector<int8_t> image;
-  std::vector<float> scales;
-  std::vector<int32_t> comp;
-};
-
-/// Per-output symmetric int8 steps: scale[j] = wmax[j] / 127 (1.0 for an
-/// all-zero output, which quantizes to zeros under any step) and its inverse.
-void int8_weight_steps(const std::vector<float>& wmax, std::vector<float>& scale,
-                       std::vector<float>& inv);
 
 }  // namespace df::nn

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "compile/model_compiler.h"
-#include "data/dataset.h"
-#include "data/pdbbind.h"
 #include "models/baselines.h"
 #include "models/cnn3d.h"
 #include "models/fusion.h"
@@ -13,41 +11,6 @@
 #include "quant/quantize.h"
 
 namespace df::serve {
-
-namespace {
-
-// Calibration corpus for the *_int8 backends: a small fixed-seed synthetic
-// PDBbind slice featurized with the backend's own voxel/graph configs. A
-// pure function of its inputs, so every process, replica and thread count
-// calibrates against byte-identical samples — which, with the deterministic
-// quantization pass, makes int8 replicas bitwise-identical.
-constexpr uint64_t kCalibSeed = 7103;
-
-std::shared_ptr<const std::vector<data::Sample>> make_calibration_samples(
-    const chem::VoxelConfig& voxel, const chem::GraphFeaturizerConfig& graph) {
-  data::PdbbindConfig cfg;
-  cfg.num_complexes = 24;
-  cfg.core_size = 4;
-  cfg.settle_runs = 1;
-  cfg.settle_steps = 8;
-  core::Rng rng(kCalibSeed);
-  const std::vector<data::ComplexRecord> recs = data::SyntheticPdbbind(cfg).generate(rng);
-  data::DatasetConfig dc;
-  dc.voxel = voxel;
-  dc.graph = graph;
-  std::vector<int> idx(recs.size());
-  for (size_t i = 0; i < recs.size(); ++i) idx[i] = static_cast<int>(i);
-  data::ComplexDataset ds(&recs, std::move(idx), dc);
-  const std::vector<int64_t> sel = quant::select_calibration_indices(
-      kCalibSeed, static_cast<int64_t>(ds.size()), /*sample_size=*/16);
-  auto out = std::make_shared<std::vector<data::Sample>>();
-  out->reserve(sel.size());
-  core::Rng srng(1);  // unused: eval datasets never augment
-  for (int64_t i : sel) out->push_back(ds.get(static_cast<size_t>(i), srng));
-  return out;
-}
-
-}  // namespace
 
 ModelRegistry::ModelRegistry(ModelRegistry&& other) noexcept {
   std::lock_guard<std::mutex> lock(other.mu_);
@@ -110,16 +73,15 @@ void add_regressor(ModelRegistry& registry, const std::string& name,
 void add_compiled(ModelRegistry& registry, const std::string& name,
                   const std::string& artifact_path, const chem::VoxelConfig& voxel,
                   const chem::GraphFeaturizerConfig& graph) {
-  // Open once, eagerly: registration fails fast on a missing/damaged
-  // artifact, and all replicas share the one validated mapping.
+  // Open once, eagerly: registration fails fast on a missing, damaged or
+  // stale-schema artifact, and all replicas share the one validated mapping.
   std::shared_ptr<io::ArtifactReader> image = io::ArtifactReader::open(artifact_path);
+  compile::check_compiled_schema(*image);
   // The artifact records the featurization contract the model was trained
   // against; a replica featurizing with a different version would silently
   // feed the net features it has never seen. Fail at registration, not at
   // first score.
-  const int64_t artifact_fsv = image->has("meta/feature_set_version")
-                                   ? image->scalar("meta/feature_set_version")
-                                   : 1;
+  const int64_t artifact_fsv = image->scalar("meta/feature_set_version");
   if (artifact_fsv != voxel.feature_set_version ||
       artifact_fsv != graph.feature_set_version) {
     throw std::invalid_argument(
@@ -140,26 +102,10 @@ void add_quantized_regressor(ModelRegistry& registry, const std::string& name,
                              models::RegressorFactory make_model,
                              const chem::VoxelConfig& voxel,
                              const chem::GraphFeaturizerConfig& graph) {
-  // Calibration featurization is paid once, by the first replica; the
-  // samples are immutable afterwards and shared by every later mint.
-  struct CalibCache {
-    std::mutex mu;
-    std::shared_ptr<const std::vector<data::Sample>> samples;
-  };
-  auto cache = std::make_shared<CalibCache>();
-  registry.add(name, [name, make_model = std::move(make_model), voxel, graph, cache] {
-    std::shared_ptr<const std::vector<data::Sample>> samples;
-    {
-      std::lock_guard<std::mutex> lock(cache->mu);
-      if (cache->samples == nullptr) cache->samples = make_calibration_samples(voxel, graph);
-      samples = cache->samples;
-    }
+  registry.add(name, [name, make_model = std::move(make_model), voxel, graph] {
     std::unique_ptr<models::Regressor> model = make_model();
     compile::compile_model(*model);
-    std::vector<const data::Sample*> ptrs;
-    ptrs.reserve(samples->size());
-    for (const data::Sample& s : *samples) ptrs.push_back(&s);
-    quant::quantize_model(*model, ptrs);
+    quant::quantize_model(*model);
     return std::make_unique<RegressorScorer>(name, std::move(model), voxel, graph);
   });
 }

@@ -67,27 +67,28 @@ void add_regressor(ModelRegistry& registry, const std::string& name,
 
 /// Register a scorer served from a compiled-model artifact
 /// (compile::save_compiled). The artifact is opened and validated once,
-/// eagerly — a missing or damaged file fails registration, not the first
-/// request — and the mapping is shared by every replica the factory mints:
+/// eagerly — a missing or damaged file, or one whose compiled schema
+/// load_compiled would refuse (compile::check_compiled_schema), fails
+/// registration with io::H5LiteError, not the first request — and the
+/// mapping is shared by every replica the factory mints:
 /// each replica rebuilds its own (private) layer caches but reads weights
 /// and packed GEMM panels straight from the common mmap. Replicas pre-grow
 /// their workspace arenas to the budgets recorded in the artifact, so the
 /// cold-start path skips checkpoint loading, weight packing, conv-plan
 /// construction AND steady-state arena growth. Registration also validates the
 /// artifact's recorded meta/feature_set_version against both featurizer
-/// configs (throws std::invalid_argument on mismatch): a model trained on
-/// the v1 feature set must never be served v2 features, and vice versa.
+/// configs (throws std::invalid_argument on mismatch, io::H5LiteError
+/// Format when the section is absent): a model trained on the v1 feature
+/// set must never be served v2 features, and vice versa.
 void add_compiled(ModelRegistry& registry, const std::string& name,
                   const std::string& artifact_path, const chem::VoxelConfig& voxel,
                   const chem::GraphFeaturizerConfig& graph = {});
 
 /// Register an int8-quantized Regressor backend. Every minted replica is
 /// compiled (compile::compile_model) and post-training-quantized
-/// (quant::quantize_model) against a deterministic synthetic calibration
-/// set that is featurized once, lazily, on the first replica and shared
-/// read-only afterwards. Factory determinism holds: quantization is a pure
-/// function of (model weights, calibration samples, config), so replicas
-/// are bitwise-identical.
+/// (quant::quantize_model: int8 Dense layers, fp32 convs and heads).
+/// Factory determinism holds: quantization is a pure function of the model
+/// weights, so replicas are bitwise-identical.
 void add_quantized_regressor(ModelRegistry& registry, const std::string& name,
                              models::RegressorFactory make_model,
                              const chem::VoxelConfig& voxel,

@@ -6,8 +6,9 @@
 //     and compilation of a BN-free model is bitwise exact,
 //   * the compiled-artifact container round-trips golden sections, rejects
 //     version mismatches and CRC corruption with typed errors and no
-//     partial load, and load_compiled rejects weight sections that do not
-//     fit their layer,
+//     partial load, load_compiled rejects weight sections that do not fit
+//     their layer, and add_compiled refuses a stale compiled schema at
+//     registration,
 //   * for all four model families, a RegressorScorer replica restored from
 //     a compiled artifact scores bitwise identically to an h5-checkpoint-
 //     loaded replica, with zero tensor heap allocations and zero arena
@@ -452,12 +453,14 @@ TEST(CompiledArtifact, WeightSectionsThatDoNotFitTheirLayerRejectedTyped) {
   const std::string fp32 = tmp_path("df_artifact_fp32.dfca");
   const std::string int8 = tmp_path("df_artifact_int8.dfca");
   const std::string bad = tmp_path("df_artifact_bad.dfca");
+  int64_t conv0_out = 0;
   {
     auto model = family_factories()[0].second();  // cnn3d
     compile::save_compiled(*model, fp32);
     // An int8 trunk Dense; compiling (save_compiled does) keeps its handle.
-    nn::Dense* d = compile::walk_structure(*model).dense[0];
-    d->set_eval_weights(d->packed_int8(1.0f));
+    const compile::StructureWalk walk = compile::walk_structure(*model);
+    walk.dense[0]->set_eval_weights(walk.dense[0]->packed_int8());
+    conv0_out = walk.conv[0]->out_channels();
     compile::save_compiled(*model, int8);
   }
   const auto expect_format = [&](const char* what) {
@@ -496,6 +499,24 @@ TEST(CompiledArtifact, WeightSectionsThatDoNotFitTheirLayerRejectedTyped) {
     return name == "dense/0/comp";  // dropped
   });
   expect_format("int8 Dense without comp");
+  // Convs have no int8 form: a well-formed int8 group for conv/0 is refused.
+  rewrite_artifact(fp32, bad, [conv0_out](const std::string& name, const io::ArtifactReader& r,
+                                          io::ArtifactWriter& w) {
+    if (name == "conv/0/kind") {
+      w.add_scalar(name, static_cast<int64_t>(nn::EvalWeights::Kind::kInt8));
+      return true;
+    }
+    if (name != "conv/0/image") return false;
+    const int64_t n = r.section(name).numel();
+    const std::vector<int8_t> image(static_cast<size_t>(n), 1);
+    const std::vector<float> scales(static_cast<size_t>(conv0_out), 1.0f);
+    const std::vector<int32_t> comp(static_cast<size_t>(conv0_out), 0);
+    w.add_int8s(name, {n}, image.data());
+    w.add_floats("conv/0/scales", {conv0_out}, scales.data());
+    w.add_int32s("conv/0/comp", {conv0_out}, comp.data());
+    return true;
+  });
+  expect_format("int8 Conv3d group");
 
   for (const std::string& p : {fp32, int8, bad}) std::filesystem::remove(p);
 }
@@ -503,8 +524,9 @@ TEST(CompiledArtifact, WeightSectionsThatDoNotFitTheirLayerRejectedTyped) {
 TEST(CompiledArtifact, CompiledSchemaIsVersionedApartFromTheContainer) {
   // The container version covers only the byte layout; the compiled
   // sections carry their own schema. A different or missing schema is
-  // rejected whole (Format, with the recompile hint), while a weight
-  // checkpoint in the same container, which has no compiled schema, loads.
+  // rejected whole (Format, with the recompile hint), by load_compiled and
+  // already by add_compiled at registration, while a weight checkpoint in
+  // the same container, which has no compiled schema, loads.
   const std::string art = tmp_path("df_artifact_schema.dfca");
   const std::string bad = tmp_path("df_artifact_schema_bad.dfca");
   const std::string ckpt = tmp_path("df_artifact_schema_weights.dfca");
@@ -513,21 +535,43 @@ TEST(CompiledArtifact, CompiledSchemaIsVersionedApartFromTheContainer) {
   compile::save_compiled(*model, art);
   ASSERT_EQ(io::ArtifactReader::open(art)->scalar("compile/schema"), compile::kCompiledSchema);
 
-  const auto expect_recompile = [&](const char* what) {
-    try {
-      compile::load_compiled(bad);
-      ADD_FAILURE() << what << " not rejected";
-    } catch (const io::H5LiteError& e) {
-      EXPECT_EQ(e.kind(), io::H5LiteError::Kind::Format) << what;
-      EXPECT_NE(std::string(e.what()).find("recompile"), std::string::npos) << what;
-    }
+  const auto expect_format = [&](const std::string& what, bool recompile_hint) {
+    const auto check = [&](const std::string& who, const std::function<void()>& open) {
+      try {
+        open();
+        ADD_FAILURE() << what << " not rejected by " << who;
+      } catch (const io::H5LiteError& e) {
+        EXPECT_EQ(e.kind(), io::H5LiteError::Kind::Format) << what << " via " << who;
+        if (recompile_hint) {
+          EXPECT_NE(std::string(e.what()).find("recompile"), std::string::npos)
+              << what << " via " << who;
+        }
+      }
+    };
+    check("load_compiled", [&] { compile::load_compiled(bad); });
+    check("add_compiled", [&] {
+      serve::ModelRegistry reg;
+      serve::add_compiled(reg, "m", bad, tiny_voxel());
+    });
   };
+  const auto expect_recompile = [&](const char* what) { expect_format(what, true); };
+  {
+    serve::ModelRegistry reg;
+    EXPECT_NO_THROW(serve::add_compiled(reg, "m", art, tiny_voxel()));
+  }
   rewrite_artifact(art, bad, [](const std::string& name, const auto&, io::ArtifactWriter& w) {
     if (name != "compile/schema") return false;
     w.add_scalar(name, compile::kCompiledSchema + 1);
     return true;
   });
   expect_recompile("next compiled schema");
+  // Schema 4 int8 groups carried a calibrated activation step.
+  rewrite_artifact(art, bad, [](const std::string& name, const auto&, io::ArtifactWriter& w) {
+    if (name != "compile/schema") return false;
+    w.add_scalar(name, 4);
+    return true;
+  });
+  expect_recompile("schema 4");
   // Schema 3 stored Conv3d's fp32 handle as BLIS A panels, not Wᵀ.
   rewrite_artifact(art, bad, [](const std::string& name, const auto&, io::ArtifactWriter& w) {
     if (name != "compile/schema") return false;
@@ -539,6 +583,10 @@ TEST(CompiledArtifact, CompiledSchemaIsVersionedApartFromTheContainer) {
     return name == "compile/schema";  // dropped
   });
   expect_recompile("missing compiled schema");
+  rewrite_artifact(art, bad, [](const std::string& name, const auto&, auto&) {
+    return name == "meta/feature_set_version";  // dropped
+  });
+  expect_format("missing feature_set_version", /*recompile_hint=*/false);
 
   auto restored = family_factories()[0].second();
   EXPECT_FALSE(io::ArtifactReader::open(ckpt)->has("compile/schema"));

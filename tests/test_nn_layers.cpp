@@ -362,9 +362,10 @@ TEST(Sequential, ChainsAndCollectsParams) {
 
 // Sequential's eval dispatch fuses each Dense/Conv3d with the activation
 // after it. Its output must be byte-identical to running every layer's own
-// eval forward in turn, for each serving handle kind. conv1 lowers N = 216
-// positions per sample; conv2's stride leaves N = 27 < 32, so its fp32 GEMMs
-// group samples (B = 5: two full groups and a partial one).
+// eval forward in turn, for each serving handle kind (int8 handles go to
+// the Dense layers only; convs have no int8 form and keep fp32). conv1
+// lowers N = 216 positions per sample; conv2's stride leaves N = 27 < 32, so
+// its fp32 GEMMs group samples (B = 5: two full groups and a partial one).
 TEST(Sequential, EvalDispatchMatchesLayerByLayerForwardBitwise) {
   using Kind = EvalWeights::Kind;
   std::vector<Tensor> outputs;
@@ -381,13 +382,11 @@ TEST(Sequential, EvalDispatchMatchesLayerByLayerForwardBitwise) {
     seq.emplace<Dense>(10, 4, rng);
     seq.emplace<ReLU>();
     seq.set_training(false);
-    const auto give = [kind](auto& layer) {
-      if (kind == Kind::kF32) layer.set_eval_weights(layer.packed_f32());
-      if (kind == Kind::kInt8) layer.set_eval_weights(layer.packed_int8(3.0f / 127.0f));
-    };
     for (size_t i = 0; i < seq.size(); ++i) {
-      if (auto* c = dynamic_cast<Conv3d*>(&seq.layer(i))) give(*c);
-      if (auto* d = dynamic_cast<Dense*>(&seq.layer(i))) give(*d);
+      if (auto* c = dynamic_cast<Conv3d*>(&seq.layer(i)); c && kind != Kind::kNone)
+        c->set_eval_weights(c->packed_f32());
+      if (auto* d = dynamic_cast<Dense*>(&seq.layer(i)); d && kind != Kind::kNone)
+        d->set_eval_weights(kind == Kind::kF32 ? d->packed_f32() : d->packed_int8());
     }
 
     const Tensor x = Tensor::randn({5, 2, 6, 6, 6}, rng);

@@ -1,13 +1,12 @@
-// Post-training int8 quantization pins (ISSUE 8 acceptance criteria):
+// Post-training int8 quantization pins:
 //   * the blocked u8xs8 GEMM is bitwise identical to its unblocked
 //     reference over the same packed operands — every shape class (micro-
 //     tile interior, panel edges, k-group tails), every epilogue variant,
 //     and every compute-pool width,
 //   * dequantized int8 results track the fp32 product within the analytic
 //     quantization-error bound (semantics, not just both-paths-same-bug),
-//   * calibration is deterministic: the sample subset is a pure function
-//     of (seed, dataset size), and the derived scales are bitwise
-//     identical at 1 vs 8 compute threads and across reruns,
+//   * quantize_model makes every non-head Dense int8 and leaves every
+//     Conv3d and regression head fp32,
 //   * quantized models stay within the accuracy budget vs their fp32
 //     siblings: score RMSE drift <= 0.05 pK, Pearson >= 0.99, and >= 95%
 //     top-100 ranking overlap on a 120-pose eval set,
@@ -43,7 +42,6 @@
 #include "models/sgcnn.h"
 #include "nn/conv3d.h"
 #include "nn/dense.h"
-#include "quant/calibrator.h"
 #include "quant/quantize.h"
 #include "serve/registry.h"
 #include "serve/scorer.h"
@@ -111,8 +109,7 @@ std::vector<std::pair<std::string, models::RegressorFactory>> family_factories()
 }
 
 /// Featurized synthetic complexes (voxel grid 8 + graphs), deterministic
-/// per seed. Calibration and eval sets use distinct seeds so the accuracy
-/// pins measure generalization of the calibrated ranges, not memorization.
+/// per seed.
 std::vector<data::Sample> make_samples(int n, uint64_t seed) {
   data::PdbbindConfig cfg;
   cfg.num_complexes = n;
@@ -140,23 +137,14 @@ std::vector<const data::Sample*> ptrs_of(const std::vector<data::Sample>& sample
   return out;
 }
 
-/// The tiny 4/8-filter fixtures sit below the int8 cost model's default
-/// conv-width threshold (their convs would be deliberately left fp32).
-/// Tests that exercise quantized conv execution disable the model.
-quant::QuantizeOptions quantize_all() {
-  quant::QuantizeOptions opts;
-  opts.min_conv_out_channels_for_int8 = 0;
-  return opts;
-}
-
 std::vector<float> random_buf(int64_t n, Rng& rng, float lo = -1.0f, float hi = 1.0f) {
   std::vector<float> v(static_cast<size_t>(n));
   for (float& x : v) x = rng.uniform(lo, hi);
   return v;
 }
 
-/// Every calibrated quantization parameter of a model, flattened in
-/// canonical walk order; -1 sentinels keep fp32 layers distinguishable.
+/// Every quantization parameter of a model, flattened in canonical walk
+/// order; -1 sentinels keep fp32 layers distinguishable.
 /// Bitwise vector equality == identical quantized execution state.
 std::vector<float> quant_signature(models::Regressor& model) {
   compile::StructureWalk w = compile::walk_structure(model);
@@ -167,7 +155,6 @@ std::vector<float> quant_signature(models::Regressor& model) {
       sig.push_back(-1.0f);
       continue;
     }
-    sig.push_back(q.act_scale);
     sig.insert(sig.end(), q.scales, q.scales + d->out_features());
   }
   for (nn::Conv3d* c : w.conv) {
@@ -176,7 +163,6 @@ std::vector<float> quant_signature(models::Regressor& model) {
       sig.push_back(-1.0f);
       continue;
     }
-    sig.push_back(q.act_scale);
     sig.insert(sig.end(), q.scales, q.scales + c->out_channels());
   }
   return sig;
@@ -194,7 +180,6 @@ struct S8EpilogueSpec {
   bool scale_col = false;
   bool scale_row = false;
   bool bias_col = false;
-  bool bias_row = false;
 };
 
 /// Quantize random fp32 operands into the packed images once, then compare
@@ -228,10 +213,9 @@ void check_s8_case(int64_t m, int64_t n, int64_t k, const S8EpilogueSpec& spec, 
   ep.leaky_slope = spec.leaky_slope;
   ep.comp_col = comp.data();
   std::vector<float> bias;
-  if (spec.bias_col || spec.bias_row) {
-    bias = random_buf(std::max(m, n), rng);
-    if (spec.bias_col) ep.bias_col = bias.data();
-    if (spec.bias_row) ep.bias_row = bias.data();
+  if (spec.bias_col) {
+    bias = random_buf(n, rng);
+    ep.bias_col = bias.data();
   }
   std::vector<float> row_scales;
   if (spec.scale_row) {
@@ -271,10 +255,10 @@ TEST(GemmS8, KernelMatchesNaiveAcrossShapesAndEpilogues) {
       check_s8_case(c.m, c.n, c.k, spec, rng, /*per_col_b_scales=*/true);
     }
     {
-      SCOPED_TRACE("conv form: scale_row + bias_row + ReLU");
+      SCOPED_TRACE("row scales: scale_row + ReLU");
       S8EpilogueSpec spec;
       spec.act = core::EpilogueAct::kReLU;
-      spec.scale_row = spec.bias_row = true;
+      spec.scale_row = true;
       check_s8_case(c.m, c.n, c.k, spec, rng, /*per_col_b_scales=*/false);
     }
     {
@@ -368,91 +352,12 @@ TEST(GemmS8, RejectsOversizedK) {
                std::invalid_argument);
 }
 
-// ---- calibration determinism ---------------------------------------------
-
-TEST(Calibration, SubsetSelectionIsDeterministic) {
-  const std::vector<int64_t> a = quant::select_calibration_indices(7103, 100, 16);
-  const std::vector<int64_t> b = quant::select_calibration_indices(7103, 100, 16);
-  EXPECT_EQ(a, b);
-  ASSERT_EQ(a.size(), 16u);
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_GE(a[i], 0);
-    EXPECT_LT(a[i], 100);
-    if (i > 0) {
-      EXPECT_LT(a[i - 1], a[i]);  // ascending, unique
-    }
-  }
-  // A different seed draws a different subset.
-  EXPECT_NE(a, quant::select_calibration_indices(7104, 100, 16));
-  // Requesting at least the dataset keeps everything.
-  const std::vector<int64_t> all = quant::select_calibration_indices(7103, 5, 16);
-  ASSERT_EQ(all.size(), 5u);
-  for (int64_t i = 0; i < 5; ++i) EXPECT_EQ(all[static_cast<size_t>(i)], i);
-}
-
-TEST(Calibration, PercentileClipDiscardsOutliers) {
-  quant::CalibConfig cfg;
-  cfg.percentile = 99.9f;
-  quant::RangeObserver obs(cfg);
-  std::vector<float> x(1000);
-  Rng rng(3);
-  for (float& v : x) v = rng.uniform(-1.0f, 1.0f);
-  x.push_back(100.0f);  // a single far outlier
-  obs.observe(x.data(), static_cast<int64_t>(x.size()));
-  EXPECT_EQ(obs.max_abs(), 100.0f);
-  obs.begin_histogram();
-  obs.observe(x.data(), static_cast<int64_t>(x.size()));
-  EXPECT_GE(obs.clipped_max(), 0.9f);  // still covers the bulk
-  EXPECT_LT(obs.clipped_max(), 2.0f);  // but not the outlier
-  // percentile >= 100 disables clipping.
-  quant::CalibConfig wide;
-  wide.percentile = 100.0f;
-  quant::RangeObserver full(wide);
-  full.observe(x.data(), static_cast<int64_t>(x.size()));
-  full.begin_histogram();
-  full.observe(x.data(), static_cast<int64_t>(x.size()));
-  EXPECT_EQ(full.clipped_max(), 100.0f);
-}
-
-TEST(Calibration, ScalesBitwiseIdenticalAtAnyThreadCountAndRerunStable) {
-  const std::vector<data::Sample> calib = make_samples(8, 909);
-  const std::vector<const data::Sample*> cptrs = ptrs_of(calib);
-  const auto quantize_fresh = [&] {
-    Rng rng(43);
-    auto cnn = std::make_shared<models::Cnn3d>(tiny_cnn_cfg(), rng);
-    auto sg = std::make_shared<models::Sgcnn>(tiny_sg_cfg(), rng);
-    models::FusionConfig fcfg;
-    fcfg.kind = models::FusionKind::Mid;
-    fcfg.model_specific_layers = true;
-    fcfg.fusion_nodes = 12;
-    auto model = std::make_unique<models::FusionModel>(fcfg, cnn, sg, rng);
-    compile::compile_model(*model);
-    const quant::QuantizeReport rep = quant::quantize_model(*model, cptrs, quantize_all());
-    EXPECT_GT(rep.quantized_dense, 0);
-    EXPECT_GT(rep.quantized_conv, 0);
-    EXPECT_GT(rep.kept_fp32, 0);  // the regression heads
-    EXPECT_EQ(rep.calibration_samples, static_cast<int64_t>(calib.size()));
-    return quant_signature(*model);
-  };
-
-  const std::vector<float> serial = quantize_fresh();
-  const std::vector<float> serial_again = quantize_fresh();
-  EXPECT_EQ(serial, serial_again) << "rerun with identical inputs changed the scales";
-
-  for (size_t threads : {2u, 8u}) {
-    core::ThreadPool pool(threads);
-    core::ComputePoolGuard guard(&pool);
-    EXPECT_EQ(quantize_fresh(), serial) << "scales drifted at pool width " << threads;
-  }
-}
-
 TEST(Quantize, HeadsStayFp32) {
-  const std::vector<data::Sample> calib = make_samples(6, 909);
   for (auto& [name, factory] : family_factories()) {
     SCOPED_TRACE(name);
     auto model = factory();
     compile::compile_model(*model);
-    quant::quantize_model(*model, ptrs_of(calib), quantize_all());
+    quant::quantize_model(*model);
     compile::StructureWalk w = compile::walk_structure(*model);
     for (nn::Dense* d : w.dense) {
       if (d->out_features() == 1) {
@@ -480,7 +385,6 @@ int topk_overlap(const std::vector<float>& a, const std::vector<float>& b, int k
 }
 
 TEST(Quantize, AccuracyDriftWithinBudget) {
-  const std::vector<data::Sample> calib = make_samples(10, 909);
   const std::vector<data::Sample> eval = make_samples(120, 5150);
   const std::vector<const data::Sample*> eptrs = ptrs_of(eval);
   for (auto& [name, factory] : family_factories()) {
@@ -491,7 +395,7 @@ TEST(Quantize, AccuracyDriftWithinBudget) {
 
     auto int8 = factory();
     compile::compile_model(*int8);
-    quant::quantize_model(*int8, ptrs_of(calib), quantize_all());
+    quant::quantize_model(*int8);
     const std::vector<float> got = int8->predict_batch(eptrs);
 
     ASSERT_EQ(got.size(), want.size());
@@ -524,7 +428,6 @@ TEST(Quantize, AccuracyDriftWithinBudget) {
 // ---- artifact round-trip: bitwise ----------------------------------------
 
 TEST(Quantize, ArtifactRoundTripReproducesScoresBitwise) {
-  const std::vector<data::Sample> calib = make_samples(6, 909);
   const std::vector<data::Sample> eval = make_samples(8, 5151);
   const std::vector<const data::Sample*> eptrs = ptrs_of(eval);
   for (auto& [name, factory] : family_factories()) {
@@ -532,7 +435,7 @@ TEST(Quantize, ArtifactRoundTripReproducesScoresBitwise) {
     const std::string artifact = tmp_path("dfq_" + name + ".dfca");
     auto model = factory();
     compile::compile_model(*model);
-    quant::quantize_model(*model, ptrs_of(calib), quantize_all());
+    quant::quantize_model(*model);
     const std::vector<float> want = model->predict_batch(eptrs);
     const std::vector<float> sig = quant_signature(*model);
     compile::save_compiled(*model, artifact);
@@ -555,79 +458,33 @@ TEST(Quantize, ArtifactRoundTripReproducesScoresBitwise) {
   }
 }
 
-// ---- compile-time cost model: narrow convs stay fp32 ---------------------
+// ---- policy: convs stay fp32 -----------------------------------------------
 
-TEST(Quantize, CostModelSkipsNarrowConvs) {
-  const std::vector<data::Sample> calib = make_samples(6, 909);
-  const std::vector<data::Sample> eval = make_samples(8, 5153);
-  const std::vector<const data::Sample*> cptrs = ptrs_of(calib);
-  const std::vector<const data::Sample*> eptrs = ptrs_of(eval);
-
-  // Default threshold: every tiny conv (4/8 output channels) is skipped,
-  // recorded in the report, and left without quantized state; dense
-  // quantization is unaffected.
-  {
-    Rng rng(41);
-    auto model = std::make_unique<models::Cnn3d>(tiny_cnn_cfg(), rng);
-    compile::compile_model(*model);
-    const quant::QuantizeReport rep = quant::quantize_model(*model, cptrs);
-    compile::StructureWalk w = compile::walk_structure(*model);
-    EXPECT_EQ(rep.quantized_conv, 0);
-    EXPECT_EQ(rep.skipped_conv, static_cast<int>(w.conv.size()));
-    ASSERT_EQ(rep.skipped_conv_layers.size(), w.conv.size());
-    for (size_t i = 0; i < w.conv.size(); ++i) {
-      EXPECT_EQ(rep.skipped_conv_layers[i], static_cast<int>(i));
-      EXPECT_NE(w.conv[i]->eval_weights().kind, nn::EvalWeights::Kind::kInt8);
-    }
-    EXPECT_GT(rep.quantized_dense, 0);
-
-    // A skip must behave exactly like quantize_conv=false: the cost model
-    // changes what runs int8, never what the surviving layers compute.
-    Rng rng2(41);
-    auto noconv = std::make_unique<models::Cnn3d>(tiny_cnn_cfg(), rng2);
-    compile::compile_model(*noconv);
-    quant::QuantizeOptions no_conv_opts;
-    no_conv_opts.quantize_conv = false;
-    quant::quantize_model(*noconv, cptrs, no_conv_opts);
-    EXPECT_EQ(model->predict_batch(eptrs), noconv->predict_batch(eptrs));
+TEST(Quantize, ConvsStayFp32) {
+  // Table-3 filter widths (32/64), where the conv forward is widest.
+  models::Cnn3dConfig cfg = tiny_cnn_cfg();
+  cfg.conv_filters1 = 32;
+  cfg.conv_filters2 = 64;
+  Rng rng(41);
+  models::Cnn3d model(cfg, rng);
+  compile::compile_model(model);
+  const quant::QuantizeReport rep = quant::quantize_model(model);
+  const compile::StructureWalk w = compile::walk_structure(model);
+  ASSERT_FALSE(w.conv.empty());
+  for (size_t i = 0; i < w.conv.size(); ++i) {
+    EXPECT_EQ(w.conv[i]->eval_weights().kind, nn::EvalWeights::Kind::kF32) << "conv " << i;
   }
-
-  // A threshold between the two widths splits the model: 4-channel convs
-  // skipped, 8-channel convs quantized, indices identify which.
-  {
-    Rng rng(41);
-    auto model = std::make_unique<models::Cnn3d>(tiny_cnn_cfg(), rng);
-    compile::compile_model(*model);
-    quant::QuantizeOptions opts;
-    opts.min_conv_out_channels_for_int8 = 8;
-    const quant::QuantizeReport rep = quant::quantize_model(*model, cptrs, opts);
-    compile::StructureWalk w = compile::walk_structure(*model);
-    EXPECT_GT(rep.quantized_conv, 0);
-    EXPECT_GT(rep.skipped_conv, 0);
-    EXPECT_EQ(rep.quantized_conv + rep.skipped_conv, static_cast<int>(w.conv.size()));
-    std::set<int> skipped(rep.skipped_conv_layers.begin(), rep.skipped_conv_layers.end());
-    for (size_t i = 0; i < w.conv.size(); ++i) {
-      if (w.conv[i]->out_channels() < 8) {
-        EXPECT_TRUE(skipped.count(static_cast<int>(i))) << "conv " << i;
-        EXPECT_NE(w.conv[i]->eval_weights().kind, nn::EvalWeights::Kind::kInt8) << "conv " << i;
-      } else {
-        EXPECT_FALSE(skipped.count(static_cast<int>(i))) << "conv " << i;
-        EXPECT_EQ(w.conv[i]->eval_weights().kind, nn::EvalWeights::Kind::kInt8) << "conv " << i;
-      }
-    }
+  int heads = 0;
+  for (size_t i = 0; i < w.dense.size(); ++i) {
+    const bool head = w.dense[i]->out_features() == 1;
+    heads += head ? 1 : 0;
+    EXPECT_EQ(w.dense[i]->eval_weights().kind,
+              head ? nn::EvalWeights::Kind::kF32 : nn::EvalWeights::Kind::kInt8)
+        << "dense " << i;
   }
-
-  // Threshold 0 disables the model entirely.
-  {
-    Rng rng(41);
-    auto model = std::make_unique<models::Cnn3d>(tiny_cnn_cfg(), rng);
-    compile::compile_model(*model);
-    const quant::QuantizeReport rep = quant::quantize_model(*model, cptrs, quantize_all());
-    compile::StructureWalk w = compile::walk_structure(*model);
-    EXPECT_EQ(rep.quantized_conv, static_cast<int>(w.conv.size()));
-    EXPECT_EQ(rep.skipped_conv, 0);
-    EXPECT_TRUE(rep.skipped_conv_layers.empty());
-  }
+  EXPECT_EQ(rep.quantized_dense, static_cast<int>(w.dense.size()) - heads);
+  EXPECT_EQ(rep.kept_fp32, heads);
+  EXPECT_GT(rep.quantized_dense, 0);
 }
 
 // ---- registry backends ---------------------------------------------------
