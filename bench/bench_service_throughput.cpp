@@ -138,30 +138,7 @@ serve::ModelRegistry make_registry() {
         bench_fusion_config(models::FusionKind::Mid), std::move(cnn), std::move(sg), mrng);
   }, voxel);
   reg.add("vina_pk", [] { return std::make_unique<serve::VinaPkScorer>(); });
-
-  // Int8 siblings of the three net families: same weight seeds, so the
-  // fp32-vs-int8 rows differ only by the quantization itself.
-  serve::add_quantized_regressor(reg, "cnn3d_int8", [] {
-    core::Rng mrng(9);
-    return std::make_unique<models::Cnn3d>(service_cnn_config(), mrng);
-  }, voxel);
-  serve::add_quantized_regressor(reg, "sgcnn_int8", [] {
-    core::Rng mrng(10);
-    return std::make_unique<models::Sgcnn>(bench_sgcnn_config(), mrng);
-  }, voxel);
-  serve::add_quantized_regressor(reg, "fusion_int8", [] {
-    core::Rng mrng(11);
-    auto cnn = std::make_shared<models::Cnn3d>(bench_cnn3d_config(), mrng);
-    auto sg = std::make_shared<models::Sgcnn>(bench_sgcnn_config(), mrng);
-    return std::make_unique<models::FusionModel>(
-        bench_fusion_config(models::FusionKind::Mid), std::move(cnn), std::move(sg), mrng);
-  }, voxel);
   return reg;
-}
-
-const char* dtype_of(const std::string& family) {
-  return family.size() > 5 && family.compare(family.size() - 5, 5, "_int8") == 0 ? "int8"
-                                                                                 : "fp32";
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -641,32 +618,22 @@ int main(int argc, char** argv) {
   const Workload w = make_workload();
   const serve::ModelRegistry reg = make_registry();
 
-  // ---- hot path (fp32 phase, then int8 phase) ----
+  // ---- hot path ----
   print_header("Serving hot path — direct scorer, batch of 32 poses");
   std::vector<HotPathResult> hot;
-  for (const char* family : {"cnn3d", "sgcnn", "fusion", "vina_pk",
-                             "cnn3d_int8", "sgcnn_int8", "fusion_int8"}) {
+  for (const char* family : {"cnn3d", "sgcnn", "fusion", "vina_pk"}) {
     hot.push_back(run_hot_path(reg, family, w));
   }
-  std::printf("%-12s %6s %10s %9s %9s %6s %14s %13s\n", "family", "dtype", "poses/s", "min",
-              "max", "cov%", "featurize ms/b", "forward ms/b");
-  print_rule(88);
+  std::printf("%-12s %10s %9s %9s %6s %14s %13s\n", "family", "poses/s", "min", "max", "cov%",
+              "featurize ms/b", "forward ms/b");
+  print_rule(81);
   for (const HotPathResult& r : hot) {
-    std::printf("%-12s %6s %10.1f %9.1f %9.1f %5.1f%% %14.3f %13.3f\n", r.family.c_str(),
-                dtype_of(r.family), r.pps.median, r.pps.min, r.pps.max, r.pps.cov * 100.0,
-                r.featurize_ms_per_batch, r.forward_ms_per_batch);
+    std::printf("%-12s %10.1f %9.1f %9.1f %5.1f%% %14.3f %13.3f\n", r.family.c_str(),
+                r.pps.median, r.pps.min, r.pps.max, r.pps.cov * 100.0, r.featurize_ms_per_batch,
+                r.forward_ms_per_batch);
   }
   std::printf("(poses/s = median of %d rounds x %d batches; min/max/CoV bound the spread)\n",
               kHotPathRounds, kHotPathReps);
-  const auto pps_of = [&hot](const std::string& family) {
-    for (const HotPathResult& r : hot) {
-      if (r.family == family) return r.pps.median;
-    }
-    return 0.0;
-  };
-  std::printf("\nint8 end-to-end speedup: cnn3d %.2fx, sgcnn %.2fx, fusion %.2fx\n",
-              pps_of("cnn3d_int8") / pps_of("cnn3d"), pps_of("sgcnn_int8") / pps_of("sgcnn"),
-              pps_of("fusion_int8") / pps_of("fusion"));
   const EpilogueResult epi = run_epilogue_bench();
   std::printf("\nfused GEMM epilogue (2048x48x38, bias+SELU): %.3f ms vs unfused %.3f ms "
               "(%.2fx)\n\n",
@@ -771,7 +738,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(out,
                  "{\n"
-                 "  \"schema\": \"bench_service.v7\",\n"
+                 "  \"schema\": \"bench_service.v8\",\n"
                  "  \"workload\": {\"clients\": %d, \"poses_per_client\": %d, "
                  "\"poses_per_request\": %d, \"poses_per_batch\": %d, "
                  "\"feature_set_version\": %d, \"hot_path_rounds\": %d},\n"
@@ -781,19 +748,15 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < hot.size(); ++i) {
       const HotPathResult& r = hot[i];
       std::fprintf(out,
-                   "    \"%s\": {\"dtype\": \"%s\", \"poses_per_second\": %.1f, "
+                   "    \"%s\": {\"poses_per_second\": %.1f, "
                    "\"poses_per_second_min\": %.1f, \"poses_per_second_max\": %.1f, "
                    "\"poses_per_second_cov\": %.4f, "
                    "\"featurize_ms_per_batch\": %.3f, \"forward_ms_per_batch\": %.3f}%s\n",
-                   json_escape(r.family).c_str(), dtype_of(r.family), r.pps.median, r.pps.min,
-                   r.pps.max, r.pps.cov, r.featurize_ms_per_batch, r.forward_ms_per_batch,
+                   json_escape(r.family).c_str(), r.pps.median, r.pps.min, r.pps.max, r.pps.cov,
+                   r.featurize_ms_per_batch, r.forward_ms_per_batch,
                    i + 1 < hot.size() ? "," : "");
     }
-    std::fprintf(out,
-                 "  },\n"
-                 "  \"int8_speedup\": {\"cnn3d\": %.3f, \"sgcnn\": %.3f, \"fusion\": %.3f},\n",
-                 pps_of("cnn3d_int8") / pps_of("cnn3d"), pps_of("sgcnn_int8") / pps_of("sgcnn"),
-                 pps_of("fusion_int8") / pps_of("fusion"));
+    std::fprintf(out, "  },\n");
     std::fprintf(out, "  \"pipelined_serving\": {\n");
     for (size_t i = 0; i < piped.size(); ++i) {
       const PipelinedResult& r = piped[i];

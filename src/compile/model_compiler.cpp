@@ -188,8 +188,16 @@ int count_batchnorms(nn::Sequential& seq) {
 
 // ---- canonical structure walks --------------------------------------------
 //
-// StructureWalk itself lives in the header (the quantization pass shares
-// it); the collectors stay here.
+// The walk is fixed per family, independent of config flags, recursive
+// left-to-right through Sequentials and Residual inners. Everything the
+// artifact stores positionally ("param/<i>", "dense/<i>/...", "conv/<i>/...")
+// depends on save and load walking the model in this order.
+
+struct StructureWalk {
+  std::vector<nn::Sequential*> seqs;  // top-level Sequentials, canonical order
+  std::vector<nn::Dense*> dense;      // GEMM layers, canonical order
+  std::vector<nn::Conv3d*> conv;
+};
 
 void walk_seq_gemm(nn::Sequential& seq, StructureWalk& w) {
   for (size_t i = 0; i < seq.size(); ++i) {
@@ -456,7 +464,7 @@ class CompiledRegressor : public models::Regressor {
     inner_->set_training(false);
   }
   std::string name() const override { return inner_->name(); }
-  /// The wrapped model — walk_structure/family_of look through the facade.
+  /// The wrapped model — family_of looks through the facade.
   models::Regressor& inner() { return *inner_; }
 
  private:
@@ -475,29 +483,20 @@ StructureWalk fold_and_strip(models::Regressor& model, CompileReport& rep) {
   return w;
 }
 
-// Give every layer that is not int8 its fp32 handle; returns how many.
+// Give every layer its fp32 handle; returns how many.
 template <class Layer>
 int pack_f32(const std::vector<Layer*>& layers) {
-  int packed = 0;
-  for (Layer* l : layers) {
-    if (l->eval_weights().kind == nn::EvalWeights::Kind::kInt8) continue;
-    l->set_eval_weights(l->packed_f32());
-    ++packed;
-  }
-  return packed;
+  for (Layer* l : layers) l->set_eval_weights(l->packed_f32());
+  return static_cast<int>(layers.size());
 }
 
-// One layer's serving handle, stored verbatim under `base`: its kind, its
-// image and, when int8, its scales and comp.
+// One layer's serving handle, stored verbatim under `base`: its kind and,
+// for kF32, its image.
 void write_eval_weights(io::ArtifactWriter& out, const std::string& base,
                         const nn::EvalWeights& e) {
   out.add_scalar(base + "kind", static_cast<int64_t>(e.kind));
   if (e.kind == nn::EvalWeights::Kind::kF32)
-    out.add_floats(base + "image", {e.image_len}, e.f32());
-  if (e.kind != nn::EvalWeights::Kind::kInt8) return;
-  out.add_int8s(base + "image", {e.image_len}, e.s8());
-  out.add_floats(base + "scales", {e.scales_len}, e.scales);
-  out.add_int32s(base + "comp", {e.comp_len}, e.comp);
+    out.add_floats(base + "image", {e.image_len}, e.image);
 }
 
 // Give `layer` the handle stored under `base`, as views into the mapping
@@ -508,17 +507,10 @@ void read_eval_weights(const std::shared_ptr<io::ArtifactReader>& image, const s
   const io::ArtifactReader& a = *image;
   nn::EvalWeights e{.kind = static_cast<nn::EvalWeights::Kind>(a.scalar(base + "kind")),
                     .keep_alive = image};
-  const std::string img = base + "image", scales = base + "scales", comp = base + "comp";
   if (e.kind == nn::EvalWeights::Kind::kF32) {
+    const std::string img = base + "image";
     e.image = a.floats(img);
     e.image_len = a.section(img).numel();
-  } else if (e.kind == nn::EvalWeights::Kind::kInt8) {
-    e.image = a.int8s(img);
-    e.image_len = a.section(img).numel();
-    e.scales = a.floats(scales);
-    e.scales_len = a.section(scales).numel();
-    e.comp = a.int32s(comp);
-    e.comp_len = a.section(comp).numel();
   }
   try {
     layer.set_eval_weights(std::move(e));
@@ -529,13 +521,6 @@ void read_eval_weights(const std::shared_ptr<io::ArtifactReader>& image, const s
 }
 
 }  // namespace
-
-StructureWalk walk_structure(models::Regressor& model) {
-  if (auto* cr = dynamic_cast<CompiledRegressor*>(&model)) return walk_structure(cr->inner());
-  StructureWalk w;
-  collect(model, w);
-  return w;
-}
 
 ModelFamily family_of(models::Regressor& model) {
   if (auto* cr = dynamic_cast<CompiledRegressor*>(&model)) return family_of(cr->inner());
@@ -594,7 +579,7 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
 
   // The layers' handles, verbatim, so a restored replica points its
   // weights straight into the mapping and bitwise-reproduces the donor's
-  // scores, int8 included (int32 accumulation is exact).
+  // scores.
   out.add_scalar("dense/count", static_cast<int64_t>(w.dense.size()));
   out.add_scalar("conv/count", static_cast<int64_t>(w.conv.size()));
   for (size_t i = 0; i < w.dense.size(); ++i)

@@ -15,8 +15,8 @@
 //     are removed. This also extends fusion chains: a Dense/Conv3d whose
 //     activation used to sit behind a Dropout becomes directly adjacent to
 //     it, and the Sequential's eval program fuses them into one GEMM.
-//   * Weight prepacking — every Dense/Conv3d that is not int8 gets the fp32
-//     serving handle its own packed_f32() produces (nn/eval_weights.h):
+//   * Weight prepacking — every Dense/Conv3d gets the fp32 serving handle
+//     its own packed_f32() produces (nn/eval_weights.h):
 //     Dense's B panels, which steady-state sgemm calls stream instead of
 //     packing (core::sgemm_prepacked), and Conv3d's Wᵀ image, which its
 //     forward would otherwise pack per call. Bitwise identical either way.
@@ -39,16 +39,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "io/model_artifact.h"
 #include "models/regressor.h"
-
-namespace df::nn {
-class Sequential;
-class Dense;
-class Conv3d;
-}  // namespace df::nn
 
 namespace df::compile {
 
@@ -62,6 +55,9 @@ namespace df::compile {
 ///    forward instead of BLIS A panels.
 /// 5: an int8 group no longer carries the calibrated activation step
 ///    ("dense/<i>/act"), and no Conv3d group is int8.
+/// Int8 groups have since been removed without a bump: an fp32 artifact
+/// means the same as before, and one that still holds int8 sections fails
+/// io::ArtifactReader::open on their dtype (io::H5LiteError Format).
 constexpr int64_t kCompiledSchema = 5;
 
 /// Throw io::H5LiteError{Format} with a "recompile" hint unless `a` holds
@@ -81,30 +77,16 @@ enum class ModelFamily : int64_t {
 /// types the compiler does not understand.
 ModelFamily family_of(models::Regressor& model);
 
-/// The canonical structure walk: fixed per family, independent of config
-/// flags, recursive left-to-right through Sequentials and Residual inners.
-/// Everything the artifact stores positionally ("param/<i>", "dense/<i>/...",
-/// "conv/<i>/...") depends on save and load walking the model in this
-/// order; the quantizer (src/quant/) visits the Dense layers in it too.
-struct StructureWalk {
-  std::vector<nn::Sequential*> seqs;  // top-level Sequentials, canonical order
-  std::vector<nn::Dense*> dense;      // GEMM layers, canonical order
-  std::vector<nn::Conv3d*> conv;
-};
-
-/// Walk `model`; throws std::invalid_argument for unsupported model types.
-StructureWalk walk_structure(models::Regressor& model);
-
 struct CompileReport {
   int folded_batch_norms = 0;
   int stripped_dropouts = 0;
-  int prepacked_dense = 0;  // layers given an fp32 handle (int8 ones keep theirs)
+  int prepacked_dense = 0;  // layers given an fp32 handle
   int prepacked_conv = 0;
 };
 
 /// Rewrite `model` into its serving form (see file comment). Idempotent:
-/// compiling an already-compiled model only refreshes the fp32 handles, and
-/// int8 handles stay. The model is switched to eval mode and must stay there.
+/// compiling an already-compiled model only refreshes the fp32 handles. The
+/// model is switched to eval mode and must stay there.
 CompileReport compile_model(models::Regressor& model);
 
 /// Steady-state arena budgets measured on a warmed donor replica

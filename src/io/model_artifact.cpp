@@ -18,9 +18,8 @@ namespace {
 constexpr char kMagic[4] = {'D', 'F', 'C', 'A'};
 constexpr uint64_t kHeaderBytes = 16;  // magic + version + payload_bytes
 constexpr uint64_t kBlobAlign = 64;
-constexpr uint64_t kDtypeBytes[] = {sizeof(float), sizeof(int64_t), sizeof(int8_t),
-                                    sizeof(int32_t)};
-constexpr const char* kDtypeNames[] = {"float32", "int64", "int8", "int32"};
+constexpr uint64_t kDtypeBytes[] = {sizeof(float), sizeof(int64_t)};
+constexpr const char* kDtypeNames[] = {"float32", "int64"};
 
 uint64_t align_up(uint64_t v, uint64_t to) { return (v + to - 1) / to * to; }
 
@@ -100,16 +99,6 @@ void ArtifactWriter::add_ints(const std::string& name, std::vector<int64_t> dims
 
 void ArtifactWriter::add_scalar(const std::string& name, int64_t v) {
   add_ints(name, {1}, &v);
-}
-
-void ArtifactWriter::add_int8s(const std::string& name, std::vector<int64_t> dims,
-                               const int8_t* data) {
-  add(name, 2, std::move(dims), data);
-}
-
-void ArtifactWriter::add_int32s(const std::string& name, std::vector<int64_t> dims,
-                                const int32_t* data) {
-  add(name, 3, std::move(dims), data);
 }
 
 void ArtifactWriter::save(const std::string& path) const {
@@ -270,8 +259,10 @@ std::shared_ptr<ArtifactReader> ArtifactReader::open(const std::string& path) {
     ArtifactSection s;
     s.dtype = static_cast<uint8_t>(d[pos]);
     ++pos;
-    if (s.dtype > 3)
-      throw H5LiteError(H5LiteError::Kind::Format, "artifact: bad dtype in " + path);
+    if (s.dtype >= std::size(kDtypeBytes)) {
+      throw H5LiteError(H5LiteError::Kind::Format, "artifact: bad dtype " +
+                                                       std::to_string(s.dtype) + " in " + path);
+    }
     const uint32_t rank = read_u32();
     uint64_t numel = 1;
     for (uint32_t k = 0; k < rank; ++k) {
@@ -348,14 +339,6 @@ const int64_t* ArtifactReader::ints(const std::string& name) const {
 
 const int64_t* ArtifactReader::ints(const std::string& name, int64_t numel) const {
   return reinterpret_cast<const int64_t*>(blob(name, 1, numel));
-}
-
-const int8_t* ArtifactReader::int8s(const std::string& name) const {
-  return reinterpret_cast<const int8_t*>(blob(name, 2));
-}
-
-const int32_t* ArtifactReader::int32s(const std::string& name) const {
-  return reinterpret_cast<const int32_t*>(blob(name, 3));
 }
 
 int64_t ArtifactReader::scalar(const std::string& name) const { return *ints(name, 1); }

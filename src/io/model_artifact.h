@@ -14,8 +14,7 @@
 //   offset 16  : payload —
 //                  u32 section_count
 //                  section_count directory entries:
-//                    u32 name_len | name bytes | u8 dtype (0=f32, 1=i64,
-//                                                           2=i8, 3=i32)
+//                    u32 name_len | name bytes | u8 dtype (0=f32, 1=i64)
 //                    u32 rank | i64 dims[rank]
 //                    u64 byte_offset (absolute, 64-byte aligned)
 //                    u64 byte_len
@@ -30,8 +29,8 @@
 //
 // Failures are io::H5LiteError, so callers discriminate damage kinds:
 // Open (missing / unreadable / unwritable), Format (bad magic, unsupported
-// version, missing section, or a section of the wrong dtype or element
-// count), Truncated (directory or blob past EOF), Crc (payload bytes do not
+// version, a directory dtype other than 0 or 1, missing section, or a
+// section of the wrong dtype or element count), Truncated (directory or blob past EOF), Crc (payload bytes do not
 // match the stored checksum). Open rejects the whole file before any
 // section is handed out — there is no partial load.
 #pragma once
@@ -71,13 +70,14 @@ class H5LiteError : public std::runtime_error {
 /// by its writer inside the file (compile::kCompiledSchema as
 /// "compile/schema", the campaign checkpoint's "schema"), so a change to
 /// one file kind never makes the others unreadable.
-/// v2: int8/int32 section dtypes.
+/// v2: int8/int32 section dtypes (2 and 3). Both have since gone without a
+///     bump; a reader rejects either as Format.
 /// v3: no layout change; bumped when the compiled-model sections changed,
 ///     before that schema had a section of its own.
 constexpr uint32_t kArtifactVersion = 3;
 
 struct ArtifactSection {
-  uint8_t dtype = 0;  // 0 = float32, 1 = int64, 2 = int8 (raw bytes), 3 = int32
+  uint8_t dtype = 0;  // 0 = float32, 1 = int64
   std::vector<int64_t> dims;
   uint64_t byte_offset = 0;  // absolute file offset, 64-byte aligned
   uint64_t byte_len = 0;
@@ -100,10 +100,6 @@ class ArtifactWriter {
   void add_floats(const std::string& name, std::vector<int64_t> dims, const float* data);
   void add_ints(const std::string& name, std::vector<int64_t> dims, const int64_t* data);
   void add_scalar(const std::string& name, int64_t v);
-  /// Quantized-plan sections: packed int8 panel/row images and int32
-  /// epilogue compensation vectors.
-  void add_int8s(const std::string& name, std::vector<int64_t> dims, const int8_t* data);
-  void add_int32s(const std::string& name, std::vector<int64_t> dims, const int32_t* data);
 
   void save(const std::string& path) const;
 
@@ -140,8 +136,6 @@ class ArtifactReader {
   const float* floats(const std::string& name, int64_t numel) const;
   const int64_t* ints(const std::string& name) const;
   const int64_t* ints(const std::string& name, int64_t numel) const;
-  const int8_t* int8s(const std::string& name) const;
-  const int32_t* int32s(const std::string& name) const;
   /// A one-element int64 section.
   int64_t scalar(const std::string& name) const;
 

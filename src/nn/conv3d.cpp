@@ -218,7 +218,7 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   const int64_t K = cin_ * k_ * k_ * k_, L = round_lanes(cout_);
   std::optional<core::Workspace::Scope> release;
   Tensor packed;
-  const float* wt = eval_.f32();
+  const float* wt = eval_.image;
   if (training_ || eval_.kind != EvalWeights::Kind::kF32) {
     if (core::Workspace* ws = core::Workspace::current()) release.emplace(*ws);
     packed = Tensor::uninit({K, L});
@@ -275,7 +275,7 @@ EvalWeights Conv3d::packed_f32() const {
 }
 
 void Conv3d::set_eval_weights(EvalWeights e) {
-  e.check_fits(cin_ * k_ * k_ * k_ * round_lanes(cout_), /*int8_len=*/0, cout_,
+  e.check_fits(cin_ * k_ * k_ * k_ * round_lanes(cout_),
                "Conv3d(" + std::to_string(cin_) + "->" + std::to_string(cout_) + ", k" +
                    std::to_string(k_) + ")");
   eval_ = std::move(e);

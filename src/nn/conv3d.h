@@ -7,8 +7,7 @@
 // per-geometry offsets, by Wᵀ — no column matrix is written. Backward still
 // lowers each sample to a (cin*k³, Do*Ho*Wo) column matrix through the same
 // offsets and scatters the column gradients back through a zero-padded
-// gradient image. Convs have no int8 form: quantized models keep them fp32
-// (quant/quantize.h). The original direct 7-loop implementation is retained
+// gradient image. The original direct 7-loop implementation is retained
 // below as the equivalence reference for tests and the speedup benchmark.
 #pragma once
 
@@ -55,15 +54,15 @@ class Conv3d : public Module {
 
   // -- serving form (eval_weights.h) -------------------------------------
   // Same contract as Dense: eval forwards run the GEMM the handle names,
-  // training forwards always use w_. There is no int8 form.
+  // training forwards always use w_.
 
   /// Wᵀ as a (cin*k^3, round_up(cout, 16)) row image, zero past cout: the
   /// B operand of the fp32 forward's indirect GEMM, which otherwise packs it
   /// on every forward.
   EvalWeights packed_f32() const;
   const EvalWeights& eval_weights() const { return eval_; }
-  /// Install a handle; throws std::invalid_argument for kInt8 and for an
-  /// fp32 image that is not this layer's Wᵀ image length.
+  /// Install a handle; throws std::invalid_argument for an unknown kind and
+  /// for an fp32 image that is not this layer's Wᵀ image length.
   void set_eval_weights(EvalWeights e);
 
  private:

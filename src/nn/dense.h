@@ -40,13 +40,9 @@ class Dense : public Module {
 
   /// w packed once into the B-panel image sgemm would build per call.
   EvalWeights packed_f32() const;
-  /// w quantized to per-output symmetric int8 panels. Eval forwards then
-  /// quantize each input row to u8 with a runtime step from its own |x|
-  /// max.
-  EvalWeights packed_int8() const;
   const EvalWeights& eval_weights() const { return eval_; }
   /// Install a handle; throws std::invalid_argument unless its kind and
-  /// lengths fit this layer's (in, out).
+  /// image length fit this layer's (in, out).
   void set_eval_weights(EvalWeights e);
 
  private:

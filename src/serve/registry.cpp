@@ -8,7 +8,6 @@
 #include "models/cnn3d.h"
 #include "models/fusion.h"
 #include "models/sgcnn.h"
-#include "quant/quantize.h"
 
 namespace df::serve {
 
@@ -98,18 +97,6 @@ void add_compiled(ModelRegistry& registry, const std::string& name,
   });
 }
 
-void add_quantized_regressor(ModelRegistry& registry, const std::string& name,
-                             models::RegressorFactory make_model,
-                             const chem::VoxelConfig& voxel,
-                             const chem::GraphFeaturizerConfig& graph) {
-  registry.add(name, [name, make_model = std::move(make_model), voxel, graph] {
-    std::unique_ptr<models::Regressor> model = make_model();
-    compile::compile_model(*model);
-    quant::quantize_model(*model);
-    return std::make_unique<RegressorScorer>(name, std::move(model), voxel, graph);
-  });
-}
-
 ModelRegistry default_registry(const chem::VoxelConfig& voxel,
                                const chem::GraphFeaturizerConfig& graph) {
   ModelRegistry reg;
@@ -149,25 +136,6 @@ ModelRegistry default_registry(const chem::VoxelConfig& voxel,
   add_regressor(reg, "kdeep", [voxel] {
     core::Rng rng(105);
     return models::make_kdeep(voxel.channels(), voxel.grid_dim, rng);
-  }, voxel, graph);
-
-  // Int8 siblings. "sgcnn_int8"/"cnn3d_int8" share their fp32 sibling's
-  // weight seed, so fp32-vs-int8 drift is measurable within one registry.
-  add_quantized_regressor(reg, "sgcnn_int8", [] {
-    core::Rng rng(101);
-    return std::make_unique<models::Sgcnn>(models::SgcnnConfig{}, rng);
-  }, voxel, graph);
-  add_quantized_regressor(reg, "cnn3d_int8", [cnn_cfg] {
-    core::Rng rng(102);
-    return std::make_unique<models::Cnn3d>(cnn_cfg(), rng);
-  }, voxel, graph);
-  add_quantized_regressor(reg, "fusion_int8", [cnn_cfg] {
-    core::Rng rng(106);
-    models::FusionConfig fc;
-    fc.kind = models::FusionKind::Mid;
-    auto cnn = std::make_shared<models::Cnn3d>(cnn_cfg(), rng);
-    auto sg = std::make_shared<models::Sgcnn>(models::SgcnnConfig{}, rng);
-    return std::make_unique<models::FusionModel>(fc, std::move(cnn), std::move(sg), rng);
   }, voxel, graph);
   return reg;
 }

@@ -84,22 +84,10 @@ void add_compiled(ModelRegistry& registry, const std::string& name,
                   const std::string& artifact_path, const chem::VoxelConfig& voxel,
                   const chem::GraphFeaturizerConfig& graph = {});
 
-/// Register an int8-quantized Regressor backend. Every minted replica is
-/// compiled (compile::compile_model) and post-training-quantized
-/// (quant::quantize_model: int8 Dense layers, fp32 convs and heads).
-/// Factory determinism holds: quantization is a pure function of the model
-/// weights, so replicas are bitwise-identical.
-void add_quantized_regressor(ModelRegistry& registry, const std::string& name,
-                             models::RegressorFactory make_model,
-                             const chem::VoxelConfig& voxel,
-                             const chem::GraphFeaturizerConfig& graph = {});
-
 /// A registry with every backend family pre-registered under its canonical
 /// name: "vina_pk", "mmgbsa", plus untrained-but-deterministic reference
 /// nets "sgcnn", "cnn3d", "late_fusion", "pafnucy", "kdeep" (fixed seeds;
-/// swap in trained weights via add_regressor for real use), plus their
-/// int8-quantized siblings "sgcnn_int8", "cnn3d_int8", "fusion_int8"
-/// (add_quantized_regressor; "fusion_int8" serves a Mid-level FusionModel).
+/// swap in trained weights via add_regressor for real use).
 /// Net input shapes derive from `voxel`.
 ModelRegistry default_registry(const chem::VoxelConfig& voxel = {},
                                const chem::GraphFeaturizerConfig& graph = {});

@@ -15,6 +15,16 @@ constexpr uint32_t kMaxAtoms = 1u << 22;
 constexpr uint32_t kMaxPoses = 1u << 22;
 constexpr uint32_t kMaxStrings = 1u << 16;
 
+// Smallest encoding of each counted element, in bytes. A decoder bounds a
+// count by the bytes left over these before it sizes anything, so a short
+// payload cannot make it allocate for elements it does not carry.
+constexpr size_t kAtomBytes = 16;   // element u8, xyz 3 x f32, charge, aromatic, implicit H
+constexpr size_t kBondBytes = 9;    // a i32, b i32, order i8
+constexpr size_t kPocketBytes = 4;  // atom count u32
+constexpr size_t kPoseBytes = 24;   // atom and bond counts, pocket u32, site 3 x f32
+constexpr size_t kScoreBytes = 4;   // f32
+constexpr size_t kStringBytes = 4;  // length u32
+
 class Writer {
  public:
   template <typename T>
@@ -59,9 +69,11 @@ class Reader {
     pos_ += n;
     return s;
   }
-  uint32_t count(uint32_t max, const char* what) {
+  /// A u32 element count, at most `max` and at most the elements of
+  /// `min_bytes` each that the bytes left can hold.
+  uint32_t count(uint32_t max, size_t min_bytes, const char* what) {
     const uint32_t n = pod<uint32_t>();
-    if (n > max) {
+    if (n > max || n > (bytes_.size() - pos_) / min_bytes) {
       throw WireDecodeError("wire: " + std::string(what) + " count " + std::to_string(n) +
                             " out of range");
     }
@@ -93,7 +105,7 @@ void put_atoms(Writer& w, const std::vector<chem::Atom>& atoms) {
 }
 
 std::vector<chem::Atom> get_atoms(Reader& r) {
-  const uint32_t n = r.count(kMaxAtoms, "atom");
+  const uint32_t n = r.count(kMaxAtoms, kAtomBytes, "atom");
   std::vector<chem::Atom> atoms(n);
   for (chem::Atom& a : atoms) {
     const uint8_t e = r.pod<uint8_t>();
@@ -128,7 +140,7 @@ chem::Molecule get_molecule(Reader& r) {
     const int32_t i = m.add_atom(a.element, a.pos, a.formal_charge, a.aromatic);
     m.atoms()[static_cast<size_t>(i)].implicit_h = a.implicit_h;
   }
-  const uint32_t nb = r.count(kMaxAtoms, "bond");
+  const uint32_t nb = r.count(kMaxAtoms, kBondBytes, "bond");
   for (uint32_t i = 0; i < nb; ++i) {
     const int32_t a = r.pod<int32_t>();
     const int32_t b = r.pod<int32_t>();
@@ -237,7 +249,7 @@ HelloPayload HelloPayload::decode(std::string_view bytes) {
   p.ordered_stream = r.pod<uint8_t>() != 0;
   p.poses_per_batch = r.pod<uint32_t>();
   p.workers = r.pod<uint32_t>();
-  const uint32_t n = r.count(kMaxStrings, "scorer");
+  const uint32_t n = r.count(kMaxStrings, kStringBytes, "scorer");
   p.scorers.reserve(n);
   for (uint32_t i = 0; i < n; ++i) p.scorers.push_back(r.str());
   r.done();
@@ -268,10 +280,10 @@ ScoreRequestPayload ScoreRequestPayload::decode(std::string_view bytes) {
   p.request_id = r.pod<uint64_t>();
   p.deadline_ms = r.pod<uint32_t>();
   p.scorer = r.str();
-  const uint32_t np = r.count(kMaxPoses, "pocket");
+  const uint32_t np = r.count(kMaxPoses, kPocketBytes, "pocket");
   p.pockets.reserve(np);
   for (uint32_t i = 0; i < np; ++i) p.pockets.push_back(get_atoms(r));
-  const uint32_t n = r.count(kMaxPoses, "pose");
+  const uint32_t n = r.count(kMaxPoses, kPoseBytes, "pose");
   p.poses.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Pose pose;
@@ -312,7 +324,7 @@ ScoreDonePayload ScoreDonePayload::decode(std::string_view bytes) {
   p.message = r.str();
   p.micro_batches = r.pod<uint32_t>();
   p.coalesced = r.pod<uint8_t>() != 0;
-  const uint32_t n = r.count(kMaxPoses, "score");
+  const uint32_t n = r.count(kMaxPoses, kScoreBytes, "score");
   p.scores.resize(n);
   for (uint32_t i = 0; i < n; ++i) p.scores[i] = r.pod<float>();
   r.done();

@@ -132,7 +132,7 @@ void rewrite_checkpoint(
     } else if (sec.dtype == 0) {
       w.add_floats(name, sec.dims, r->floats(name));
     } else {
-      w.add_ints(name, sec.dims, r->ints(name));  // checkpoints hold no int8/int32
+      w.add_ints(name, sec.dims, r->ints(name));  // the container's only other dtype
     }
   }
   w.save(dst);

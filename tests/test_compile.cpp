@@ -37,7 +37,6 @@
 #include "models/cnn3d.h"
 #include "models/fusion.h"
 #include "models/sgcnn.h"
-#include "nn/dense.h"
 #include "serve/registry.h"
 #include "serve/scorer.h"
 
@@ -295,26 +294,22 @@ TEST(CompiledArtifact, GoldenRoundTrip) {
 }
 
 TEST(CompiledArtifact, EmptySectionsRoundTrip) {
-  // A conv-less int8 model writes an empty conv mask: every dtype must take
-  // a zero-element section with a null source (a null memcpy source is UB
-  // even for zero bytes) and read it back empty.
+  // Every dtype must take a zero-element section with a null source (a null
+  // memcpy source is UB even for zero bytes) and read it back empty.
   const std::string path = tmp_path("df_artifact_empty.dfca");
   const float one = 1.0f;
   io::ArtifactWriter w;
   w.add_floats("f", {0}, nullptr);
   w.add_ints("i", {0}, nullptr);
-  w.add_int8s("q", {0}, nullptr);
-  w.add_int32s("c", {2, 0}, nullptr);
   w.add_floats("after", {1}, &one);
   w.save(path);
 
   auto r = io::ArtifactReader::open(path);
-  for (const char* name : {"f", "i", "q", "c"}) {
+  for (const char* name : {"f", "i"}) {
     ASSERT_TRUE(r->has(name)) << name;
     EXPECT_EQ(r->section(name).numel(), 0) << name;
     EXPECT_EQ(r->section(name).byte_len, 0u) << name;
   }
-  EXPECT_EQ(r->section("c").dims, (std::vector<int64_t>{2, 0}));
   EXPECT_EQ(r->floats("after")[0], 1.0f);
   std::filesystem::remove(path);
 }
@@ -399,11 +394,10 @@ TEST(CompiledArtifact, PreviousArtifactVersionRejectedWholeFile) {
   }
 
   // Patch the version field (offset 4, u32 LE) from the current version to
-  // the previous one — the exact file a pre-int8 build would have written.
-  // v1 artifacts predate the int8/int32 section dtypes, so the v2 reader
-  // must reject them whole-file (Format, with the recompile hint) rather
-  // than hand out the sections it could still interpret: compiled artifacts
-  // are caches, and the recovery path is recompile, never migration.
+  // the previous one. The reader must reject that file whole (Format, with
+  // the recompile hint) rather than hand out the sections it could still
+  // interpret: compiled artifacts are caches, and the recovery path is
+  // recompile, never migration.
   ASSERT_GE(io::kArtifactVersion, 2u);
   corrupt_byte(path, 4,
                static_cast<char>(io::kArtifactVersion ^ (io::kArtifactVersion - 1)));
@@ -439,11 +433,10 @@ void rewrite_artifact(
   io::ArtifactWriter w;
   for (const auto& [name, sec] : r->sections()) {
     if (edit(name, *r, w)) continue;
-    switch (sec.dtype) {
-      case 0: w.add_floats(name, sec.dims, r->floats(name)); break;
-      case 1: w.add_ints(name, sec.dims, r->ints(name)); break;
-      case 2: w.add_int8s(name, sec.dims, r->int8s(name)); break;
-      default: w.add_int32s(name, sec.dims, r->int32s(name)); break;
+    if (sec.dtype == 0) {
+      w.add_floats(name, sec.dims, r->floats(name));
+    } else {
+      w.add_ints(name, sec.dims, r->ints(name));  // the container's only other dtype
     }
   }
   w.save(dst);
@@ -451,19 +444,12 @@ void rewrite_artifact(
 
 TEST(CompiledArtifact, WeightSectionsThatDoNotFitTheirLayerRejectedTyped) {
   const std::string fp32 = tmp_path("df_artifact_fp32.dfca");
-  const std::string int8 = tmp_path("df_artifact_int8.dfca");
   const std::string bad = tmp_path("df_artifact_bad.dfca");
-  int64_t conv0_out = 0;
   {
     auto model = family_factories()[0].second();  // cnn3d
     compile::save_compiled(*model, fp32);
-    // An int8 trunk Dense; compiling (save_compiled does) keeps its handle.
-    const compile::StructureWalk walk = compile::walk_structure(*model);
-    walk.dense[0]->set_eval_weights(walk.dense[0]->packed_int8());
-    conv0_out = walk.conv[0]->out_channels();
-    compile::save_compiled(*model, int8);
   }
-  const auto expect_format = [&](const char* what) {
+  const auto expect_format = [&](const std::string& what) {
     try {
       compile::load_compiled(bad);
       ADD_FAILURE() << what << " not rejected";
@@ -480,45 +466,26 @@ TEST(CompiledArtifact, WeightSectionsThatDoNotFitTheirLayerRejectedTyped) {
   };
 
   // The unedited copy loads: the rewrite itself is faithful.
-  rewrite_artifact(int8, bad, [](const auto&, const auto&, auto&) { return false; });
+  rewrite_artifact(fp32, bad, [](const auto&, const auto&, auto&) { return false; });
   EXPECT_NO_THROW(compile::load_compiled(bad));
 
   rewrite_artifact(fp32, bad, shorten("dense/0/image"));
   expect_format("fp32 Dense image one float short");
   rewrite_artifact(fp32, bad, shorten("conv/0/image"));
   expect_format("fp32 Conv3d image one float short");
-  rewrite_artifact(int8, bad, shorten("dense/0/scales"));
-  expect_format("int8 Dense scales one float short");
-  rewrite_artifact(fp32, bad, [](const std::string& name, const auto&, io::ArtifactWriter& w) {
-    if (name != "conv/0/kind") return false;
-    w.add_scalar(name, 7);
-    return true;
-  });
-  expect_format("unknown weight kind");
-  rewrite_artifact(int8, bad, [](const std::string& name, const auto&, auto&) {
-    return name == "dense/0/comp";  // dropped
-  });
-  expect_format("int8 Dense without comp");
-  // Convs have no int8 form: a well-formed int8 group for conv/0 is refused.
-  rewrite_artifact(fp32, bad, [conv0_out](const std::string& name, const io::ArtifactReader& r,
-                                          io::ArtifactWriter& w) {
-    if (name == "conv/0/kind") {
-      w.add_scalar(name, static_cast<int64_t>(nn::EvalWeights::Kind::kInt8));
-      return true;
+  // Kind 2 was int8, which no layer has any more.
+  for (const char* section : {"dense/0/kind", "conv/0/kind"}) {
+    for (const int64_t kind : {2, 7}) {
+      rewrite_artifact(fp32, bad, [&](const std::string& name, const auto&, io::ArtifactWriter& w) {
+        if (name != section) return false;
+        w.add_scalar(name, kind);
+        return true;
+      });
+      expect_format("unknown weight kind " + std::to_string(kind) + " in " + section);
     }
-    if (name != "conv/0/image") return false;
-    const int64_t n = r.section(name).numel();
-    const std::vector<int8_t> image(static_cast<size_t>(n), 1);
-    const std::vector<float> scales(static_cast<size_t>(conv0_out), 1.0f);
-    const std::vector<int32_t> comp(static_cast<size_t>(conv0_out), 0);
-    w.add_int8s(name, {n}, image.data());
-    w.add_floats("conv/0/scales", {conv0_out}, scales.data());
-    w.add_int32s("conv/0/comp", {conv0_out}, comp.data());
-    return true;
-  });
-  expect_format("int8 Conv3d group");
+  }
 
-  for (const std::string& p : {fp32, int8, bad}) std::filesystem::remove(p);
+  for (const std::string& p : {fp32, bad}) std::filesystem::remove(p);
 }
 
 TEST(CompiledArtifact, CompiledSchemaIsVersionedApartFromTheContainer) {

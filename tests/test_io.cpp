@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <string>
 
 #include "io/csv.h"
 #include "io/log.h"
@@ -81,6 +84,36 @@ TEST(Container, NonexistentPathThrowsOpen) {
               "read");
   expect_kind([] { ArtifactWriter().save("/nonexistent/dir/x.dfca"); }, H5LiteError::Kind::Open,
               "write");
+}
+
+TEST(Container, DtypesOtherThanFloatAndInt64RejectedAsFormat) {
+  // The container holds float32 (dtype 0) and int64 (1) sections only.
+  // A directory naming the old int8 (2) or int32 (3) dtype is Format at
+  // open, even under a valid CRC. The section is empty, so its byte length
+  // fits any dtype and only the dtype check can reject it.
+  const std::string path = temp_path("df_container_dtype.dfca");
+  ArtifactWriter w;
+  w.add_floats("x", {0}, nullptr);
+  // Header (16 bytes), then the section count, the name length and "x".
+  constexpr size_t kDtypeAt = 16 + 4 + 4 + 1;
+  for (const char dtype : {2, 3}) {
+    w.save(path);
+    std::string bytes;
+    {
+      std::ifstream f(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+    }
+    ASSERT_EQ(bytes[kDtypeAt], 0);
+    bytes[kDtypeAt] = dtype;
+    // The CRC covers the payload: everything between the header and itself.
+    const uint32_t crc = crc32(bytes.data() + 16, bytes.size() - 16 - 4);
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+    std::ofstream(path, std::ios::binary).write(bytes.data(),
+                                                static_cast<std::streamsize>(bytes.size()));
+    expect_kind([&] { ArtifactReader::open(path); }, H5LiteError::Kind::Format,
+                dtype == 2 ? "int8 dtype" : "int32 dtype");
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(Container, EmptyFileRoundTrips) {

@@ -362,14 +362,13 @@ TEST(Sequential, ChainsAndCollectsParams) {
 
 // Sequential's eval dispatch fuses each Dense/Conv3d with the activation
 // after it. Its output must be byte-identical to running every layer's own
-// eval forward in turn, for each serving handle kind (int8 handles go to
-// the Dense layers only; convs have no int8 form and keep fp32). conv1
+// eval forward in turn, for each serving handle kind. conv1
 // lowers N = 216 positions per sample; conv2's stride leaves N = 27 < 32, so
 // its fp32 GEMMs group samples (B = 5: two full groups and a partial one).
 TEST(Sequential, EvalDispatchMatchesLayerByLayerForwardBitwise) {
   using Kind = EvalWeights::Kind;
   std::vector<Tensor> outputs;
-  for (Kind kind : {Kind::kNone, Kind::kF32, Kind::kInt8}) {
+  for (Kind kind : {Kind::kNone, Kind::kF32}) {
     Rng rng(11);
     Sequential seq;
     seq.emplace<Conv3d>(2, 4, 3, rng, 1, 1);  // 6^3 -> 6^3
@@ -386,7 +385,7 @@ TEST(Sequential, EvalDispatchMatchesLayerByLayerForwardBitwise) {
       if (auto* c = dynamic_cast<Conv3d*>(&seq.layer(i)); c && kind != Kind::kNone)
         c->set_eval_weights(c->packed_f32());
       if (auto* d = dynamic_cast<Dense*>(&seq.layer(i)); d && kind != Kind::kNone)
-        d->set_eval_weights(kind == Kind::kF32 ? d->packed_f32() : d->packed_int8());
+        d->set_eval_weights(d->packed_f32());
     }
 
     const Tensor x = Tensor::randn({5, 2, 6, 6, 6}, rng);
@@ -399,11 +398,9 @@ TEST(Sequential, EvalDispatchMatchesLayerByLayerForwardBitwise) {
         << "handle kind " << static_cast<int>(kind);
     outputs.push_back(got);
   }
-  // Each kind really ran its own GEMM: fp32 panels reproduce the raw
-  // weights bitwise, int8 does not.
+  // The fp32 panels reproduce the raw weights bitwise.
   const size_t bytes = static_cast<size_t>(outputs[0].numel()) * sizeof(float);
   EXPECT_EQ(std::memcmp(outputs[1].data(), outputs[0].data(), bytes), 0);
-  EXPECT_NE(std::memcmp(outputs[2].data(), outputs[0].data(), bytes), 0);
 }
 
 TEST(Module, ZeroGradClearsAll) {

@@ -7,8 +7,10 @@
 
 #include <sys/socket.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <thread>
 
 #include "serve/net.h"
@@ -18,7 +20,30 @@ namespace wire = df::serve::wire;
 namespace chem = df::chem;
 using df::serve::net::TcpConn;
 
+// The largest single operator new request this thread made while counting
+// is on: the hostile-count cases pin the decoders' allocations with it.
+static thread_local bool t_count_allocs = false;
+static thread_local size_t t_largest_alloc = 0;
+
+// Out of line, so the compiler never pairs an inlined free() with the
+// operator new that handed the pointer out (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(size_t n) {
+  if (t_count_allocs && n > t_largest_alloc) t_largest_alloc = n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+
 namespace {
+
+/// The bytes of `v...`, back to back, as the wire writes them.
+template <typename... T>
+std::string pods(T... v) {
+  std::string out;
+  (out.append(reinterpret_cast<const char*>(&v), sizeof(v)), ...);
+  return out;
+}
 
 /// Connected AF_UNIX pair wrapped as TcpConns — the frame I/O layer only
 /// needs stream semantics, so tests skip the TCP handshake.
@@ -337,6 +362,40 @@ TEST(WirePayload, MalformedPayloadsThrowTyped) {
   const std::string scored = done.encode();
   EXPECT_THROW(wire::ScoreDonePayload::decode(std::string_view(scored).substr(0, scored.size() - 2)),
                wire::WireDecodeError);
+
+  // Counts the bytes left cannot hold throw before anything is sized for
+  // them: sized first, each payload below would cost its decoder 16-352 MB
+  // before it found the payload short.
+  const uint64_t id = 1;
+  const uint32_t none = 0, one = 1, huge = 1u << 22;
+  const uint8_t zero = 0;
+  const struct {
+    const char* what;
+    bool score_done;  // a ScoreDone payload, else a ScoreRequest
+    std::string bytes;
+    size_t size;
+  } hostile[] = {
+      // id, deadline, scorer "", pockets, poses
+      {"2^22 poses", false, pods(id, none, none, none, huge), 24},
+      // id, deadline, scorer "", pockets, first pocket's atom count
+      {"2^22 pockets", false, pods(id, none, none, huge, none), 24},
+      // id, deadline, scorer "", pockets, atoms, 4 bytes of the first atom
+      {"a pocket of 2^22 atoms", false, pods(id, none, none, one, huge, none), 28},
+      // id, error, message "", micro_batches, coalesced, scores
+      {"2^22 scores", true, pods(id, zero, none, none, zero, huge), 22},
+  };
+  for (const auto& h : hostile) {
+    ASSERT_EQ(h.bytes.size(), h.size) << h.what;
+    t_largest_alloc = 0;
+    t_count_allocs = true;
+    if (h.score_done) {
+      EXPECT_THROW(wire::ScoreDonePayload::decode(h.bytes), wire::WireDecodeError) << h.what;
+    } else {
+      EXPECT_THROW(wire::ScoreRequestPayload::decode(h.bytes), wire::WireDecodeError) << h.what;
+    }
+    t_count_allocs = false;
+    EXPECT_LE(t_largest_alloc, size_t{64} << 10) << h.what;
+  }
 }
 
 TEST(WirePayload, PackedDeadlineFollowsTheServiceRule) {
