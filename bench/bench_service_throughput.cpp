@@ -480,12 +480,12 @@ struct ColdStartResult {
 };
 
 /// Time-to-first-scored-batch for a fresh cnn3d replica, both restore
-/// paths. The checkpoint path pays weight copies, per-call GEMM packing on
-/// the first forward, conv-plan construction and arena growth; the compiled
-/// artifact ships pre-packed panels, pre-folded layers and the arena
-/// high-water budgets, so its first batch is already the steady state. The
-/// artifact mapping is opened once outside the timer (registration cost,
-/// amortized over every replica a service mints).
+/// paths. The checkpoint path pays model construction, weight copies,
+/// conv-plan construction and arena growth; the compiled artifact ships
+/// pre-folded layers and the arena high-water budgets, so its first batch
+/// is already the steady state. Both copy their weights out of a `.dfca`
+/// file. The artifact mapping is opened once outside the timer
+/// (registration cost, amortized over every replica a service mints).
 ColdStartResult run_cold_start_bench(const Workload& w) {
   chem::VoxelConfig voxel;
   voxel.grid_dim = kGridDim;
@@ -510,7 +510,7 @@ ColdStartResult run_cold_start_bench(const Workload& w) {
     serve::RegressorScorer donor("cnn3d", std::move(donor_model), voxel, {});
     for (int i = 0; i < 2; ++i) donor.score(batch);
     auto compiled = make_model();
-    compile::save_compiled(*compiled, dfca, kPosesPerBatch, donor.workspace_capacities());
+    compile::save_compiled(*compiled, dfca, donor.workspace_capacities());
   }
 
   serve::ModelRegistry creg;

@@ -186,86 +186,22 @@ int count_batchnorms(nn::Sequential& seq) {
   return n;
 }
 
-// ---- canonical structure walks --------------------------------------------
+// ---- structure walk ---------------------------------------------------------
 //
-// The walk is fixed per family, independent of config flags, recursive
-// left-to-right through Sequentials and Residual inners. Everything the
-// artifact stores positionally ("param/<i>", "dense/<i>/...", "conv/<i>/...")
-// depends on save and load walking the model in this order.
+// The top-level Sequentials the fold and strip passes rewrite, per family.
+// The SG-CNN has none: its graph layers and dense head are separate members.
 
-struct StructureWalk {
-  std::vector<nn::Sequential*> seqs;  // top-level Sequentials, canonical order
-  std::vector<nn::Dense*> dense;      // GEMM layers, canonical order
-  std::vector<nn::Conv3d*> conv;
-};
-
-void walk_seq_gemm(nn::Sequential& seq, StructureWalk& w) {
-  for (size_t i = 0; i < seq.size(); ++i) {
-    nn::Module* m = &seq.layer(i);
-    if (auto* d = dynamic_cast<nn::Dense*>(m)) {
-      w.dense.push_back(d);
-    } else if (auto* c = dynamic_cast<nn::Conv3d*>(m)) {
-      w.conv.push_back(c);
-    } else if (auto* r = dynamic_cast<nn::Residual*>(m)) {
-      nn::Module& inner = r->inner();
-      if (auto* s = dynamic_cast<nn::Sequential*>(&inner)) {
-        walk_seq_gemm(*s, w);
-      } else if (auto* d2 = dynamic_cast<nn::Dense*>(&inner)) {
-        w.dense.push_back(d2);
-      } else if (auto* c2 = dynamic_cast<nn::Conv3d*>(&inner)) {
-        w.conv.push_back(c2);
-      }
-    } else if (auto* s = dynamic_cast<nn::Sequential*>(m)) {
-      walk_seq_gemm(*s, w);
-    }
-  }
-}
-
-void collect_cnn(models::Cnn3d& m, StructureWalk& w) {
-  w.seqs.push_back(&m.trunk());
-  walk_seq_gemm(m.trunk(), w);
-  w.dense.push_back(&m.out_dense());
-}
-
-// The graph-convolution layers (GatedGraphConv, Gather) keep their own GEMM
-// paths — their operand shapes depend on the per-request graph, so there is
-// nothing to prepack; only the dense head is walked.
-void collect_sg(models::Sgcnn& m, StructureWalk& w) {
-  w.dense.push_back(&m.embed_dense());
-  w.dense.push_back(&m.dense1());
-  w.dense.push_back(&m.dense2());
-  w.dense.push_back(&m.out_dense());
-}
-
-void collect(models::Regressor& model, StructureWalk& w) {
-  if (auto* c = dynamic_cast<models::Cnn3d*>(&model)) {
-    collect_cnn(*c, w);
-    return;
-  }
-  if (auto* s = dynamic_cast<models::Sgcnn*>(&model)) {
-    collect_sg(*s, w);
-    return;
-  }
+std::vector<nn::Sequential*> top_level_seqs(models::Regressor& model) {
+  if (auto* c = dynamic_cast<models::Cnn3d*>(&model)) return {&c->trunk()};
+  if (dynamic_cast<models::Sgcnn*>(&model) != nullptr) return {};
   if (auto* f = dynamic_cast<models::FusionModel*>(&model)) {
-    collect_cnn(f->cnn_head(), w);
-    collect_sg(f->sg_head(), w);
-    if (f->ms_cnn() != nullptr) {
-      w.seqs.push_back(f->ms_cnn());
-      walk_seq_gemm(*f->ms_cnn(), w);
-    }
-    if (f->ms_sg() != nullptr) {
-      w.seqs.push_back(f->ms_sg());
-      walk_seq_gemm(*f->ms_sg(), w);
-    }
-    w.seqs.push_back(&f->fusion_trunk());
-    walk_seq_gemm(f->fusion_trunk(), w);
-    return;
+    std::vector<nn::Sequential*> seqs = {&f->cnn_head().trunk()};
+    if (f->ms_cnn() != nullptr) seqs.push_back(f->ms_cnn());
+    if (f->ms_sg() != nullptr) seqs.push_back(f->ms_sg());
+    seqs.push_back(&f->fusion_trunk());
+    return seqs;
   }
-  if (auto* l = dynamic_cast<models::LateFusion*>(&model)) {
-    collect_cnn(l->cnn_head(), w);
-    collect_sg(l->sg_head(), w);
-    return;
-  }
+  if (auto* l = dynamic_cast<models::LateFusion*>(&model)) return {&l->cnn_head().trunk()};
   throw std::invalid_argument("model compiler: unsupported model type: " + model.name());
 }
 
@@ -439,8 +375,8 @@ std::unique_ptr<models::Regressor> rebuild(const io::ArtifactReader& a, ModelFam
 }
 
 /// Eval-only facade over a model restored from an artifact: forwards the
-/// scoring surface and throws on any training entry point (the packed
-/// weight images would go stale underneath an update).
+/// scoring surface and throws on any training entry point (a folded,
+/// dropout-stripped model must not train).
 class CompiledRegressor : public models::Regressor {
  public:
   explicit CompiledRegressor(std::unique_ptr<models::Regressor> inner)
@@ -472,52 +408,13 @@ class CompiledRegressor : public models::Regressor {
 };
 
 // The passes that change the layer chain: fold BatchNorms, strip Dropouts.
-// They only remove BN/Dropout layers, so the returned walk's Dense/Conv3d
-// pointers stay valid — and now hold the folded weights.
-StructureWalk fold_and_strip(models::Regressor& model, CompileReport& rep) {
+CompileReport fold_and_strip(models::Regressor& model) {
   model.set_training(false);
-  StructureWalk w;
-  collect(model, w);
-  for (nn::Sequential* s : w.seqs) rep.folded_batch_norms += fold_sequential(*s);
-  for (nn::Sequential* s : w.seqs) rep.stripped_dropouts += strip_dropout(*s);
-  return w;
-}
-
-// Give every layer its fp32 handle; returns how many.
-template <class Layer>
-int pack_f32(const std::vector<Layer*>& layers) {
-  for (Layer* l : layers) l->set_eval_weights(l->packed_f32());
-  return static_cast<int>(layers.size());
-}
-
-// One layer's serving handle, stored verbatim under `base`: its kind and,
-// for kF32, its image.
-void write_eval_weights(io::ArtifactWriter& out, const std::string& base,
-                        const nn::EvalWeights& e) {
-  out.add_scalar(base + "kind", static_cast<int64_t>(e.kind));
-  if (e.kind == nn::EvalWeights::Kind::kF32)
-    out.add_floats(base + "image", {e.image_len}, e.image);
-}
-
-// Give `layer` the handle stored under `base`, as views into the mapping
-// that keep it alive. A group that does not fit the layer is a Format error.
-template <class Layer>
-void read_eval_weights(const std::shared_ptr<io::ArtifactReader>& image, const std::string& base,
-                       Layer& layer) {
-  const io::ArtifactReader& a = *image;
-  nn::EvalWeights e{.kind = static_cast<nn::EvalWeights::Kind>(a.scalar(base + "kind")),
-                    .keep_alive = image};
-  if (e.kind == nn::EvalWeights::Kind::kF32) {
-    const std::string img = base + "image";
-    e.image = a.floats(img);
-    e.image_len = a.section(img).numel();
-  }
-  try {
-    layer.set_eval_weights(std::move(e));
-  } catch (const std::invalid_argument& err) {
-    throw format_error("sections " + base + "* do not fit their layer in " + a.path() + ": " +
-                       err.what());
-  }
+  CompileReport rep;
+  const std::vector<nn::Sequential*> seqs = top_level_seqs(model);
+  for (nn::Sequential* s : seqs) rep.folded_batch_norms += fold_sequential(*s);
+  for (nn::Sequential* s : seqs) rep.stripped_dropouts += strip_dropout(*s);
+  return rep;
 }
 
 }  // namespace
@@ -532,18 +429,18 @@ ModelFamily family_of(models::Regressor& model) {
 }
 
 CompileReport compile_model(models::Regressor& model) {
-  CompileReport rep;
-  const StructureWalk w = fold_and_strip(model, rep);
-  rep.prepacked_dense = pack_f32(w.dense);
-  rep.prepacked_conv = pack_f32(w.conv);
+  const CompileReport rep = fold_and_strip(model);
   warm_conv_plans(model);
   return rep;
 }
 
-void save_compiled(models::Regressor& model, const std::string& path, int64_t poses_per_batch,
-                   WorkspaceBudget budget, int64_t feature_set_version) {
+void save_compiled(models::Regressor& model, const std::string& path, WorkspaceBudget budget,
+                   int64_t feature_set_version) {
   if (feature_set_version < 1) {
     throw std::invalid_argument("save_compiled: feature_set_version must be >= 1");
+  }
+  if (budget.forward_floats < 0 || budget.feat_floats < 0) {
+    throw std::invalid_argument("save_compiled: workspace budgets must be >= 0");
   }
   const ModelFamily fam = family_of(model);
   compile_model(model);
@@ -551,10 +448,8 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
   // The artifact has no carrier for BatchNorm running statistics (they are
   // not Parameters) — by design: a BN that survived folding would silently
   // lose its stats on the round trip, so refuse to serialize it.
-  StructureWalk w;
-  collect(model, w);
   int surviving_bn = 0;
-  for (nn::Sequential* s : w.seqs) surviving_bn += count_batchnorms(*s);
+  for (nn::Sequential* s : top_level_seqs(model)) surviving_bn += count_batchnorms(*s);
   if (surviving_bn > 0) {
     throw std::invalid_argument("save_compiled: " + std::to_string(surviving_bn) +
                                 " BatchNorm layer(s) survived folding in " + model.name() +
@@ -564,7 +459,6 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
   io::ArtifactWriter out;
   out.add_scalar("compile/schema", kCompiledSchema);
   out.add_scalar("family", static_cast<int64_t>(fam));
-  out.add_scalar("poses_per_batch", poses_per_batch);
   out.add_scalar("ws/forward", budget.forward_floats);
   out.add_scalar("ws/feat", budget.feat_floats);
   out.add_scalar("meta/feature_set_version", feature_set_version);
@@ -576,17 +470,6 @@ void save_compiled(models::Regressor& model, const std::string& path, int64_t po
     out.add_floats("param/" + std::to_string(i), params[i]->value.shape(),
                    params[i]->value.data());
   }
-
-  // The layers' handles, verbatim, so a restored replica points its
-  // weights straight into the mapping and bitwise-reproduces the donor's
-  // scores.
-  out.add_scalar("dense/count", static_cast<int64_t>(w.dense.size()));
-  out.add_scalar("conv/count", static_cast<int64_t>(w.conv.size()));
-  for (size_t i = 0; i < w.dense.size(); ++i)
-    write_eval_weights(out, "dense/" + std::to_string(i) + "/", w.dense[i]->eval_weights());
-  for (size_t i = 0; i < w.conv.size(); ++i)
-    write_eval_weights(out, "conv/" + std::to_string(i) + "/", w.conv[i]->eval_weights());
-
   out.save(path);
 }
 
@@ -597,6 +480,9 @@ void check_compiled_schema(const io::ArtifactReader& a) {
                        " (reader supports " + std::to_string(kCompiledSchema) +
                        "; recompile the artifact)");
   }
+  for (const std::string name : {"ws/forward", "ws/feat"}) {
+    if (a.scalar(name) < 0) throw format_error("negative " + name + " in " + a.path());
+  }
 }
 
 CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
@@ -606,18 +492,16 @@ CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
   const int64_t fam_raw = a.scalar("family");
   if (fam_raw < 0 || fam_raw > 3) throw format_error("bad family in " + a.path());
   out.family = static_cast<ModelFamily>(fam_raw);
-  out.poses_per_batch = a.scalar("poses_per_batch");
   out.budget = {a.scalar("ws/forward"), a.scalar("ws/feat")};
   out.feature_set_version = a.scalar("meta/feature_set_version");
 
   std::unique_ptr<models::Regressor> model = rebuild(a, out.family);
 
-  // Re-run the structural passes so the replica's layer chain matches the
-  // donor's post-compile chain (same walk order for the positional
-  // sections). The fold rewrites init-garbage weights — harmless, every
-  // parameter is overwritten next.
-  CompileReport structural;
-  const StructureWalk w = fold_and_strip(*model, structural);
+  // Re-run the structural passes so the replica's layer chain, and so its
+  // parameter walk, matches the donor's post-compile chain. The fold
+  // rewrites init-garbage weights — harmless, every parameter is
+  // overwritten next.
+  fold_and_strip(*model);
 
   const std::vector<nn::Parameter*> params = walk_parameters(*model);
   if (a.scalar("param_count") != static_cast<int64_t>(params.size())) {
@@ -631,16 +515,6 @@ CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image) {
     std::memcpy(params[i]->value.data(), a.floats(name),
                 static_cast<size_t>(params[i]->value.numel()) * sizeof(float));
   }
-
-  // Point the GEMM layers straight into the mapping — zero-copy weights.
-  if (a.scalar("dense/count") != static_cast<int64_t>(w.dense.size()) ||
-      a.scalar("conv/count") != static_cast<int64_t>(w.conv.size())) {
-    throw format_error("GEMM layer count mismatch in " + a.path());
-  }
-  for (size_t i = 0; i < w.dense.size(); ++i)
-    read_eval_weights(image, "dense/" + std::to_string(i) + "/", *w.dense[i]);
-  for (size_t i = 0; i < w.conv.size(); ++i)
-    read_eval_weights(image, "conv/" + std::to_string(i) + "/", *w.conv[i]);
 
   warm_conv_plans(*model);
   model->set_training(false);

@@ -15,25 +15,19 @@
 //     are removed. This also extends fusion chains: a Dense/Conv3d whose
 //     activation used to sit behind a Dropout becomes directly adjacent to
 //     it, and the Sequential's eval program fuses them into one GEMM.
-//   * Weight prepacking — every Dense/Conv3d gets the fp32 serving handle
-//     its own packed_f32() produces (nn/eval_weights.h):
-//     Dense's B panels, which steady-state sgemm calls stream instead of
-//     packing (core::sgemm_prepacked), and Conv3d's Wᵀ image, which its
-//     forward would otherwise pack per call. Bitwise identical either way.
 //   * Conv-plan prewarming — the 3D-CNN trunk's Conv3d lowerings (the
 //     per-geometry row and tap offsets) are built for the model's voxel
 //     geometry ahead of the first request.
 //
-// The compiled model is eval-only: training after compilation would update
-// weights underneath stale packed images (the training path itself is
-// unaffected — training forwards ignore the handles — but the next eval
-// would read the stale pack). save_compiled/load_compiled serialize the
-// compiled form — folded weights, each GEMM layer's serving handle verbatim,
-// workspace high-water budgets — into the mmap-friendly container of
-// io/model_artifact.h, so replicas cold-start without the checkpoint/init
-// path and their handles point straight into the shared file mapping. The
-// container's version covers only its byte layout; the compiled sections
-// are versioned by kCompiledSchema, stored as "compile/schema".
+// Dense and Conv3d multiply from their own parameters, compiled or not, so
+// a compiled model scores bitwise like its uncompiled, folded donor. It is
+// eval-only all the same: a folded, dropout-stripped model must not train.
+// save_compiled/load_compiled serialize the compiled form — family, config,
+// folded parameters, workspace high-water budgets and the feature-set
+// version — into the container of io/model_artifact.h, so replicas cold-start
+// without the checkpoint/init path. The container's version covers only its
+// byte layout; the compiled sections are versioned by kCompiledSchema,
+// stored as "compile/schema".
 #pragma once
 
 #include <cstdint>
@@ -55,14 +49,21 @@ namespace df::compile {
 ///    forward instead of BLIS A panels.
 /// 5: an int8 group no longer carries the calibrated activation step
 ///    ("dense/<i>/act"), and no Conv3d group is int8.
-/// Int8 groups have since been removed without a bump: an fp32 artifact
-/// means the same as before, and one that still holds int8 sections fails
-/// io::ArtifactReader::open on their dtype (io::H5LiteError Format).
+/// Later removals kept 5, since no remaining section changed meaning. Int8
+/// groups went first: an artifact that still holds int8 sections fails
+/// io::ArtifactReader::open on their dtype (io::H5LiteError Format). Then
+/// "poses_per_batch" and the fp32 handle groups ("dense/count",
+/// "conv/count", "dense/<i>/*", "conv/<i>/*") went: the reader reads a
+/// subset of what older schema-5 writers wrote, so their artifacts still
+/// load, the extra sections ignored, and score bitwise the same. An older
+/// reader refuses a new artifact as Format on the first of those sections
+/// it misses.
 constexpr int64_t kCompiledSchema = 5;
 
 /// Throw io::H5LiteError{Format} with a "recompile" hint unless `a` holds
-/// "compile/schema" == kCompiledSchema. load_compiled runs it before
-/// reading anything else, and serve::add_compiled at registration.
+/// "compile/schema" == kCompiledSchema, and without it when a workspace
+/// budget ("ws/forward", "ws/feat") is negative. load_compiled runs it
+/// before reading anything else, and serve::add_compiled at registration.
 void check_compiled_schema(const io::ArtifactReader& a);
 
 /// The four servable model families an artifact can carry.
@@ -80,13 +81,11 @@ ModelFamily family_of(models::Regressor& model);
 struct CompileReport {
   int folded_batch_norms = 0;
   int stripped_dropouts = 0;
-  int prepacked_dense = 0;  // layers given an fp32 handle
-  int prepacked_conv = 0;
 };
 
 /// Rewrite `model` into its serving form (see file comment). Idempotent:
-/// compiling an already-compiled model only refreshes the fp32 handles. The
-/// model is switched to eval mode and must stay there.
+/// compiling an already-compiled model changes nothing. The model is
+/// switched to eval mode and must stay there.
 CompileReport compile_model(models::Regressor& model);
 
 /// Steady-state arena budgets measured on a warmed donor replica
@@ -99,31 +98,32 @@ struct WorkspaceBudget {
 };
 
 /// Compile `model` (in place) and serialize its compiled form. Throws
-/// std::invalid_argument if any BatchNorm survives folding — the artifact
-/// has no carrier for running statistics, by design.
+/// std::invalid_argument, before touching the model, for a negative
+/// workspace budget or a `feature_set_version` below 1, and if any
+/// BatchNorm survives folding — the artifact has no carrier for running
+/// statistics, by design.
 /// `feature_set_version` records the featurization contract the model was
 /// trained against (chem/graph_featurizer.h); serving validates it against
 /// the replica's featurizer configs (serve/registry.h) so a model never
 /// silently scores features it has never seen.
 void save_compiled(models::Regressor& model, const std::string& path,
-                   int64_t poses_per_batch = 0, WorkspaceBudget budget = {},
-                   int64_t feature_set_version = 1);
+                   WorkspaceBudget budget = {}, int64_t feature_set_version = 1);
 
 /// A model restored from a compiled artifact. `model` is eval-only (its
-/// training entry points throw); its layers' serving handles point into the
-/// file mapping and keep it alive for as long as they live.
+/// training entry points throw) and owns copies of its parameters, so the
+/// artifact's mapping may close once load_compiled returns.
 struct CompiledModel {
   std::unique_ptr<models::Regressor> model;
   ModelFamily family = ModelFamily::kCnn3d;
-  int64_t poses_per_batch = 0;
   WorkspaceBudget budget;
   /// Featurization contract the model expects.
   int64_t feature_set_version = 1;
 };
 
 /// Restore from an already-open artifact (replicas share one mapping).
-/// Throws io::H5LiteError{Format} with a "recompile" hint when the artifact
-/// fails check_compiled_schema.
+/// Throws io::H5LiteError{Format} when the artifact fails
+/// check_compiled_schema, or when its family, config or parameters do not
+/// fit the model it rebuilds.
 CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image);
 /// Convenience: open + restore.
 CompiledModel load_compiled(const std::string& path);

@@ -443,19 +443,17 @@ void skinny_panel(int64_t row0, int64_t m, int64_t n, int64_t k, const Src& a, c
 }
 
 void sgemm_skinny(int64_t m, int64_t n, int64_t k, const float* A, int64_t lda, const float* B,
-                  int64_t ldb, float* C, int64_t ldc, bool accumulate, const Epilogue* ep,
-                  const float* pre_image) {
+                  int64_t ldb, float* C, int64_t ldc, bool accumulate, const Epilogue* ep) {
   const float* bias_padded = ep != nullptr ? pad_bias_col(ep->bias_col, n) : nullptr;
   const int64_t nv = (n + 15) / 16;
   // When n is already a 16-lane multiple, B rows ARE the kernel's native
   // image — stream them in place (the vector loads stop exactly at row end,
   // so no slack is touched) and skip the packing pass entirely. Otherwise
   // pack into nv zero-padded lanes per k-row; the buffer is a reused
-  // thread_local, so the hot serving path never touches the heap. A
-  // prepacked operand supplies the full-k row image up front and skips both.
-  const bool direct = pre_image == nullptr && (n == nv * 16);
+  // thread_local, so the hot serving path never touches the heap.
+  const bool direct = n == nv * 16;
   static thread_local std::vector<float> bbuf;
-  if (pre_image == nullptr && !direct) bbuf.resize(static_cast<size_t>(KC * kSkinnyN));
+  if (!direct) bbuf.resize(static_cast<size_t>(KC * kSkinnyN));
   // k is walked in KC panels (k <= KC for the wide-m shapes; only small-m
   // callers take multiple passes over C). The panel split and per-panel
   // accumulation match the packed kernel exactly, so both paths stay
@@ -466,12 +464,7 @@ void sgemm_skinny(int64_t m, int64_t n, int64_t k, const float* A, int64_t lda, 
     const Epilogue* pep = (pc + KC >= k) ? ep : nullptr;
     const float* bpad;
     int64_t bstride;
-    if (pre_image != nullptr) {
-      // Same values per row as the direct/packed variants (zero-padded to
-      // the lane width), so the kernel arithmetic is unchanged bit for bit.
-      bpad = pre_image + pc * nv * 16;
-      bstride = nv * 16;
-    } else if (direct) {
+    if (direct) {
       bpad = B + pc * ldb;
       bstride = ldb;
     } else {
@@ -514,17 +507,13 @@ void indirect_rows(int64_t r0, int64_t rows, int64_t n, int64_t k, const Indirec
 }
 #else
 void sgemm_skinny(int64_t m, int64_t n, int64_t k, const float* A, int64_t lda, const float* B,
-                  int64_t ldb, float* C, int64_t ldc, bool accumulate, const Epilogue* ep,
-                  const float* pre_image) {
-  // Prepacked B: the row image holds the same values at a 16-lane stride.
-  const int64_t bld = pre_image != nullptr ? (n + 15) / 16 * 16 : ldb;
-  const float* bsrc = pre_image != nullptr ? pre_image : B;
+                  int64_t ldb, float* C, int64_t ldc, bool accumulate, const Epilogue* ep) {
   for (int64_t i = 0; i < m; ++i) {
     const float* a = A + i * lda;
     float acc[kSkinnyN] = {};
     for (int64_t p = 0; p < k; ++p) {
       const float av = a[p];
-      for (int64_t j = 0; j < n; ++j) acc[j] += av * bsrc[p * bld + j];
+      for (int64_t j = 0; j < n; ++j) acc[j] += av * B[p * ldb + j];
     }
     float* crow = C + i * ldc;
     for (int64_t j = 0; j < n; ++j) {
@@ -570,18 +559,11 @@ void finish_empty_k(int64_t m, int64_t n, float* C, int64_t ldc, bool accumulate
   }
 }
 
-/// Prepacked B views threaded through the shared blocked driver: when a
-/// pointer is set, the driver substitutes the ahead-of-time image for the
-/// per-call pack_b output at the exact offset the per-call pack would have
-/// produced — identical bytes in, identical bytes out.
-struct PrepackedViews {
-  const float* b_panels = nullptr;  // pack_b_full panel region
-  const float* b_skinny = nullptr;  // pack_b_full skinny row image
-};
+}  // namespace
 
-void sgemm_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const float* A,
-                int64_t lda, const float* B, int64_t ldb, float* C, int64_t ldc, bool accumulate,
-                const Epilogue* epilogue, const PrepackedViews& pre) {
+void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const float* A, int64_t lda,
+           const float* B, int64_t ldb, float* C, int64_t ldc, bool accumulate,
+           const Epilogue* epilogue) {
   if (m < 0 || n < 0 || k < 0) throw std::invalid_argument("sgemm: negative dimension");
   if (m == 0 || n == 0) return;
   if (k == 0) {
@@ -591,7 +573,7 @@ void sgemm_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, con
   // Skinny dispatch: always for a single k-panel; for deeper k only when m
   // is small enough that the repeated C passes stay cache-resident.
   if (!trans_a && !trans_b && n <= kSkinnyN && (k <= KC || m <= 64)) {
-    sgemm_skinny(m, n, k, A, lda, B, ldb, C, ldc, accumulate, epilogue, pre.b_skinny);
+    sgemm_skinny(m, n, k, A, lda, B, ldb, C, ldc, accumulate, epilogue);
     return;
   }
 
@@ -601,13 +583,10 @@ void sgemm_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, con
   // sgemm far too often to pay a heap allocation per call. Workers only
   // read bbuf; the calling thread owns and fills it before fanning out.
   static thread_local std::vector<float> bbuf;
-  float* bpack_buf = nullptr;
-  if (pre.b_panels == nullptr) {
-    bbuf.resize(static_cast<size_t>(round_up(std::min(NC, n), NR) * std::min(KC, k)));
-    // Workers must see the caller's panel, not their own thread_local — hand
-    // them the raw pointer, never the thread_local name.
-    bpack_buf = bbuf.data();
-  }
+  bbuf.resize(static_cast<size_t>(round_up(std::min(NC, n), NR) * std::min(KC, k)));
+  // Workers must see the caller's panel, not their own thread_local — hand
+  // them the raw pointer, never the thread_local name.
+  float* bpack = bbuf.data();
   // Parallelize row blocks only when the problem carries enough arithmetic
   // to amortize the fork/join (~2 MFLOP). The row-block grain shrinks below
   // MC when the pool would otherwise starve: at MC=96 a 256-row GEMM has
@@ -630,7 +609,6 @@ void sgemm_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, con
   const float* bias_padded = nullptr;
 #endif
 
-  const int64_t nr_cols = round_up(n, NR);  // B-image floats per unit of pc
   for (int64_t pc = 0; pc < k; pc += KC) {
     const int64_t kc = std::min(KC, k - pc);
     const bool first = (pc == 0) && !accumulate;
@@ -639,13 +617,7 @@ void sgemm_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, con
     const Epilogue* ep = (pc + KC >= k) ? epilogue : nullptr;
     for (int64_t jc = 0; jc < n; jc += NC) {
       const int64_t nc = std::min(NC, n - jc);
-      const float* bpack;
-      if (pre.b_panels != nullptr) {
-        bpack = pre.b_panels + nr_cols * pc + jc * kc;
-      } else {
-        pack_b(B, ldb, trans_b, pc, jc, kc, nc, bpack_buf);
-        bpack = bpack_buf;
-      }
+      pack_b(B, ldb, trans_b, pc, jc, kc, nc, bpack);
       parallel_for_auto(static_cast<size_t>(n_iblocks), min_parallel, [&](size_t ib) {
         const int64_t ic = static_cast<int64_t>(ib) * iblock;
         const int64_t mc = std::min(iblock, m - ic);
@@ -665,15 +637,6 @@ void sgemm_impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, con
       });
     }
   }
-}
-
-}  // namespace
-
-void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const float* A, int64_t lda,
-           const float* B, int64_t ldb, float* C, int64_t ldc, bool accumulate,
-           const Epilogue* epilogue) {
-  sgemm_impl(trans_a, trans_b, m, n, k, A, lda, B, ldb, C, ldc, accumulate, epilogue,
-             PrepackedViews{});
 }
 
 void sgemm_indirect(int64_t m, int64_t n, int64_t k, const float* X, const int32_t* row_off,
@@ -696,52 +659,6 @@ void sgemm_indirect(int64_t m, int64_t n, int64_t k, const float* X, const int32
   for_row_chunks(m, n, k, [&](int64_t r0, int64_t rows) {
     indirect_rows(r0, rows, n, k, a, B, ldb, C, ldc, epilogue, bias_padded);
   });
-}
-
-int64_t packed_b_floats(int64_t k, int64_t n) {
-  int64_t total = round_up(n, NR) * k;
-  // The skinny dispatch depends on m (unknown at pack time), so any B narrow
-  // enough to qualify also carries the skinny-path row image.
-  if (n <= kSkinnyN) total += k * ((n + 15) / 16 * 16);
-  return total;
-}
-
-void pack_b_full(bool trans_b, int64_t k, int64_t n, const float* B, int64_t ldb, float* out) {
-  const int64_t nr_cols = round_up(n, NR);
-  for (int64_t pc = 0; pc < k; pc += KC) {
-    const int64_t kc = std::min(KC, k - pc);
-    for (int64_t jc = 0; jc < n; jc += NC) {
-      const int64_t nc = std::min(NC, n - jc);
-      // Every full NC block contributes NC * kc floats, so block jc of this
-      // KC panel starts exactly where the per-call pack would place it.
-      pack_b(B, ldb, trans_b, pc, jc, kc, nc, out + nr_cols * pc + jc * kc);
-    }
-  }
-  if (n <= kSkinnyN) {
-    // Skinny-path row image: each k-row zero-padded to the 16-lane width —
-    // the same rows sgemm_skinny builds per call (or streams in place when
-    // n is already a lane multiple).
-    const int64_t nv16 = (n + 15) / 16 * 16;
-    float* img = out + nr_cols * k;
-    for (int64_t p = 0; p < k; ++p) {
-      float* row = img + p * nv16;
-      int64_t j = 0;
-      for (; j < n; ++j) row[j] = load_b(B, ldb, trans_b, p, j);
-      for (; j < nv16; ++j) row[j] = 0.0f;
-    }
-  }
-}
-
-void sgemm_prepacked(int64_t m, const float* A, int64_t lda, const PrepackedB& B, float* C,
-                     int64_t ldc, bool accumulate, const Epilogue* epilogue) {
-  if (B.image == nullptr || B.k < 0 || B.n < 0)
-    throw std::invalid_argument("sgemm_prepacked: invalid PrepackedB view");
-  PrepackedViews pre;
-  pre.b_panels = B.image;
-  pre.b_skinny = B.n <= kSkinnyN ? B.image + round_up(B.n, NR) * B.k : nullptr;
-  // Raw B is never dereferenced: the blocked path reads the panel image and
-  // the skinny path reads the row image.
-  sgemm_impl(false, false, m, B.n, B.k, A, lda, nullptr, B.n, C, ldc, accumulate, epilogue, pre);
 }
 
 void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const float* A,

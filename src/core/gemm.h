@@ -78,40 +78,4 @@ void sgemm_indirect(int64_t m, int64_t n, int64_t k, const float* X, const int32
                     const int32_t* k_off, const float* B, int64_t ldb, float* C, int64_t ldc,
                     const Epilogue* epilogue = nullptr);
 
-// ---- prepacked B ----------------------------------------------------------
-//
-// A weight matrix that is multiplied repeatedly (every Dense layer on the
-// serving path) pays pack_b on every sgemm call even though the packed bytes
-// never change. pack_b_full produces, once, exactly the panel images the
-// blocked kernel would have packed per call — same micro-panel layout, same
-// zero padding, same (pc, jc) traversal order — so sgemm_prepacked streams
-// them directly and its result is bitwise identical to sgemm on the raw
-// operand, on every dispatch path including the skinny-RHS fast path.
-//
-// The images are position-independent float blobs: the ahead-of-time model
-// compiler serializes them into compiled artifacts and serving replicas
-// point PrepackedB views straight into the mmap'd file.
-
-/// Floats pack_b_full writes for a (k x n) op(B): round_up(n, NR) * k
-/// panels, plus a k * round_up(n, 16) skinny-path row image when n is
-/// within the skinny-RHS dispatch width.
-int64_t packed_b_floats(int64_t k, int64_t n);
-
-/// Pack all (KC, NC) blocks of op(B) (k x n) into micro-panels of NR
-/// columns (KC-panel major, NC-block minor), followed by the zero-padded
-/// 16-lane row image the skinny-RHS path streams (when n qualifies).
-void pack_b_full(bool trans_b, int64_t k, int64_t n, const float* B, int64_t ldb, float* out);
-
-/// Non-owning view of a pack_b_full image (panels + optional skinny image).
-struct PrepackedB {
-  int64_t k = 0, n = 0;
-  const float* image = nullptr;  // packed_b_floats(k, n) floats
-};
-
-/// C (m x B.n) = A (m x B.k) * B with B prepacked — bitwise identical to
-/// sgemm(false, false, m, B.n, B.k, A, lda, raw_B, B.n, ...) but without the
-/// per-call pack_b (and without the skinny-path row-image build).
-void sgemm_prepacked(int64_t m, const float* A, int64_t lda, const PrepackedB& B, float* C,
-                     int64_t ldc, bool accumulate = false, const Epilogue* epilogue = nullptr);
-
 }  // namespace df::core

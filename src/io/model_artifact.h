@@ -23,9 +23,8 @@
 //
 // Blobs are 64-byte aligned relative to the file start; mmap returns
 // page-aligned images, so a blob's file alignment IS its memory alignment
-// and serving replicas point their layers' weight handles (nn::EvalWeights)
-// straight into the mapping — no copy, no parse, shared page cache across
-// replicas.
+// and a reader hands out typed pointers straight into the mapping, with no
+// parse.
 //
 // Failures are io::H5LiteError, so callers discriminate damage kinds:
 // Open (missing / unreadable / unwritable), Format (bad magic, unsupported
@@ -117,8 +116,7 @@ class ArtifactWriter {
 /// Read-only view of a container file. Prefers mmap (shared, read-only) and
 /// falls back to a heap image when mapping is unavailable; either way the
 /// full directory is validated and the payload CRC checked before open()
-/// returns. Section pointers stay valid for the reader's lifetime — weight
-/// handles that view them keep the reader alive via shared_ptr.
+/// returns. Section pointers stay valid for the reader's lifetime.
 class ArtifactReader {
  public:
   static std::shared_ptr<ArtifactReader> open(const std::string& path);

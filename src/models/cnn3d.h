@@ -52,9 +52,8 @@ class Cnn3d : public Regressor {
   int64_t latent_dim() const { return cfg_.dense_nodes / 2; }
   const Cnn3dConfig& config() const { return cfg_; }
 
-  /// Structure surface for the model compiler (BN folding, weight prepack).
+  /// Structure surface for the model compiler (BN folding, dropout stripping).
   nn::Sequential& trunk() { return trunk_; }
-  nn::Dense& out_dense() { return *out_; }
 
  private:
   Cnn3dConfig cfg_;

@@ -51,13 +51,6 @@ class Sgcnn : public Regressor {
   int64_t latent_dim() const { return dense1_out_; }
   const SgcnnConfig& config() const { return cfg_; }
 
-  /// Structure surface for the model compiler (weight prepack of the dense
-  /// stages; the graph layers keep their own GEMM paths).
-  nn::Dense& embed_dense() { return *embed_; }
-  nn::Dense& dense1() { return *dense1_; }
-  nn::Dense& dense2() { return *dense2_; }
-  nn::Dense& out_dense() { return *out_; }
-
  private:
   SgcnnConfig cfg_;
   int64_t dense1_out_, dense2_out_;

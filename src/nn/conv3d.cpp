@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -120,6 +120,11 @@ void transpose_block(const float* src, int64_t lds, int64_t rows, int64_t cols, 
 #endif
 }
 
+// `p` moved up to the next 64-byte cache line: at most 15 floats on.
+float* cache_line(float* p) {
+  return reinterpret_cast<float*>((reinterpret_cast<uintptr_t>(p) + 63) & ~uintptr_t{63});
+}
+
 // Wᵀ of a (cout, K) weight as a (K, L) row image, zero past cout.
 void pack_wt(const float* w, int64_t cout, int64_t K, int64_t L, float* out) {
   for (int64_t c0 = 0; c0 < L; c0 += 16)
@@ -212,19 +217,17 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
                                out_size(H, k_, stride_, pad_), out_size(W, k_, stride_, pad_)});
   if (B == 0) return out;
 
-  // B operand: Wᵀ as a (K, L) image — the installed handle, or packed for
-  // this forward (in the replica arena when one is bound, released when the
-  // layer returns).
+  // B operand: Wᵀ as a (K, L) row image, zero past cout, packed for this
+  // forward (in the replica arena when one is bound, released when the
+  // layer returns). The image starts on a cache line: the row pass streams
+  // it in whole 16-lane vectors, and off a line boundary every one of those
+  // loads straddles two lines.
   const int64_t K = cin_ * k_ * k_ * k_, L = round_lanes(cout_);
   std::optional<core::Workspace::Scope> release;
-  Tensor packed;
-  const float* wt = eval_.image;
-  if (training_ || eval_.kind != EvalWeights::Kind::kF32) {
-    if (core::Workspace* ws = core::Workspace::current()) release.emplace(*ws);
-    packed = Tensor::uninit({K, L});
-    pack_wt(w_.value.data(), cout_, K, L, packed.data());
-    wt = packed.data();
-  }
+  if (core::Workspace* ws = core::Workspace::current()) release.emplace(*ws);
+  Tensor wt_buf = Tensor::uninit({K * L + 15});
+  float* wt = cache_line(wt_buf.data());
+  pack_wt(w_.value.data(), cout_, K, L, wt);
   // The GEMM's columns are the output channels, so the conv bias is a
   // column bias; it and the optional activation ride the fused epilogue.
   core::Epilogue ep;
@@ -262,23 +265,6 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
         }
   });
   return out;
-}
-
-EvalWeights Conv3d::packed_f32() const {
-  const int64_t K = cin_ * k_ * k_ * k_, L = round_lanes(cout_);
-  auto image = std::make_shared<std::vector<float>>(static_cast<size_t>(K * L));
-  pack_wt(w_.value.data(), cout_, K, L, image->data());
-  return {.kind = EvalWeights::Kind::kF32,
-          .image = image->data(),
-          .image_len = static_cast<int64_t>(image->size()),
-          .keep_alive = image};
-}
-
-void Conv3d::set_eval_weights(EvalWeights e) {
-  e.check_fits(cin_ * k_ * k_ * k_ * round_lanes(cout_),
-               "Conv3d(" + std::to_string(cin_) + "->" + std::to_string(cout_) + ", k" +
-                   std::to_string(k_) + ")");
-  eval_ = std::move(e);
 }
 
 Tensor Conv3d::backward(const Tensor& grad_out) {

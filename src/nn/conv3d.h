@@ -15,7 +15,6 @@
 
 #include "core/gemm.h"
 #include "core/rng.h"
-#include "nn/eval_weights.h"
 #include "nn/module.h"
 
 namespace df::nn {
@@ -52,19 +51,6 @@ class Conv3d : public Module {
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
 
-  // -- serving form (eval_weights.h) -------------------------------------
-  // Same contract as Dense: eval forwards run the GEMM the handle names,
-  // training forwards always use w_.
-
-  /// Wᵀ as a (cin*k^3, round_up(cout, 16)) row image, zero past cout: the
-  /// B operand of the fp32 forward's indirect GEMM, which otherwise packs it
-  /// on every forward.
-  EvalWeights packed_f32() const;
-  const EvalWeights& eval_weights() const { return eval_; }
-  /// Install a handle; throws std::invalid_argument for an unknown kind and
-  /// for an fp32 image that is not this layer's Wᵀ image length.
-  void set_eval_weights(EvalWeights e);
-
  private:
   // Offsets into zero-padded channel images of a (D, H, W) input. Each
   // channel is copied into the interior of a zero-bordered (D+2p, H+2p,
@@ -99,7 +85,6 @@ class Conv3d : public Module {
   Parameter b_;  // (cout)
   Tensor cached_input_;
   Lowering lowering_;
-  EvalWeights eval_;
 };
 
 class MaxPool3d : public Module {

@@ -1,7 +1,6 @@
 #include "nn/dense.h"
 
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 namespace df::nn {
@@ -28,30 +27,9 @@ Tensor Dense::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_sl
   ep.bias_col = has_bias_ ? b_.value.data() : nullptr;
   ep.leaky_slope = leaky_slope;
   const bool fused = has_bias_ || act != core::EpilogueAct::kNone;
-  if (!training_ && eval_.kind == EvalWeights::Kind::kF32) {
-    core::sgemm_prepacked(batch, x.data(), in_, {in_, out_, eval_.image}, y.data(), out_,
-                          /*accumulate=*/false, fused ? &ep : nullptr);
-  } else {
-    core::sgemm(false, false, batch, out_, in_, x.data(), in_, w_.value.data(), out_, y.data(),
-                out_, /*accumulate=*/false, fused ? &ep : nullptr);
-  }
+  core::sgemm(false, false, batch, out_, in_, x.data(), in_, w_.value.data(), out_, y.data(), out_,
+              /*accumulate=*/false, fused ? &ep : nullptr);
   return y;
-}
-
-EvalWeights Dense::packed_f32() const {
-  auto image = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(core::packed_b_floats(in_, out_)));
-  core::pack_b_full(false, in_, out_, w_.value.data(), out_, image->data());
-  return {.kind = EvalWeights::Kind::kF32,
-          .image = image->data(),
-          .image_len = static_cast<int64_t>(image->size()),
-          .keep_alive = image};
-}
-
-void Dense::set_eval_weights(EvalWeights e) {
-  e.check_fits(core::packed_b_floats(in_, out_),
-               "Dense(" + std::to_string(in_) + "," + std::to_string(out_) + ")");
-  eval_ = std::move(e);
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {

@@ -7,7 +7,6 @@
 
 #include "core/gemm.h"
 #include "core/rng.h"
-#include "nn/eval_weights.h"
 #include "nn/module.h"
 
 namespace df::nn {
@@ -33,25 +32,12 @@ class Dense : public Module {
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
 
-  // -- serving form (eval_weights.h) -------------------------------------
-  // Eval forwards run the GEMM the handle names; training forwards always
-  // use w_. A weight mutation leaves a packed handle stale, so whoever
-  // mutates the weight produces a fresh handle.
-
-  /// w packed once into the B-panel image sgemm would build per call.
-  EvalWeights packed_f32() const;
-  const EvalWeights& eval_weights() const { return eval_; }
-  /// Install a handle; throws std::invalid_argument unless its kind and
-  /// image length fit this layer's (in, out).
-  void set_eval_weights(EvalWeights e);
-
  private:
   int64_t in_, out_;
   bool has_bias_;
   Parameter w_;  // (in, out)
   Parameter b_;  // (out)
   Tensor cached_input_;
-  EvalWeights eval_;
 };
 
 }  // namespace df::nn

@@ -73,7 +73,8 @@ void add_compiled(ModelRegistry& registry, const std::string& name,
                   const std::string& artifact_path, const chem::VoxelConfig& voxel,
                   const chem::GraphFeaturizerConfig& graph) {
   // Open once, eagerly: registration fails fast on a missing, damaged or
-  // stale-schema artifact, and all replicas share the one validated mapping.
+  // stale-schema artifact, or one with a negative workspace budget, and all
+  // replicas share the one validated mapping.
   std::shared_ptr<io::ArtifactReader> image = io::ArtifactReader::open(artifact_path);
   compile::check_compiled_schema(*image);
   // The artifact records the featurization contract the model was trained

@@ -67,14 +67,14 @@ void add_regressor(ModelRegistry& registry, const std::string& name,
 
 /// Register a scorer served from a compiled-model artifact
 /// (compile::save_compiled). The artifact is opened and validated once,
-/// eagerly — a missing or damaged file, or one whose compiled schema
-/// load_compiled would refuse (compile::check_compiled_schema), fails
-/// registration with io::H5LiteError, not the first request — and the
-/// mapping is shared by every replica the factory mints:
-/// each replica rebuilds its own (private) layer caches but reads weights
-/// and packed GEMM panels straight from the common mmap. Replicas pre-grow
-/// their workspace arenas to the budgets recorded in the artifact, so the
-/// cold-start path skips checkpoint loading, weight packing, conv-plan
+/// eagerly — a missing or damaged file, or one whose compiled schema or
+/// workspace budgets load_compiled would refuse
+/// (compile::check_compiled_schema), fails registration with
+/// io::H5LiteError, not the first request — and the mapping is shared by
+/// every replica the factory mints: each replica copies its folded
+/// parameters out of the common mmap and owns them. Replicas pre-grow their
+/// workspace arenas to the budgets recorded in the artifact, so the
+/// cold-start path skips checkpoint loading, BatchNorm folding, conv-plan
 /// construction AND steady-state arena growth. Registration also validates the
 /// artifact's recorded meta/feature_set_version against both featurizer
 /// configs (throws std::invalid_argument on mismatch, io::H5LiteError

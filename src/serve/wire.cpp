@@ -1,5 +1,7 @@
 #include "serve/wire.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -11,6 +13,9 @@ namespace df::serve::wire {
 namespace {
 
 constexpr size_t kHeaderBytes = 12;  // magic u32 + version u16 + type u16 + len u32
+// read_frame's first payload allocation. A payload up to this size is read
+// in one piece; a longer one grows geometrically as its bytes arrive.
+constexpr size_t kFirstPayloadBytes = size_t{1} << 20;
 constexpr uint32_t kMaxAtoms = 1u << 22;
 constexpr uint32_t kMaxPoses = 1u << 22;
 constexpr uint32_t kMaxStrings = 1u << 16;
@@ -204,9 +209,22 @@ WireError read_frame(net::TcpConn& conn, Frame* out, double timeout_ms) {
   if (magic != kMagic) return WireError::kBadMagic;
   if (version != kVersion) return WireError::kBadVersion;
   if (len > kMaxPayload) return WireError::kOversized;
-  std::string payload(len, '\0');
-  if (len > 0 && !conn.recv_exact(payload.data(), len, timeout_ms)) {
-    return conn.timed_out() ? WireError::kTimeout : WireError::kTransport;
+  // Allocate only as bytes arrive, so a bare header promising kMaxPayload
+  // costs the reader kFirstPayloadBytes, not the promise. The pieces share
+  // one deadline.
+  std::string payload(std::min<size_t>(len, kFirstPayloadBytes), '\0');
+  const auto t0 = std::chrono::steady_clock::now();
+  for (size_t got = 0; got < len;) {
+    double left_ms = timeout_ms;
+    if (timeout_ms > 0) {
+      const std::chrono::duration<double, std::milli> spent = std::chrono::steady_clock::now() - t0;
+      left_ms = std::max(timeout_ms - spent.count(), 1e-3);
+    }
+    if (!conn.recv_exact(payload.data() + got, payload.size() - got, left_ms)) {
+      return conn.timed_out() ? WireError::kTimeout : WireError::kTransport;
+    }
+    got = payload.size();
+    payload.resize(std::min<size_t>(len, 2 * got));
   }
   uint32_t stored_crc;
   if (!conn.recv_exact(&stored_crc, sizeof(stored_crc), timeout_ms)) {

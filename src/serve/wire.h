@@ -72,7 +72,9 @@ struct Frame {
 /// Encode one frame (header + payload + CRC) into a byte string.
 std::string encode_frame(FrameType type, std::string_view payload);
 
-/// Read exactly one frame within `timeout_ms` (<= 0 = no deadline).
+/// Read exactly one frame within `timeout_ms` (<= 0 = no deadline). The
+/// payload buffer grows as its bytes arrive, so a header alone never makes
+/// the reader allocate more than 1 MiB.
 WireError read_frame(net::TcpConn& conn, Frame* out, double timeout_ms);
 
 /// Encode + send one frame within `timeout_ms`.

@@ -446,7 +446,7 @@ TEST(FeatureSetVersion, ScorerAndRegistryRejectMismatches) {
   v2.feature_set_version = 2;
   cc.in_channels = v2.channels();
   models::Cnn3d donor(cc, rng);
-  compile::save_compiled(donor, path, /*poses_per_batch=*/0, {}, /*feature_set_version=*/2);
+  compile::save_compiled(donor, path, {}, /*feature_set_version=*/2);
   const compile::CompiledModel cm = compile::load_compiled(path);
   EXPECT_EQ(cm.feature_set_version, 2);
 

@@ -1,18 +1,17 @@
 // Ahead-of-time model compiler pins:
-//   * prepacked GEMM operands are bitwise identical to per-call packing at
-//     every blocking boundary (MR/NR/KC/MC/NC), on the skinny-RHS fast path,
-//     for both operand overloads, with and without fused epilogues,
 //   * BatchNorm folding matches the unfused eval stack within fp tolerance,
 //     and compilation of a BN-free model is bitwise exact,
 //   * the compiled-artifact container round-trips golden sections, rejects
 //     version mismatches and CRC corruption with typed errors and no
-//     partial load, load_compiled rejects weight sections that do not fit
-//     their layer, and add_compiled refuses a stale compiled schema at
-//     registration,
+//     partial load, load_compiled rejects a family, parameter count or
+//     parameter shape that does not fit the model and a negative workspace
+//     budget, and add_compiled refuses a stale compiled schema or a negative
+//     budget at registration,
 //   * for all four model families, a RegressorScorer replica restored from
 //     a compiled artifact scores bitwise identically to an h5-checkpoint-
 //     loaded replica, with zero tensor heap allocations and zero arena
-//     growth from its very first batch (pre-reserved workspace budgets).
+//     growth from its very first batch (pre-reserved workspace budgets),
+//     and replicas own their weights once restored.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,7 +26,6 @@
 #include "chem/conformer.h"
 #include "chem/voxelizer.h"
 #include "compile/model_compiler.h"
-#include "core/gemm.h"
 #include "core/rng.h"
 #include "core/tensor.h"
 #include "data/dataset.h"
@@ -123,77 +121,6 @@ std::vector<std::pair<std::string, models::RegressorFactory>> family_factories()
   };
 }
 
-std::vector<float> random_buf(int64_t n, Rng& rng) {
-  std::vector<float> v(static_cast<size_t>(n));
-  for (float& x : v) x = rng.uniform(-1.0f, 1.0f);
-  return v;
-}
-
-// ---- prepacked GEMM: bitwise equality at every blocking boundary ---------
-
-void check_prepacked_b(int64_t m, int64_t n, int64_t k, bool with_epilogue, Rng& rng) {
-  const std::vector<float> A = random_buf(m * k, rng);
-  const std::vector<float> B = random_buf(k * n, rng);
-  const std::vector<float> bias = random_buf(n, rng);
-  core::Epilogue ep;
-  ep.act = core::EpilogueAct::kReLU;
-  ep.bias_col = bias.data();
-  const core::Epilogue* epp = with_epilogue ? &ep : nullptr;
-
-  std::vector<float> C_ref(static_cast<size_t>(m * n), 0.0f);
-  core::sgemm(false, false, m, n, k, A.data(), k, B.data(), n, C_ref.data(), n, false, epp);
-
-  std::vector<float> image(static_cast<size_t>(core::packed_b_floats(k, n)));
-  core::pack_b_full(false, k, n, B.data(), n, image.data());
-  core::PrepackedB pb{k, n, image.data()};
-  std::vector<float> C(static_cast<size_t>(m * n), 0.0f);
-  core::sgemm_prepacked(m, A.data(), k, pb, C.data(), n, false, epp);
-
-  ASSERT_EQ(std::memcmp(C.data(), C_ref.data(), C.size() * sizeof(float)), 0)
-      << "prepacked-B mismatch m=" << m << " n=" << n << " k=" << k
-      << " epilogue=" << with_epilogue;
-}
-
-TEST(PrepackedGemm, BitwiseMatchesPerCallPackingAtBlockingBoundaries) {
-  Rng rng(7);
-  // n spans the NR=32 micro-panel, the skinny-RHS cutoff (96) and the
-  // NC=1024 block boundary; k spans the KC=192 panel; m spans MR=6 and
-  // MC=96. Skinny dispatch triggers when n <= 96 (and k <= 192 or m <= 64),
-  // so the sweep exercises both the streamed skinny image and the blocked
-  // panel path of one prepacked B image.
-  for (int64_t n : {1, 31, 32, 33, 96, 97, 1025}) {
-    for (int64_t k : {1, 191, 193}) {
-      for (int64_t m : {1, 5, 7, 97}) {
-        check_prepacked_b(m, n, k, false, rng);
-      }
-      check_prepacked_b(6, n, k, true, rng);
-    }
-  }
-  // Deep-k skinny: k > KC with small m stays on the skinny path and walks
-  // the per-KC-panel accumulate.
-  check_prepacked_b(8, 16, 200, false, rng);
-  check_prepacked_b(8, 16, 200, true, rng);
-}
-
-TEST(PrepackedGemm, AccumulateAndNullViewsRejected) {
-  Rng rng(9);
-  const int64_t m = 7, n = 40, k = 65;
-  const std::vector<float> A = random_buf(m * k, rng);
-  const std::vector<float> B = random_buf(k * n, rng);
-  std::vector<float> C_ref = random_buf(m * n, rng);
-  std::vector<float> C = C_ref;
-
-  std::vector<float> image(static_cast<size_t>(core::packed_b_floats(k, n)));
-  core::pack_b_full(false, k, n, B.data(), n, image.data());
-  core::PrepackedB pb{k, n, image.data()};
-  core::sgemm(false, false, m, n, k, A.data(), k, B.data(), n, C_ref.data(), n, true);
-  core::sgemm_prepacked(m, A.data(), k, pb, C.data(), n, true);
-  ASSERT_EQ(std::memcmp(C.data(), C_ref.data(), C.size() * sizeof(float)), 0);
-
-  core::PrepackedB bad{k, n, nullptr};
-  EXPECT_THROW(core::sgemm_prepacked(m, A.data(), k, bad, C.data(), n), std::invalid_argument);
-}
-
 // ---- BatchNorm folding ---------------------------------------------------
 
 data::Sample voxel_sample(const models::Cnn3dConfig& cfg, Rng& rng, float label) {
@@ -226,8 +153,6 @@ TEST(ModelCompiler, FoldedBatchNormMatchesUnfusedEvalWithinTolerance) {
   const compile::CompileReport rep = compile::compile_model(*compiled);
   EXPECT_EQ(rep.folded_batch_norms, 2);  // one BN3d per conv stage
   EXPECT_GT(rep.stripped_dropouts, 0);
-  EXPECT_GT(rep.prepacked_conv, 0);
-  EXPECT_GT(rep.prepacked_dense, 0);
 
   Rng eval_rng(53);
   for (int i = 0; i < 4; ++i) {
@@ -442,50 +367,73 @@ void rewrite_artifact(
   w.save(dst);
 }
 
-TEST(CompiledArtifact, WeightSectionsThatDoNotFitTheirLayerRejectedTyped) {
-  const std::string fp32 = tmp_path("df_artifact_fp32.dfca");
+TEST(CompiledArtifact, SectionsThatDoNotFitTheModelRejectedTyped) {
+  const std::string good = tmp_path("df_artifact_good.dfca");
   const std::string bad = tmp_path("df_artifact_bad.dfca");
-  {
-    auto model = family_factories()[0].second();  // cnn3d
-    compile::save_compiled(*model, fp32);
-  }
-  const auto expect_format = [&](const std::string& what) {
+  auto model = family_factories()[0].second();  // cnn3d
+  compile::save_compiled(*model, good);
+  const auto expect_format = [](const std::string& what, const std::function<void()>& load) {
     try {
-      compile::load_compiled(bad);
+      load();
       ADD_FAILURE() << what << " not rejected";
     } catch (const io::H5LiteError& e) {
       EXPECT_EQ(e.kind(), io::H5LiteError::Kind::Format) << what;
     }
   };
-  const auto shorten = [](const std::string& section) {
-    return [section](const std::string& name, const io::ArtifactReader& r, io::ArtifactWriter& w) {
-      if (name != section) return false;
-      w.add_floats(name, {r.section(name).numel() - 1}, r.floats(name));
-      return true;
-    };
+  const auto expect_load_format = [&](const std::string& what) {
+    expect_format(what, [&] { compile::load_compiled(bad); });
+  };
+  // Copy `good` to `bad` with `section` replaced by what `write` adds.
+  const auto replace = [&](const std::string& section,
+                           const std::function<void(const io::ArtifactReader&,
+                                                    io::ArtifactWriter&)>& write) {
+    rewrite_artifact(good, bad,
+                     [&](const std::string& name, const io::ArtifactReader& r,
+                         io::ArtifactWriter& w) {
+                       if (name != section) return false;
+                       write(r, w);
+                       return true;
+                     });
+  };
+  const auto replace_scalar = [&](const std::string& section, int64_t v) {
+    replace(section, [&](const auto&, io::ArtifactWriter& w) { w.add_scalar(section, v); });
   };
 
   // The unedited copy loads: the rewrite itself is faithful.
-  rewrite_artifact(fp32, bad, [](const auto&, const auto&, auto&) { return false; });
+  rewrite_artifact(good, bad, [](const auto&, const auto&, auto&) { return false; });
   EXPECT_NO_THROW(compile::load_compiled(bad));
 
-  rewrite_artifact(fp32, bad, shorten("dense/0/image"));
-  expect_format("fp32 Dense image one float short");
-  rewrite_artifact(fp32, bad, shorten("conv/0/image"));
-  expect_format("fp32 Conv3d image one float short");
-  // Kind 2 was int8, which no layer has any more.
-  for (const char* section : {"dense/0/kind", "conv/0/kind"}) {
-    for (const int64_t kind : {2, 7}) {
-      rewrite_artifact(fp32, bad, [&](const std::string& name, const auto&, io::ArtifactWriter& w) {
-        if (name != section) return false;
-        w.add_scalar(name, kind);
-        return true;
-      });
-      expect_format("unknown weight kind " + std::to_string(kind) + " in " + section);
-    }
+  replace("param/0", [](const io::ArtifactReader& r, io::ArtifactWriter& w) {
+    w.add_floats("param/0", {r.section("param/0").numel() - 1}, r.floats("param/0"));
+  });
+  expect_load_format("param/0 one float short");
+  replace("param/0", [](const io::ArtifactReader& r, io::ArtifactWriter& w) {
+    ASSERT_GT(r.section("param/0").dims.size(), 1u);
+    w.add_floats("param/0", {r.section("param/0").numel()}, r.floats("param/0"));
+  });
+  expect_load_format("param/0 with its element count but other dims");
+  const int64_t param_count = io::ArtifactReader::open(good)->scalar("param_count");
+  for (const int64_t off : {-1, 1}) {
+    replace_scalar("param_count", param_count + off);
+    expect_load_format("param_count off by " + std::to_string(off));
   }
+  replace_scalar("family", 4);
+  expect_load_format("family 4");
 
-  for (const std::string& p : {fp32, bad}) std::filesystem::remove(p);
+  // A negative workspace budget fails the load and already the
+  // registration, and save_compiled refuses to write one.
+  for (const char* budget : {"ws/forward", "ws/feat"}) {
+    replace_scalar(budget, -(int64_t{1} << 40));
+    expect_load_format(std::string("negative ") + budget);
+    serve::ModelRegistry reg;
+    expect_format(std::string("registering a negative ") + budget,
+                  [&] { serve::add_compiled(reg, "m", bad, tiny_voxel()); });
+    EXPECT_FALSE(reg.contains("m"));
+  }
+  EXPECT_THROW(compile::save_compiled(*model, bad, {-1, 0}), std::invalid_argument);
+  EXPECT_THROW(compile::save_compiled(*model, bad, {0, -1}), std::invalid_argument);
+
+  for (const std::string& p : {good, bad}) std::filesystem::remove(p);
 }
 
 TEST(CompiledArtifact, CompiledSchemaIsVersionedApartFromTheContainer) {
@@ -588,11 +536,11 @@ TEST(CompiledArtifact, AllFamiliesScoreBitwiseEqualToH5PathWithZeroColdStartAllo
     const compile::WorkspaceBudget budget = h5_scorer.workspace_capacities();
     EXPECT_GT(budget.forward_floats, 0);
 
-    // Compiled path: fold/strip/prepack, serialize with the measured
-    // workspace budgets, restore through the registry factory.
+    // Compiled path: fold/strip, serialize with the measured workspace
+    // budgets, restore through the registry factory.
     {
       auto donor = factory();
-      compile::save_compiled(*donor, artifact, static_cast<int64_t>(ptrs.size()), budget);
+      compile::save_compiled(*donor, artifact, budget);
     }
     serve::ModelRegistry reg;
     serve::add_compiled(reg, name, artifact, tiny_voxel());
@@ -655,16 +603,15 @@ TEST(CompiledArtifact, SharedMappingServesManyReplicasIdentically) {
     compile::save_compiled(*donor, artifact);
   }
   std::shared_ptr<io::ArtifactReader> image = io::ArtifactReader::open(artifact);
-  // The artifact file can disappear once mapped — replicas keep the mapping
-  // alive through the shared reader.
+  // The artifact file can disappear once mapped.
   std::filesystem::remove(artifact);
 
   compile::CompiledModel a = compile::load_compiled(image);
   compile::CompiledModel b = compile::load_compiled(image);
-  // From here on only the layers' weight handles keep the mapping alive.
+  // Replicas own their weights: nothing they hold keeps the mapping alive.
   const std::weak_ptr<io::ArtifactReader> mapping = image;
   image.reset();
-  EXPECT_FALSE(mapping.expired());
+  EXPECT_TRUE(mapping.expired());
   serve::RegressorScorer sa("fusion", std::move(a.model), tiny_voxel(), {});
   serve::RegressorScorer sb("fusion", std::move(b.model), tiny_voxel(), {});
   const std::vector<float> ra = sa.score(ptrs);

@@ -371,8 +371,6 @@ void check_conv_bitwise_vs_im2col(const ConvCase& cc, Rng& rng) {
 
   conv.set_training(false);
   EXPECT_TRUE(same_bytes(conv.forward(x), y_ref)) << "eval fwd " << where;
-  conv.set_eval_weights(conv.packed_f32());
-  EXPECT_TRUE(same_bytes(conv.forward(x), y_ref)) << "eval fwd, packed handle " << where;
   conv.set_training(true);
   EXPECT_TRUE(same_bytes(conv.forward(x), y_ref)) << "train fwd " << where;
   conv.zero_grad();
@@ -428,21 +426,17 @@ TEST(Conv3dFast, GroupedBatchMatchesPerSampleForward) {
     conv.set_training(false);
     const Tensor x = Tensor::randn({cc.B, cc.cin, cc.D, cc.H, cc.W}, rng);
     const int64_t chan = x.numel() / cc.B;
-    for (bool packed : {false, true}) {
-      if (packed) conv.set_eval_weights(conv.packed_f32());
-      const Tensor batch = conv.forward_act(x, core::EpilogueAct::kReLU);
-      const int64_t per = batch.numel() / cc.B;
-      for (int64_t s = 0; s < cc.B; ++s) {
-        Tensor one = Tensor::uninit({1, cc.cin, cc.D, cc.H, cc.W});
-        std::memcpy(one.data(), x.data() + s * chan, static_cast<size_t>(chan) * sizeof(float));
-        const Tensor alone = conv.forward_act(one, core::EpilogueAct::kReLU);
-        ASSERT_EQ(alone.numel(), per);
-        EXPECT_EQ(std::memcmp(alone.data(), batch.data() + s * per,
-                              static_cast<size_t>(per) * sizeof(float)),
-                  0)
-            << "B=" << cc.B << " D=" << cc.D << " s=" << cc.stride << " sample " << s
-            << " prepacked=" << packed;
-      }
+    const Tensor batch = conv.forward_act(x, core::EpilogueAct::kReLU);
+    const int64_t per = batch.numel() / cc.B;
+    for (int64_t s = 0; s < cc.B; ++s) {
+      Tensor one = Tensor::uninit({1, cc.cin, cc.D, cc.H, cc.W});
+      std::memcpy(one.data(), x.data() + s * chan, static_cast<size_t>(chan) * sizeof(float));
+      const Tensor alone = conv.forward_act(one, core::EpilogueAct::kReLU);
+      ASSERT_EQ(alone.numel(), per);
+      EXPECT_EQ(std::memcmp(alone.data(), batch.data() + s * per,
+                            static_cast<size_t>(per) * sizeof(float)),
+                0)
+          << "B=" << cc.B << " D=" << cc.D << " s=" << cc.stride << " sample " << s;
     }
   }
 }

@@ -87,12 +87,24 @@ TEST(WireFrame, LayoutMagicVersionLengthCrc) {
 }
 
 TEST(WireFrame, RoundtripOverSocket) {
-  ConnPair pair;
-  ASSERT_TRUE(wire::write_frame(pair.a, wire::FrameType::kScoreDone, "payload bytes", 1000));
-  wire::Frame frame;
-  ASSERT_EQ(wire::read_frame(pair.b, &frame, 1000), wire::WireError::kNone);
-  EXPECT_EQ(frame.type, wire::FrameType::kScoreDone);
-  EXPECT_EQ(frame.payload, "payload bytes");
+  // A short payload, and one of 5 MiB that read_frame grows its buffer for
+  // as the bytes arrive. The writer runs on a second thread: the socket
+  // buffer holds less than the big frame.
+  std::string big(size_t{5} << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>(i * 131 + (i >> 12));
+  for (const std::string& payload : {std::string("payload bytes"), big}) {
+    ConnPair pair;
+    bool sent = false;
+    std::thread writer(
+        [&] { sent = wire::write_frame(pair.a, wire::FrameType::kScoreDone, payload, 5000); });
+    wire::Frame frame;
+    const wire::WireError err = wire::read_frame(pair.b, &frame, 5000);
+    writer.join();
+    ASSERT_TRUE(sent) << payload.size() << " bytes";
+    ASSERT_EQ(err, wire::WireError::kNone) << wire::wire_error_name(err);
+    EXPECT_EQ(frame.type, wire::FrameType::kScoreDone);
+    EXPECT_TRUE(frame.payload == payload) << payload.size() << " bytes";
+  }
 }
 
 TEST(WireFrame, EmptyPayloadRoundtrips) {
@@ -153,6 +165,24 @@ TEST(WireFrame, OversizedLengthRejectedWithoutAllocation) {
   ASSERT_TRUE(pair.a.send_all(frame.data(), frame.size(), 1000));
   wire::Frame out;
   EXPECT_EQ(wire::read_frame(pair.b, &out, 1000), wire::WireError::kOversized);
+}
+
+TEST(WireFrame, BareHeaderAllocatesOnlyAsThePayloadArrives) {
+  // A header promising kMaxPayload, then close: the reader must not size a
+  // buffer for bytes that never come.
+  ConnPair pair;
+  std::string header = wire::encode_frame(wire::FrameType::kScoreRequest, "").substr(0, 12);
+  const uint32_t promise = wire::kMaxPayload;
+  std::memcpy(header.data() + 8, &promise, 4);
+  ASSERT_TRUE(pair.a.send_all(header.data(), header.size(), 1000));
+  pair.a.close();
+  wire::Frame out;
+  t_largest_alloc = 0;
+  t_count_allocs = true;
+  const wire::WireError err = wire::read_frame(pair.b, &out, 1000);
+  t_count_allocs = false;
+  EXPECT_EQ(err, wire::WireError::kTransport) << wire::wire_error_name(err);
+  EXPECT_LE(t_largest_alloc, size_t{2} << 20);
 }
 
 TEST(WireFrame, PartialFrameThenCloseIsTornNotGarbage) {
