@@ -45,7 +45,6 @@ void splat_slice(core::Tensor& grid, const SplatOp& op, int G, float res, float 
   float* base = grid.data() + (static_cast<int64_t>(op.channel) * G + z) * G * G;
   const float vz = (static_cast<float>(z) + 0.5f) * res - half;
   const float dz = vz - op.rel.z;
-#if defined(DF_SIMD_MATH_VECTOR)
   using core::simd::vf16;
   const float dz2 = dz * dz;
   for (int y = op.ylo; y <= op.yhi; ++y) {
@@ -68,19 +67,6 @@ void splat_slice(core::Tensor& grid, const SplatOp& op, int G, float res, float 
       for (int c = 0; c < count; ++c) row[x0 + c] += buf[c];
     }
   }
-#else
-  for (int y = op.ylo; y <= op.yhi; ++y) {
-    const float vy = (static_cast<float>(y) + 0.5f) * res - half;
-    const float dy = vy - op.rel.y;
-    for (int x = op.xlo; x <= op.xhi; ++x) {
-      const float vx = (static_cast<float>(x) + 0.5f) * res - half;
-      const float dx = vx - op.rel.x;
-      const float d2 = dx * dx + dy * dy + dz * dz;
-      if (d2 > op.cutoff2) continue;
-      base[static_cast<int64_t>(y) * G + x] += op.weight * core::simd::exp_scalar(-d2 * op.inv2s2);
-    }
-  }
-#endif
 }
 
 // Expand one atom into its per-channel deposits. Each atom pushes at most

@@ -4,13 +4,12 @@
 // work that can be done once at load. compile_model rewrites a Regressor in
 // place into its executable serving form:
 //
-//   * BatchNorm folding — BatchNorm1d/3d running statistics are absorbed
-//     into the adjacent Dense/Conv3d weights (both directions; the
-//     BN-before-conv case only when the conv has no padding, since zero
-//     padding breaks the affine-shift identity). Folded eval matches the
-//     unfused path within documented fp tolerance (reassociation of the
-//     per-element multiply chain); it is exact where no reassociation
-//     occurs. The BN layer leaves the layer chain entirely.
+//   * BatchNorm folding — a BatchNorm3d directly after a Conv3d (the one
+//     kind of BatchNorm a model builds) has its running statistics absorbed
+//     into that conv's weights and bias, and leaves the layer chain. Folded
+//     eval matches the unfused path within documented fp tolerance
+//     (reassociation of the per-element multiply chain). A BatchNorm
+//     anywhere else stays unfolded, and save_compiled refuses the model.
 //   * Dropout stripping — eval-mode Dropout is the identity, so the layers
 //     are removed. This also extends fusion chains: a Dense/Conv3d whose
 //     activation used to sit behind a Dropout becomes directly adjacent to
@@ -59,12 +58,6 @@ namespace df::compile {
 /// reader refuses a new artifact as Format on the first of those sections
 /// it misses.
 constexpr int64_t kCompiledSchema = 5;
-
-/// Throw io::H5LiteError{Format} with a "recompile" hint unless `a` holds
-/// "compile/schema" == kCompiledSchema, and without it when a workspace
-/// budget ("ws/forward", "ws/feat") is negative. load_compiled runs it
-/// before reading anything else, and serve::add_compiled at registration.
-void check_compiled_schema(const io::ArtifactReader& a);
 
 /// The four servable model families an artifact can carry.
 enum class ModelFamily : int64_t {
@@ -121,9 +114,11 @@ struct CompiledModel {
 };
 
 /// Restore from an already-open artifact (replicas share one mapping).
-/// Throws io::H5LiteError{Format} when the artifact fails
-/// check_compiled_schema, or when its family, config or parameters do not
-/// fit the model it rebuilds.
+/// Throws io::H5LiteError{Format} — with a "recompile" hint — unless the
+/// artifact holds "compile/schema" == kCompiledSchema, when a workspace
+/// budget ("ws/forward", "ws/feat") is negative or larger than any
+/// allocation can hold (PTRDIFF_MAX bytes), and when its family,
+/// config or parameters do not fit the model it rebuilds.
 CompiledModel load_compiled(std::shared_ptr<io::ArtifactReader> image);
 /// Convenience: open + restore.
 CompiledModel load_compiled(const std::string& path);

@@ -14,6 +14,8 @@ namespace df::core {
 
 namespace {
 
+using simd::vf16;
+
 // SELU constants (Klambauer et al. 2017) — numerically identical to
 // nn::SELU::kScale/kAlpha; duplicated here because core cannot depend on nn.
 constexpr float kSeluScale = 1.0507009873554805f;
@@ -43,11 +45,9 @@ inline float apply_epilogue(const Epilogue& ep, float v, int64_t i, int64_t j) {
   return apply_act(v, ep.act, ep.leaky_slope);
 }
 
-#if defined(__GNUC__) || defined(__clang__)
 // Vector epilogue of one 16-lane chunk `v` of row i, in place. `bias16` is
 // the chunk's slice of the padded column-bias image (or null).
-inline void epilogue_vec(const Epilogue& ep, const float* bias16, int64_t i, simd::vf16& v) {
-  using simd::vf16;
+inline void epilogue_vec(const Epilogue& ep, const float* bias16, int64_t i, vf16& v) {
   const vf16 zero = {};
   if (bias16 != nullptr) {
     vf16 b;
@@ -72,7 +72,7 @@ inline void epilogue_vec(const Epilogue& ep, const float* bias16, int64_t i, sim
 inline void apply_epilogue_lanes(const Epilogue& ep, const float* bias_padded, float* buf,
                                  int64_t i, int64_t lanes) {
   for (int64_t c = 0; c < lanes; c += 16) {
-    simd::vf16 v;
+    vf16 v;
     std::memcpy(&v, buf + c, sizeof(v));
     epilogue_vec(ep, bias_padded != nullptr ? bias_padded + c : nullptr, i, v);
     std::memcpy(buf + c, &v, sizeof(v));
@@ -91,7 +91,6 @@ inline const float* pad_bias_col(const float* bias, int64_t n) {
   std::memset(padded.data() + n, 0, static_cast<size_t>(lanes - n) * sizeof(float));
   return padded.data();
 }
-#endif
 
 // BLIS-style blocking: a KC x NC panel of B is packed once and streamed from
 // L2/L3 while MC x KC panels of A (packed per row-block, micro-panels of MR
@@ -163,12 +162,11 @@ void pack_b(const float* B, int64_t ldb, bool trans, int64_t row0, int64_t col0,
 // Finalize an MR x NR tile through the epilogue: `tile` holds this panel's
 // accumulator, C holds prior-panel partial sums when !first. grow/gcol are
 // the tile's global C coordinates for bias indexing (`bias_padded` is the
-// pad_bias_col image on vector builds, so gcol — always a multiple of NR —
-// indexes it directly).
+// pad_bias_col image, so gcol — always a multiple of NR — indexes it
+// directly).
 void store_tile_epilogue(const float tile[MR][NR], float* C, int64_t ldc, bool first, int64_t mr,
                          int64_t nr, const Epilogue& ep, const float* bias_padded, int64_t grow,
                          int64_t gcol) {
-#if defined(__GNUC__) || defined(__clang__)
   alignas(64) float buf[NR];
   for (int64_t r = 0; r < mr; ++r) {
     std::memcpy(buf, tile[r], sizeof(buf));
@@ -178,38 +176,26 @@ void store_tile_epilogue(const float tile[MR][NR], float* C, int64_t ldc, bool f
                          grow + r, NR);
     for (int64_t c = 0; c < nr; ++c) C[r * ldc + c] = buf[c];
   }
-#else
-  (void)bias_padded;
-  for (int64_t r = 0; r < mr; ++r)
-    for (int64_t c = 0; c < nr; ++c) {
-      const float v = first ? tile[r][c] : C[r * ldc + c] + tile[r][c];
-      C[r * ldc + c] = apply_epilogue(ep, v, grow + r, gcol + c);
-    }
-#endif
 }
 
 // MR x NR register tile over packed panels. `first` selects store vs
 // accumulate into C; mr/nr clip the write-back at block edges (the packed
 // operands are zero-padded, so the arithmetic is always full-tile and
 // branch-free). `ep` (last k-panel only) fuses the bias/activation tail into
-// the write-back while the tile is hot. The GNU vector-extension path keeps
-// the twelve 16-lane accumulators in registers — the portable scalar
-// fallback compiles everywhere but leaves ~30x on the table.
-#if defined(__GNUC__) || defined(__clang__)
-typedef float v16f __attribute__((vector_size(64), aligned(4)));
-
+// the write-back while the tile is hot. The twelve 16-lane accumulators
+// stay in registers.
 void micro_kernel(int64_t kc, const float* ap, const float* bp, float* C, int64_t ldc, bool first,
                   int64_t mr, int64_t nr, const Epilogue* ep, const float* bias_padded,
                   int64_t grow, int64_t gcol) {
-  v16f acc[MR][2] = {};
+  vf16 acc[MR][2] = {};
   for (int64_t p = 0; p < kc; ++p) {
     const float* a = ap + p * MR;
     const float* b = bp + p * NR;
-    v16f b0, b1;
+    vf16 b0, b1;
     std::memcpy(&b0, b, sizeof(b0));
     std::memcpy(&b1, b + 16, sizeof(b1));
     for (int64_t r = 0; r < MR; ++r) {
-      const v16f av = v16f{} + a[r];
+      const vf16 av = vf16{} + a[r];
       acc[r][0] += av * b0;
       acc[r][1] += av * b1;
     }
@@ -217,15 +203,15 @@ void micro_kernel(int64_t kc, const float* ap, const float* bp, float* C, int64_
   if (ep != nullptr) {
     float tile[MR][NR];
     for (int64_t r = 0; r < MR; ++r) {
-      std::memcpy(&tile[r][0], &acc[r][0], sizeof(v16f));
-      std::memcpy(&tile[r][16], &acc[r][1], sizeof(v16f));
+      std::memcpy(&tile[r][0], &acc[r][0], sizeof(vf16));
+      std::memcpy(&tile[r][16], &acc[r][1], sizeof(vf16));
     }
     store_tile_epilogue(tile, C, ldc, first, mr, nr, *ep, bias_padded, grow, gcol);
   } else if (mr == MR && nr == NR) {
     for (int64_t r = 0; r < MR; ++r) {
       for (int h = 0; h < 2; ++h) {
         float* dst = C + r * ldc + 16 * h;
-        v16f cv;
+        vf16 cv;
         if (first) {
           cv = acc[r][h];
         } else {
@@ -238,8 +224,8 @@ void micro_kernel(int64_t kc, const float* ap, const float* bp, float* C, int64_
   } else {
     float tile[MR][NR];
     for (int64_t r = 0; r < MR; ++r) {
-      std::memcpy(&tile[r][0], &acc[r][0], sizeof(v16f));
-      std::memcpy(&tile[r][16], &acc[r][1], sizeof(v16f));
+      std::memcpy(&tile[r][0], &acc[r][0], sizeof(vf16));
+      std::memcpy(&tile[r][16], &acc[r][1], sizeof(vf16));
     }
     for (int64_t r = 0; r < mr; ++r)
       for (int64_t c = 0; c < nr; ++c) {
@@ -248,30 +234,6 @@ void micro_kernel(int64_t kc, const float* ap, const float* bp, float* C, int64_
       }
   }
 }
-#else
-void micro_kernel(int64_t kc, const float* ap, const float* bp, float* C, int64_t ldc, bool first,
-                  int64_t mr, int64_t nr, const Epilogue* ep, const float* bias_padded,
-                  int64_t grow, int64_t gcol) {
-  float acc[MR][NR] = {};
-  for (int64_t p = 0; p < kc; ++p) {
-    const float* a = ap + p * MR;
-    const float* b = bp + p * NR;
-    for (int64_t r = 0; r < MR; ++r) {
-      const float av = a[r];
-      for (int64_t c = 0; c < NR; ++c) acc[r][c] += av * b[c];
-    }
-  }
-  if (ep != nullptr) {
-    store_tile_epilogue(acc, C, ldc, first, mr, nr, *ep, bias_padded, grow, gcol);
-    return;
-  }
-  for (int64_t r = 0; r < mr; ++r)
-    for (int64_t c = 0; c < nr; ++c) {
-      if (first) C[r * ldc + c] = acc[r][c];
-      else C[r * ldc + c] += acc[r][c];
-    }
-}
-#endif
 
 // Skinny-RHS fast path: n <= 96 and a single k-panel, the shape of every
 // graph-layer GEMM (hidden widths of 8-96 over thousands of packed node
@@ -309,21 +271,20 @@ void for_row_chunks(int64_t m, int64_t n, int64_t k, const Fn& run) {
   });
 }
 
-#if defined(__GNUC__) || defined(__clang__)
 // Write one finished row: add C's prior partial sums when accumulating, run
 // the epilogue, store. Whole 16-lane chunks load and store as vectors; only
 // the n % 16 tail goes lane by lane through a stack buffer.
 template <int NV>
-inline void skinny_finalize(const v16f (&acc)[NV], float* crow, int64_t n, int64_t i,
+inline void skinny_finalize(const vf16 (&acc)[NV], float* crow, int64_t n, int64_t i,
                             bool accumulate, const Epilogue* ep, const float* bias_padded) {
   for (int v = 0; v < NV; ++v) {
     float* dst = crow + v * 16;
     const float* bias16 = bias_padded != nullptr ? bias_padded + v * 16 : nullptr;
-    v16f x = acc[v];
+    vf16 x = acc[v];
     const int64_t lanes = n - v * 16;
     if (lanes >= 16) {
       if (accumulate) {
-        v16f c;
+        vf16 c;
         std::memcpy(&c, dst, sizeof(c));
         x += c;
       }
@@ -384,7 +345,7 @@ struct IndirectA {
 // packed micro-kernel's 0.0f + a differs from it only for a = -0.0f, which
 // cannot change a sum whose accumulator starts at +0.0f: (+0) + (-0) is +0
 // and a nonzero accumulator absorbs either zero, so no output bit moves.
-inline v16f broadcast(float v) { return v16f{v, v, v, v, v, v, v, v, v, v, v, v, v, v, v, v}; }
+inline vf16 broadcast(float v) { return vf16{v, v, v, v, v, v, v, v, v, v, v, v, v, v, v, v}; }
 
 // R consecutive rows from local row i. Each output element sums p = 0..k-1
 // in order whatever R is, so the blocking changes no bit.
@@ -394,16 +355,16 @@ inline void skinny_pass(int64_t i, int64_t row0, int64_t n, int64_t k, const Src
                         bool accumulate, const Epilogue* ep, const float* bias_padded) {
   const float* rows[R];
   for (int r = 0; r < R; ++r) rows[r] = a.row(i + r);
-  v16f acc[R][NV] = {};
+  vf16 acc[R][NV] = {};
   const float* bp = bpad;
   for (int64_t p = 0; p < k; ++p, bp += bstride) {
-    v16f bv[NV];
+    vf16 bv[NV];
 #pragma GCC unroll 8
-    for (int v = 0; v < NV; ++v) std::memcpy(&bv[v], bp + v * 16, sizeof(v16f));
+    for (int v = 0; v < NV; ++v) std::memcpy(&bv[v], bp + v * 16, sizeof(vf16));
     const int64_t q = a.col(p);
 #pragma GCC unroll 8
     for (int r = 0; r < R; ++r) {
-      const v16f av = broadcast(rows[r][q]);
+      const vf16 av = broadcast(rows[r][q]);
 #pragma GCC unroll 8
       for (int v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
     }
@@ -505,47 +466,6 @@ void indirect_rows(int64_t r0, int64_t rows, int64_t n, int64_t k, const Indirec
                    bias_padded != nullptr ? bias_padded + j0 : nullptr);
   }
 }
-#else
-void sgemm_skinny(int64_t m, int64_t n, int64_t k, const float* A, int64_t lda, const float* B,
-                  int64_t ldb, float* C, int64_t ldc, bool accumulate, const Epilogue* ep) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* a = A + i * lda;
-    float acc[kSkinnyN] = {};
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = a[p];
-      for (int64_t j = 0; j < n; ++j) acc[j] += av * B[p * ldb + j];
-    }
-    float* crow = C + i * ldc;
-    for (int64_t j = 0; j < n; ++j) {
-      float v = accumulate ? crow[j] + acc[j] : acc[j];
-      crow[j] = ep != nullptr ? apply_epilogue(*ep, v, i, j) : v;
-    }
-  }
-}
-
-struct IndirectA {
-  const float* x;
-  const int32_t* row_off;
-  const int32_t* k_off;
-};
-
-void indirect_rows(int64_t r0, int64_t rows, int64_t n, int64_t k, const IndirectA& a,
-                   const float* B, int64_t ldb, float* C, int64_t ldc, const Epilogue* ep,
-                   const float*) {
-  for (int64_t i = r0; i < r0 + rows; ++i) {
-    const float* x = a.x + a.row_off[i];
-    for (int64_t j = 0; j < n; ++j) {
-      float c = 0.0f;
-      for (int64_t pc = 0; pc < k; pc += KC) {
-        float acc = 0.0f;
-        for (int64_t p = pc; p < std::min(k, pc + KC); ++p) acc += x[a.k_off[p]] * B[p * ldb + j];
-        c = pc == 0 ? acc : c + acc;
-      }
-      C[i * ldc + j] = ep != nullptr ? apply_epilogue(*ep, c, i, j) : c;
-    }
-  }
-}
-#endif
 
 // C for k == 0: the empty sum (0, or C itself when accumulating) through
 // the epilogue.
@@ -602,12 +522,8 @@ void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const fl
     iblock = std::clamp(target, MR, MC);
   }
   const int64_t n_iblocks = (m + iblock - 1) / iblock;
-#if defined(__GNUC__) || defined(__clang__)
   const float* bias_padded =
       epilogue != nullptr ? pad_bias_col(epilogue->bias_col, n) : nullptr;
-#else
-  const float* bias_padded = nullptr;
-#endif
 
   for (int64_t pc = 0; pc < k; pc += KC) {
     const int64_t kc = std::min(KC, k - pc);
@@ -650,11 +566,7 @@ void sgemm_indirect(int64_t m, int64_t n, int64_t k, const float* X, const int32
     finish_empty_k(m, n, C, ldc, /*accumulate=*/false, epilogue);
     return;
   }
-#if defined(__GNUC__) || defined(__clang__)
   const float* bias_padded = epilogue != nullptr ? pad_bias_col(epilogue->bias_col, n) : nullptr;
-#else
-  const float* bias_padded = nullptr;
-#endif
   const IndirectA a{X, row_off, k_off};
   for_row_chunks(m, n, k, [&](int64_t r0, int64_t rows) {
     indirect_rows(r0, rows, n, k, a, B, ldb, C, ldc, epilogue, bias_padded);

@@ -14,8 +14,9 @@
 // agree bitwise regardless of how they chunk the data. All model-side
 // activation sites (GEMM epilogues, the standalone activation layers, the
 // voxel splatter) must use THESE helpers, never raw std::exp, or training-
-// vs-eval and fused-vs-unfused comparisons drift by an ulp. Non-GNU builds
-// fall back to a scalar evaluation of the same polynomial.
+// vs-eval and fused-vs-unfused comparisons drift by an ulp. The build
+// requires GCC or Clang (CMakeLists.txt), so the vector extension is always
+// there.
 #pragma once
 
 #include <algorithm>
@@ -25,8 +26,6 @@
 
 namespace df::core::simd {
 
-#if defined(__GNUC__) || defined(__clang__)
-#define DF_SIMD_MATH_VECTOR 1
 typedef float vf16 __attribute__((vector_size(64), aligned(4)));
 typedef int32_t vi16 __attribute__((vector_size(64), aligned(4)));
 
@@ -82,10 +81,9 @@ inline vf16 vselu16(vf16 x, float scale, float alpha) {
   const vf16 neg = splat(scale * alpha) * (vexp16(x) - splat(1.0f));
   return x > splat(0.0f) ? splat(scale) * x : neg;
 }
-#endif
 
 // Scalar versions of the identical polynomial — the single source of truth
-// for lanes processed outside a full 16-wide chunk and for non-GNU builds.
+// for lanes processed outside a full 16-wide chunk.
 inline float exp_scalar(float x) {
   x = std::min(x, 88.3762626647949f);
   x = std::max(x, -88.3762626647949f);

@@ -120,7 +120,7 @@ Tensor Tensor::from(std::vector<float> values) {
   Tensor t;
   const size_t n = values.size();
   t.shape_ = {static_cast<int64_t>(n)};
-  t.owned_ = std::move(values);
+  t.owned_.assign(values.begin(), values.end());
   t.owned_.resize(n + 32);  // same slack invariant as acquire()
   t.data_ = t.owned_.data();
   t.numel_ = static_cast<int64_t>(n);

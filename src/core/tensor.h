@@ -16,9 +16,11 @@
 // verified by the alloc_count() instrumentation hook below.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,6 +39,29 @@ uint64_t alloc_count();
 namespace detail {
 /// Called by Tensor and Workspace whenever they touch the heap for data.
 void count_tensor_alloc();
+
+/// Storage that starts on a 64-byte cache line, so a 16-lane load at any
+/// 16-float offset never straddles two lines. Tensor heap buffers and
+/// Workspace blocks come from it; as a unique_ptr deleter it frees what
+/// allocate() returned.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+  T* allocate(size_t n) {
+    // As std::allocator: a count whose byte size wraps is refused, never
+    // served by a short block.
+    if (n > SIZE_MAX / sizeof(T)) throw std::bad_array_new_length();
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, size_t) { ::operator delete(p, kAlign); }
+  void operator()(T* p) const { ::operator delete(p, kAlign); }
+  template <class U>
+  bool operator==(const CacheLineAllocator<U>&) const { return true; }
+};
 }  // namespace detail
 
 class Tensor {
@@ -66,7 +91,7 @@ class Tensor {
   static Tensor randn(std::vector<int64_t> shape, Rng& rng, float stddev = 1.0f);
   /// Uniform init in [lo, hi).
   static Tensor uniform(std::vector<int64_t> shape, Rng& rng, float lo, float hi);
-  /// 1-D tensor from explicit values (adopts the vector's buffer: owned).
+  /// 1-D tensor from explicit values (copied into owned storage).
   static Tensor from(std::vector<float> values);
 
   int64_t numel() const { return numel_; }
@@ -135,7 +160,8 @@ class Tensor {
   void acquire(int64_t n);
 
   std::vector<int64_t> shape_;
-  std::vector<float> owned_;  // empty when the storage is workspace-borrowed
+  // Empty when the storage is workspace-borrowed.
+  std::vector<float, detail::CacheLineAllocator<float>> owned_;
   float* data_ = nullptr;
   int64_t numel_ = 0;
 };

@@ -8,8 +8,8 @@
 namespace df::core {
 
 namespace {
-// Keep successive borrows 64-byte aligned relative to the block start so
-// arena tensors get the same cache-line behaviour as fresh heap buffers.
+// Blocks start on a cache line and every borrow is a whole number of lines,
+// so each arena tensor starts on a line, as a heap tensor does.
 constexpr size_t kAlignFloats = 16;
 
 thread_local Workspace* t_current = nullptr;
@@ -35,7 +35,7 @@ float* Workspace::alloc(int64_t n) {
     // logarithmic in the peak working set.
     const size_t size = std::max(next_block_floats_, need);
     Block b;
-    b.data = std::unique_ptr<float[]>(new float[size]);
+    b.data.reset(detail::CacheLineAllocator<float>().allocate(size));
     b.size = size;
     blocks_.push_back(std::move(b));
     next_block_floats_ = size * 2;
@@ -59,7 +59,7 @@ void Workspace::reserve(size_t floats) {
   // fit the donor's capacity fits this single block without straddling.
   const size_t size = round_up(std::max(floats, kAlignFloats), kAlignFloats);
   Block b;
-  b.data = std::unique_ptr<float[]>(new float[size]);
+  b.data.reset(detail::CacheLineAllocator<float>().allocate(size));
   b.size = size;
   blocks_.push_back(std::move(b));
   next_block_floats_ = size * 2;

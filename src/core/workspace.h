@@ -30,6 +30,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/tensor.h"
+
 namespace df::core {
 
 class Workspace {
@@ -125,7 +127,7 @@ class Workspace {
 
  private:
   struct Block {
-    std::unique_ptr<float[]> data;
+    std::unique_ptr<float[], detail::CacheLineAllocator<float>> data;
     size_t size = 0;
     size_t used = 0;
   };

@@ -16,14 +16,13 @@ namespace df::graph {
 
 namespace {
 
-// to[to_idx[e]] += from[from_idx[e]] per edge, rows of width `dim`. The
-// vector path runs whole 16-lane chunks and BLENDS the tail lanes through
-// unchanged (never adds 0.0f, which would flip a -0.0f), so it is bitwise
-// identical to the scalar loop; the one-lane-past-the-row traffic lands in
-// the 16-float slack every Tensor/Workspace allocation reserves.
+// to[to_idx[e]] += from[from_idx[e]] per edge, rows of width `dim`. Whole
+// 16-lane chunks run at once and the tail lanes BLEND through unchanged
+// (never adding 0.0f, which would flip a -0.0f), so every lane gets exactly
+// the per-element sums; the one-lane-past-the-row traffic lands in the
+// slack every Tensor/Workspace allocation reserves.
 void scatter_add_rows(const std::vector<int32_t>& from_idx, const std::vector<int32_t>& to_idx,
                       const float* from, float* to, int64_t dim) {
-#if defined(DF_SIMD_MATH_VECTOR)
   using core::simd::vf16;
   using core::simd::vi16;
   for (int64_t c0 = 0; c0 < dim; c0 += 16) {
@@ -40,13 +39,6 @@ void scatter_add_rows(const std::vector<int32_t>& from_idx, const std::vector<in
       std::memcpy(dst, &d, sizeof(d));
     }
   }
-#else
-  for (size_t e = 0; e < from_idx.size(); ++e) {
-    const float* src = from + from_idx[e] * dim;
-    float* dst = to + to_idx[e] * dim;
-    for (int64_t j = 0; j < dim; ++j) dst[j] += src[j];
-  }
-#endif
 }
 
 // Row i of `out` (stride ldo) = the sum, in CSR order, of the rows of `h`
@@ -57,7 +49,6 @@ void scatter_add_rows(const std::vector<int32_t>& from_idx, const std::vector<in
 // read up to 15 floats past `cols` (into the next row, or the 32-float
 // slack every Tensor/Workspace allocation reserves); only `cols` lanes of
 // a row are stored.
-#if defined(DF_SIMD_MATH_VECTOR)
 template <int NV>
 void aggregate_chunks(const int32_t* start, const int32_t* src, const float* h, int64_t ldh,
                       int64_t v0, int64_t rows, int64_t c0, int64_t cols, float* out,
@@ -80,11 +71,9 @@ void aggregate_chunks(const int32_t* start, const int32_t* src, const float* h, 
     }
   }
 }
-#endif
 
 void aggregate(const std::vector<int32_t>& start, const std::vector<int32_t>& src, const float* h,
                int64_t ldh, int64_t v0, int64_t rows, int64_t cols, float* out, int64_t ldo) {
-#if defined(DF_SIMD_MATH_VECTOR)
   // Up to four chunks per pass over a node's edges, one register
   // accumulator each.
   for (int64_t c0 = 0; c0 < cols; c0 += 64) {
@@ -95,23 +84,9 @@ void aggregate(const std::vector<int32_t>& start, const std::vector<int32_t>& sr
       default: aggregate_chunks<4>(start.data(), src.data(), h, ldh, v0, rows, c0, cols, out, ldo); break;
     }
   }
-#else
-  for (int64_t i = 0; i < rows; ++i) {
-    float* dst = out + i * ldo;
-    std::fill(dst, dst + cols, 0.0f);
-    for (int32_t e = start[v0 + i]; e < start[v0 + i + 1]; ++e) {
-      const float* s = h + src[e] * ldh;
-      for (int64_t j = 0; j < cols; ++j) dst[j] += s[j];
-    }
-  }
-#endif
 }
 
-#if defined(DF_SIMD_MATH_VECTOR)
 // ---- the fused eval step ----------------------------------------------------
-//
-// Built on the GNU vector extension; other compilers run eval through the
-// training path, which computes the same bits.
 //
 // Every GEMM of the step keeps sgemm's arithmetic: an element sums
 // a[p] * b[p] for p = 0..k-1 in order, one multiply-add at a time, within
@@ -327,8 +302,6 @@ void step_tile(const StepWeights& w, const std::vector<int32_t>& csr_start,
   }
 }
 
-#endif  // DF_SIMD_MATH_VECTOR
-
 }  // namespace
 
 GatedGraphConv::GatedGraphConv(int64_t dim, int64_t num_steps, core::Rng& rng)
@@ -348,7 +321,6 @@ Tensor GatedGraphConv::message(const Tensor& h) const {
   return agg.matmul(w_msg_.value);
 }
 
-#if defined(DF_SIMD_MATH_VECTOR)
 Tensor GatedGraphConv::propagate_eval(const Tensor& h0) const {
   const int64_t rows = h0.dim(0), d = dim_, L = (d + 15) / 16 * 16, T = kTileRows;
   const int64_t tiles = (rows + T - 1) / T;
@@ -382,7 +354,6 @@ Tensor GatedGraphConv::propagate_eval(const Tensor& h0) const {
   }
   return unpad_lanes(cur, d);
 }
-#endif
 
 void GatedGraphConv::build_csr(const EdgeList& edges, int64_t num_nodes) {
   if (edges.dst.size() != edges.src.size()) {
@@ -413,19 +384,15 @@ Tensor GatedGraphConv::forward(const Tensor& h0, const EdgeList& edges, bool tra
     throw std::invalid_argument("GatedGraphConv: bad state shape " + h0.shape_str());
   }
   build_csr(edges, h0.dim(0));
-#if defined(DF_SIMD_MATH_VECTOR)
   if (!training) return propagate_eval(h0);
-#endif
-  if (training) {
-    h_states_.clear();
-    edges_ = &edges;
-    gru_.clear_frames();
-  }
+  h_states_.clear();
+  edges_ = &edges;
+  gru_.clear_frames();
   Tensor h = h0;
   for (int64_t k = 0; k < steps_; ++k) {
-    if (training) h_states_.push_back(h);
+    h_states_.push_back(h);
     Tensor m = message(h);
-    h = gru_.forward(m, h, training);
+    h = gru_.forward(m, h, /*training=*/true);
   }
   return h;
 }

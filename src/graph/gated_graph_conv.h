@@ -13,8 +13,7 @@
 // (N, round_up(dim, 16)) buffers taken once per forward, the weights are
 // packed per forward (nothing is cached between forwards), and tiles fan
 // out over an installed compute pool. Every element keeps training's
-// arithmetic and order, so eval is bitwise equal to training. (Compilers
-// without the GNU vector extension run eval through the training path.)
+// arithmetic and order, so eval is bitwise equal to training.
 #pragma once
 
 #include <vector>

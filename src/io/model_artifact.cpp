@@ -5,11 +5,9 @@
 #include <filesystem>
 #include <fstream>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
-#endif
 
 namespace df::io {
 
@@ -41,9 +39,8 @@ std::array<uint32_t, 256> make_crc_table() {
 // Flush `path` (a file or a directory) to stable storage. An atomic-rename
 // commit is only durable once BOTH the renamed file's bytes and the parent
 // directory entry are synced — rename alone survives a crash of the process
-// but not of the machine. No-op on platforms without fsync.
+// but not of the machine.
 void fsync_path(const std::string& path, bool required) {
-#if defined(__unix__) || defined(__APPLE__)
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     if (required)
@@ -56,10 +53,6 @@ void fsync_path(const std::string& path, bool required) {
   // platform's durability ceiling, not a failed save.
   if (rc != 0 && required)
     throw H5LiteError(H5LiteError::Kind::Open, "artifact: fsync failed: " + path);
-#else
-  (void)path;
-  (void)required;
-#endif
 }
 
 }  // namespace
@@ -175,7 +168,6 @@ std::shared_ptr<ArtifactReader> ArtifactReader::open(const std::string& path) {
   std::shared_ptr<ArtifactReader> r(new ArtifactReader());
   r->path_ = path;
 
-#if defined(__unix__) || defined(__APPLE__)
   {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
@@ -191,7 +183,6 @@ std::shared_ptr<ArtifactReader> ArtifactReader::open(const std::string& path) {
     }
     ::close(fd);
   }
-#endif
   if (!r->mapped_) {
     std::ifstream f(path, std::ios::binary | std::ios::ate);
     if (!f) throw H5LiteError(H5LiteError::Kind::Open, "artifact: cannot open: " + path);
@@ -293,9 +284,7 @@ std::shared_ptr<ArtifactReader> ArtifactReader::open(const std::string& path) {
 }
 
 ArtifactReader::~ArtifactReader() {
-#if defined(__unix__) || defined(__APPLE__)
   if (mapped_ && data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
-#endif
 }
 
 const ArtifactSection& ArtifactReader::section(const std::string& name) const {

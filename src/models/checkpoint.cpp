@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "io/model_artifact.h"
 
@@ -10,33 +12,63 @@ namespace df::models {
 
 namespace {
 
+// "p<i>" for parameter i, "s<i>" for running statistic i. Built by append:
+// GCC 12 misreports `"p" + std::to_string(i)` under -Wrestrict.
+std::string section_name(char prefix, size_t i) {
+  std::string name(1, prefix);
+  name += std::to_string(i);
+  return name;
+}
+
 void put_params(io::ArtifactWriter& w, Regressor& model) {
-  const std::vector<nn::Parameter*> params = model.trainable_parameters();
-  w.add_scalar("meta", static_cast<int64_t>(params.size()));
-  for (size_t i = 0; i < params.size(); ++i) {
-    w.add_floats("p" + std::to_string(i), params[i]->value.shape(), params[i]->value.data());
+  TrainedState st;
+  model.collect_trained(st);
+  w.add_scalar("meta", static_cast<int64_t>(st.params.size()));
+  for (size_t i = 0; i < st.params.size(); ++i) {
+    w.add_floats(section_name('p', i), st.params[i]->value.shape(), st.params[i]->value.data());
+  }
+  for (size_t i = 0; i < st.stats.size(); ++i) {
+    w.add_floats(section_name('s', i), st.stats[i]->shape(), st.stats[i]->data());
   }
 }
 
-/// Copy section `name` into `t`. A section of another shape belongs to a
-/// differently built model (std::runtime_error); one of another dtype is
-/// damage (io::H5LiteError Format, from the sized read).
-void get_tensor(const io::ArtifactReader& r, const std::string& name, core::Tensor& t) {
-  if (r.section(name).dims != t.shape()) {
-    throw std::runtime_error("checkpoint: shape mismatch at " + name + " in " + r.path());
-  }
-  std::memcpy(t.data(), r.floats(name, t.numel()), static_cast<size_t>(t.numel()) * sizeof(float));
-}
+/// Sections checked against the tensors they restore, copied only once all
+/// have passed, so a refused file leaves model and optimizer untouched.
+class Restore {
+ public:
+  explicit Restore(const io::ArtifactReader& r) : r_(r) {}
 
-void get_params(const io::ArtifactReader& r, Regressor& model) {
-  const std::vector<nn::Parameter*> params = model.trainable_parameters();
-  if (r.scalar("meta") != static_cast<int64_t>(params.size())) {
-    throw std::runtime_error("load_checkpoint: parameter count mismatch in " + r.path());
+  /// Queue section `name` for `t`. A section of another shape belongs to a
+  /// differently built model (std::runtime_error); a missing one, or one of
+  /// another dtype, is damage (io::H5LiteError Format).
+  void add(const std::string& name, core::Tensor& t) {
+    if (r_.section(name).dims != t.shape()) {
+      throw std::runtime_error("checkpoint: shape mismatch at " + name + " in " + r_.path());
+    }
+    pending_.emplace_back(&t, r_.floats(name, t.numel()));
   }
-  for (size_t i = 0; i < params.size(); ++i) {
-    get_tensor(r, "p" + std::to_string(i), params[i]->value);
+
+  /// The model's parameters and, if it has any, its running statistics.
+  void add_model(Regressor& model) {
+    TrainedState st;
+    model.collect_trained(st);
+    if (r_.scalar("meta") != static_cast<int64_t>(st.params.size())) {
+      throw std::runtime_error("load_checkpoint: parameter count mismatch in " + r_.path());
+    }
+    for (size_t i = 0; i < st.params.size(); ++i) add(section_name('p', i), st.params[i]->value);
+    for (size_t i = 0; i < st.stats.size(); ++i) add(section_name('s', i), *st.stats[i]);
   }
-}
+
+  void commit() {
+    for (const auto& [t, src] : pending_) {
+      std::memcpy(t->data(), src, static_cast<size_t>(t->numel()) * sizeof(float));
+    }
+  }
+
+ private:
+  const io::ArtifactReader& r_;
+  std::vector<std::pair<core::Tensor*, const float*>> pending_;
+};
 
 }  // namespace
 
@@ -49,7 +81,10 @@ void save_checkpoint(Regressor& model, const std::string& path) {
 }
 
 void load_checkpoint(Regressor& model, const std::string& path) {
-  get_params(*io::ArtifactReader::open(path), model);
+  const auto image = io::ArtifactReader::open(path);
+  Restore restore(*image);
+  restore.add_model(model);
+  restore.commit();
 }
 
 void save_train_checkpoint(Regressor& model, nn::Optimizer& opt, const TrainProgress& progress,
@@ -158,14 +193,16 @@ TrainProgress load_train_checkpoint(Regressor& model, nn::Optimizer& opt,
   p.best_val_mse = r.floats("train/best", 1)[0];
   p.best_epoch = r.scalar("train/best_epoch");
 
-  get_params(r, model);
+  Restore restore(r);
+  restore.add_model(model);
   const nn::OptimizerState st = opt.state();
   for (const auto& [slot, tensors] : st.slots) {
     for (size_t i = 0; i < tensors.size(); ++i) {
-      get_tensor(r, "opt/" + slot + "/" + std::to_string(i), *tensors[i]);
+      restore.add("opt/" + slot + "/" + std::to_string(i), *tensors[i]);
     }
   }
   const int64_t* scalar_values = r.ints("opt/scalars", static_cast<int64_t>(st.scalars.size()));
+  restore.commit();
   for (size_t i = 0; i < st.scalars.size(); ++i) *st.scalars[i].second = scalar_values[i];
   return p;
 }

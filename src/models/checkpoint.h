@@ -1,6 +1,7 @@
-// Model checkpointing: serialize a Regressor's trainable parameters to the
-// repository's one on-disk container (io/model_artifact.h) and restore them
-// into a structurally identical model.
+// Model checkpointing: serialize a Regressor's trainable parameters, and its
+// BatchNorm running statistics if it has any, to the repository's one
+// on-disk container (io/model_artifact.h) and restore them into a
+// structurally identical model.
 // This is what Ray Tune's PB2 exploitation does with checkpoints (§3.2) and
 // what lets a screening deployment ship one trained weight file to every
 // rank instead of re-training per process.
@@ -29,12 +30,17 @@ namespace df::models {
 /// Atomically write all trainable parameters (values only, not optimizer
 /// state) to `path`. Section names are "p<index>" in trainable_parameters()
 /// order, plus a "meta" scalar holding the parameter count for validation.
+/// A model with running statistics (TrainedState::stats, i.e. BatchNorm)
+/// adds them as "s<index>"; a model without writes no such section.
 void save_checkpoint(Regressor& model, const std::string& path);
 
-/// Load parameters saved by save_checkpoint into `model`. Throws
-/// io::H5LiteError on damage (Format for a missing section or one of the
-/// wrong dtype or size) and std::runtime_error if the file does not match
-/// the model's structure (parameter count or any shape differs).
+/// Load parameters, and running statistics if the model has any, saved by
+/// save_checkpoint into `model`. Throws io::H5LiteError on damage (Format
+/// for a missing section or one of the wrong dtype or size — so a
+/// BatchNorm model refuses a file without its statistics) and
+/// std::runtime_error if the file does not match the model's structure
+/// (parameter count or any shape differs). Every section is checked before
+/// any is copied, so a refused file leaves the model untouched.
 void load_checkpoint(Regressor& model, const std::string& path);
 
 /// Everything beyond the weights that a resumed train_model needs.
@@ -69,11 +75,11 @@ void save_train_checkpoint(Regressor& model, nn::Optimizer& opt, const TrainProg
 /// Restore weights into `model` and state into `opt`; returns the saved
 /// progress. Throws io::H5LiteError on damage (as load_checkpoint; a
 /// weights-only file lacks the train sections) and std::runtime_error when
-/// the file does not match the model/optimizer structure. When
-/// `expected_geometry` is given, its guard fields (seed, optimizer kind,
-/// batch size, grad shards, dataset sizes, lr, grad clip) are validated
-/// against the file BEFORE anything is restored, so a mismatch throw
-/// leaves model and optimizer untouched rather than half-overwritten.
+/// the file does not match the model/optimizer structure; every section is
+/// checked before any is copied, so any refusal leaves model and optimizer
+/// untouched rather than half-overwritten. When `expected_geometry` is
+/// given, its guard fields (seed, optimizer kind, batch size, grad shards,
+/// dataset sizes, lr, grad clip) are validated against the file first.
 /// Its `epoch` field is an upper bound, not an equality check: a cursor
 /// past it (a stale longer run's checkpoint) is rejected, while a smaller
 /// cursor resumes normally — so training can be extended by rerunning

@@ -115,11 +115,9 @@ std::vector<float> Cnn3d::predict_batch(const std::vector<const data::Sample*>& 
   return preds;
 }
 
-std::vector<nn::Parameter*> Cnn3d::trainable_parameters() {
-  std::vector<nn::Parameter*> out;
-  trunk_.collect_parameters(out);
-  out_->collect_parameters(out);
-  return out;
+void Cnn3d::collect_trained(TrainedState& s) {
+  s.add(trunk_);
+  s.add(*out_);
 }
 
 void Cnn3d::set_training(bool t) {

@@ -39,7 +39,7 @@ class Cnn3d : public Regressor {
   void backward(float grad_pred) override;
   float predict(const data::Sample& s) override;
   std::vector<float> predict_batch(const std::vector<const data::Sample*>& batch) override;
-  std::vector<nn::Parameter*> trainable_parameters() override;
+  void collect_trained(TrainedState& s) override;
   void set_training(bool t) override;
   std::string name() const override { return "3D-CNN"; }
 

@@ -138,16 +138,14 @@ void FusionModel::backward(float grad_pred) {
   // Mid-level fusion: heads stay frozen; the latent gradient stops here.
 }
 
-std::vector<nn::Parameter*> FusionModel::trainable_parameters() {
-  std::vector<nn::Parameter*> p;
-  fusion_.collect_parameters(p);
-  if (ms_cnn_) ms_cnn_->collect_parameters(p);
-  if (ms_sg_) ms_sg_->collect_parameters(p);
+void FusionModel::collect_trained(TrainedState& s) {
+  s.add(fusion_);
+  if (ms_cnn_) s.add(*ms_cnn_);
+  if (ms_sg_) s.add(*ms_sg_);
   if (cfg_.kind == FusionKind::Coherent) {
-    for (nn::Parameter* hp : cnn_->trainable_parameters()) p.push_back(hp);
-    for (nn::Parameter* hp : sg_->trainable_parameters()) p.push_back(hp);
+    cnn_->collect_trained(s);
+    sg_->collect_trained(s);
   }
-  return p;
 }
 
 void FusionModel::set_training(bool t) {

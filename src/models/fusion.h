@@ -53,7 +53,7 @@ class LateFusion : public Regressor {
     for (size_t i = 0; i < c.size(); ++i) c[i] = 0.5f * (c[i] + s[i]);
     return c;
   }
-  std::vector<nn::Parameter*> trainable_parameters() override { return {}; }
+  void collect_trained(TrainedState&) override {}
   void set_training(bool t) override {
     cnn_->set_training(t);
     sg_->set_training(t);
@@ -82,7 +82,7 @@ class FusionModel : public Regressor {
   /// forward (graph::PackedGraphBatch) and one fusion trunk forward per
   /// batch — bitwise identical to per-pose predict.
   std::vector<float> predict_batch(const std::vector<const data::Sample*>& batch) override;
-  std::vector<nn::Parameter*> trainable_parameters() override;
+  void collect_trained(TrainedState& s) override;
   void set_training(bool t) override;
   std::string name() const override { return fusion_name(cfg_.kind); }
 

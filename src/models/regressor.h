@@ -15,6 +15,20 @@
 
 namespace df::models {
 
+/// One walk over the modules a model trains, in a fixed order: what the
+/// optimizer updates (`params`) and what the eval forward reads besides
+/// (`stats`, nn::Module::collect_statistics: BatchNorm's running mean and
+/// variance). Checkpoints and copy_parameters carry both lists, which come
+/// from the same modules since one walk yields them.
+struct TrainedState {
+  std::vector<nn::Parameter*> params;
+  std::vector<core::Tensor*> stats;
+  void add(nn::Module& m) {
+    m.collect_parameters(params);
+    m.collect_statistics(stats);
+  }
+};
+
 // Replica contract: the eval path is NOT const and NOT thread-safe. Even in
 // eval mode, predict()/predict_batch() route through the layer stack's
 // forward(), which rewrites per-layer activation caches in place — two
@@ -53,8 +67,14 @@ class Regressor {
     return out;
   }
 
+  /// Add the modules the optimizer trains to `s`, in a fixed order.
+  virtual void collect_trained(TrainedState& s) = 0;
   /// Parameters the optimizer should update.
-  virtual std::vector<nn::Parameter*> trainable_parameters() = 0;
+  std::vector<nn::Parameter*> trainable_parameters() {
+    TrainedState s;
+    collect_trained(s);
+    return std::move(s.params);
+  }
   virtual void set_training(bool t) = 0;
   virtual std::string name() const = 0;
 

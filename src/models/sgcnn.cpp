@@ -104,16 +104,14 @@ float Sgcnn::predict(const data::Sample& s) {
   return out_->forward(z)[0];
 }
 
-std::vector<nn::Parameter*> Sgcnn::trainable_parameters() {
-  std::vector<nn::Parameter*> p;
-  embed_->collect_parameters(p);
-  cov_->collect_parameters(p);
-  noncov_->collect_parameters(p);
-  gather_->collect_parameters(p);
-  dense1_->collect_parameters(p);
-  dense2_->collect_parameters(p);
-  out_->collect_parameters(p);
-  return p;
+void Sgcnn::collect_trained(TrainedState& s) {
+  s.add(*embed_);
+  cov_->collect_parameters(s.params);  // the graph layers hold no statistics
+  noncov_->collect_parameters(s.params);
+  gather_->collect_parameters(s.params);
+  s.add(*dense1_);
+  s.add(*dense2_);
+  s.add(*out_);
 }
 
 void Sgcnn::set_training(bool t) {

@@ -34,7 +34,7 @@ class Sgcnn : public Regressor {
   /// wide graph forward (graph::PackedGraphBatch) — bitwise identical to
   /// per-pose predict.
   std::vector<float> predict_batch(const std::vector<const data::Sample*>& batch) override;
-  std::vector<nn::Parameter*> trainable_parameters() override;
+  void collect_trained(TrainedState& s) override;
   void set_training(bool t) override;
   std::string name() const override { return "SG-CNN"; }
 

@@ -30,14 +30,19 @@ void clip_grad_norm(const std::vector<nn::Parameter*>& params, float max_norm) {
 }
 
 void copy_parameters(Regressor& dst, Regressor& src) {
-  const std::vector<nn::Parameter*> d = dst.trainable_parameters();
-  const std::vector<nn::Parameter*> s = src.trainable_parameters();
-  if (d.size() != s.size()) {
+  TrainedState d, s;
+  dst.collect_trained(d);
+  src.collect_trained(s);
+  if (d.params.size() != s.params.size() || d.stats.size() != s.stats.size()) {
     throw std::invalid_argument("copy_parameters: models are not structurally identical");
   }
-  for (size_t i = 0; i < d.size(); ++i) {
-    core::check_same_shape(d[i]->value, s[i]->value, "copy_parameters");
-    d[i]->value = s[i]->value;
+  for (size_t i = 0; i < d.params.size(); ++i) {
+    core::check_same_shape(d.params[i]->value, s.params[i]->value, "copy_parameters");
+    d.params[i]->value = s.params[i]->value;
+  }
+  for (size_t i = 0; i < d.stats.size(); ++i) {
+    core::check_same_shape(*d.stats[i], *s.stats[i], "copy_parameters");
+    *d.stats[i] = *s.stats[i];
   }
 }
 

@@ -121,8 +121,9 @@ float validation_mse(Regressor& model, const data::ComplexDataset& ds);
 /// Clip the global gradient norm of `params` to `max_norm`.
 void clip_grad_norm(const std::vector<nn::Parameter*>& params, float max_norm);
 
-/// Copy parameter values from `src` into `dst` (models must be structurally
-/// identical, e.g. built from the same config). Used by PB2's exploitation
+/// Copy parameter values, and running statistics (TrainedState::stats),
+/// from `src` into `dst` (models must be structurally identical, e.g.
+/// built from the same config). Used by PB2's exploitation
 /// clones, by screening jobs to replicate a trained model across ranks, and
 /// by the training engine to broadcast post-step parameters to its lanes.
 void copy_parameters(Regressor& dst, Regressor& src);

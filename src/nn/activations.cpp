@@ -51,7 +51,6 @@ Tensor SELU::forward(const Tensor& x) {
   const float* in = x.data();
   float* out = y.data();
   const int64_t n = x.numel();
-#if defined(DF_SIMD_MATH_VECTOR)
   using core::simd::vf16;
   int64_t i = 0;
   for (; i + 16 <= n; i += 16) {
@@ -69,9 +68,6 @@ Tensor SELU::forward(const Tensor& x) {
     std::memcpy(buf, &v, sizeof(v));
     std::memcpy(out + i, buf, static_cast<size_t>(n - i) * sizeof(float));
   }
-#else
-  for (int64_t i = 0; i < n; ++i) out[i] = core::simd::selu_scalar(in[i], kScale, kAlpha);
-#endif
   return y;
 }
 

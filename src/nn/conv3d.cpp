@@ -120,11 +120,6 @@ void transpose_block(const float* src, int64_t lds, int64_t rows, int64_t cols, 
 #endif
 }
 
-// `p` moved up to the next 64-byte cache line: at most 15 floats on.
-float* cache_line(float* p) {
-  return reinterpret_cast<float*>((reinterpret_cast<uintptr_t>(p) + 63) & ~uintptr_t{63});
-}
-
 // Wᵀ of a (cout, K) weight as a (K, L) row image, zero past cout.
 void pack_wt(const float* w, int64_t cout, int64_t K, int64_t L, float* out) {
   for (int64_t c0 = 0; c0 < L; c0 += 16)
@@ -219,15 +214,12 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
 
   // B operand: Wᵀ as a (K, L) row image, zero past cout, packed for this
   // forward (in the replica arena when one is bound, released when the
-  // layer returns). The image starts on a cache line: the row pass streams
-  // it in whole 16-lane vectors, and off a line boundary every one of those
-  // loads straddles two lines.
+  // layer returns).
   const int64_t K = cin_ * k_ * k_ * k_, L = round_lanes(cout_);
   std::optional<core::Workspace::Scope> release;
   if (core::Workspace* ws = core::Workspace::current()) release.emplace(*ws);
-  Tensor wt_buf = Tensor::uninit({K * L + 15});
-  float* wt = cache_line(wt_buf.data());
-  pack_wt(w_.value.data(), cout_, K, L, wt);
+  Tensor wt = Tensor::uninit({K * L});
+  pack_wt(w_.value.data(), cout_, K, L, wt.data());
   // The GEMM's columns are the output channels, so the conv bias is a
   // column bias; it and the optional activation ride the fused epilogue.
   core::Epilogue ep;
@@ -254,8 +246,8 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
     for (int64_t c = 0; c < gb * cin_; ++c)
       pad_channel(in + (b0 * cin_ + c) * chan_in, xp + c * l.padded);
     float* res = xp + gb * sample;
-    core::sgemm_indirect(gb * N, cout_, K, xp, l.row_off.data(), l.k_off.data(), wt, L, res, L,
-                         &ep);
+    core::sgemm_indirect(gb * N, cout_, K, xp, l.row_off.data(), l.k_off.data(), wt.data(), L,
+                         res, L, &ep);
     for (int64_t s = 0; s < gb; ++s)
       for (int64_t c0 = 0; c0 < cout_; c0 += 16)
         for (int64_t n0 = 0; n0 < N; n0 += 16) {

@@ -44,6 +44,11 @@ class Module {
     collect_parameters(out);
     return out;
   }
+  /// Append this module's (and children's) running statistics: tensors the
+  /// eval forward reads that the optimizer does not train (BatchNorm's
+  /// running mean and variance). Checkpoints and copy_parameters carry them
+  /// beside the parameters.
+  virtual void collect_statistics(std::vector<Tensor*>& out) { (void)out; }
 
   virtual void set_training(bool t) { training_ = t; }
   bool training() const { return training_; }

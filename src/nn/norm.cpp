@@ -5,86 +5,6 @@
 
 namespace df::nn {
 
-BatchNorm1d::BatchNorm1d(int64_t features, float momentum, float eps)
-    : f_(features), momentum_(momentum), eps_(eps),
-      gamma_(Tensor::ones({features}), "bn1d.gamma"),
-      beta_(Tensor::zeros({features}), "bn1d.beta"),
-      running_mean_(Tensor::zeros({features})), running_var_(Tensor::ones({features})) {}
-
-Tensor BatchNorm1d::forward(const Tensor& x) {
-  if (x.ndim() != 2 || x.dim(1) != f_) {
-    throw std::invalid_argument("BatchNorm1d: bad input " + x.shape_str());
-  }
-  const int64_t B = x.dim(0);
-  Tensor out = Tensor::uninit(x.shape());
-  if (training_) {
-    xhat_ = Tensor(x.shape());
-    invstd_.assign(static_cast<size_t>(f_), 0.0f);
-    for (int64_t j = 0; j < f_; ++j) {
-      double mean = 0.0, var = 0.0;
-      for (int64_t i = 0; i < B; ++i) mean += x.at(i, j);
-      mean /= B;
-      for (int64_t i = 0; i < B; ++i) {
-        const double d = x.at(i, j) - mean;
-        var += d * d;
-      }
-      var /= B;
-      const float is = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      invstd_[static_cast<size_t>(j)] = is;
-      for (int64_t i = 0; i < B; ++i) {
-        const float xh = (x.at(i, j) - static_cast<float>(mean)) * is;
-        xhat_.at(i, j) = xh;
-        out.at(i, j) = gamma_.value[j] * xh + beta_.value[j];
-      }
-      running_mean_[j] = (1 - momentum_) * running_mean_[j] + momentum_ * static_cast<float>(mean);
-      running_var_[j] = (1 - momentum_) * running_var_[j] + momentum_ * static_cast<float>(var);
-    }
-  } else {
-    // Inference: per-feature inv-std hoisted once, then contiguous row
-    // sweeps (the output tensor itself comes from the bound workspace on
-    // the serving path). Element math is unchanged — bitwise identical to
-    // the training-shaped column loop.
-    static thread_local std::vector<float> is;
-    is.resize(static_cast<size_t>(f_));
-    for (int64_t j = 0; j < f_; ++j) is[static_cast<size_t>(j)] = 1.0f / std::sqrt(running_var_[j] + eps_);
-    for (int64_t i = 0; i < B; ++i) {
-      const float* xr = x.data() + i * f_;
-      float* orow = out.data() + i * f_;
-      for (int64_t j = 0; j < f_; ++j) {
-        orow[j] = gamma_.value[j] * (xr[j] - running_mean_[j]) * is[static_cast<size_t>(j)] +
-                  beta_.value[j];
-      }
-    }
-  }
-  return out;
-}
-
-Tensor BatchNorm1d::backward(const Tensor& grad_out) {
-  const int64_t B = grad_out.dim(0);
-  Tensor grad_in(grad_out.shape());
-  for (int64_t j = 0; j < f_; ++j) {
-    double sum_g = 0.0, sum_gx = 0.0;
-    for (int64_t i = 0; i < B; ++i) {
-      sum_g += grad_out.at(i, j);
-      sum_gx += grad_out.at(i, j) * xhat_.at(i, j);
-      gamma_.grad[j] += grad_out.at(i, j) * xhat_.at(i, j);
-      beta_.grad[j] += grad_out.at(i, j);
-    }
-    const float g = gamma_.value[j], is = invstd_[static_cast<size_t>(j)];
-    for (int64_t i = 0; i < B; ++i) {
-      grad_in.at(i, j) = g * is / static_cast<float>(B) *
-                         (static_cast<float>(B) * grad_out.at(i, j) - static_cast<float>(sum_g) -
-                          xhat_.at(i, j) * static_cast<float>(sum_gx));
-    }
-  }
-  return grad_in;
-}
-
-void BatchNorm1d::collect_parameters(std::vector<Parameter*>& out) {
-  out.push_back(&gamma_);
-  out.push_back(&beta_);
-}
-
 BatchNorm3d::BatchNorm3d(int64_t channels, float momentum, float eps)
     : c_(channels), momentum_(momentum), eps_(eps),
       gamma_(Tensor::ones({channels}), "bn3d.gamma"),
@@ -183,6 +103,11 @@ Tensor BatchNorm3d::backward(const Tensor& grad_out) {
 void BatchNorm3d::collect_parameters(std::vector<Parameter*>& out) {
   out.push_back(&gamma_);
   out.push_back(&beta_);
+}
+
+void BatchNorm3d::collect_statistics(std::vector<Tensor*>& out) {
+  out.push_back(&running_mean_);
+  out.push_back(&running_var_);
 }
 
 }  // namespace df::nn

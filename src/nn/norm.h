@@ -1,40 +1,13 @@
 // Batch normalization — a T/F choice in the paper's PB2 search (Table 1;
 // every optimized model ultimately turned it off, which our HPO bench also
-// tends to find on the synthetic data). BatchNorm1d normalizes (B, F) per
-// feature, BatchNorm3d normalizes (B, C, D, H, W) per channel.
+// tends to find on the synthetic data). The one kind a model builds is
+// BatchNorm3d, which normalizes (B, C, D, H, W) per channel directly after
+// a Conv3d (models/cnn3d.cpp).
 #pragma once
 
 #include "nn/module.h"
 
 namespace df::nn {
-
-class BatchNorm1d : public Module {
- public:
-  explicit BatchNorm1d(int64_t features, float momentum = 0.1f, float eps = 1e-5f);
-
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
-
-  // Folding surface for the model compiler: the eval transform is the
-  // per-feature affine x -> gamma*(x-mean)*invstd + beta, fully determined
-  // by these five values.
-  int64_t features() const { return f_; }
-  float eps() const { return eps_; }
-  Parameter& gamma() { return gamma_; }
-  Parameter& beta() { return beta_; }
-  const Tensor& running_mean() const { return running_mean_; }
-  const Tensor& running_var() const { return running_var_; }
-
- private:
-  int64_t f_;
-  float momentum_, eps_;
-  Parameter gamma_, beta_;
-  Tensor running_mean_, running_var_;
-  // caches
-  Tensor xhat_;
-  std::vector<float> invstd_;
-};
 
 class BatchNorm3d : public Module {
  public:
@@ -43,6 +16,7 @@ class BatchNorm3d : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
+  void collect_statistics(std::vector<Tensor*>& out) override;
 
   // Folding surface for the model compiler (per-channel affine at eval).
   int64_t channels() const { return c_; }

@@ -30,6 +30,9 @@ class Residual : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override {
     inner_->collect_parameters(out);
   }
+  void collect_statistics(std::vector<Tensor*>& out) override {
+    inner_->collect_statistics(out);
+  }
   /// The wrapped block — the model compiler recurses through it.
   Module& inner() { return *inner_; }
   void set_training(bool t) override {

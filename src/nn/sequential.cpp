@@ -63,6 +63,10 @@ void Sequential::collect_parameters(std::vector<Parameter*>& out) {
   for (auto& l : layers_) l->collect_parameters(out);
 }
 
+void Sequential::collect_statistics(std::vector<Tensor*>& out) {
+  for (auto& l : layers_) l->collect_statistics(out);
+}
+
 void Sequential::set_training(bool t) {
   Module::set_training(t);
   for (auto& l : layers_) l->set_training(t);

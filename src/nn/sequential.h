@@ -37,6 +37,7 @@ class Sequential : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
+  void collect_statistics(std::vector<Tensor*>& out) override;
   void set_training(bool t) override;
 
   size_t size() const { return layers_.size(); }

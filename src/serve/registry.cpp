@@ -72,11 +72,13 @@ void add_regressor(ModelRegistry& registry, const std::string& name,
 void add_compiled(ModelRegistry& registry, const std::string& name,
                   const std::string& artifact_path, const chem::VoxelConfig& voxel,
                   const chem::GraphFeaturizerConfig& graph) {
-  // Open once, eagerly: registration fails fast on a missing, damaged or
-  // stale-schema artifact, or one with a negative workspace budget, and all
-  // replicas share the one validated mapping.
+  // Open and restore once, eagerly, discarding the model: registration
+  // fails fast on any artifact load_compiled would refuse (missing,
+  // damaged, stale schema, a budget negative or too large to allocate, or
+  // parameters that do not fit the model), and all replicas share the one
+  // validated mapping.
   std::shared_ptr<io::ArtifactReader> image = io::ArtifactReader::open(artifact_path);
-  compile::check_compiled_schema(*image);
+  compile::load_compiled(image);
   // The artifact records the featurization contract the model was trained
   // against; a replica featurizing with a different version would silently
   // feed the net features it has never seen. Fail at registration, not at

@@ -66,12 +66,13 @@ void add_regressor(ModelRegistry& registry, const std::string& name,
                    const chem::GraphFeaturizerConfig& graph = {});
 
 /// Register a scorer served from a compiled-model artifact
-/// (compile::save_compiled). The artifact is opened and validated once,
-/// eagerly — a missing or damaged file, or one whose compiled schema or
-/// workspace budgets load_compiled would refuse
-/// (compile::check_compiled_schema), fails registration with
-/// io::H5LiteError, not the first request — and the mapping is shared by
-/// every replica the factory mints: each replica copies its folded
+/// (compile::save_compiled). The artifact is opened and restored once,
+/// eagerly — any artifact compile::load_compiled would refuse (a missing
+/// or damaged file, a stale schema, a workspace budget that is negative or
+/// too large to allocate, or a family, config or parameters that do not
+/// fit the model it rebuilds) fails registration with io::H5LiteError, not
+/// the first request — and the mapping is shared by every replica the
+/// factory mints: each replica copies its folded
 /// parameters out of the common mmap and owns them. Replicas pre-grow their
 /// workspace arenas to the budgets recorded in the artifact, so the
 /// cold-start path skips checkpoint loading, BatchNorm folding, conv-plan

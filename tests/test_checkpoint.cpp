@@ -138,6 +138,77 @@ void rewrite_checkpoint(
   w.save(dst);
 }
 
+TEST(Checkpoint, BatchNormStatisticsTravelWithCheckpointsAndCopies) {
+  // Training forwards move BatchNorm's running statistics, which the eval
+  // forward reads but the optimizer does not train. A checkpoint and a
+  // copy_parameters clone carry them, so both predict bitwise like the
+  // trained model; a BatchNorm checkpoint without them is damage.
+  Cnn3dConfig cc;
+  cc.grid_dim = 8;
+  cc.conv_filters1 = 4;
+  cc.conv_filters2 = 8;
+  cc.dense_nodes = 16;
+  cc.batch_norm = true;
+  Rng rng(11);
+  Cnn3d trained(cc, rng);
+  Rng srng(12);
+  for (int i = 0; i < 5; ++i) {
+    trained.forward_train(sample(srng));
+    trained.backward(0.1f);
+  }
+  const data::Sample s = sample(srng);
+  const float want = trained.predict(s);
+
+  const std::string path = tmp("df_ckpt_bn.dfca");
+  const std::string bad = tmp("df_ckpt_bn_bad.dfca");
+  save_checkpoint(trained, path);
+  Rng rng2(13);  // different weights
+  Cnn3d restored(cc, rng2), clone(cc, rng2);
+  load_checkpoint(restored, path);
+  EXPECT_EQ(restored.predict(s), want);
+  copy_parameters(clone, trained);
+  EXPECT_EQ(clone.predict(s), want);
+
+  // A weight or train checkpoint without a statistic is refused, and the
+  // refusal leaves the model as it was: neither its weights nor its
+  // statistics are half-overwritten.
+  const std::string train_path = tmp("df_ckpt_bn_train.ckpt");
+  auto opt = nn::make_optimizer(nn::OptimizerKind::kAdam, trained.trainable_parameters(), 1e-3f);
+  TrainProgress progress;
+  progress.train_mse = {1.0f};
+  progress.val_mse = {1.5f};
+  save_train_checkpoint(trained, *opt, progress, train_path);
+  Rng rng3(14);
+  Cnn3d other(cc, rng3);
+  auto other_opt =
+      nn::make_optimizer(nn::OptimizerKind::kAdam, other.trainable_parameters(), 1e-3f);
+  const float before = other.predict(s);
+  for (const char* stat : {"s0", "s3"}) {
+    for (const bool train : {false, true}) {
+      rewrite_checkpoint(train ? train_path : path, bad, stat, [](const auto&, auto&) {});
+      try {
+        if (train) {
+          load_train_checkpoint(other, *other_opt, bad);
+        } else {
+          load_checkpoint(other, bad);
+        }
+        ADD_FAILURE() << (train ? "train " : "") << "checkpoint without " << stat
+                      << " not rejected";
+      } catch (const io::H5LiteError& e) {
+        EXPECT_EQ(e.kind(), io::H5LiteError::Kind::Format) << stat;
+      }
+      EXPECT_EQ(other.predict(s), before) << (train ? "train " : "") << stat;
+    }
+  }
+
+  // A model without BatchNorm writes no statistics section.
+  cc.batch_norm = false;
+  Cnn3d plain(cc, rng);
+  save_checkpoint(plain, bad);
+  EXPECT_FALSE(io::ArtifactReader::open(bad)->has("s0"));
+  for (const std::string& p : {path, train_path, bad}) std::filesystem::remove(p);
+}
+
 TEST(Checkpoint, MalformedSectionsAreTypedFormatErrors) {
   // A CRC-valid file whose sections are mistyped, short, missing or of the
   // wrong rank is damage: io::H5LiteError Format, never a

@@ -4,9 +4,9 @@
 //   * the compiled-artifact container round-trips golden sections, rejects
 //     version mismatches and CRC corruption with typed errors and no
 //     partial load, load_compiled rejects a family, parameter count or
-//     parameter shape that does not fit the model and a negative workspace
-//     budget, and add_compiled refuses a stale compiled schema or a negative
-//     budget at registration,
+//     parameter shape that does not fit the model and a workspace budget
+//     that is negative or too large to allocate, and add_compiled refuses
+//     each of those, and a stale compiled schema, at registration,
 //   * for all four model families, a RegressorScorer replica restored from
 //     a compiled artifact scores bitwise identically to an h5-checkpoint-
 //     loaded replica, with zero tensor heap allocations and zero arena
@@ -380,8 +380,14 @@ TEST(CompiledArtifact, SectionsThatDoNotFitTheModelRejectedTyped) {
       EXPECT_EQ(e.kind(), io::H5LiteError::Kind::Format) << what;
     }
   };
+  // Each misfit fails the load and already the registration, which leaves
+  // no entry behind.
   const auto expect_load_format = [&](const std::string& what) {
     expect_format(what, [&] { compile::load_compiled(bad); });
+    serve::ModelRegistry reg;
+    expect_format("registering " + what,
+                  [&] { serve::add_compiled(reg, "m", bad, tiny_voxel()); });
+    EXPECT_FALSE(reg.contains("m")) << what;
   };
   // Copy `good` to `bad` with `section` replaced by what `write` adds.
   const auto replace = [&](const std::string& section,
@@ -420,18 +426,20 @@ TEST(CompiledArtifact, SectionsThatDoNotFitTheModelRejectedTyped) {
   replace_scalar("family", 4);
   expect_load_format("family 4");
 
-  // A negative workspace budget fails the load and already the
-  // registration, and save_compiled refuses to write one.
+  // A negative workspace budget fails too, and so does one too large to
+  // allocate (2^62 + 16 floats: its byte count wraps 64 bits to 64), and
+  // save_compiled refuses to write either.
+  const int64_t huge = (int64_t{1} << 62) + 16;
   for (const char* budget : {"ws/forward", "ws/feat"}) {
     replace_scalar(budget, -(int64_t{1} << 40));
     expect_load_format(std::string("negative ") + budget);
-    serve::ModelRegistry reg;
-    expect_format(std::string("registering a negative ") + budget,
-                  [&] { serve::add_compiled(reg, "m", bad, tiny_voxel()); });
-    EXPECT_FALSE(reg.contains("m"));
+    replace_scalar(budget, huge);
+    expect_load_format(std::string("2^62 + 16 floats of ") + budget);
   }
   EXPECT_THROW(compile::save_compiled(*model, bad, {-1, 0}), std::invalid_argument);
   EXPECT_THROW(compile::save_compiled(*model, bad, {0, -1}), std::invalid_argument);
+  EXPECT_THROW(compile::save_compiled(*model, bad, {huge, 0}), std::invalid_argument);
+  EXPECT_THROW(compile::save_compiled(*model, bad, {0, huge}), std::invalid_argument);
 
   for (const std::string& p : {good, bad}) std::filesystem::remove(p);
 }

@@ -98,15 +98,6 @@ TEST(GradCheck, Conv3dStridedPaddedInput) {
   check_input_gradients(conv, Tensor::randn({1, 1, 8, 8, 8}, rng), 1e-2f, 3e-2f);
 }
 
-TEST(GradCheck, BatchNorm1dParamsAndInput) {
-  Rng rng(9);
-  BatchNorm1d bn(4);
-  bn.set_training(true);
-  Tensor x = Tensor::randn({16, 4}, rng);
-  check_param_gradients(bn, [&] { return bn.forward(x); }, 1e-2f, 3e-2f);
-  check_input_gradients(bn, x, 1e-2f, 4e-2f);
-}
-
 TEST(GradCheck, BatchNorm3dInput) {
   Rng rng(10);
   BatchNorm3d bn(2);

@@ -4,14 +4,18 @@
 //   * the batched block-diagonal SG-CNN / fusion forward is bitwise equal
 //     to the per-pose path for randomized graphs, including single-atom
 //     ligands and empty pockets,
+//   * heap and arena tensors start on a 64-byte cache line, and a block
+//     too large to allocate throws instead of wrapping its byte count,
 //   * a RegressorScorer's workspace arenas can be rewound and reused across
 //     hundreds of batches without drifting a single bit,
 //   * a warmed steady-state score() performs zero tensor heap allocations
 //     (core::alloc_count() pins the Tensor/Workspace instrumentation hook).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "chem/conformer.h"
@@ -146,6 +150,44 @@ TEST(Workspace, BindRoutesTensorStorageToArena) {
   Tensor heap({4});
   EXPECT_FALSE(heap.borrowed());
   EXPECT_GT(core::alloc_count(), before);
+}
+
+TEST(Workspace, HeapAndArenaTensorsStartOnACacheLine) {
+  // A 16-lane load from a row start straddles two cache lines unless the
+  // storage starts on one, so heap buffers and arena borrows both do.
+  const auto on_line = [](const Tensor& t) {
+    return reinterpret_cast<uintptr_t>(t.data()) % 64 == 0;
+  };
+  for (int64_t n = 1; n < (int64_t{1} << 20); n = n * 3 + 1) {
+    EXPECT_TRUE(on_line(Tensor({n}))) << "heap, " << n << " floats";
+    EXPECT_TRUE(on_line(Tensor::uninit({n, 3}))) << "heap, " << 3 * n << " floats";
+  }
+  EXPECT_TRUE(on_line(Tensor::from({1.0f, 2.0f, 3.0f})));
+  // Blocks of several sizes, from the growth path and from reserve(), each
+  // carved by borrows of sizes that are not multiples of a line.
+  for (size_t block : {size_t{1} << 10, size_t{1} << 14, size_t{1} << 17, size_t{1} << 19}) {
+    for (bool reserved : {false, true}) {
+      core::Workspace ws(block);
+      if (reserved) ws.reserve(block + 5);
+      core::Workspace::Bind bind(ws);
+      for (int64_t n = 1; n < static_cast<int64_t>(block); n = n * 3 + 1) {
+        const Tensor t({n});
+        ASSERT_TRUE(t.borrowed());
+        EXPECT_TRUE(on_line(t)) << "arena block " << block << (reserved ? " (reserved)" : "")
+                                << ", " << n << " floats";
+      }
+    }
+  }
+}
+
+TEST(Workspace, BlockTooLargeToAllocateThrows) {
+  // 2^62 + 16 floats is 2^64 + 64 bytes, which wraps to 64: such a block
+  // must be refused, not served as 64 bytes the arena then overruns.
+  const size_t huge = (size_t{1} << 62) + 16;
+  core::Workspace ws;
+  EXPECT_THROW(ws.reserve(huge), std::bad_alloc);
+  EXPECT_THROW(ws.alloc(static_cast<int64_t>(huge)), std::bad_alloc);
+  EXPECT_EQ(ws.capacity(), 0u);
 }
 
 // ---- fused epilogue =====  gemm + bias + activation ---------------------
