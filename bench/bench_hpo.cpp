@@ -87,8 +87,9 @@ int main() {
   const int intervals = 3;       // paper: many t_ready=100-epoch intervals
   const int epochs_per_interval = 2;
   // Shared pool: every trial of an interval trains concurrently as one
-  // job; scores are keyed on per-trial seeds, so the trajectory is bitwise
-  // the pool-free one.
+  // parallel_for body, on the calling thread or a pool worker; scores are
+  // keyed on per-trial seeds, so the trajectory is bitwise the pool-free
+  // one.
   core::ThreadPool pool(std::min<size_t>(pop.size(), 6));
   const auto hpo_t0 = std::chrono::steady_clock::now();
   for (int interval = 0; interval < intervals; ++interval) {
@@ -122,8 +123,8 @@ int main() {
       }
     }
   }
-  std::printf("population of %zu trained concurrently on %zu pool workers: %.2f s total\n",
-              pop.size(), pool.size(),
+  std::printf("population of %zu trained concurrently on %zu threads: %.2f s total\n",
+              pop.size(), pool.size() + 1,
               std::chrono::duration<double>(std::chrono::steady_clock::now() - hpo_t0).count());
   std::printf("\nbest validation MSE: %.4f\nfinal SG-CNN hyper-parameters (Table 2 analogue):\n",
               pb2.best_score());

@@ -191,17 +191,21 @@ void BM_Cnn3dTrunkEval(benchmark::State& state) {
     std::unique_ptr<models::Cnn3d> cnn = std::make_unique<models::Cnn3d>(cfg, rng);
     core::Tensor voxels = core::Tensor::uniform({32, 16, 8, 8, 8}, rng, 0.0f, 1.0f);
   } t;
-  core::SerialComputeScope serial;
   for (auto _ : state) {
     benchmark::DoNotOptimize(t.cnn->forward_latent(t.voxels, /*training=*/false));
   }
 }
 BENCHMARK(BM_Cnn3dTrunkEval)->Unit(benchmark::kMillisecond);
 
+// A compute pool of `threads` lanes: the calling thread plus threads - 1
+// workers, none for one lane.
+std::unique_ptr<core::ThreadPool> lane_pool(size_t threads) {
+  return threads > 1 ? std::make_unique<core::ThreadPool>(threads - 1) : nullptr;
+}
+
 void BM_GemmBatched(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  core::ThreadPool pool(threads);
-  core::ComputePoolGuard guard(&pool);
+  const auto pool = lane_pool(static_cast<size_t>(state.range(0)));
+  core::ComputePoolGuard guard(pool.get());
   core::Rng rng(21);
   core::Tensor a = core::Tensor::randn({256, 512}, rng);
   core::Tensor b = core::Tensor::randn({512, 256}, rng);
@@ -245,7 +249,6 @@ struct GraphPropagationBench {
 
 void BM_GatedGraphConvEval(benchmark::State& state) {
   static GraphPropagationBench g;
-  core::SerialComputeScope serial;
   for (auto _ : state) {
     const core::Tensor h1 = g.cov.forward(g.h0, g.cov_edges, /*training=*/false);
     benchmark::DoNotOptimize(g.noncov.forward(h1, g.noncov_edges, /*training=*/false));
@@ -314,8 +317,8 @@ int emit_json(const std::string& path) {
     const size_t thread_counts[] = {1, 2, 4};
     for (size_t ti = 0; ti < 3; ++ti) {
       const size_t t = thread_counts[ti];
-      core::ThreadPool pool(t);
-      core::ComputePoolGuard guard(&pool);
+      const auto pool = lane_pool(t);
+      core::ComputePoolGuard guard(pool.get());
       const double ms = time_ms([&] { benchmark::DoNotOptimize(a.matmul(b)); });
       std::fprintf(out,
                    "    {\"threads\": %zu, \"workload\": \"m256_k512_n256\", \"ms\": %.4f, "

@@ -52,10 +52,11 @@ int main() {
   std::vector<std::unique_ptr<models::Sgcnn>> trials;
   for (size_t i = 0; i < pop.size(); ++i) trials.push_back(build(pop[i], i));
 
-  // One shared pool: each trial trains as one job (the member stays serial
-  // inside a pool worker), so the population is the parallelism — and the
-  // scores, being keyed on per-trial seeds, are bitwise the same as a
-  // serial member loop at any pool size.
+  // One shared pool: each trial trains as one parallel_for body on the
+  // calling thread or a pool worker (the member stays serial inside it), so
+  // the population is the parallelism — and the scores, being keyed on
+  // per-trial seeds, are bitwise the same as a serial member loop at any
+  // pool size.
   core::ThreadPool pool(std::min<size_t>(pop.size(), 4));
   for (int interval = 0; interval < 3; ++interval) {
     std::printf("=== interval %d (t_ready reached) ===\n", interval + 1);

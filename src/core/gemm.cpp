@@ -8,7 +8,6 @@
 
 #include "core/parallel.h"
 #include "core/simd_math.h"
-#include "core/threadpool.h"
 
 namespace df::core {
 
@@ -246,15 +245,13 @@ void micro_kernel(int64_t kc, const float* ap, const float* bp, float* C, int64_
 constexpr int64_t kSkinnyN = 96;
 
 // Rows of C per pool chunk when a skinny-shaped GEMM fans out, or 0 when
-// it stays on the calling thread (too little work, no pool, or already a
-// pool worker). Rows are independent (per-row accumulation never crosses
-// rows), so chunking is bitwise identical to serial.
+// it stays on the calling thread (too little work, or serial compute).
+// Rows are independent (per-row accumulation never crosses rows), so
+// chunking is bitwise identical to serial.
 int64_t pool_row_chunk(int64_t m, int64_t n, int64_t k) {
-  ThreadPool* pool = compute_thread_pool();
-  if (m * n * k < (int64_t{1} << 20) || pool == nullptr || pool->size() <= 1 || in_pool_worker())
-    return 0;
-  const int64_t workers = static_cast<int64_t>(pool->size());
-  return std::max<int64_t>(64, round_up((m + 2 * workers - 1) / (2 * workers), 8));
+  const int64_t lanes = static_cast<int64_t>(compute_lanes());
+  if (m * n * k < (int64_t{1} << 20) || lanes <= 1) return 0;
+  return std::max<int64_t>(64, round_up((m + 2 * lanes - 1) / (2 * lanes), 8));
 }
 
 // run(r0, rows) over [0, m) in pool_row_chunk pieces, or at once.
@@ -511,14 +508,13 @@ void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const fl
   // to amortize the fork/join (~2 MFLOP). The row-block grain shrinks below
   // MC when the pool would otherwise starve: at MC=96 a 256-row GEMM has
   // only 3 blocks, capping 4-thread scaling at ~2.7x — so aim for ~2 blocks
-  // per worker (still multiples of MR, never below one micro-tile).
+  // per lane (still multiples of MR, never below one micro-tile).
   const bool wide_enough = m * n * k >= (int64_t{1} << 20);
   const size_t min_parallel = wide_enough ? 2 : static_cast<size_t>(-1);
   int64_t iblock = MC;
-  ThreadPool* pool = compute_thread_pool();
-  if (wide_enough && pool != nullptr && pool->size() > 1 && !in_pool_worker()) {
-    const int64_t workers = static_cast<int64_t>(pool->size());
-    const int64_t target = round_up((m + 2 * workers - 1) / (2 * workers), MR);
+  const int64_t lanes = static_cast<int64_t>(compute_lanes());
+  if (wide_enough && lanes > 1) {
+    const int64_t target = round_up((m + 2 * lanes - 1) / (2 * lanes), MR);
     iblock = std::clamp(target, MR, MC);
   }
   const int64_t n_iblocks = (m + iblock - 1) / iblock;

@@ -3,7 +3,7 @@
 // Row-major storage with explicit leading dimensions, BLIS-style packed
 // panels (MR x NR micro-tiles), a register-blocked row pass for skinny
 // right-hand sides (n <= 96), and optional ThreadPool parallelism over row
-// panels via core::compute_thread_pool().
+// panels on the calling thread's compute pool (core/parallel.h).
 //
 // sgemm_indirect runs the same row pass over an indirect A (Dukhan,
 // arXiv:1907.02129): element (i, p) is an offset into one buffer, so

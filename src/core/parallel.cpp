@@ -1,47 +1,36 @@
 #include "core/parallel.h"
 
-#include <atomic>
-
 #include "core/threadpool.h"
 
 namespace df::core {
 
 namespace {
-std::atomic<ThreadPool*> g_compute_pool{nullptr};
-thread_local bool t_serial_compute = false;
+
+thread_local ThreadPool* t_compute_pool = nullptr;
+
+// The pool this thread's kernels fan out to, or nullptr to stay serial.
+ThreadPool* compute_pool() { return in_parallel_for() ? nullptr : t_compute_pool; }
+
 }  // namespace
 
-void set_compute_thread_pool(ThreadPool* pool) { g_compute_pool.store(pool); }
-
-ThreadPool* compute_thread_pool() { return g_compute_pool.load(); }
-
-bool in_pool_worker() { return ThreadPool::this_thread_is_worker() || t_serial_compute; }
-
-SerialComputeScope::SerialComputeScope() : previous_(t_serial_compute) {
-  t_serial_compute = true;
+ComputePoolGuard::ComputePoolGuard(ThreadPool* pool) : previous_(t_compute_pool) {
+  t_compute_pool = pool;
 }
 
-SerialComputeScope::~SerialComputeScope() { t_serial_compute = previous_; }
+ComputePoolGuard::~ComputePoolGuard() { t_compute_pool = previous_; }
 
-ComputePoolGuard::ComputePoolGuard(ThreadPool* pool) : previous_(g_compute_pool.exchange(pool)) {}
-
-ComputePoolGuard::~ComputePoolGuard() { g_compute_pool.store(previous_); }
-
-void parallel_for_on(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
-  // Same reentrancy guard as parallel_for_auto: a caller that is itself a
-  // pool worker must not submit-and-join (every worker blocking in
-  // wait_idle() while the jobs sit behind them deadlocks permanently) —
-  // e.g. a PB2 member that fans out training lanes on the population pool.
-  if (pool != nullptr && pool->size() > 0 && n > 1 && !in_pool_worker()) {
-    parallel_for(*pool, n, fn);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) fn(i);
+size_t compute_lanes() {
+  const ThreadPool* pool = compute_pool();
+  return pool != nullptr ? pool->size() + 1 : 1;
 }
 
 void parallel_for_auto(size_t n, size_t min_parallel, const std::function<void(size_t)>& fn) {
-  ThreadPool* pool = g_compute_pool.load();
-  if (pool != nullptr && pool->size() > 1 && n >= min_parallel && !in_pool_worker()) {
+  ThreadPool* pool = compute_pool();
+  parallel_for_on(n >= min_parallel ? pool : nullptr, n, fn);
+}
+
+void parallel_for_on(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
     parallel_for(*pool, n, fn);
     return;
   }

@@ -1,9 +1,11 @@
-// Process-wide compute-pool hook. Numeric kernels (gemm, conv lowering,
-// voxel splatting, pooling) are leaf code that cannot know who owns the
-// threads, so they pick up an optional shared ThreadPool from here and fall
-// back to serial execution when none is installed — or when the caller is
-// itself a pool worker, which keeps nested parallel regions from deadlocking
-// wait_idle().
+// Per-thread compute-pool hook. Numeric kernels (gemm, conv lowering,
+// voxel splatting, pooling, graph-conv tiles) are leaf code that cannot
+// know who owns the threads, so they pick up the pool installed for the
+// calling thread and run serially when none is — or when they already run
+// inside a parallel_for body, which keeps parallel regions from nesting.
+// A thread without a guard (a service worker, a pool worker running a
+// job) computes serially; a pool is lent to exactly the threads that
+// install it.
 #pragma once
 
 #include <cstddef>
@@ -13,34 +15,9 @@ namespace df::core {
 
 class ThreadPool;
 
-/// Install (or clear, with nullptr) the shared compute pool. Not owned.
-/// Callers are responsible for keeping the pool alive while installed.
-void set_compute_thread_pool(ThreadPool* pool);
-ThreadPool* compute_thread_pool();
-
-/// True when the calling thread must not fan work out to the shared pool:
-/// either it is a ThreadPool worker (any pool), or it is inside a
-/// SerialComputeScope.
-bool in_pool_worker();
-
-/// Marks the current thread serial-compute for its lifetime: numeric kernels
-/// treat it like a pool worker and never submit to the shared compute pool.
-/// Threads that are peers of the pool rather than owners of it — e.g. a
-/// ScoringService worker scoring batches while campaign ranks block on the
-/// pool — install this so they cannot contend for wait_idle() (the pool
-/// assumes one logical submitter) or deadlock against blocked pool workers.
-class SerialComputeScope {
- public:
-  SerialComputeScope();
-  ~SerialComputeScope();
-  SerialComputeScope(const SerialComputeScope&) = delete;
-  SerialComputeScope& operator=(const SerialComputeScope&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// RAII installer for scoped pool sharing (campaign/bench entry points).
+/// RAII installer of the calling thread's compute pool (nullptr = serial)
+/// for the guard's lifetime; the previous one comes back on destruction.
+/// Not owned: the pool must outlive the guard.
 class ComputePoolGuard {
  public:
   explicit ComputePoolGuard(ThreadPool* pool);
@@ -52,17 +29,21 @@ class ComputePoolGuard {
   ThreadPool* previous_;
 };
 
-/// Run fn(i) for i in [0, n) on the compute pool when one is installed, the
-/// caller is not already a pool worker, and the work is large enough
-/// (n >= min_parallel); otherwise run serially on the calling thread.
-/// Exceptions thrown by fn propagate to the caller in either mode.
+/// Threads a kernel's parallel region runs on: the calling thread plus the
+/// workers of its compute pool, or 1 when its kernels run serially. Kernels
+/// size their chunks by it, which changes no bit.
+size_t compute_lanes();
+
+/// Run fn(i) for i in [0, n) through parallel_for on the calling thread's
+/// compute pool when it has one and n >= min_parallel; otherwise serially
+/// on the calling thread. Exceptions thrown by fn propagate in either mode.
 void parallel_for_auto(size_t n, size_t min_parallel, const std::function<void(size_t)>& fn);
 
-/// Run fn(i) for i in [0, n) on `pool` when one is given (and has workers),
-/// serially on the calling thread otherwise. Unlike parallel_for_auto this
-/// takes an explicit pool — used by layers that own their parallelism
-/// (training engine lanes, PB2 population members) rather than borrowing
-/// the process-wide compute pool. Exceptions propagate in either mode.
+/// Run fn(i) for i in [0, n) through parallel_for on `pool`, serially on the
+/// calling thread when it is nullptr. Unlike parallel_for_auto this takes
+/// an explicit pool — used by layers that own their parallelism (training
+/// engine lanes, PB2 population members) rather than borrowing a compute
+/// pool. Exceptions propagate in either mode.
 void parallel_for_on(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace df::core

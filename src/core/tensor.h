@@ -58,6 +58,13 @@ struct CacheLineAllocator {
     return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
   }
   void deallocate(T* p, size_t) { ::operator delete(p, kAlign); }
+  /// Default-initializes, so a vector's resize() leaves floats unset
+  /// (Tensor::uninit); Tensor(shape, fill) fills explicitly. Constructions
+  /// with arguments keep std::allocator_traits' placement new.
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
   void operator()(T* p) const { ::operator delete(p, kAlign); }
   template <class U>
   bool operator==(const CacheLineAllocator<U>&) const { return true; }

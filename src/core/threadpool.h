@@ -4,8 +4,9 @@
 // fork/allgather structure of a Fusion scoring job (paper Fig. 3).
 //
 // Jobs that throw do not kill the worker: the first exception is captured
-// and rethrown from the next wait_idle()/parallel_for() join, so a failing
-// rank surfaces at the barrier instead of calling std::terminate.
+// and rethrown from the next wait_idle() join, so a failing rank surfaces
+// at the barrier instead of calling std::terminate. parallel_for() joins
+// per call instead and rethrows only its own bodies' exceptions.
 #pragma once
 
 #include <condition_variable>
@@ -21,24 +22,23 @@ namespace df::core {
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
+  /// Runs every job still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Queue a job. Workers take jobs in submit order, so a one-thread pool
+  /// runs them in that order.
   void submit(std::function<void()> job);
   /// Block until the queue is empty and all workers are idle. Rethrows the
-  /// first exception any job threw since the last join (remaining queued
-  /// jobs still run to completion first). The pool assumes one logical
-  /// submitter/joiner at a time: concurrent non-worker joiners block on
-  /// each other's jobs and may receive each other's exceptions.
+  /// first exception any submitted job threw since the last join (remaining
+  /// queued jobs still run to completion first). wait_idle() assumes one
+  /// logical submitter/joiner at a time: concurrent joiners block on each
+  /// other's jobs and may receive each other's exceptions. parallel_for()
+  /// has no such caveat.
   void wait_idle();
   size_t size() const { return workers_.size(); }
-
-  /// True when the calling thread is a worker of any ThreadPool. Leaf
-  /// kernels use this to avoid submitting nested work to a pool they are
-  /// already running on (which would deadlock wait_idle).
-  static bool this_thread_is_worker();
 
  private:
   void worker_loop();
@@ -53,8 +53,18 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Run fn(i) for i in [0, n) across the pool and join. Rethrows the first
-/// exception thrown by any fn(i).
+/// Run fn(i) for every i in [0, n) on the calling thread and on up to
+/// pool.size() helper jobs, and return once every index has finished.
+/// Runners claim indices from the call's own counter, so the call never
+/// waits on another caller's work or on a helper that has not started
+/// (one queued behind other jobs finds nothing left to claim, and touches
+/// only the call's own heap state). Any number of threads may call it on
+/// one pool at once, pool workers included. Rethrows the first exception
+/// thrown by this call's fn(i). A parallel_for issued from inside a body
+/// runs serially on that thread.
 void parallel_for(ThreadPool& pool, size_t n, const std::function<void(size_t)>& fn);
+
+/// True while the calling thread runs a parallel_for body.
+bool in_parallel_for();
 
 }  // namespace df::core

@@ -10,7 +10,6 @@
 #include "core/gemm.h"
 #include "core/parallel.h"
 #include "core/simd_math.h"
-#include "core/threadpool.h"
 
 namespace df::graph {
 
@@ -325,16 +324,13 @@ Tensor GatedGraphConv::propagate_eval(const Tensor& h0) const {
   const int64_t rows = h0.dim(0), d = dim_, L = (d + 15) / 16 * 16, T = kTileRows;
   const int64_t tiles = (rows + T - 1) / T;
   // Tiles fan out over the compute pool like sgemm's row chunks, about two
-  // chunks per worker, once a step's GEMM volume (7 * rows * L * d) reaches
-  // sgemm's fan-out threshold; serially without a pool, in a pool worker or
-  // under SerialComputeScope. The tiles of a step are independent, so the
-  // chunking changes no bit.
+  // chunks per lane, once a step's GEMM volume (7 * rows * L * d) reaches
+  // sgemm's fan-out threshold; serially when the thread computes serially.
+  // The tiles of a step are independent, so the chunking changes no bit.
   int64_t chunk = std::max<int64_t>(tiles, 1);
-  core::ThreadPool* pool = core::compute_thread_pool();
-  if (7 * rows * L * d >= (int64_t{1} << 20) && pool != nullptr && pool->size() > 1 &&
-      !core::in_pool_worker()) {
-    const int64_t workers = static_cast<int64_t>(pool->size());
-    chunk = std::max<int64_t>(1, (tiles + 2 * workers - 1) / (2 * workers));
+  const int64_t lanes = static_cast<int64_t>(core::compute_lanes());
+  if (7 * rows * L * d >= (int64_t{1} << 20) && lanes > 1) {
+    chunk = std::max<int64_t>(1, (tiles + 2 * lanes - 1) / (2 * lanes));
   }
   const int64_t chunks = (tiles + chunk - 1) / chunk;
   const StepWeights w = pack_step_weights(gru_.gates(), w_msg_.value);

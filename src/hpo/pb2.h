@@ -36,15 +36,16 @@ struct TrialDirective {
 
 /// Run one PB2 interval's member training concurrently: `train_member(i)`
 /// trains trial i for the interval and returns its score (validation MSE).
-/// Members fan out over `pool` when one is given (one job per trial, the
-/// paper's "population trains in parallel"); nullptr runs them serially.
+/// Members fan out over `pool` and the calling thread when a pool is given
+/// (the paper's "population trains in parallel"); nullptr runs them
+/// serially.
 /// Scores come back in trial order, and each member must be internally
 /// deterministic (own model/loader/optimizer, stable-keyed RNG — what
 /// train_model guarantees), so the score vector — and therefore the whole
 /// PB2 search trajectory — is bitwise independent of the pool size.
-/// Members run as pool jobs, so numeric kernels inside them stay serial
-/// (core::in_pool_worker); train with threads=1 and let the population be
-/// the parallelism.
+/// Members run as parallel_for bodies, so numeric kernels and training
+/// lanes inside them stay serial; train with threads=1 and let the
+/// population be the parallelism.
 std::vector<float> train_population(size_t population,
                                     const std::function<float(size_t)>& train_member,
                                     core::ThreadPool* pool = nullptr);

@@ -134,6 +134,18 @@ TrainResult train_model(Regressor& model, const data::ComplexDataset& train,
   if (threads > 1 && !cfg.replica_factory) {
     throw std::invalid_argument("train_model: threads > 1 requires TrainConfig::replica_factory");
   }
+  if (threads > 1) {
+    // Only the lanes run training forwards, so the master's BatchNorm
+    // running statistics would never move, and every broadcast would reset
+    // the lanes' to them.
+    TrainedState state;
+    model.collect_trained(state);
+    if (!state.stats.empty()) {
+      throw std::invalid_argument(
+          "train_model: a model with BatchNorm running statistics trains with threads = 1, got " +
+          std::to_string(threads));
+    }
+  }
   std::vector<std::unique_ptr<Regressor>> owned_lanes;
   std::vector<Regressor*> lanes;
   if (threads == 1) {
@@ -151,7 +163,8 @@ TrainResult train_model(Regressor& model, const data::ComplexDataset& train,
   if (L > 1) {
     pool = cfg.pool;
     if (pool == nullptr) {
-      owned_pool = std::make_unique<core::ThreadPool>(L);
+      // The calling thread runs a lane too.
+      owned_pool = std::make_unique<core::ThreadPool>(L - 1);
       pool = owned_pool.get();
     }
   }

@@ -24,8 +24,10 @@
 //
 // Caveat: the parallel path requires stateless training forwards. Models
 // whose forward mutates non-parameter state (BatchNorm running statistics,
-// `Cnn3dConfig::batch_norm=true`) train correctly only with threads=1;
-// the paper's optimized configurations (Tables 2/3/5) are all BN-free.
+// `Cnn3dConfig::batch_norm=true`) train only with threads=1; train_model
+// throws std::invalid_argument for them at any other resolved thread
+// count. The paper's optimized configurations (Tables 2/3/5) are all
+// BN-free.
 //
 // Checkpoint/resume: with `checkpoint_path` set, the engine atomically
 // writes weights + optimizer state + the (epoch, batch) cursor every
@@ -69,7 +71,8 @@ struct TrainConfig {
   /// (like the campaign's scoring_batch); thread count never does.
   int grad_shards = 8;
   /// Borrowed pool to run lanes on (e.g. one pool shared by a PB2
-  /// population). nullptr = the engine owns a pool of `threads` workers.
+  /// population). nullptr = the engine owns a pool of `threads - 1`
+  /// workers; the calling thread runs a lane too.
   core::ThreadPool* pool = nullptr;
 
   // ---- checkpoint/resume ----

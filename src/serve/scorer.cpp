@@ -4,10 +4,10 @@
 #include <condition_variable>
 #include <exception>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/parallel.h"
+#include "core/threadpool.h"
 #include "dock/scoring.h"
 
 namespace df::serve {
@@ -50,29 +50,20 @@ RegressorScorer::RegressorScorer(std::string name, std::unique_ptr<models::Regre
 }
 
 // The stage-pipelined executor (ScorerPipeline): a bounded ring of
-// `depth` micro-batch slots, one background stage thread that featurizes
-// submitted slots strictly in submit order, and a caller-driven collect()
-// that forwards the oldest ready slot. Three monotone sequence numbers
-// (submit / stage / collect) define slot ownership; every handoff goes
-// through mu_, which gives the happens-before edges the unlocked slot
-// bodies rely on. Each slot owns its own featurize arena, so the stage
-// thread never touches the forward arena a concurrent collect() is using,
-// and steady state stays heap-free once every slot has warmed.
+// `depth` micro-batch slots, a one-thread stage pool that featurizes
+// submitted slots in submit order, and a caller-driven collect() that
+// forwards the oldest featurized slot. The forward borrows the stage pool
+// as its compute pool, so the worker that featurizes batch N+1 spends the
+// rest of its cycle on batch N's kernel chunks. Three monotone sequence
+// numbers (submit / stage / collect) define slot ownership; every handoff
+// goes through mu_, which gives the happens-before edges the unlocked slot
+// bodies rely on. Each slot owns its own featurize arena, so a featurize
+// job never touches the forward arena a concurrent collect() is using, and
+// steady state stays heap-free once every slot has warmed.
 class RegressorScorer::Pipeline : public ScorerPipeline {
  public:
   Pipeline(RegressorScorer& owner, int depth)
-      : owner_(owner), depth_(depth), slots_(static_cast<size_t>(depth)) {
-    stage_ = std::thread([this] { stage_main(); });
-  }
-
-  ~Pipeline() override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    stage_.join();
-  }
+      : owner_(owner), depth_(depth), slots_(static_cast<size_t>(depth)) {}
 
   int depth() const override { return depth_; }
 
@@ -82,12 +73,22 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
   }
 
   void submit(std::vector<const PoseInput*> poses) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return submit_seq_ - collect_seq_ < static_cast<uint64_t>(depth_); });
-    Slot& s = slots_[static_cast<size_t>(submit_seq_ % slots_.size())];
-    s.poses = std::move(poses);
-    ++submit_seq_;
-    cv_.notify_all();
+    Slot* s = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return submit_seq_ - collect_seq_ < static_cast<uint64_t>(depth_); });
+      s = &slots_[static_cast<size_t>(submit_seq_ % slots_.size())];
+      s->poses = std::move(poses);
+      ++submit_seq_;
+    }
+    stage_.submit([this, s] {
+      owner_.featurize(*s);
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stage_seq_;
+      }
+      cv_.notify_all();
+    });
   }
 
   std::vector<float> collect() override {
@@ -98,10 +99,10 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
       }
       cv_.wait(lock, [&] { return collect_seq_ < stage_seq_; });
     }
-    // The slot is exclusively ours until collect_seq_ advances: the stage
-    // thread only touches slots with index < submit_seq_ not yet staged,
-    // and submit() refuses to reuse the slot while it counts as in flight.
-    // It is released however the forward ends, a failed batch included.
+    // The slot is exclusively ours until collect_seq_ advances: featurize
+    // jobs only touch slots submitted and not yet staged, and submit()
+    // refuses to reuse the slot while it counts as in flight. It is
+    // released however the forward ends, a failed batch included.
     struct Release {
       Pipeline& p;
       ~Release() {
@@ -114,42 +115,26 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
     } release{*this};
     Slot& s = slots_[static_cast<size_t>(collect_seq_ % slots_.size())];
     ReplicaGuard guard(owner_.busy_);
+    core::ComputePoolGuard helper(&stage_);
     return owner_.forward(s);
   }
 
  private:
-  void stage_main() {
-    // The stage thread is a peer of whoever owns the shared compute pool
-    // (a service worker, a bench thread): it must never submit to it, for
-    // the same reason service workers install this scope (core/parallel.h).
-    core::SerialComputeScope serial;
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      cv_.wait(lock, [&] { return stop_ || stage_seq_ < submit_seq_; });
-      if (stop_) return;
-      Slot& s = slots_[static_cast<size_t>(stage_seq_ % slots_.size())];
-      lock.unlock();
-      owner_.featurize(s);
-      lock.lock();
-      ++stage_seq_;
-      cv_.notify_all();
-    }
-  }
-
   RegressorScorer& owner_;
   const int depth_;
   std::vector<Slot> slots_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   uint64_t submit_seq_ = 0;   // next slot to fill
-  uint64_t stage_seq_ = 0;    // next slot the stage thread featurizes
+  uint64_t stage_seq_ = 0;    // next slot to finish featurizing
   uint64_t collect_seq_ = 0;  // next slot the forward consumes
-  bool stop_ = false;
-  std::thread stage_;
+  // Last member: its worker runs the featurize jobs still queued before it
+  // exits, and they touch everything above.
+  core::ThreadPool stage_{1};
 };
 
 RegressorScorer::~RegressorScorer() {
-  pipeline_.reset();  // join the stage thread before any member dies
+  pipeline_.reset();  // join the stage worker before any member dies
 }
 
 ScorerPipeline* RegressorScorer::pipeline() { return pipeline_.get(); }

@@ -135,10 +135,12 @@ class RegressorScorer : public Scorer {
   std::vector<float> score(const std::vector<const PoseInput*>& poses) override;
 
   /// Stage-pipelined execution (see ScorerPipeline). The featurize stage
-  /// runs on one background thread per replica; each ring slot owns its
-  /// own featurize arena, so steady state stays at zero tensor heap
+  /// runs on a one-thread pool per replica, and collect() lends that pool
+  /// to the forward's kernels, so the stage worker helps with batch N's
+  /// forward whenever it is not featurizing. Each ring slot owns its own
+  /// featurize arena, so steady state stays at zero tensor heap
   /// allocations at any depth. While batches are in flight, score() and
-  /// the knob setters throw rather than race the stage thread.
+  /// the knob setters throw rather than race the stage worker.
   ScorerPipeline* pipeline() override;
   void set_pipeline_depth(int depth) override;
   void set_pocket_cache(std::shared_ptr<PocketCache> cache) override;
@@ -146,7 +148,7 @@ class RegressorScorer : public Scorer {
   /// Cumulative wall-time split of scoring on this replica — the
   /// featurize/forward phase breakdown reported by bench_service_throughput.
   /// Pipelined batches account at collect() time; returned by value because
-  /// the stage thread updates concurrently.
+  /// the replica updates it while other threads read it.
   struct PhaseStats {
     uint64_t batches = 0;
     uint64_t poses = 0;
@@ -206,7 +208,7 @@ class RegressorScorer : public Scorer {
   std::shared_ptr<PocketCache> pocket_cache_;
   mutable std::mutex stats_mu_;
   PhaseStats stats_;
-  // Last member: its stage thread touches everything above, so it must be
+  // Last member: its stage worker touches everything above, so it must be
   // destroyed first.
   std::unique_ptr<Pipeline> pipeline_;
 };

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/parallel.h"
-
 namespace df::serve {
 
 const char* score_error_name(ScoreError e) {
@@ -266,11 +264,9 @@ Scorer& ScoringService::replica_for(std::map<std::string, std::unique_ptr<Scorer
 }
 
 void ScoringService::worker_loop() {
-  // Service workers are peers of any client-installed compute pool, not
-  // owners: keep every kernel they run serial so they can never contend for
-  // the pool's single-joiner wait_idle() or deadlock against pool workers
-  // that are blocked on our futures.
-  core::SerialComputeScope serial;
+  // No compute pool is installed on this thread, so the kernels it runs
+  // stay serial; a pipelined replica lends its stage worker to its own
+  // forwards (RegressorScorer's collect()).
   std::map<std::string, std::unique_ptr<Scorer>> replicas;
   uint64_t seen_warmup = 0;
 

@@ -7,8 +7,10 @@
 //     config-change invalidation are observable in stats, held entries
 //     survive eviction,
 //   * RegressorScorer's stage pipeline is bitwise identical to sequential
-//     score() at every depth, and through an ordered-stream ScoringService
-//     at every (workers, depth, cache) combination,
+//     score() at every depth — also at the screening benchmark's model
+//     widths, where the forward's kernels fan out to the stage worker —
+//     and through an ordered-stream ScoringService at every (workers,
+//     depth, cache) combination,
 //   * cache hit == cache miss bitwise at feature-set v1 AND v2, and
 //     score() — cached or not, over mixed pockets and centers — equals
 //     model predictions on the joint Voxelizer::voxelize featurization,
@@ -479,6 +481,61 @@ TEST(PipelinedScorer, SteadyStateZeroTensorHeapAllocationsAtDepth2) {
   EXPECT_EQ(core::alloc_count(), before)
       << "steady-state pipelined scoring touched the heap for tensor data";
   ASSERT_EQ(out.size(), ptrs.size());
+}
+
+TEST(PipelinedScorer, BitwiseEqualsScoreAtScreeningModelWidths) {
+  // The screening benchmark's model widths and 32-pose batches: its conv,
+  // dense and graph-conv GEMMs pass the 2^20-MAC fan-out threshold, so the
+  // forward's kernels really split between the worker and the stage
+  // worker lent to it.
+  models::Cnn3dConfig cc;
+  cc.in_channels = tiny_voxel().channels();
+  cc.grid_dim = tiny_voxel().grid_dim;
+  cc.conv_filters1 = 32;
+  cc.conv_filters2 = 64;
+  cc.dense_nodes = 128;
+  cc.residual1 = false;
+  cc.residual2 = true;
+  models::SgcnnConfig sc;
+  sc.covalent_k = 6;
+  sc.noncovalent_k = 3;
+  sc.covalent_gather_width = 24;
+  sc.noncovalent_gather_width = 128;
+  models::FusionConfig fc;
+  fc.kind = models::FusionKind::Coherent;
+  fc.num_fusion_layers = 4;
+  fc.fusion_nodes = 64;
+  fc.activation = nn::Activation::kSELU;
+  const auto make_model = [&] {
+    Rng mrng(0x5c2ee);
+    auto cnn = std::make_shared<models::Cnn3d>(cc, mrng);
+    auto sg = std::make_shared<models::Sgcnn>(sc, mrng);
+    return std::make_unique<models::FusionModel>(fc, cnn, sg, mrng);
+  };
+
+  Rng rng(89);
+  const auto pocket = data::make_pocket({5.5f, 96, 0.7f, 0.5f, 0.1f}, rng);
+  constexpr int kBatches = 4;
+  std::vector<std::vector<serve::PoseInput>> batches;
+  for (int b = 0; b < kBatches; ++b) batches.push_back(make_poses(32, &pocket, rng));
+
+  serve::RegressorScorer sequential("fusion", make_model(), tiny_voxel(), tiny_graph());
+  serve::RegressorScorer pipelined("fusion", make_model(), tiny_voxel(), tiny_graph());
+  pipelined.set_pipeline_depth(2);
+  serve::ScorerPipeline* pipe = pipelined.pipeline();
+  ASSERT_NE(pipe, nullptr);
+  std::vector<std::vector<float>> got;
+  for (const auto& b : batches) {
+    if (pipe->in_flight() == 2) got.push_back(pipe->collect());
+    pipe->submit(ptrs_of(b));
+  }
+  while (pipe->in_flight() > 0) got.push_back(pipe->collect());
+  ASSERT_EQ(got.size(), static_cast<size_t>(kBatches));
+  for (int b = 0; b < kBatches; ++b) {
+    expect_bitwise(got[static_cast<size_t>(b)],
+                   sequential.score(ptrs_of(batches[static_cast<size_t>(b)])),
+                   "batch " + std::to_string(b));
+  }
 }
 
 // ---- through the service ------------------------------------------------

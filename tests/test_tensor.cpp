@@ -1,6 +1,7 @@
 #include "core/tensor.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "core/linalg.h"
 #include "core/rng.h"
@@ -17,6 +18,28 @@ TEST(Tensor, ConstructionAndFill) {
   for (int64_t i = 0; i < t.numel(); ++i) EXPECT_FLOAT_EQ(t[i], 1.5f);
   t.zero();
   EXPECT_FLOAT_EQ(t.sum(), 0.0f);
+}
+
+long minor_faults() {
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return u.ru_minflt;
+}
+
+TEST(Tensor, HeapUninitLeavesItsPagesUntouched) {
+  // 2^24 floats are 16384 pages of 4 KiB: a fill would fault in each one.
+  // ASan's allocator touches the shadow of the block, an eighth as many.
+  constexpr int64_t kFloats = int64_t{1} << 24;
+  constexpr long kPages = kFloats * 4 / 4096;
+  const long before = minor_faults();
+  const Tensor t = Tensor::uninit({kFloats});
+  const long faults = minor_faults() - before;
+  ASSERT_EQ(t.numel(), kFloats);
+  EXPECT_FALSE(t.borrowed());
+  EXPECT_LT(faults, kPages / 4) << "Tensor::uninit wrote its heap buffer";
+  // Tensor(shape) still zero-fills.
+  const Tensor z({4, 4});
+  for (int64_t i = 0; i < z.numel(); ++i) EXPECT_EQ(z[i], 0.0f);
 }
 
 TEST(Tensor, NegativeDimensionThrows) {

@@ -112,6 +112,37 @@ TEST(Trainer, ParallelThreadsRequireReplicaFactory) {
   EXPECT_THROW(train_model(model, *c->train, *c->val, tc), std::invalid_argument);
 }
 
+TEST(Trainer, BatchNormModelsTrainOnOneThreadOnly) {
+  // Only the lanes run training forwards, so a parallel run would leave the
+  // master's running statistics at their initial values.
+  const auto c = tu::make_corpus(8, 13);
+  Cnn3dConfig cfg = tu::tiny_cnn();
+  cfg.batch_norm = true;
+  const RegressorFactory factory = [cfg]() -> std::unique_ptr<Regressor> {
+    Rng rng(14);
+    return std::make_unique<Cnn3d>(cfg, rng);
+  };
+  TrainConfig tc;
+  tc.epochs = 1;
+  tc.batch_size = 4;
+  tc.threads = 2;
+  tc.replica_factory = factory;
+  const std::unique_ptr<Regressor> parallel = factory();
+  EXPECT_THROW(train_model(*parallel, *c->train, *c->val, tc), std::invalid_argument);
+
+  tc.threads = 1;
+  const std::unique_ptr<Regressor> serial = factory();
+  const TrainResult res = train_model(*serial, *c->train, *c->val, tc);
+  ASSERT_EQ(res.epochs.size(), 1u);
+  TrainedState state;
+  serial->collect_trained(state);
+  ASSERT_FALSE(state.stats.empty());
+  const core::Tensor& mean = *state.stats.front();
+  bool moved = false;
+  for (int64_t i = 0; i < mean.numel(); ++i) moved = moved || mean[i] != 0.0f;
+  EXPECT_TRUE(moved) << "the running mean never left its initial zeros";
+}
+
 TEST(Trainer, ReportsWallClock) {
   const auto c = tu::make_corpus(8, 11);
   Rng rng(12);
