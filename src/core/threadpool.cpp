@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -65,8 +66,6 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
-  // A pending first_error_ nobody joined on dies with the pool; throwing
-  // from a destructor is never an option.
 }
 
 void ThreadPool::submit(std::function<void()> job) {
@@ -75,16 +74,6 @@ void ThreadPool::submit(std::function<void()> job) {
     queue_.push_back(std::move(job));
   }
   cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lk(mu_);
-  idle_cv_.wait(lk, [this] { return queue_.empty() && active_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = std::exchange(first_error_, nullptr);
-    lk.unlock();
-    std::rethrow_exception(err);
-  }
 }
 
 void ThreadPool::worker_loop() {
@@ -96,20 +85,8 @@ void ThreadPool::worker_loop() {
       if (stop_ && queue_.empty()) return;
       job = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
-    std::exception_ptr err;
-    try {
-      job();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    {
-      std::lock_guard lk(mu_);
-      if (err && !first_error_) first_error_ = err;
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
+    job();
   }
 }
 

@@ -1,17 +1,11 @@
 // Fixed-size worker pool. Stands in for the paper's parallel data loaders
-// (24 per rank) and for Horovod ranks inside one simulated node: work is
-// pushed as std::function jobs and joined with wait_idle(), mirroring the
-// fork/allgather structure of a Fusion scoring job (paper Fig. 3).
-//
-// Jobs that throw do not kill the worker: the first exception is captured
-// and rethrown from the next wait_idle() join, so a failing rank surfaces
-// at the barrier instead of calling std::terminate. parallel_for() joins
-// per call instead and rethrows only its own bodies' exceptions.
+// (24 per rank) and for the training lanes of one simulated node.
+// parallel_for() is its one join; a job queued with submit() is joined by
+// nobody but the destructor.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -29,15 +23,9 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Queue a job. Workers take jobs in submit order, so a one-thread pool
-  /// runs them in that order.
+  /// runs them in that order. A job that throws terminates the process, as
+  /// on any std::thread: a job reports its errors itself.
   void submit(std::function<void()> job);
-  /// Block until the queue is empty and all workers are idle. Rethrows the
-  /// first exception any submitted job threw since the last join (remaining
-  /// queued jobs still run to completion first). wait_idle() assumes one
-  /// logical submitter/joiner at a time: concurrent joiners block on each
-  /// other's jobs and may receive each other's exceptions. parallel_for()
-  /// has no such caveat.
-  void wait_idle();
   size_t size() const { return workers_.size(); }
 
  private:
@@ -46,10 +34,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mu_;
-  std::condition_variable cv_;       // wakes workers
-  std::condition_variable idle_cv_;  // wakes wait_idle
-  std::exception_ptr first_error_;   // first job exception since last join
-  size_t active_ = 0;
+  std::condition_variable cv_;  // wakes workers
   bool stop_ = false;
 };
 

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "core/parallel.h"
+#include "core/threadpool.h"
 #include "models/checkpoint.h"
 #include "nn/dropout.h"
 
@@ -158,16 +159,10 @@ TrainResult train_model(Regressor& model, const data::ComplexDataset& train,
   }
   const size_t L = lanes.size();
 
+  // The calling thread runs a lane too.
   std::unique_ptr<core::ThreadPool> owned_pool;
-  core::ThreadPool* pool = nullptr;
-  if (L > 1) {
-    pool = cfg.pool;
-    if (pool == nullptr) {
-      // The calling thread runs a lane too.
-      owned_pool = std::make_unique<core::ThreadPool>(L - 1);
-      pool = owned_pool.get();
-    }
-  }
+  if (L > 1) owned_pool = std::make_unique<core::ThreadPool>(L - 1);
+  core::ThreadPool* const pool = owned_pool.get();
 
   const std::vector<nn::Parameter*> params = model.trainable_parameters();
   auto opt = nn::make_optimizer(cfg.optimizer, params, cfg.lr);

@@ -41,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "core/threadpool.h"
 #include "data/loader.h"
 #include "models/regressor.h"
 #include "nn/optim.h"
@@ -70,10 +69,6 @@ struct TrainConfig {
   /// contract: changing it changes summation order and therefore bits
   /// (like the campaign's scoring_batch); thread count never does.
   int grad_shards = 8;
-  /// Borrowed pool to run lanes on (e.g. one pool shared by a PB2
-  /// population). nullptr = the engine owns a pool of `threads - 1`
-  /// workers; the calling thread runs a lane too.
-  core::ThreadPool* pool = nullptr;
 
   // ---- checkpoint/resume ----
   /// Empty = no checkpointing. If the file exists, training resumes from

@@ -7,8 +7,6 @@
 #include <memory>
 #include <thread>
 
-#include "core/parallel.h"
-#include "core/threadpool.h"
 #include "io/log.h"
 #include "screen/checkpoint.h"
 #include "screen/controller.h"
@@ -63,6 +61,11 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
                                            serve::ScoringService* service,
                                            const std::string& scorer,
                                            ClusterController* cluster) {
+  // Built before docking, so every overload rejects a job shape narrower
+  // than one rank up front. The campaign samples faults itself.
+  JobConfig jc = cfg_.job;
+  jc.inject_failures = false;
+  const FusionScoringJob job(jc);
   CampaignReport report;
   core::Rng rng(cfg_.seed);
 
@@ -79,16 +82,6 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
         "campaign: checkpoint_path requires output_prefix — completed units are "
         "recovered from the streamed shards on resume");
   }
-
-  // One worker pool for the whole campaign: fusion scoring jobs run their
-  // ranks on it, and while it is installed as the compute pool the numeric
-  // kernels (gemm, conv lowering, voxel splatting) pick it up for any work
-  // issued from the campaign thread.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const size_t pool_threads =
-      cfg_.threads > 0 ? static_cast<size_t>(cfg_.threads) : (hw != 0 ? hw : 1);
-  core::ThreadPool pool(pool_threads);
-  core::ComputePoolGuard pool_guard(&pool);
 
   struct PoseBookkeeping {
     size_t compound_idx;
@@ -174,7 +167,7 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
   std::vector<float> fusion_pred(work.size(), 0.0f);
 
   const bool streaming = !cfg_.output_prefix.empty();
-  const int num_shards = cfg_.num_shards > 0 ? cfg_.num_shards : plan.ranks_per_job;
+  const int num_shards = plan.ranks_per_job;  // one shard per job rank
 
   // --- resume: recover completed units from checkpoint + shards ---
   const bool resuming = !cfg_.checkpoint_path.empty() && fs::exists(cfg_.checkpoint_path);
@@ -319,39 +312,46 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
     kill_check();
   };
 
+  // The logical fault schedule is a pure function of (seed, unit, attempt),
+  // so it resolves without scoring: each unit's attempt cursor advances past
+  // its doomed attempts — each bookkept as a failed job and passed through
+  // the kill harness — and only the first clean attempt is scored.
+  std::vector<int> next_attempt(plan.units.size(), 0);
+  const auto advance_to_clean_attempt = [&](const WorkUnit& unit) -> bool {
+    int& cursor = next_attempt[unit.id];
+    while (cursor <= cfg_.max_job_retries) {
+      const int doomed = injector != nullptr
+                             ? injector->doomed_rank(cfg_.seed, unit.id, cursor,
+                                                     cfg_.job.nodes, unit.ranks)
+                             : -1;
+      if (doomed < 0) return true;
+      ++cursor;
+      ++attempts[unit.id];
+      ++attempts_this_run;
+      kill_check();
+    }
+    return false;
+  };
+
   if (service != nullptr) {
     for (const WorkUnit& unit : plan.units) {
       if (status[unit.id] != static_cast<int64_t>(UnitStatus::Pending)) continue;
-      const std::vector<PoseWorkItem> chunk(work.begin() + static_cast<long>(unit.pose_begin),
-                                            work.begin() + static_cast<long>(unit.pose_end));
-      for (int attempt = 0; attempt <= cfg_.max_job_retries; ++attempt) {
-        JobConfig jc = cfg_.job;
-        jc.pool = &pool;
-        if (injector != nullptr) {
-          jc.inject_failures = false;
-          jc.doomed_rank = injector->doomed_rank(cfg_.seed, unit.id, attempt, jc.nodes, unit.ranks);
-        }
-        FusionScoringJob job(jc);
-        const JobReport jr = job.run(chunk, *service, scorer);
-        ++attempts[unit.id];
-        ++attempts_this_run;
-        if (jr.failed) {
-          kill_check();
-          continue;  // resubmit: "another job takes its place"
-        }
-        complete_unit(unit, jr.predictions.data());
-        break;
+      if (!advance_to_clean_attempt(unit)) {
+        exhaust_unit(unit);
+        continue;
       }
-      if (status[unit.id] == static_cast<int64_t>(UnitStatus::Pending)) exhaust_unit(unit);
+      const JobReport jr =
+          job.run(std::span(work).subspan(unit.pose_begin, unit.poses()), *service, scorer);
+      ++attempts[unit.id];
+      ++attempts_this_run;
+      complete_unit(unit, jr.predictions.data());
     }
   } else {
     // --- distributed scoring over the cluster controller ---
-    // The logical fault schedule is a pure function of (seed, unit, attempt),
-    // so it resolves without scoring: advance each unit's attempt cursor past
-    // its doomed attempts — bookkept exactly like failed in-process jobs —
-    // and ship only the first clean attempt to the cluster. Physical node
-    // deaths re-dispatch inside the controller without touching the cursor,
-    // which is why the report stays bit-identical to the serial run.
+    // Only clean attempts ship to the cluster. Physical node deaths
+    // re-dispatch inside the controller without touching the attempt
+    // cursor, which is why the report stays bit-identical to the
+    // in-process run.
     //
     // If anything throws out of this branch (CampaignKilled from the kill
     // harness, a stopped controller), the cluster is stopped before the
@@ -360,22 +360,6 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
     // the queue means a resumed run needs a fresh controller — stale
     // verdicts from the aborted run can never leak into it.
     try {
-    std::vector<int> next_attempt(plan.units.size(), 0);
-    const auto advance_to_clean_attempt = [&](const WorkUnit& unit) -> bool {
-      int& cursor = next_attempt[unit.id];
-      while (cursor <= cfg_.max_job_retries) {
-        const int doomed = injector != nullptr
-                               ? injector->doomed_rank(cfg_.seed, unit.id, cursor,
-                                                       cfg_.job.nodes, unit.ranks)
-                               : -1;
-        if (doomed < 0) return true;
-        ++cursor;
-        ++attempts[unit.id];
-        ++attempts_this_run;
-        kill_check();
-      }
-      return false;
-    };
     const auto submit_unit = [&](const WorkUnit& unit) {
       std::vector<serve::PoseInput> poses;
       poses.reserve(unit.poses());
@@ -406,9 +390,9 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
       ++attempts[unit.id];
       ++attempts_this_run;
       if (!r.ok) {
-        // A typed scorer failure on the clean attempt — the distributed
-        // analog of jr.failed: bookkeep it and resubmit on the next clean
-        // attempt, if the unit has retries left.
+        // A typed scorer failure on the clean attempt: bookkeep it as a
+        // failed job and resubmit on the next clean attempt, if the unit
+        // has retries left.
         kill_check();
         ++next_attempt[unit.id];
         if (advance_to_clean_attempt(unit)) {

@@ -9,11 +9,12 @@
 // percent-inhibition values used by Figures 5/6 and Table 8.
 //
 // The driver is a RankPlan walk: the pose list is partitioned into work
-// units keyed by stable ids, every stochastic decision (job scoring
-// streams, fault injection, assay noise) derives from (seed, stable id),
-// finished units stream to per-rank CRC-framed shards, and a compact
-// checkpoint written every K completed jobs makes the campaign killable at
-// any instant and resumable to the bit-identical report.
+// units keyed by stable ids, every stochastic decision (fault injection,
+// assay noise) derives from (seed, stable id), doomed attempts are
+// bookkept without scoring, finished units stream to per-rank CRC-framed
+// shards, and a compact checkpoint written every K completed jobs makes
+// the campaign killable at any instant and resumable to the bit-identical
+// report.
 #pragma once
 
 #include <map>
@@ -55,7 +56,7 @@ struct CampaignConfig {
   int poses_per_job = 512;               // paper: 2M; scaled
   data::AssayConfig assay;
   int max_job_retries = 4;
-  int threads = 0;                       // shared worker pool size; 0 = hardware concurrency
+  int threads = 0;                       // compat overload's service workers; 0 = hw
   uint64_t seed = 2021;
 
   // --- multi-rank / fault-tolerance layer ---
@@ -63,7 +64,6 @@ struct CampaignConfig {
                                             // = default §4.3 stochastic injector
   std::string output_prefix;             // non-empty = stream finished units to
                                          // <prefix>.rankN.dfsh shards + manifest
-  int num_shards = 0;                    // 0 = one shard per job rank
   std::string checkpoint_path;           // non-empty = checkpoint/resume enabled
                                          // (requires output_prefix)
   int checkpoint_every_jobs = 4;         // K completed units per checkpoint
@@ -105,8 +105,12 @@ class ScreeningCampaign {
 
   /// Screen `compounds` against every target, scoring poses through
   /// `service` with the named scorer — the campaign is one client among
-  /// possibly many of a shared ScoringService. The AMPL surrogate is fitted
-  /// per target on the MM/GBSA-rescored poses encountered during the run.
+  /// possibly many of a shared ScoringService: each unit's first clean
+  /// attempt runs as one FusionScoringJob, and doomed attempts are bookkept
+  /// without scoring. The AMPL surrogate is fitted per target on the
+  /// MM/GBSA-rescored poses encountered during the run. Every overload
+  /// throws std::invalid_argument before docking when job.nodes or
+  /// job.gpus_per_node is below 1.
   /// If `checkpoint_path` names an existing checkpoint, the campaign
   /// resumes: completed units are recovered from the shards, everything
   /// else re-runs on its original RNG streams, and the returned report is

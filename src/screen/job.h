@@ -1,14 +1,14 @@
 // One Fusion scoring job (paper Fig. 3): a fixed set of poses is divided
-// across ranks (nodes x GPUs, one client per rank here); each rank streams
-// its subset to the shared serve::ScoringService, which featurizes and
-// scores it in micro-batches on per-worker model replicas. Results are
+// across ranks (nodes x GPUs); each rank submits its contiguous subset as
+// one request to the shared serve::ScoringService, whose workers featurize
+// and score it in micro-batches on per-worker model replicas. Results are
 // allgathered and written in parallel. Failure injection reproduces the
 // §4.3 instability, and — like the real pipeline — a failed job writes
 // nothing (results are only flushed after scoring completes), so reruns are
 // idempotent.
 #pragma once
 
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,10 +16,6 @@
 #include "chem/voxelizer.h"
 #include "models/regressor.h"
 #include "screen/cluster.h"
-
-namespace df::core {
-class ThreadPool;
-}
 
 namespace df::serve {
 class ScoringService;
@@ -41,16 +37,8 @@ struct JobConfig {
   int gpus_per_node = 4;           // ranks = nodes * gpus_per_node
   uint64_t seed = 99;              // stream of the inject_failures draw
   bool inject_failures = false;    // sample §4.3 failure probabilities
-  // When set, the campaign's FaultInjector has already decided this job's
-  // fate: >= 0 kills that rank mid-eval, -1 runs clean. Overrides
-  // inject_failures, keeping all fault randomness keyed on stable work-unit
-  // ids instead of per-job engine state.
-  std::optional<int> doomed_rank;
   int poses_per_batch = 32;        // service micro-batch size built from this
                                    // config (campaign compat path)
-  core::ThreadPool* pool = nullptr;  // shared worker pool (not owned); rank
-                                     // clients run as pool jobs when set, as
-                                     // raw std::threads otherwise
   chem::VoxelConfig voxel;         // featurization of the compat-path scorer
   chem::GraphFeaturizerConfig graph;
   std::string output_prefix;       // empty = don't write files
@@ -80,15 +68,19 @@ using ModelFactory = models::RegressorFactory;
 
 class FusionScoringJob {
  public:
-  explicit FusionScoringJob(JobConfig cfg) : cfg_(std::move(cfg)) {}
+  /// Throws std::invalid_argument when nodes or gpus_per_node is below 1.
+  explicit FusionScoringJob(JobConfig cfg);
 
   /// Score `items` through `service` with the named scorer. The job is a
-  /// client: ranks submit contiguous pose slices and await their futures;
-  /// the service owns featurization, batching and model replicas. A service
-  /// in ordered-stream mode makes the predictions bit-reproducible at any
-  /// service worker count. Service-side typed errors (unknown scorer,
-  /// shutdown, scorer failure) surface as std::runtime_error.
-  JobReport run(const std::vector<PoseWorkItem>& items, serve::ScoringService& service,
+  /// client that owns no threads: the calling thread submits each rank's
+  /// contiguous pose slice as one request and awaits every future; the
+  /// service owns featurization, batching and model replicas. A service in
+  /// ordered-stream mode makes the predictions bit-reproducible at any
+  /// service worker count. A doomed rank fails the job before anything is
+  /// submitted. An unknown scorer throws std::out_of_range at startup; other
+  /// typed service errors surface as std::runtime_error once every request
+  /// has resolved, since the requests borrow the items' pockets until then.
+  JobReport run(std::span<const PoseWorkItem> items, serve::ScoringService& service,
                 const std::string& scorer) const;
 
   const JobConfig& config() const { return cfg_; }

@@ -2,6 +2,8 @@
 
 #include "models/sgcnn.h"
 #include "screen/campaign.h"
+#include "serve/registry.h"
+#include "serve/service.h"
 
 namespace df::screen {
 namespace {
@@ -115,6 +117,31 @@ TEST(Campaign, AggregationUsesStrongestPose) {
     EXPECT_LT(r.vina_score, 1e29f);
     EXPECT_GT(r.fusion_pk, -1e29f);
   }
+}
+
+TEST(Campaign, JobShapeNarrowerThanOneRankThrows) {
+  Rng rng(5);
+  std::vector<data::Target> targets = {data::make_target(data::TargetKind::Protease1, rng)};
+  const auto compounds =
+      data::generate_library(data::default_library(data::LibrarySource::Enamine, 3), rng);
+  serve::ModelRegistry reg;
+  serve::add_regressor(reg, "sg", sg_factory(), small_campaign().job.voxel);
+  serve::ServiceConfig sc;
+  sc.workers = 1;
+  sc.ordered_stream = true;
+  serve::ScoringService service(reg, sc);
+  for (const auto& [nodes, gpus] : {std::pair{0, 2}, std::pair{1, 0}, std::pair{-1, 2}}) {
+    CampaignConfig cfg = small_campaign();
+    cfg.job.nodes = nodes;
+    cfg.job.gpus_per_node = gpus;
+    EXPECT_THROW(ScreeningCampaign(cfg, targets).run(compounds, sg_factory()),
+                 std::invalid_argument)
+        << nodes << " x " << gpus;
+    EXPECT_THROW(ScreeningCampaign(cfg, targets).run(compounds, service, "sg"),
+                 std::invalid_argument)
+        << nodes << " x " << gpus;
+  }
+  EXPECT_EQ(service.stats().requests, 0u);
 }
 
 }  // namespace

@@ -523,15 +523,6 @@ TEST(ThreadPool, ParallelForPropagatesFirstException) {
   EXPECT_EQ(count.load(), 32);
 }
 
-TEST(ThreadPool, WaitIdleRethrowsSubmittedJobError) {
-  core::ThreadPool pool(2);
-  pool.submit([] { throw std::invalid_argument("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::invalid_argument);
-  // Error is consumed: the next join is clean.
-  pool.submit([] {});
-  EXPECT_NO_THROW(pool.wait_idle());
-}
-
 // ---- batched predict vs per-pose predict ----
 
 data::Sample make_sample(Rng& rng) {

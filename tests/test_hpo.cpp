@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 
+#include "core/threadpool.h"
 #include "data/splits.h"
 #include "hpo/gp.h"
 #include "hpo/pb2.h"

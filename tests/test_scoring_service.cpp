@@ -546,10 +546,10 @@ TEST(Service, ThrowingFactoryFailsWarmupCleanly) {
   EXPECT_EQ(service.score(std::move(req)).error, serve::ScoreError::kScorerFailure);
 }
 
-TEST(ServiceJob, ScorerFailureSurfacesAsExceptionWithoutPool) {
-  // A rank client that gets a typed service error throws; with no shared
-  // pool the job must still surface that as an exception at the join
-  // instead of std::terminate-ing from a raw thread.
+TEST(ServiceJob, ScorerFailureThrowsAfterEveryRequestResolved) {
+  // A rank whose request resolves with a typed service error fails the job
+  // with an exception, but only once every rank's request has resolved:
+  // the requests borrow the caller's pockets until then.
   Rng rng(36);
   const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
   serve::ModelRegistry reg;
@@ -567,9 +567,11 @@ TEST(ServiceJob, ScorerFailureSurfacesAsExceptionWithoutPool) {
   screen::JobConfig jc;
   jc.nodes = 1;
   jc.gpus_per_node = 2;
-  jc.pool = nullptr;
   EXPECT_THROW(screen::FusionScoringJob(jc).run(items, service, "throwing"),
                std::runtime_error);
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.latency.count(), stats.requests);
 }
 
 // ---- warmup / replicas --------------------------------------------------

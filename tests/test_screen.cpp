@@ -160,6 +160,21 @@ TEST(Job, UnknownScorerThrowsAtStartup) {
   EXPECT_THROW(FusionScoringJob(jc).run(items, service, "no_such_model"), std::out_of_range);
 }
 
+TEST(Job, ShapeNarrowerThanOneRankThrows) {
+  Rng rng(6);
+  const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
+  const auto items = make_items(4, &pocket, rng);
+  serve::ScoringService service = make_sg_service(1);
+  for (const auto& [nodes, gpus] : {std::pair{0, 4}, std::pair{2, 0}, std::pair{-1, 4}}) {
+    JobConfig jc;
+    jc.nodes = nodes;
+    jc.gpus_per_node = gpus;
+    EXPECT_THROW(FusionScoringJob(jc).run(items, service, "sg"), std::invalid_argument)
+        << nodes << " x " << gpus;
+  }
+  EXPECT_EQ(service.stats().requests, 0u);
+}
+
 TEST(Writer, ShardedRoundTrip) {
   const std::string prefix =
       (std::filesystem::temp_directory_path() / "df_shard_test").string();

@@ -59,12 +59,17 @@ TEST_F(ServiceFaultsTest, ScriptedFaultsMatchFactoryPathBitwise) {
   cfg.fault_injector = &injector;
   const CampaignReport via_factory =
       ScreeningCampaign(cfg, targets_).run(compounds_, testutil::tiny_sg_factory());
-  const CampaignReport via_service = run_via_service(cfg);
+  const auto service = make_service(cfg);
+  const CampaignReport via_service =
+      ScreeningCampaign(cfg, targets_).run(compounds_, *service, "sg");
 
   EXPECT_EQ(via_factory.jobs_failed, 3);
   testutil::expect_reports_bitwise_equal(via_factory, via_service);
   EXPECT_EQ(via_service.jobs_failed, via_factory.jobs_failed);
   EXPECT_EQ(via_service.units_exhausted, 0);
+  // Doomed attempts resolve without scoring: every pose reaches the
+  // service exactly once, on its unit's clean attempt.
+  EXPECT_EQ(service->stats().poses, static_cast<uint64_t>(via_service.poses_generated));
 }
 
 TEST_F(ServiceFaultsTest, RetriedUnitsScoreIdenticallyToCleanRun) {

@@ -84,21 +84,5 @@ TEST(TrainerParallel, DifferentSeedActuallyChangesTraining) {
             tu::float_bits(res_b.epochs.back().train_mse));
 }
 
-TEST(TrainerParallel, SharedPoolMatchesOwnedPool) {
-  // A borrowed pool (the PB2 population path) must not change bits either.
-  const std::unique_ptr<tu::Corpus> c = tu::make_corpus(16, 41, /*augment=*/false);
-  const TrainConfig tc = base_config();
-  auto [owned_res, owned_model] = run(tu::sg_factory(), *c, tc, 4);
-  core::ThreadPool pool(4);
-  TrainConfig shared_tc = tc;
-  shared_tc.threads = 4;
-  shared_tc.replica_factory = tu::sg_factory();
-  shared_tc.pool = &pool;
-  std::unique_ptr<Regressor> model = tu::sg_factory()();
-  const TrainResult shared_res = train_model(*model, *c->train, *c->val, shared_tc);
-  tu::expect_results_bitwise_equal(owned_res, shared_res);
-  tu::expect_parameters_bitwise_equal(*owned_model, *model);
-}
-
 }  // namespace
 }  // namespace df::models
