@@ -130,7 +130,9 @@ void CellList::knearest(const core::Vec3& p, int32_t k, std::vector<int32_t>& ou
   // grid cell — the shell index at which the whole grid has been visited.
   const int32_t smax = std::max({cx, nx_ - 1 - cx, cy, ny_ - 1 - cy, cz, nz_ - 1 - cz, 0});
 
-  std::vector<std::pair<float, int32_t>> cand;  // (dist, index)
+  // Per-thread scratch: concurrent queries on one shared list stay safe.
+  static thread_local std::vector<std::pair<float, int32_t>> cand;  // (dist, index)
+  cand.clear();
   for (int32_t s = 0; s <= smax; ++s) {
     const int32_t xlo = std::max(0, cx - s), xhi = std::min(nx_ - 1, cx + s);
     const int32_t ylo = std::max(0, cy - s), yhi = std::min(ny_ - 1, cy + s);
@@ -158,10 +160,13 @@ void CellList::knearest(const core::Vec3& p, int32_t k, std::vector<int32_t>& ou
       if (kth + 0.5f * cell_size_ <= static_cast<float>(s) * cell_size_) break;
     }
   }
-  // Final order = the brute-force crop's order: sort by (distance, index).
-  std::sort(cand.begin(), cand.end());
-  out.reserve(static_cast<size_t>(k));
-  for (int32_t i = 0; i < k; ++i) out.push_back(cand[static_cast<size_t>(i)].second);
+  // The first k candidates are now the k smallest: either the loop broke
+  // right after selecting, or it ran out at shell smax, which gathered all
+  // n >= k atoms and so selected too. (distance, index) is a strict total
+  // order, so sorting that prefix gives exactly the brute-force crop's order.
+  std::sort(cand.begin(), cand.begin() + k);
+  out.resize(static_cast<size_t>(k));
+  for (int32_t i = 0; i < k; ++i) out[static_cast<size_t>(i)] = cand[static_cast<size_t>(i)].second;
 }
 
 }  // namespace df::chem

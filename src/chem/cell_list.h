@@ -46,11 +46,14 @@ class CellList {
   /// still bitwise identical) without the round-trip through an index list.
   bool covers_all(const core::Vec3& p) const;
 
-  /// Exact k-nearest selection under the (distance, index) key: clears
-  /// `out`, then appends min(k, n) atom indices ordered exactly as a full
-  /// std::sort of all atoms by (pos.dist(p), index) would order its prefix.
-  /// Expanding-shell search with a conservative one-cell stopping margin,
-  /// so float rounding can never let an unvisited shell displace a winner.
+  /// Exact k-nearest selection under the (distance, index) key: sets `out`
+  /// to min(k, n) atom indices ordered exactly as a full std::sort of all
+  /// atoms by (pos.dist(p), index) would order its prefix. Expanding-shell
+  /// search with a half-cell stopping margin, so float rounding can never
+  /// let an unvisited shell displace a winner; the visited candidates are
+  /// partially selected (nth_element at k-1) and only the k winners sorted.
+  /// Candidates live in a per-thread buffer, so concurrent queries on one
+  /// list are safe and a query allocates nothing once warm.
   void knearest(const core::Vec3& p, int32_t k, std::vector<int32_t>& out) const;
 
  private:

@@ -84,9 +84,9 @@ graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
     xyz[static_cast<size_t>(nl + i)] = sel[static_cast<size_t>(i)]->pos;
   }
 
-  // One cell list over the combined atoms serves both the pseudo-bond scan
-  // (covalent threshold) and the non-covalent scan: cell size is the larger
-  // threshold, so gather() is a superset for both predicates.
+  // One cell list over the combined atoms serves the whole pair scan: its
+  // cell size is the non-covalent threshold, the larger of the two, so
+  // gather() is a superset for both predicates.
   static thread_local CellList pair_cells;
   static thread_local std::vector<int32_t> cand;
   const bool use_cells = cfg_.use_cell_list && total >= cfg_.cell_list_min_atoms && total > 0;
@@ -94,27 +94,65 @@ graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
     pair_cells.build(xyz.data(), static_cast<int32_t>(total), cfg_.noncovalent_threshold);
   }
 
-  // Protein pseudo-bonds: pocket atoms within the covalent threshold.
-  // Collected before node features so v2 can derive pocket degrees from them.
-  static thread_local std::vector<std::pair<int32_t, int32_t>> pseudo;
-  pseudo.clear();
-  for (int64_t i = nl; i < total; ++i) {
-    // covers_all: gather would be the identity permutation, so the plain
-    // j>i scan visits the same atoms in the same order — skip the list.
-    if (use_cells && !pair_cells.covers_all(xyz[static_cast<size_t>(i)])) {
-      pair_cells.gather(xyz[static_cast<size_t>(i)], cand);
+  // One scan over every pair (i, j > i), in (i, ascending j) order, feeds
+  // both edge sets. Two pocket atoms within the covalent threshold are a
+  // protein pseudo-bond; a pair within the non-covalent threshold but past
+  // the covalent one, and not a ligand bond, is a non-covalent edge
+  // (ligand–protein pairs dominate by construction). Brute rows compact
+  // without a branch: every pair is written at the cursor, which advances
+  // by the predicate, so the buffers must hold a whole row first. Only the
+  // ligand–ligand block can hold a bond, so only it checks bonded(). Cell
+  // rows (large graphs) visit gather()'s candidates with the same
+  // predicates, so both routes keep the same pairs in the same order; a
+  // row whose stencil covers the whole grid runs as a brute row, since
+  // gather() would return every atom in index order anyway.
+  const float cov = cfg_.covalent_threshold;
+  const float ncut = cfg_.noncovalent_threshold;
+  auto bonded = [&](int32_t a, int32_t b) {
+    for (int32_t u : ligand.neighbors(a)) {
+      if (u == b) return true;
+    }
+    return false;
+  };
+  struct Pair {
+    int32_t i, j;
+    float d;
+  };
+  static thread_local std::vector<Pair> pseudo, noncov;
+  size_t n_pseudo = 0, n_noncov = 0;
+  auto hold_row = [&](size_t len) {
+    if (noncov.size() < n_noncov + len) noncov.resize(n_noncov + len);
+    if (pseudo.size() < n_pseudo + len) pseudo.resize(n_pseudo + len);
+  };
+  for (int64_t i = 0; i < total; ++i) {
+    const core::Vec3 pi = xyz[static_cast<size_t>(i)];
+    const int32_t a = static_cast<int32_t>(i);
+    const bool pocket_row = i >= nl;
+    if (use_cells && !pair_cells.covers_all(pi)) {
+      pair_cells.gather(pi, cand);
+      hold_row(cand.size());
       for (int32_t j : cand) {
         if (j <= i) continue;
-        if (xyz[static_cast<size_t>(i)].dist(xyz[static_cast<size_t>(j)]) <= cfg_.covalent_threshold) {
-          pseudo.emplace_back(static_cast<int32_t>(i), j);
-        }
+        const float d = pi.dist(xyz[static_cast<size_t>(j)]);
+        if (pocket_row && d <= cov) pseudo[n_pseudo++] = {a, j, d};
+        if (d <= ncut && d > cov && !(j < nl && bonded(a, j))) noncov[n_noncov++] = {a, j, d};
       }
-    } else {
-      for (int64_t j = i + 1; j < total; ++j) {
-        if (xyz[static_cast<size_t>(i)].dist(xyz[static_cast<size_t>(j)]) <= cfg_.covalent_threshold) {
-          pseudo.emplace_back(static_cast<int32_t>(i), static_cast<int32_t>(j));
-        }
+      continue;
+    }
+    hold_row(static_cast<size_t>(total - i - 1));
+    int64_t j = i + 1;
+    for (; j < nl; ++j) {
+      const float d = pi.dist(xyz[static_cast<size_t>(j)]);
+      if (d <= ncut && d > cov && !bonded(a, static_cast<int32_t>(j))) {
+        noncov[n_noncov++] = {a, static_cast<int32_t>(j), d};
       }
+    }
+    for (; j < total; ++j) {
+      const float d = pi.dist(xyz[static_cast<size_t>(j)]);
+      noncov[n_noncov] = {a, static_cast<int32_t>(j), d};
+      pseudo[n_pseudo] = {a, static_cast<int32_t>(j), d};
+      n_noncov += static_cast<size_t>((d <= ncut) & (d > cov));
+      n_pseudo += static_cast<size_t>(pocket_row & (d <= cov));
     }
   }
 
@@ -130,9 +168,9 @@ graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
   static thread_local std::vector<int> pdeg;
   pdeg.assign(static_cast<size_t>(np), 0);
   if (cfg_.feature_set_version >= 2) {
-    for (const auto& pb : pseudo) {
-      ++pdeg[static_cast<size_t>(pb.first - nl)];
-      ++pdeg[static_cast<size_t>(pb.second - nl)];
+    for (size_t e = 0; e < n_pseudo; ++e) {
+      ++pdeg[static_cast<size_t>(pseudo[e].i - nl)];
+      ++pdeg[static_cast<size_t>(pseudo[e].j - nl)];
     }
   }
   for (int64_t i = 0; i < np; ++i) {
@@ -141,70 +179,50 @@ graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
   }
 
   // Covalent edges: ligand bond graph, then the protein pseudo-bonds.
+  const size_t n_cov = ligand.bonds().size() + n_pseudo;
+  g.covalent.src.reserve(2 * n_cov);
+  g.covalent.dst.reserve(2 * n_cov);
   for (const Bond& b : ligand.bonds()) g.covalent.add_undirected(b.a, b.b);
-  for (const auto& pb : pseudo) g.covalent.add_undirected(pb.first, pb.second);
+  for (size_t e = 0; e < n_pseudo; ++e) g.covalent.add_undirected(pseudo[e].i, pseudo[e].j);
 
-  // v2: interface H-bond pairs, keyed (ligand_atom << 32 | pocket_node) for
-  // binary-search lookup during the edge scan.
-  static thread_local std::vector<int64_t> hbond_keys;
-  hbond_keys.clear();
-  if (cfg_.feature_set_version >= 2 && nl > 0 && np > 0) {
-    static thread_local std::vector<Atom> sel_atoms;
-    sel_atoms.resize(static_cast<size_t>(np));
-    for (int64_t i = 0; i < np; ++i) sel_atoms[static_cast<size_t>(i)] = *sel[static_cast<size_t>(i)];
-    for (const HBond& hb : find_hbonds(ligand, sel_atoms, cfg_.hbond)) {
-      hbond_keys.push_back((static_cast<int64_t>(hb.ligand_atom) << 32) |
-                           static_cast<int64_t>(nl + hb.pocket_atom));
-    }
-    std::sort(hbond_keys.begin(), hbond_keys.end());
+  // Non-covalent edges, written once at their final size in add_undirected's
+  // (i, j), (j, i) order.
+  g.noncovalent.src.resize(2 * n_noncov);
+  g.noncovalent.dst.resize(2 * n_noncov);
+  for (size_t e = 0; e < n_noncov; ++e) {
+    g.noncovalent.src[2 * e] = g.noncovalent.dst[2 * e + 1] = noncov[e].i;
+    g.noncovalent.dst[2 * e] = g.noncovalent.src[2 * e + 1] = noncov[e].j;
   }
 
-  // Non-covalent edges: any pair within the spatial threshold that is not
-  // covalently bonded. Ligand–protein pairs dominate by construction. Both
-  // paths enumerate (i, ascending j > i) with the same predicate, so the
-  // edge lists are bitwise identical.
-  auto bonded = [&](int32_t a, int32_t b) {
-    if (a >= nl || b >= nl) return false;
-    for (int32_t u : ligand.neighbors(a)) {
-      if (u == b) return true;
-    }
-    return false;
-  };
-  static thread_local std::vector<float> efeat;
-  efeat.clear();
-  const bool want_efeat = cfg_.feature_set_version >= 2;
-  auto try_edge = [&](int32_t i, int32_t j) {
-    const float d = xyz[static_cast<size_t>(i)].dist(xyz[static_cast<size_t>(j)]);
-    if (d <= cfg_.noncovalent_threshold && d > cfg_.covalent_threshold && !bonded(i, j)) {
-      g.noncovalent.add_undirected(i, j);
-      if (want_efeat) {
-        const bool hb = i < nl && j >= nl &&
-                        std::binary_search(hbond_keys.begin(), hbond_keys.end(),
-                                           (static_cast<int64_t>(i) << 32) | static_cast<int64_t>(j));
-        const float dn = d / cfg_.noncovalent_threshold;
-        const float hbf = hb ? 1.0f : 0.0f;
-        // One row per directed edge, matching add_undirected's (i,j),(j,i).
-        efeat.push_back(dn); efeat.push_back(hbf);
-        efeat.push_back(dn); efeat.push_back(hbf);
+  // v2 edge channels, one row per directed edge: [d / threshold, interface
+  // H-bond flag]. H-bond pairs are keyed (ligand_atom << 32 | pocket_node)
+  // for binary-search lookup.
+  if (cfg_.feature_set_version >= 2 && n_noncov > 0) {
+    static thread_local std::vector<int64_t> hbond_keys;
+    hbond_keys.clear();
+    if (nl > 0 && np > 0) {
+      static thread_local std::vector<Atom> sel_atoms;
+      sel_atoms.resize(static_cast<size_t>(np));
+      for (int64_t i = 0; i < np; ++i) sel_atoms[static_cast<size_t>(i)] = *sel[static_cast<size_t>(i)];
+      for (const HBond& hb : find_hbonds(ligand, sel_atoms, cfg_.hbond)) {
+        hbond_keys.push_back((static_cast<int64_t>(hb.ligand_atom) << 32) |
+                             static_cast<int64_t>(nl + hb.pocket_atom));
       }
+      std::sort(hbond_keys.begin(), hbond_keys.end());
     }
-  };
-  for (int64_t i = 0; i < total; ++i) {
-    if (use_cells && !pair_cells.covers_all(xyz[static_cast<size_t>(i)])) {
-      pair_cells.gather(xyz[static_cast<size_t>(i)], cand);
-      for (int32_t j : cand) {
-        if (j > i) try_edge(static_cast<int32_t>(i), j);
-      }
-    } else {
-      for (int64_t j = i + 1; j < total; ++j) {
-        try_edge(static_cast<int32_t>(i), static_cast<int32_t>(j));
-      }
+    g.noncovalent_features =
+        core::Tensor::uninit({static_cast<int64_t>(2 * n_noncov), kGraphEdgeFeaturesV2});
+    float* f = g.noncovalent_features.data();
+    for (size_t e = 0; e < n_noncov; ++e) {
+      const Pair& p = noncov[e];
+      const int64_t key = (static_cast<int64_t>(p.i) << 32) | static_cast<int64_t>(p.j);
+      const bool hb = p.i < nl && p.j >= nl &&
+                      std::binary_search(hbond_keys.begin(), hbond_keys.end(), key);
+      const float dn = p.d / ncut;
+      const float hbf = hb ? 1.0f : 0.0f;
+      f[4 * e + 0] = dn; f[4 * e + 1] = hbf;
+      f[4 * e + 2] = dn; f[4 * e + 3] = hbf;
     }
-  }
-  if (want_efeat && !efeat.empty()) {
-    const int64_t ne = static_cast<int64_t>(efeat.size()) / kGraphEdgeFeaturesV2;
-    g.noncovalent_features = core::Tensor({ne, kGraphEdgeFeaturesV2});
-    std::copy(efeat.begin(), efeat.end(), g.noncovalent_features.data());
   }
   return g;
 }

@@ -16,7 +16,6 @@ RankPlan RankPlan::build(size_t total_poses, int poses_per_job, const JobConfig&
     unit.id = static_cast<uint32_t>(u);
     unit.pose_begin = u * per;
     unit.pose_end = std::min(total_poses, (u + 1) * per);
-    unit.nodes = job.nodes;
     unit.ranks = plan.ranks_per_job;
     plan.units.push_back(unit);
   }

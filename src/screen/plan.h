@@ -18,7 +18,6 @@ struct WorkUnit {
   uint32_t id = 0;          // stable index; keys fault draws and checkpoints
   size_t pose_begin = 0;    // contiguous range into the campaign pose list
   size_t pose_end = 0;
-  int nodes = 1;            // job width (drives the §4.3 failure rate)
   int ranks = 1;            // nodes * gpus_per_node
 
   size_t poses() const { return pose_end - pose_begin; }

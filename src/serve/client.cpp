@@ -108,12 +108,17 @@ bool ScoreClient::ensure_connected(Slot* slot, double timeout_ms, std::string* e
     if (error) *error = std::string("hello decode failed: ") + e.what();
     return false;
   }
-  slot->conn = std::move(conn);
   std::lock_guard<std::mutex> lock(mu_);
+  slot->conn = std::move(conn);
   ++stats_.reconnects;
   hello_ = std::move(hello);
   have_hello_ = true;
   return true;
+}
+
+void ScoreClient::drop_connection(Slot* slot) {
+  std::lock_guard<std::mutex> lock(mu_);
+  slot->conn.close();
 }
 
 bool ScoreClient::hello(wire::HelloPayload* out, std::string* error) {
@@ -144,7 +149,7 @@ ScoreResponse ScoreClient::attempt(Slot* slot, const ScoreRequest& req,
   const auto fail = [&](std::string why) {
     *transport_failed = true;
     *transport_error = std::move(why);
-    slot->conn.close();
+    drop_connection(slot);
     return ScoreResponse{};
   };
   const wire::ScoreRequestPayload payload = wire::pack_request(req, request_id);
@@ -310,7 +315,7 @@ PingResult ScoreClient::ping(double timeout_ms) {
   } else {
     result.error = "ping I/O failed: " + slot->conn.last_error();
   }
-  slot->conn.close();
+  drop_connection(slot);
   release(slot);
   return result;
 }
@@ -335,7 +340,7 @@ bool ScoreClient::drain(double timeout_ms, std::string* error) {
                frame.type == wire::FrameType::kDrainAck;
   if (!ok) {
     if (error) *error = "drain handshake failed: " + slot->conn.last_error();
-    slot->conn.close();
+    drop_connection(slot);
   }
   release(slot);
   return ok;
@@ -347,7 +352,7 @@ bool ScoreClient::request_shutdown() {
   std::string error;
   bool ok = ensure_connected(slot, cfg_.connect_timeout_ms, &error);
   if (ok) ok = wire::write_frame(slot->conn, wire::FrameType::kShutdown, {}, cfg_.io_timeout_ms);
-  if (!ok) slot->conn.close();
+  if (!ok) drop_connection(slot);
   release(slot);
   return ok;
 }

@@ -93,8 +93,9 @@ class ScoreClient {
   /// Fire-and-forget kShutdown (the node exits after in-flight work).
   bool request_shutdown();
 
-  /// Drop every pooled connection (next use reconnects). Also unblocks
-  /// nothing — in-flight calls finish their attempt first.
+  /// Drop every pooled connection (next use reconnects): idle ones close,
+  /// busy ones are shut down, so their in-flight attempt fails as a
+  /// transport error. Safe to call from any thread.
   void close();
 
   const ClientConfig& config() const { return cfg_; }
@@ -107,6 +108,10 @@ class ScoreClient {
   void release(Slot* slot);
   /// Connect + consume Hello if the slot is closed. False => *error set.
   bool ensure_connected(Slot* slot, double timeout_ms, std::string* error);
+  /// Close a busy slot's connection. Every write to a slot's connection
+  /// takes mu_, so close() never shuts down a descriptor another thread is
+  /// closing, or one the process has meanwhile reused.
+  void drop_connection(Slot* slot);
   ScoreResponse attempt(Slot* slot, const ScoreRequest& req, uint64_t request_id,
                         bool* transport_failed, std::string* transport_error);
 

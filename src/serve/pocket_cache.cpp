@@ -1,57 +1,48 @@
 #include "serve/pocket_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <type_traits>
 
 #include "core/workspace.h"
 
 namespace df::serve {
 
 namespace {
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
+constexpr uint64_t kOffset = 1469598103934665603ull;  // FNV-1a's offset and prime
+constexpr uint64_t kPrime = 1099511628211ull;
 
-void mix_bytes(uint64_t& h, const void* p, size_t n) {
-  const unsigned char* b = static_cast<const unsigned char*>(p);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= kFnvPrime;
-  }
+// One xor-multiply per 64-bit word. Every field goes in by value, never as
+// struct bytes, so padding cannot leak indeterminate garbage into the key.
+void mix(uint64_t& h, uint64_t w) {
+  h ^= w;
+  h *= kPrime;
 }
 
-template <typename T>
-void mix(uint64_t& h, const T& v) {
-  static_assert(std::is_trivially_copyable<T>::value, "hash needs raw bytes");
-  mix_bytes(h, &v, sizeof(v));
+uint64_t pair_word(uint32_t lo, uint32_t hi) { return lo | (static_cast<uint64_t>(hi) << 32); }
+uint64_t float_word(float lo, float hi) {
+  return pair_word(std::bit_cast<uint32_t>(lo), std::bit_cast<uint32_t>(hi));
 }
 
 uint64_t content_key(const std::vector<chem::Atom>& pocket, const core::Vec3& center,
                      const chem::VoxelConfig& vc, float crop_cell_size) {
-  uint64_t h = kFnvOffset;
-  // Atom fields are hashed individually, never the struct bytes — padding
-  // would leak indeterminate garbage into the key.
+  uint64_t h = kOffset;
   mix(h, static_cast<uint64_t>(pocket.size()));
+  // Three words per atom: x|y, z|element, charge|implicit_h|aromatic.
   for (const chem::Atom& a : pocket) {
-    mix(h, a.pos.x);
-    mix(h, a.pos.y);
-    mix(h, a.pos.z);
-    mix(h, static_cast<int32_t>(a.element));
-    mix(h, static_cast<int32_t>(a.formal_charge));
-    mix(h, static_cast<int32_t>(a.implicit_h));
-    mix(h, static_cast<int32_t>(a.aromatic ? 1 : 0));
+    mix(h, float_word(a.pos.x, a.pos.y));
+    mix(h, pair_word(std::bit_cast<uint32_t>(a.pos.z), static_cast<uint32_t>(a.element)));
+    mix(h, static_cast<uint64_t>(static_cast<uint8_t>(a.formal_charge)) |
+               static_cast<uint64_t>(static_cast<uint8_t>(a.implicit_h)) << 8 |
+               static_cast<uint64_t>(a.aromatic ? 1 : 0) << 16);
   }
-  mix(h, center.x);
-  mix(h, center.y);
-  mix(h, center.z);
-  mix(h, vc.grid_dim);
-  mix(h, vc.resolution);
-  mix(h, vc.sigma_scale);
-  mix(h, vc.cutoff_sigmas);
-  mix(h, vc.feature_set_version);
-  mix(h, vc.hbond.max_dist);
-  mix(h, vc.hbond.max_cos_angle);
-  mix(h, crop_cell_size);
+  mix(h, float_word(center.x, center.y));
+  mix(h, float_word(center.z, vc.resolution));
+  mix(h, pair_word(static_cast<uint32_t>(vc.grid_dim),
+                   static_cast<uint32_t>(vc.feature_set_version)));
+  mix(h, float_word(vc.sigma_scale, vc.cutoff_sigmas));
+  mix(h, float_word(vc.hbond.max_dist, vc.hbond.max_cos_angle));
+  mix(h, std::bit_cast<uint32_t>(crop_cell_size));
   return h;
 }
 

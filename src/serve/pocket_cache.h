@@ -11,10 +11,12 @@
 // k-nearest crop queries (GraphFeaturizer::featurize's crop_cells
 // overload).
 //
-// Keys are a 64-bit FNV-1a hash over the full pocket content (every atom
-// field bit-exactly), the grid center, the complete VoxelConfig and the
-// crop cell size; a hit additionally verifies the stored content byte for
-// byte, so a hash collision degrades to a rebuild, never a wrong grid.
+// Keys fold the full pocket content (every atom field bit-exactly), the
+// grid center, the complete VoxelConfig and the crop cell size into 64
+// bits, one xor-multiply per 64-bit word: three words per atom (x|y,
+// z|element, charge|implicit_h|aromatic). A hit additionally verifies the
+// stored content field for field, so a hash collision degrades to a
+// rebuild, never a wrong grid; the key value never leaves the cache.
 // Changing feature_set_version or any grid knob therefore misses — that IS
 // the invalidation semantics.
 //

@@ -11,16 +11,22 @@
 //     bit (the minimizer-objective bugfix rests on this),
 //   * outputs are bitwise independent of compute-pool thread count,
 //   * the pocket crop breaks distance ties by index (symmetric pockets),
+//   * at serving shapes (2048-atom receptors, 64-atom crop) the featurizer
+//     matches a test-local reference that shares none of its scan code,
+//     with and without a pre-built crop list, and concurrent queries on one
+//     shared list match serial ones,
 //   * feature_set_version wiring: v1 stays bitwise-pinned next to v2, v2
 //     adds the H-bond channels/degrees, and mismatched versions are
 //     rejected by the scorer and the registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -71,6 +77,50 @@ std::vector<chem::Atom> random_pocket(Rng& rng, int n, float radius = 7.0f) {
   return data::make_pocket(pc, rng);
 }
 
+// A receptor at serving scale: `n` heavy atoms uniform in a ball at protein
+// density (0.055 atoms/A^3) around the origin, with a protein-like element,
+// charge, implicit-H and aromatic mix.
+std::vector<chem::Atom> protein_cloud(Rng& rng, int n) {
+  const float radius = std::cbrt(3.0f * static_cast<float>(n) / (4.0f * 3.14159265f * 0.055f));
+  std::vector<chem::Atom> cloud(static_cast<size_t>(n));
+  for (chem::Atom& a : cloud) {
+    const Vec3 dir = Vec3{rng.normal(0.0f, 1.0f), rng.normal(0.0f, 1.0f), rng.normal(0.0f, 1.0f)}
+                         .normalized();
+    a.pos = dir * (radius * std::cbrt(rng.uniform()));
+    const float u = rng.uniform();
+    if (u < 0.1f) {
+      a.element = rng.bernoulli(0.5) ? chem::Element::N : chem::Element::O;
+      a.formal_charge = a.element == chem::Element::N ? 1 : -1;
+    } else if (u < 0.6f) {
+      a.element = chem::Element::C;
+      a.aromatic = rng.bernoulli(0.3);
+    } else {
+      const float v = rng.uniform();
+      a.element = v < 0.4f ? chem::Element::O : (v < 0.8f ? chem::Element::N : chem::Element::S);
+      a.implicit_h = rng.bernoulli(0.5) ? 1 : 0;
+    }
+  }
+  return cloud;
+}
+
+// A bonded ligand placed at the site: embedded, centred, rotated and
+// shifted by about an Angstrom, as docked poses are.
+chem::Molecule ligand_at_site(Rng& rng) {
+  chem::Molecule m = random_ligand(rng);
+  m.translate(Vec3{} - m.centroid());
+  const Vec3 axis = Vec3{rng.normal(0.0f, 1.0f), rng.normal(0.0f, 1.0f), rng.normal(0.0f, 1.0f)}
+                        .normalized();
+  m.rotate(Vec3{}, axis, rng.uniform(0.0f, 6.2831853f));
+  m.translate(Vec3{rng.normal(0.0f, 0.8f), rng.normal(0.0f, 0.8f), rng.normal(0.0f, 0.8f)});
+  return m;
+}
+
+std::vector<Vec3> positions(const std::vector<chem::Atom>& atoms) {
+  std::vector<Vec3> pos;
+  for (const chem::Atom& a : atoms) pos.push_back(a.pos);
+  return pos;
+}
+
 void expect_tensor_bitwise(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   ASSERT_EQ(0, std::memcmp(a.data(), b.data(),
@@ -115,6 +165,19 @@ TEST(CellList, GatherIsSortedSupersetOfRadius) {
   }
 }
 
+void expect_knearest_is_sort_prefix(const chem::CellList& cells, const std::vector<Vec3>& pts,
+                                    const Vec3& p, int k) {
+  std::vector<int32_t> got;
+  cells.knearest(p, k, got);
+  std::vector<std::pair<float, int32_t>> ref(pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) ref[i] = {pts[i].dist(p), static_cast<int32_t>(i)};
+  std::sort(ref.begin(), ref.end());
+  ASSERT_EQ(got.size(), static_cast<size_t>(std::min<size_t>(static_cast<size_t>(k), pts.size())));
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], ref[i].second) << "k " << k << ", place " << i;
+  }
+}
+
 TEST(CellList, KNearestMatchesFullSortWithIndexTieBreak) {
   Rng rng(12);
   for (int trial = 0; trial < 5; ++trial) {
@@ -123,14 +186,86 @@ TEST(CellList, KNearestMatchesFullSortWithIndexTieBreak) {
     cells.build(pts.data(), static_cast<int32_t>(pts.size()), 4.0f);
     const Vec3 p = {(rng.uniform() - 0.5f) * 25.0f, (rng.uniform() - 0.5f) * 25.0f,
                     (rng.uniform() - 0.5f) * 25.0f};
-    for (int k : {1, 7, 64, 150}) {
-      std::vector<int32_t> got;
-      cells.knearest(p, k, got);
-      std::vector<std::pair<float, int32_t>> ref(pts.size());
-      for (size_t i = 0; i < pts.size(); ++i) ref[i] = {pts[i].dist(p), static_cast<int32_t>(i)};
-      std::sort(ref.begin(), ref.end());
-      ASSERT_EQ(got.size(), static_cast<size_t>(k));
-      for (int i = 0; i < k; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], ref[static_cast<size_t>(i)].second);
+    // k = n - 1 and k = n exhaust the grid before the stopping bound holds.
+    for (int k : {1, 7, 64, 149, 150}) expect_knearest_is_sort_prefix(cells, pts, p, k);
+  }
+
+  // The serving crop's shape: 2048 atoms at protein density in 5.22-A cells,
+  // k = 64, probed near the site (where ligand centroids sit) and anywhere
+  // in the cloud; then k = n - 1 and k = n on the same list.
+  const chem::GraphFeaturizerConfig serving;
+  const std::vector<Vec3> cloud = positions(protein_cloud(rng, 2048));
+  chem::CellList crop;
+  crop.build(cloud.data(), static_cast<int32_t>(cloud.size()), serving.noncovalent_threshold);
+  for (int probe = 0; probe < 16; ++probe) {
+    const float spread = probe < 8 ? 2.0f : 30.0f;
+    const Vec3 p = {rng.normal(0.0f, spread), rng.normal(0.0f, spread), rng.normal(0.0f, spread)};
+    expect_knearest_is_sort_prefix(crop, cloud, p, serving.max_pocket_atoms);
+  }
+  expect_knearest_is_sort_prefix(crop, cloud, {0, 0, 0}, 2047);
+  expect_knearest_is_sort_prefix(crop, cloud, {0, 0, 0}, 2048);
+
+  // Exact distance ties straddling the k-th place: copy the k-th nearest
+  // atom's position onto atoms on both sides of it in index order (and on
+  // both sides of the cut), so only the index tie-break decides who stays.
+  const int k = serving.max_pocket_atoms;
+  const Vec3 p = {0.3f, -0.2f, 0.1f};
+  std::vector<std::pair<float, int32_t>> order(cloud.size());
+  for (size_t i = 0; i < cloud.size(); ++i) order[i] = {cloud[i].dist(p), static_cast<int32_t>(i)};
+  std::sort(order.begin(), order.end());
+  std::vector<Vec3> tied = cloud;
+  const Vec3 kth = cloud[static_cast<size_t>(order[static_cast<size_t>(k - 1)].second)];
+  for (int place : {k - 3, k - 2, k, k + 1, k + 5, k + 40}) {
+    tied[static_cast<size_t>(order[static_cast<size_t>(place)].second)] = kth;
+  }
+  chem::CellList tied_cells;
+  tied_cells.build(tied.data(), static_cast<int32_t>(tied.size()), serving.noncovalent_threshold);
+  for (int kk : {k - 2, k - 1, k, k + 1, k + 2}) expect_knearest_is_sort_prefix(tied_cells, tied, p, kk);
+}
+
+TEST(CellList, ConcurrentQueriesOnOneSharedListMatchSerial) {
+  // The pocket cache hands one built list to every replica: four threads
+  // querying it at once, directly and as featurize's crop_cells, must see
+  // exactly what one thread sees.
+  Rng rng(13);
+  const std::vector<chem::Atom> pocket = protein_cloud(rng, 2048);
+  const std::vector<Vec3> pos = positions(pocket);
+  const chem::GraphFeaturizer featurizer;
+  chem::CellList shared;
+  shared.build(pos.data(), static_cast<int32_t>(pos.size()),
+               featurizer.config().noncovalent_threshold);
+  std::vector<chem::Molecule> ligands;
+  for (int i = 0; i < 12; ++i) ligands.push_back(ligand_at_site(rng));
+
+  std::vector<std::vector<int32_t>> crops(ligands.size());
+  std::vector<graph::SpatialGraph> graphs;
+  for (size_t i = 0; i < ligands.size(); ++i) {
+    shared.knearest(ligands[i].centroid(), 64, crops[i]);
+    graphs.push_back(featurizer.featurize(ligands[i], pocket, &shared));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<int32_t>>> got_crops(kThreads);
+  std::vector<std::vector<graph::SpatialGraph>> got_graphs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the ligands from its own offset, twice.
+      for (size_t step = 0; step < 2 * ligands.size(); ++step) {
+        const size_t i = (step + static_cast<size_t>(t) * 5) % ligands.size();
+        std::vector<int32_t> crop;
+        shared.knearest(ligands[i].centroid(), 64, crop);
+        got_crops[static_cast<size_t>(t)].push_back(std::move(crop));
+        got_graphs[static_cast<size_t>(t)].push_back(featurizer.featurize(ligands[i], pocket, &shared));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t step = 0; step < 2 * ligands.size(); ++step) {
+      const size_t i = (step + static_cast<size_t>(t) * 5) % ligands.size();
+      EXPECT_EQ(got_crops[static_cast<size_t>(t)][step], crops[i]) << "thread " << t << ", ligand " << i;
+      expect_graph_bitwise(got_graphs[static_cast<size_t>(t)][step], graphs[i]);
     }
   }
 }
@@ -243,6 +378,127 @@ TEST(CellListFeaturize, SymmetricPocketCropBreaksTiesByIndex) {
   }
   expect_graph_bitwise(chem::GraphFeaturizer(cfg).featurize(lig, pocket),
                        chem::GraphFeaturizer(brute(cfg)).featurize(lig, pocket));
+}
+
+// ---- featurizer vs an independent reference at serving shapes ------------
+
+// Test-local reference featurizer, sharing no scan code with the library:
+// the crop is a full (distance, index) sort, both pair scans are plain
+// double loops into add_undirected, ligand bonds come from the bond list,
+// and the v2 edge channels look H-bonds up by linear search. The cell-vs-
+// brute pins above run the library's own scans on both sides, so only
+// this comparison can see a changed crop or edge order.
+graph::SpatialGraph reference_featurize(const chem::Molecule& lig,
+                                        const std::vector<chem::Atom>& pocket,
+                                        const chem::GraphFeaturizerConfig& cfg) {
+  const int64_t nl = static_cast<int64_t>(lig.num_atoms());
+  const int64_t np = std::min<int64_t>(static_cast<int64_t>(pocket.size()), cfg.max_pocket_atoms);
+  const Vec3 lc = lig.centroid();
+  std::vector<std::pair<float, int32_t>> by_dist;
+  for (size_t i = 0; i < pocket.size(); ++i) {
+    by_dist.emplace_back(pocket[i].pos.dist(lc), static_cast<int32_t>(i));
+  }
+  std::sort(by_dist.begin(), by_dist.end());
+  std::vector<chem::Atom> crop;
+  for (int64_t i = 0; i < np; ++i) {
+    crop.push_back(pocket[static_cast<size_t>(by_dist[static_cast<size_t>(i)].second)]);
+  }
+  std::vector<Vec3> xyz;
+  for (const chem::Atom& a : lig.atoms()) xyz.push_back(a.pos);
+  for (const chem::Atom& a : crop) xyz.push_back(a.pos);
+  const int64_t total = nl + np;
+  const bool v2 = cfg.feature_set_version >= 2;
+
+  graph::SpatialGraph g;
+  g.num_ligand_nodes = static_cast<int32_t>(nl);
+  std::vector<std::pair<int32_t, int32_t>> pseudo;
+  for (int64_t i = nl; i < total; ++i) {
+    for (int64_t j = i + 1; j < total; ++j) {
+      if (xyz[static_cast<size_t>(i)].dist(xyz[static_cast<size_t>(j)]) <= cfg.covalent_threshold) {
+        pseudo.emplace_back(static_cast<int32_t>(i), static_cast<int32_t>(j));
+      }
+    }
+  }
+  std::vector<int> degree(static_cast<size_t>(total), 0);
+  for (int64_t i = 0; i < nl; ++i) degree[static_cast<size_t>(i)] = lig.degree(static_cast<int32_t>(i));
+  if (v2) {
+    for (const auto& [a, b] : pseudo) {
+      ++degree[static_cast<size_t>(a)];
+      ++degree[static_cast<size_t>(b)];
+    }
+  }
+  g.node_features = Tensor({total, chem::kGraphNodeFeatures});
+  for (int64_t r = 0; r < total; ++r) {
+    const chem::Atom& a = r < nl ? lig.atoms()[static_cast<size_t>(r)] : crop[static_cast<size_t>(r - nl)];
+    const chem::ElementInfo& info = chem::element_info(a.element);
+    const int64_t off = chem::kNumElements;
+    g.node_features.at(r, chem::element_index(a.element)) = 1.0f;
+    g.node_features.at(r, off + 0) = static_cast<float>(degree[static_cast<size_t>(r)]) / 4.0f;
+    g.node_features.at(r, off + 1) = a.aromatic ? 1.0f : 0.0f;
+    g.node_features.at(r, off + 2) = static_cast<float>(a.formal_charge);
+    g.node_features.at(r, off + 3) = info.hydrophobic ? 1.0f : 0.0f;
+    g.node_features.at(r, off + 4) = info.hbond_donor_heavy && a.implicit_h > 0 ? 1.0f : 0.0f;
+    g.node_features.at(r, off + 5) = info.hbond_acceptor ? 1.0f : 0.0f;
+    g.node_features.at(r, off + 6) = r < nl ? 1.0f : 0.0f;
+  }
+  for (const chem::Bond& b : lig.bonds()) g.covalent.add_undirected(b.a, b.b);
+  for (const auto& [a, b] : pseudo) g.covalent.add_undirected(a, b);
+
+  const std::vector<chem::HBond> hbonds =
+      v2 && nl > 0 && np > 0 ? chem::find_hbonds(lig, crop, cfg.hbond) : std::vector<chem::HBond>{};
+  auto ligand_bond = [&](int64_t i, int64_t j) {
+    for (const chem::Bond& b : lig.bonds()) {
+      if ((b.a == i && b.b == j) || (b.a == j && b.b == i)) return true;
+    }
+    return false;
+  };
+  std::vector<float> edge_features;
+  for (int64_t i = 0; i < total; ++i) {
+    for (int64_t j = i + 1; j < total; ++j) {
+      const float d = xyz[static_cast<size_t>(i)].dist(xyz[static_cast<size_t>(j)]);
+      if (d > cfg.noncovalent_threshold || d <= cfg.covalent_threshold) continue;
+      if (j < nl && ligand_bond(i, j)) continue;
+      g.noncovalent.add_undirected(static_cast<int32_t>(i), static_cast<int32_t>(j));
+      if (!v2) continue;
+      bool hb = false;
+      for (const chem::HBond& h : hbonds) hb = hb || (h.ligand_atom == i && nl + h.pocket_atom == j);
+      const float dn = d / cfg.noncovalent_threshold;
+      for (int dir = 0; dir < 2; ++dir) {
+        edge_features.push_back(dn);
+        edge_features.push_back(hb ? 1.0f : 0.0f);
+      }
+    }
+  }
+  if (!edge_features.empty()) {
+    g.noncovalent_features =
+        Tensor({static_cast<int64_t>(edge_features.size()) / chem::kGraphEdgeFeaturesV2,
+                chem::kGraphEdgeFeaturesV2});
+    std::copy(edge_features.begin(), edge_features.end(), g.noncovalent_features.data());
+  }
+  return g;
+}
+
+TEST(FeaturizeReference, ServingShapesMatchIndependentReferenceBitwise) {
+  Rng rng(71);
+  for (int receptor = 0; receptor < 2; ++receptor) {
+    const std::vector<chem::Atom> pocket = protein_cloud(rng, 2048);
+    const std::vector<Vec3> pos = positions(pocket);
+    for (int pose = 0; pose < 6; ++pose) {
+      const chem::Molecule lig = ligand_at_site(rng);
+      for (int v : {1, 2}) {
+        chem::GraphFeaturizerConfig cfg;
+        cfg.feature_set_version = v;
+        const chem::GraphFeaturizer featurizer(cfg);
+        chem::CellList crop_cells;
+        crop_cells.build(pos.data(), static_cast<int32_t>(pos.size()), cfg.noncovalent_threshold);
+        const graph::SpatialGraph want = reference_featurize(lig, pocket, cfg);
+        ASSERT_GT(want.noncovalent.size(), 0u);
+        ASSERT_EQ(want.noncovalent_features.empty(), v == 1);
+        expect_graph_bitwise(featurizer.featurize(lig, pocket, &crop_cells), want);
+        expect_graph_bitwise(featurizer.featurize(lig, pocket), want);
+      }
+    }
+  }
 }
 
 // ---- MM-GBSA terms: cell list vs brute force -----------------------------

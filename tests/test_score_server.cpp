@@ -6,6 +6,7 @@
 // counted without taking the server down.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "models/sgcnn.h"
 #include "screen/controller.h"
 #include "serve/client.h"
+#include "serve/net.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/wire.h"
@@ -424,6 +426,66 @@ TEST(ScoreServer, LatencyHistogramTracksAnsweredRequests) {
   EXPECT_GE(stats.latency.p99_ms(), stats.latency.p50_ms());
   // The service-level histogram ticks too (one entry per request).
   EXPECT_EQ(service.stats().latency.count(), 5u);
+}
+
+TEST(ScoreClient, CloseRacingAFailingAttemptIsRaceFree) {
+  // A peer that sends Hello and hangs up: every attempt fails and closes its
+  // slot's connection while another thread keeps calling close(), which
+  // shuts every slot's connection down. Each write to a slot's connection
+  // must take the client's lock, or ThreadSanitizer (which runs this suite)
+  // reports the failing attempt's close() against close()'s shutdown().
+  serve::net::TcpListener listener;
+  std::string error;
+  ASSERT_TRUE(listener.listen("127.0.0.1", 0, 64, &error)) << error;
+  std::atomic<bool> stop{false};
+  std::thread peer([&] {
+    serve::wire::HelloPayload hello;
+    hello.node_id = "hello-then-hang-up";
+    const std::string payload = hello.encode();
+    while (!stop.load()) {
+      bool timed_out = false;
+      serve::net::TcpConn conn = listener.accept(50, &timed_out, nullptr);
+      if (conn.open()) serve::wire::write_frame(conn, serve::wire::FrameType::kHello, payload, 1000);
+    }
+  });
+
+  serve::ClientConfig cc;
+  cc.port = listener.port();
+  cc.connections = 4;
+  cc.connect_timeout_ms = 1000;
+  cc.io_timeout_ms = 1000;
+  cc.max_retries = 2;
+  cc.backoff_base_ms = 0;
+  cc.backoff_max_ms = 0;
+  serve::ScoreClient client(cc);
+  const std::vector<chem::Atom> pocket = make_pocket(19);
+  serve::ScoreRequest req;
+  req.scorer = "sgcnn";
+  req.poses = make_poses(1, &pocket, 20);
+
+  std::atomic<bool> scoring{true};
+  std::thread closer([&] {
+    while (scoring.load()) {
+      client.close();
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> callers;
+  std::atomic<int> transport{0};
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < 20; ++i) {
+        if (client.score(req).error == serve::ScoreError::kTransport) ++transport;
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  scoring = false;
+  closer.join();
+  stop = true;
+  listener.interrupt();
+  peer.join();
+  EXPECT_EQ(transport.load(), 4 * 20) << "a peer that hangs up must fail every request as transport";
 }
 
 TEST(ScoreClient, ReconnectsAfterServerRestartOnSamePort) {
