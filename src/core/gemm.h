@@ -1,9 +1,14 @@
-// Cache-blocked, register-tiled single-precision GEMM — the one kernel every
-// dense FLOP in deepfusion (Dense, GatedGraphConv, Conv3d) lowers onto.
-// Row-major storage with explicit leading dimensions, BLIS-style packed
-// panels (MR x NR micro-tiles), a register-blocked row pass for skinny
-// right-hand sides (n <= 96), and optional ThreadPool parallelism over row
-// panels on the calling thread's compute pool (core/parallel.h).
+// Register-blocked single-precision GEMM — the one kernel every dense FLOP
+// in deepfusion (Dense, GatedGraphConv's gates, Conv3d and every training
+// backward) lowers onto. Row-major storage with explicit leading dimensions.
+// One row pass runs every call: R rows of C at a time hold up to six 16-lane
+// accumulator chunks per row in registers, each A element broadcast straight
+// from memory, against B read as k rows of round_up(n, 16) lanes on 64-byte
+// lines. Wider C runs in even column blocks of at most 96 lanes. A row-major
+// B whose n is a multiple of 16 and whose rows start on lines (a layer's
+// weight tensor) is read in place; any other B is first copied into that
+// row image, and a transposed A is read through its stride. C rows fan out
+// over the calling thread's compute pool (core/parallel.h).
 //
 // sgemm_indirect runs the same row pass over an indirect A (Dukhan,
 // arXiv:1907.02129): element (i, p) is an offset into one buffer, so
@@ -11,7 +16,7 @@
 // column matrix, bit for bit what sgemm gives on the materialized A.
 //
 // An optional fused epilogue applies a bias broadcast and/or a pointwise
-// activation to each C micro-tile while it is still hot from the k-loop,
+// activation to each C row while it is still hot from the k-loop,
 // replacing the separate elementwise passes the layers used to run over the
 // whole output. The fused result is bitwise identical to the unfused
 // sequence (gemm, then bias, then activation): the bias is added after the
@@ -50,7 +55,7 @@ inline constexpr int64_t kSgemmPanelK = 192;
 
 /// C (m x n, ldc) = op(A) * op(B), overwriting C — or accumulating into C
 /// when `accumulate` is true. When `epilogue` is non-null its bias/activation
-/// are applied to the final C (after accumulation) on the hot micro-tile.
+/// are applied to the final C (after accumulation) on the hot row.
 ///   op(A) is m x k: stored as (m x k, lda >= k) when !trans_a,
 ///                   or as its transpose (k x m, lda >= m) when trans_a.
 ///   op(B) is k x n: stored as (k x n, ldb >= n) when !trans_b,

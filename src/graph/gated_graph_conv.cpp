@@ -90,10 +90,8 @@ void aggregate(const std::vector<int32_t>& start, const std::vector<int32_t>& sr
 // Every GEMM of the step keeps sgemm's arithmetic: an element sums
 // a[p] * b[p] for p = 0..k-1 in order, one multiply-add at a time, within
 // k-panels of core::kSgemmPanelK terms, and adds each panel's sum to C.
-// sgemm broadcasts an A element as 0.0f + a, the step broadcasts a itself,
-// which folds into the load. The two differ only for a = -0.0f and then
-// only in the sign of a zero sum; every sum reaches the output through
-// sigmoid or tanh, which map -0.0f and +0.0f alike, so no output bit moves.
+// Like sgemm's row pass, the step broadcasts each A element straight from
+// memory, which folds into the load.
 
 // (N, cols) rows copied into (N, lanes) rows, zero past cols.
 Tensor pad_lanes(const Tensor& t, int64_t lanes) {

@@ -61,6 +61,13 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
                                            serve::ScoringService* service,
                                            const std::string& scorer,
                                            ClusterController* cluster) {
+  // Every unit's job would write its one-shot shards to the same
+  // <prefix>.rank<N>.dfca, each unit overwriting the last one's rows.
+  if (!cfg_.job.output_prefix.empty()) {
+    throw std::invalid_argument(
+        "campaign: job.output_prefix would rewrite one-shot job shards for every unit; "
+        "set CampaignConfig::output_prefix to stream the campaign's shards");
+  }
   // Built before docking, so every overload rejects a job shape narrower
   // than one rank up front. The campaign samples faults itself.
   JobConfig jc = cfg_.job;

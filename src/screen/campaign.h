@@ -51,7 +51,8 @@ struct CompoundScreenResult {
 };
 
 struct CampaignConfig {
-  JobConfig job;                         // fusion scoring job shape
+  JobConfig job;                         // fusion scoring job shape; its output_prefix
+                                         // must stay empty (see output_prefix below)
   dock::PipelineConfig pipeline;         // docking settings
   int poses_per_job = 512;               // paper: 2M; scaled
   data::AssayConfig assay;

@@ -184,6 +184,9 @@ void RegressorScorer::featurize(Slot& s) {
     s.sites.clear();
     s.grids.clear();
     s.grids.reserve(n);  // Site::grid points into `grids`
+    // Site::crop_cells points into `crop_lists`; grown only here, so the
+    // lists keep their storage from batch to batch.
+    if (pocket_cache_ == nullptr && s.crop_lists.size() < n) s.crop_lists.resize(n);
     s.cache_refs.clear();
     // Bind (not Scope): the samples carved here must outlive this call —
     // they feed the forward and die at the slot's next reset. Cache
@@ -192,11 +195,12 @@ void RegressorScorer::featurize(Slot& s) {
 
     // Amortize pocket splatting: the poses of a batch overwhelmingly dock
     // into one shared pocket, whose voxel block is pose-independent. Each
-    // distinct (pocket, center) grid is built once — fetched from the
-    // cross-request cache when one is attached (which also hands back the
-    // crop CellList), else voxelized into the slot's arena — and every pose
-    // splats only its ligand and grafts that grid, bitwise identical to
-    // the joint voxelization at every feature-set version.
+    // distinct (pocket, center) grid and crop CellList is built once —
+    // fetched from the cross-request cache when one is attached, else
+    // voxelized into the slot's arena and binned into the slot's list as
+    // PocketCache::lookup bins it — and every pose splats only its ligand
+    // and grafts that grid, bitwise identical to the joint voxelization at
+    // every feature-set version.
     for (size_t i = 0; i < n; ++i) {
       const PoseInput& p = *s.poses[i];
       const std::vector<chem::Atom>& pocket = pocket_of(p, name_);
@@ -216,6 +220,14 @@ void RegressorScorer::featurize(Slot& s) {
           if (entry->crop_cells.built()) site.crop_cells = &entry->crop_cells;
         } else {
           site.grid = &s.grids.emplace_back(voxelizer_.voxelize_pocket(pocket, p.site_center));
+          if (!pocket.empty()) {
+            s.crop_pos.resize(pocket.size());
+            for (size_t a = 0; a < pocket.size(); ++a) s.crop_pos[a] = pocket[a].pos;
+            chem::CellList& cells = s.crop_lists[s.sites.size()];
+            cells.build(s.crop_pos.data(), static_cast<int32_t>(pocket.size()),
+                        featurizer_.config().noncovalent_threshold);
+            site.crop_cells = &cells;
+          }
         }
         s.sites.push_back(site);
       }

@@ -172,8 +172,8 @@ class RegressorScorer : public Scorer {
   /// One micro-batch on its way through featurize and forward: the inline
   /// slot behind score(), or one ring slot of the pipeline.
   struct Slot {
-    /// A distinct (pocket, center) of the batch and its pocket grid — an
-    /// arena grid, or a pinned cache entry's grid plus crop CellList.
+    /// A distinct (pocket, center) of the batch, its pocket grid and its
+    /// crop CellList — a pinned cache entry's, or the slot's own.
     struct Site {
       const std::vector<chem::Atom>* pocket = nullptr;
       core::Vec3 center;
@@ -184,6 +184,8 @@ class RegressorScorer : public Scorer {
     std::vector<data::Sample> batch;
     std::vector<Site> sites;
     std::vector<core::Tensor> grids;  // arena pocket grids, no cache attached
+    std::vector<chem::CellList> crop_lists;  // per site, no cache attached; reused
+    std::vector<core::Vec3> crop_pos;        // pocket positions for crop_lists
     std::vector<std::shared_ptr<const PocketCache::Entry>> cache_refs;
     core::Workspace ws;  // feature tensors live here until the forward
     std::exception_ptr error;

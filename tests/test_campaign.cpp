@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "models/sgcnn.h"
 #include "screen/campaign.h"
 #include "serve/registry.h"
@@ -142,6 +144,35 @@ TEST(Campaign, JobShapeNarrowerThanOneRankThrows) {
         << nodes << " x " << gpus;
   }
   EXPECT_EQ(service.stats().requests, 0u);
+}
+
+// A job-level output prefix would make every unit's FusionScoringJob write
+// <prefix>.rank<N>.dfca over the previous unit's shards; both overloads
+// reject it before docking, so nothing is scored and no file is written.
+TEST(Campaign, JobOutputPrefixRejectedBeforeDocking) {
+  Rng rng(6);
+  std::vector<data::Target> targets = {data::make_target(data::TargetKind::Protease1, rng)};
+  const auto compounds =
+      data::generate_library(data::default_library(data::LibrarySource::Enamine, 3), rng);
+  serve::ModelRegistry reg;
+  serve::add_regressor(reg, "sg", sg_factory(), small_campaign().job.voxel);
+  serve::ServiceConfig sc;
+  sc.workers = 1;
+  sc.ordered_stream = true;
+  serve::ScoringService service(reg, sc);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "df_campaign_job_prefix";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  CampaignConfig cfg = small_campaign();
+  cfg.job.output_prefix = (dir / "job").string();
+  EXPECT_THROW(ScreeningCampaign(cfg, targets).run(compounds, service, "sg"),
+               std::invalid_argument);
+  EXPECT_THROW(ScreeningCampaign(cfg, targets).run(compounds, sg_factory()),
+               std::invalid_argument);
+  EXPECT_EQ(service.stats().requests, 0u);
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

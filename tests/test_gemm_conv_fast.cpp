@@ -1,7 +1,7 @@
-// Equivalence pins for the blocked inference engine: sgemm vs the naive
-// reference (all transpose variants, odd shapes, 1-8 threads), the skinny-RHS
-// kernel vs the packed kernel (bitwise), the indirect-A GEMM vs sgemm on the
-// materialized A (bitwise), Conv3d forward/backward vs the direct 7-loop
+// Equivalence pins for the inference engine: sgemm vs the naive reference
+// (all transpose variants, odd shapes, 1-8 threads), a row-major B vs the
+// same B transposed and every transpose pair vs row-major copies (bitwise),
+// the indirect-A GEMM vs sgemm on the materialized A (bitwise), Conv3d forward/backward vs the direct 7-loop
 // reference and (bitwise) vs a plain im2col + sgemm reference, sample-grouped
 // conv batches vs per-sample forwards, the ligand-only graph readout vs the
 // full per-node readout, parallel voxelizer/maxpool vs serial, batched
@@ -83,11 +83,12 @@ TEST(Gemm, MatchesNaiveAcrossShapesAndTransposes) {
   }
 }
 
-// The skinny-RHS kernel (B stored k x n, n <= 96) against the packed-panel
-// kernel (the same B passed transposed, which never takes the skinny path):
-// each output element gets the same KC-panel sums and the same epilogue, so
-// the two must agree bit for bit. The shapes cover every 16-lane chunk
-// count, every rows-per-pass remainder and multi-panel k.
+// A row-major B (read in place when it already has the row pass's padded,
+// line-aligned layout, else copied into that image) against the same B
+// passed transposed (always copied by the tiled transpose): each output
+// element gets the same KC-panel sums and the same epilogue, so the two
+// must agree bit for bit. The shapes cover every 16-lane chunk count, every rows-per-pass
+// remainder and multi-panel k.
 TEST(Gemm, SkinnyPathBitwiseMatchesPackedPath) {
   Rng rng(83);
   const int64_t ns[] = {1, 8, 15, 16, 17, 24, 31, 32, 33, 48, 63, 64, 65, 72, 80, 95, 96};
@@ -99,7 +100,7 @@ TEST(Gemm, SkinnyPathBitwiseMatchesPackedPath) {
   for (const int64_t n : ns)
     for (const int64_t m : ms)
       for (const int64_t k : ks) {
-        if (k > 192 && m > 64) continue;  // deep k runs the skinny kernel only for m <= 64
+        if (k > 192 && m > 64) continue;  // deep k at m > 64: see TransposedAndWide... below
         const std::vector<float> A = random_buf(m * k, rng);
         const std::vector<float> B = random_buf(k * n, rng);
         std::vector<float> Bt(static_cast<size_t>(n * k));
@@ -197,6 +198,75 @@ TEST(Gemm, IndirectMatchesMaterializedA) {
                std::invalid_argument);
 }
 
+// sgemm on stored transposes and slack leading dimensions against
+// sgemm(false, false) on tight row-major copies: a transposed A is read
+// through its stride, a transposed or slack B through the copy into the
+// row image, and the reference's line-aligned B in place whenever
+// n % 16 == 0, so every pair must agree bit for bit. Widths cover one and
+// several column blocks with and without a 16-lane tail, k one and
+// several panels, C starts as garbage, and the wide shapes run on pools of
+// 1, 2 and 8 threads so that row chunks fan out.
+void check_transposed_case(int64_t m, int64_t n, int64_t k, Rng& rng) {
+  const std::vector<float> A = random_buf(m * k, rng), B = random_buf(k * n, rng);
+  Tensor B_line({k, n});  // Tensor storage starts on a 64-byte line
+  std::memcpy(B_line.data(), B.data(), B.size() * sizeof(float));
+  const std::vector<float> bias_col = random_buf(n, rng), bias_row = random_buf(m, rng);
+  core::Epilogue ep;
+  ep.act = core::EpilogueAct::kTanh;
+  ep.bias_col = bias_col.data();
+  ep.bias_row = bias_row.data();
+  const int64_t ldc = n + 5;
+  for (const bool ta : {false, true})
+    for (const bool tb : {false, true}) {
+      // Stored operands with 3 floats of slack per row.
+      const int64_t lda = (ta ? m : k) + 3, ldb = (tb ? k : n) + 3;
+      std::vector<float> As(static_cast<size_t>((ta ? k : m) * lda), 7.0f);
+      std::vector<float> Bs(static_cast<size_t>((tb ? n : k) * ldb), 7.0f);
+      for (int64_t i = 0; i < m; ++i)
+        for (int64_t p = 0; p < k; ++p)
+          As[static_cast<size_t>(ta ? p * lda + i : i * lda + p)] = A[i * k + p];
+      for (int64_t p = 0; p < k; ++p)
+        for (int64_t j = 0; j < n; ++j)
+          Bs[static_cast<size_t>(tb ? j * ldb + p : p * ldb + j)] = B[p * n + j];
+      for (const bool accumulate : {false, true})
+        for (const core::Epilogue* epp : {static_cast<const core::Epilogue*>(nullptr),
+                                          static_cast<const core::Epilogue*>(&ep)}) {
+          std::vector<float> ref = random_buf(m * ldc, rng);
+          std::vector<float> got = ref;
+          core::sgemm(false, false, m, n, k, A.data(), k, B_line.data(), n, ref.data(), ldc,
+                      accumulate, epp);
+          core::sgemm(ta, tb, m, n, k, As.data(), lda, Bs.data(), ldb, got.data(), ldc,
+                      accumulate, epp);
+          ASSERT_EQ(std::memcmp(got.data(), ref.data(), got.size() * sizeof(float)), 0)
+              << "ta=" << ta << " tb=" << tb << " m=" << m << " n=" << n << " k=" << k
+              << " accumulate=" << accumulate << " epilogue=" << (epp != nullptr);
+          if (ta || tb || accumulate || epp == nullptr) continue;
+          // The epilogue's biases against the naive reference, so that a
+          // bias misplaced in every column block cannot pass as a match.
+          std::vector<float> naive(static_cast<size_t>(m * ldc));
+          core::sgemm_naive(false, false, m, n, k, A.data(), k, B.data(), n, naive.data(), ldc,
+                            false, epp);
+          for (int64_t i = 0; i < m; ++i)
+            for (int64_t j = 0; j < n; ++j)
+              ASSERT_NEAR(ref[i * ldc + j], naive[i * ldc + j], kTol)
+                  << "m=" << m << " n=" << n << " k=" << k << " (" << i << ", " << j << ")";
+        }
+    }
+}
+
+TEST(Gemm, TransposedAndWideOperandsMatchRowMajorBitwise) {
+  Rng rng(97);
+  for (const int64_t n : {1, 16, 17, 96, 97, 128, 130, 433})
+    for (const int64_t m : {1, 3, 8, 9, 65, 130})
+      for (const int64_t k : {1, 42, 192, 193, 450}) check_transposed_case(m, n, k, rng);
+  for (size_t threads : {1u, 2u, 8u}) {
+    core::ThreadPool pool(threads);
+    core::ComputePoolGuard guard(&pool);
+    check_transposed_case(260, 433, 450, rng);
+    check_transposed_case(203, 130, 193, rng);
+  }
+}
+
 TEST(Gemm, KZeroClearsOrKeepsC) {
   std::vector<float> C = {1, 2, 3, 4};
   core::sgemm(false, false, 2, 2, 0, nullptr, 1, nullptr, 2, C.data(), 2, /*accumulate=*/true);
@@ -210,7 +280,7 @@ TEST(Gemm, MatchesNaiveOnEveryPoolSize) {
     core::ThreadPool pool(threads);
     core::ComputePoolGuard guard(&pool);
     Rng rng(23 + threads);
-    // Big enough to cross the parallel threshold and span several MC blocks.
+    // Big enough to cross the parallel threshold and fan out in row chunks.
     check_gemm_case(false, false, 201, 150, 67, rng);
     check_gemm_case(true, false, 150, 201, 67, rng);
     check_gemm_case(false, true, 97, 203, 129, rng);
