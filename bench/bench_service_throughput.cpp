@@ -369,12 +369,10 @@ EpilogueResult run_epilogue_bench() {
   return r;
 }
 
-// ---- featurize neighbor engine: cell list vs brute force -----------------
+// ---- MM-GBSA neighbor engine: cell list vs brute force -------------------
 
 struct NeighborResult {
   int pocket_atoms = 0;
-  double graph_cell_ms = 0.0;   // GraphFeaturizer::featurize, ms/pose
-  double graph_brute_ms = 0.0;
   double mmgbsa_cell_ms = 0.0;  // full mmgbsa_score, ms/pose
   double mmgbsa_brute_ms = 0.0;
 };
@@ -410,14 +408,13 @@ std::vector<chem::Atom> make_cloud_pocket(int n, core::Rng& rng) {
   return pocket;
 }
 
-/// Featurize-phase cost of the two neighbor-search paths at growing
-/// receptor sizes (constant density — extent grows as cbrt(N)). Both paths
-/// produce bitwise-identical outputs (tests/test_cell_list.cpp), so this
-/// block is pure perf: the brute pairwise scans touch all N atoms per
-/// probe, the cell-list engine only the local neighborhood. The graph row
-/// uncaps the pocket crop (max_pocket_atoms = N) so its edge scans scale
-/// with receptor size like the MM-GBSA terms do; the serving default keeps
-/// the 64-atom crop, where both paths cost the same few microseconds.
+/// MM-GBSA cost of its two neighbor-search routes at growing receptor
+/// sizes (constant density — extent grows as cbrt(N)). Both routes produce
+/// bitwise-identical terms (tests/test_cell_list.cpp), so this block is
+/// pure perf: the brute pairwise scans touch all N atoms per probe, the
+/// cell-list engine only the local neighborhood. MM-GBSA sums over the
+/// whole pocket, which is why it keeps both routes; the graph featurizer
+/// crops to 64 atoms and has only its branch-free sweep.
 std::vector<NeighborResult> run_neighbor_bench() {
   std::vector<NeighborResult> out;
   core::Rng rng(23);
@@ -428,25 +425,6 @@ std::vector<NeighborResult> run_neighbor_bench() {
     const std::vector<chem::Atom> pocket = make_cloud_pocket(n, rng);
     NeighborResult r;
     r.pocket_atoms = n;
-
-    const int graph_reps = 4096 / n + 1;
-    for (bool cells : {true, false}) {
-      chem::GraphFeaturizerConfig gc;
-      gc.use_cell_list = cells;
-      gc.cell_list_min_atoms = 0;  // force the engine at every size
-      gc.max_pocket_atoms = n;     // uncapped crop: edge scans scale with N
-      const chem::GraphFeaturizer feat(gc);
-      volatile float sink = feat.featurize(lig, pocket).node_features.at(0, 0);  // warm scratch
-      double best = 1e30;
-      for (int round = 0; round < 3; ++round) {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < graph_reps; ++i) sink = feat.featurize(lig, pocket).node_features.at(0, 0);
-        best = std::min(best, seconds_since(t0));
-      }
-      (void)sink;
-      (cells ? r.graph_cell_ms : r.graph_brute_ms) = best / graph_reps * 1e3;
-    }
-
     const int mm_reps = std::max(1, 256 / n);
     for (bool cells : {true, false}) {
       dock::MmGbsaConfig mc;
@@ -666,16 +644,15 @@ int main(int argc, char** argv) {
       " overlap needs a spare core for the stage thread — on a single-core host it\n"
       " contributes ~nothing by construction.)\n\n");
 
-  // ---- featurize neighbor engine ----
-  print_header("Featurize neighbor engine — cell list vs brute-force pairwise scan");
+  // ---- MM-GBSA neighbor engine ----
+  print_header("MM-GBSA neighbor engine — cell list vs brute-force pairwise scan");
   const std::vector<NeighborResult> nb = run_neighbor_bench();
-  std::printf("%-12s %14s %14s %9s %14s %14s %9s\n", "pocket atoms", "graph cell ms",
-              "graph brute ms", "speedup", "mmgbsa cell ms", "mmgbsa brute ms", "speedup");
-  print_rule(92);
+  std::printf("%-12s %14s %15s %9s\n", "pocket atoms", "mmgbsa cell ms", "mmgbsa brute ms",
+              "speedup");
+  print_rule(53);
   for (const NeighborResult& r : nb) {
-    std::printf("%-12d %14.4f %14.4f %8.2fx %14.3f %15.3f %8.2fx\n", r.pocket_atoms,
-                r.graph_cell_ms, r.graph_brute_ms, r.graph_brute_ms / r.graph_cell_ms,
-                r.mmgbsa_cell_ms, r.mmgbsa_brute_ms, r.mmgbsa_brute_ms / r.mmgbsa_cell_ms);
+    std::printf("%-12d %14.3f %15.3f %8.2fx\n", r.pocket_atoms, r.mmgbsa_cell_ms,
+                r.mmgbsa_brute_ms, r.mmgbsa_brute_ms / r.mmgbsa_cell_ms);
   }
   std::printf("\n");
 
@@ -738,7 +715,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(out,
                  "{\n"
-                 "  \"schema\": \"bench_service.v8\",\n"
+                 "  \"schema\": \"bench_service.v9\",\n"
                  "  \"workload\": {\"clients\": %d, \"poses_per_client\": %d, "
                  "\"poses_per_request\": %d, \"poses_per_batch\": %d, "
                  "\"feature_set_version\": %d, \"hot_path_rounds\": %d},\n"
@@ -776,11 +753,9 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < nb.size(); ++i) {
       const NeighborResult& r = nb[i];
       std::fprintf(out,
-                   "    \"pocket_%d\": {\"graph_cell_ms\": %.4f, \"graph_brute_ms\": %.4f, "
-                   "\"graph_speedup\": %.3f, \"mmgbsa_cell_ms\": %.4f, "
+                   "    \"pocket_%d\": {\"mmgbsa_cell_ms\": %.4f, "
                    "\"mmgbsa_brute_ms\": %.4f, \"mmgbsa_speedup\": %.3f}%s\n",
-                   r.pocket_atoms, r.graph_cell_ms, r.graph_brute_ms,
-                   r.graph_brute_ms / r.graph_cell_ms, r.mmgbsa_cell_ms, r.mmgbsa_brute_ms,
+                   r.pocket_atoms, r.mmgbsa_cell_ms, r.mmgbsa_brute_ms,
                    r.mmgbsa_brute_ms / r.mmgbsa_cell_ms, i + 1 < nb.size() ? "," : "");
     }
     std::fprintf(out, "  },\n");

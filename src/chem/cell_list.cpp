@@ -9,8 +9,27 @@
 
 namespace df::chem {
 
+namespace {
+bool finite(const core::Vec3& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
+}
+}  // namespace
+
+int32_t CellList::axis_cell(float offset, int32_t lo, int32_t hi) const {
+  // Clamped in double, which holds every int32_t exactly, before the cast:
+  // no offset, however far off the grid, reaches the cast out of range.
+  // In range this is the plain floor(offset / cell).
+  const double c = std::floor(static_cast<double>(offset * inv_cell_));
+  return static_cast<int32_t>(std::clamp(c, static_cast<double>(lo), static_cast<double>(hi)));
+}
+
 void CellList::build(const core::Vec3* pos, int32_t n, float cell_size) {
-  if (cell_size <= 0.0f) throw std::invalid_argument("CellList: cell_size must be positive");
+  if (!(cell_size > 0.0f) || !std::isfinite(cell_size)) {
+    throw std::invalid_argument("CellList: cell_size must be positive and finite");
+  }
+  for (int32_t i = 0; i < n; ++i) {
+    if (!finite(pos[i])) throw std::invalid_argument("CellList: non-finite atom position");
+  }
   n_ = n;
   cell_size_ = cell_size;
   inv_cell_ = 1.0f / cell_size;
@@ -29,9 +48,29 @@ void CellList::build(const core::Vec3* pos, int32_t n, float cell_size) {
     lo.z = std::min(lo.z, pos[i].z); hi.z = std::max(hi.z, pos[i].z);
   }
   origin_ = lo;
-  nx_ = std::max(1, static_cast<int32_t>(std::floor((hi.x - lo.x) * inv_cell_)) + 1);
-  ny_ = std::max(1, static_cast<int32_t>(std::floor((hi.y - lo.y) * inv_cell_)) + 1);
-  nz_ = std::max(1, static_cast<int32_t>(std::floor((hi.z - lo.z) * inv_cell_)) + 1);
+  // Size the grid, counting cells in double so no extent overflows the
+  // count. Atoms far apart would make a grid of (extent / cell)^3 cells, so
+  // past max(27, 8n) cells the cell side doubles until the grid fits: memory
+  // stays O(n) for any geometry, gather() stays a superset and knearest()
+  // exact. An extent past float range ends at one cell.
+  const double max_cells = std::max(27.0, 8.0 * static_cast<double>(n));
+  for (;;) {
+    const double cx = std::floor(static_cast<double>((hi.x - lo.x) * inv_cell_)) + 1.0;
+    const double cy = std::floor(static_cast<double>((hi.y - lo.y) * inv_cell_)) + 1.0;
+    const double cz = std::floor(static_cast<double>((hi.z - lo.z) * inv_cell_)) + 1.0;
+    if (cx * cy * cz <= max_cells) {
+      nx_ = static_cast<int32_t>(cx);
+      ny_ = static_cast<int32_t>(cy);
+      nz_ = static_cast<int32_t>(cz);
+      break;
+    }
+    if (!std::isfinite(2.0f * cell_size_)) {
+      nx_ = ny_ = nz_ = 1;
+      break;
+    }
+    cell_size_ *= 2.0f;
+    inv_cell_ = 1.0f / cell_size_;
+  }
 
   // Counting sort into CSR: insertion in ascending atom order keeps each
   // cell's member list ascending, which is what gather()'s sorted-merge
@@ -39,13 +78,8 @@ void CellList::build(const core::Vec3* pos, int32_t n, float cell_size) {
   const size_t ncells = static_cast<size_t>(nx_) * ny_ * nz_;
   cell_start_.assign(ncells + 1, 0);
   auto clamped_cell = [&](const core::Vec3& p) {
-    int32_t cx = static_cast<int32_t>(std::floor((p.x - origin_.x) * inv_cell_));
-    int32_t cy = static_cast<int32_t>(std::floor((p.y - origin_.y) * inv_cell_));
-    int32_t cz = static_cast<int32_t>(std::floor((p.z - origin_.z) * inv_cell_));
-    cx = std::clamp(cx, 0, nx_ - 1);
-    cy = std::clamp(cy, 0, ny_ - 1);
-    cz = std::clamp(cz, 0, nz_ - 1);
-    return cell_of(cx, cy, cz);
+    return cell_of(axis_cell(p.x - origin_.x, 0, nx_ - 1), axis_cell(p.y - origin_.y, 0, ny_ - 1),
+                   axis_cell(p.z - origin_.z, 0, nz_ - 1));
   };
   for (int32_t i = 0; i < n; ++i) ++cell_start_[static_cast<size_t>(clamped_cell(pos[i])) + 1];
   for (size_t c = 0; c < ncells; ++c) cell_start_[c + 1] += cell_start_[c];
@@ -57,12 +91,14 @@ void CellList::build(const core::Vec3* pos, int32_t n, float cell_size) {
 }
 
 void CellList::cell_coords(const core::Vec3& p, int32_t& cx, int32_t& cy, int32_t& cz) const {
-  // Unclamped: a probe outside the box gets out-of-range coords whose
-  // stencil (range-clamped below) still covers every boundary cell it could
-  // reach within one cell_size.
-  cx = static_cast<int32_t>(std::floor((p.x - origin_.x) * inv_cell_));
-  cy = static_cast<int32_t>(std::floor((p.y - origin_.y) * inv_cell_));
-  cz = static_cast<int32_t>(std::floor((p.z - origin_.z) * inv_cell_));
+  if (!finite(p)) throw std::invalid_argument("CellList: non-finite probe");
+  // Out of range by up to two cells: a probe outside the box gets coords
+  // whose stencil (range-clamped by the callers) still covers every
+  // boundary cell it could reach within one cell_size. Two cells out, the
+  // stencil is already empty, so clamping there changes no answer.
+  cx = axis_cell(p.x - origin_.x, -2, nx_ + 1);
+  cy = axis_cell(p.y - origin_.y, -2, ny_ + 1);
+  cz = axis_cell(p.z - origin_.z, -2, nz_ + 1);
 }
 
 bool CellList::covers_all(const core::Vec3& p) const {
@@ -154,10 +190,11 @@ void CellList::knearest(const core::Vec3& p, int32_t k, std::vector<int32_t>& ou
       // Every cell in shell s+1 or beyond is at true distance >= s*cell from
       // the probe. Stop once the kth-best candidate beats that bound by half
       // a cell — a margin float rounding cannot cross — so no unvisited atom
-      // can displace (or index-tie with) a selected one.
+      // can displace (or index-tie with) a selected one. The bound is summed
+      // in double, so a coarse grid's s*cell cannot overflow to infinity.
       std::nth_element(cand.begin(), cand.begin() + (k - 1), cand.end());
-      const float kth = cand[static_cast<size_t>(k - 1)].first;
-      if (kth + 0.5f * cell_size_ <= static_cast<float>(s) * cell_size_) break;
+      const double kth = cand[static_cast<size_t>(k - 1)].first;
+      if (kth + 0.5 * cell_size_ <= static_cast<double>(s) * cell_size_) break;
     }
   }
   // The first k candidates are now the k smallest: either the loop broke

@@ -27,7 +27,12 @@ class CellList {
   /// Bin `n` positions into cubic cells of side `cell_size` (Angstrom).
   /// `cell_size` must be >= the largest cutoff later passed to gather();
   /// positions are copied, so the source buffer may die after build().
-  /// Internal storage is reused across builds (hot-path friendly).
+  /// Internal storage is reused across builds (hot-path friendly). The grid
+  /// holds at most max(27, 8n) cells: atoms spread too far apart for that
+  /// get a larger cell side, doubled until the grid fits (cell_size()
+  /// reports it). Throws std::invalid_argument on a non-finite position or
+  /// a cell_size that is not positive and finite. Every query on a
+  /// non-empty list throws the same on a non-finite probe.
   void build(const core::Vec3* pos, int32_t n, float cell_size);
 
   bool built() const { return cell_size_ > 0.0f; }
@@ -61,6 +66,8 @@ class CellList {
     return (cz * ny_ + cy) * nx_ + cx;
   }
   void cell_coords(const core::Vec3& p, int32_t& cx, int32_t& cy, int32_t& cz) const;
+  /// floor(offset / cell), clamped to [lo, hi] before the cast.
+  int32_t axis_cell(float offset, int32_t lo, int32_t hi) const;
 
   int32_t n_ = 0;
   float cell_size_ = 0.0f;

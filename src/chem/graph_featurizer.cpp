@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 
 #include "chem/cell_list.h"
 
@@ -25,14 +24,16 @@ void fill_node_features(core::Tensor& feats, int64_t row, const Atom& a, int deg
 }
 }  // namespace
 
-graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
-                                               const std::vector<Atom>& pocket) const {
-  return featurize(ligand, pocket, nullptr);
+void GraphFeaturizer::build_crop_cells(const std::vector<Atom>& pocket, CellList& cells) const {
+  static thread_local std::vector<core::Vec3> pos;
+  pos.resize(pocket.size());
+  for (size_t i = 0; i < pocket.size(); ++i) pos[i] = pocket[i].pos;
+  cells.build(pos.data(), static_cast<int32_t>(pocket.size()), cfg_.noncovalent_threshold);
 }
 
 graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
                                                const std::vector<Atom>& pocket,
-                                               const CellList* crop_cells_in) const {
+                                               const CellList* crop_cells) const {
   graph::SpatialGraph g;
   const int64_t nl = static_cast<int64_t>(ligand.num_atoms());
   const int64_t np = std::min<int64_t>(static_cast<int64_t>(pocket.size()), cfg_.max_pocket_atoms);
@@ -41,38 +42,19 @@ graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
   // featurization crops the pocket around the binding site similarly).
   // Ordered by (distance, index) — the index tie-break makes the crop
   // deterministic for symmetric pockets where distances tie exactly.
-  const core::Vec3 lc = ligand.centroid();
   static thread_local std::vector<int32_t> pocket_order;
-  // Each stage gates on its own working-set size: the crop sees the full
-  // pocket, the pair scans only the cropped graph.
-  const bool crop_cells_on =
-      cfg_.use_cell_list && static_cast<int>(pocket.size()) >= cfg_.cell_list_min_atoms;
-  if (crop_cells_in != nullptr && !pocket.empty()) {
-    // Pre-built list from the pocket cache: skip the O(pocket) build and
-    // query it directly. knearest ≡ the (distance, index) sort at any
-    // size, so taking the cell route unconditionally here stays bitwise.
-    crop_cells_in->knearest(lc, static_cast<int32_t>(np), pocket_order);
-  } else if (crop_cells_on && !pocket.empty()) {
-    static thread_local CellList crop_cells;
-    static thread_local std::vector<core::Vec3> ppos;
-    ppos.resize(pocket.size());
-    for (size_t i = 0; i < pocket.size(); ++i) ppos[i] = pocket[i].pos;
-    crop_cells.build(ppos.data(), static_cast<int32_t>(pocket.size()), cfg_.noncovalent_threshold);
-    crop_cells.knearest(lc, static_cast<int32_t>(np), pocket_order);
-  } else {
-    static thread_local std::vector<std::pair<float, int32_t>> by_dist;
-    by_dist.resize(pocket.size());
-    for (size_t i = 0; i < pocket.size(); ++i) {
-      by_dist[i] = {pocket[i].pos.dist(lc), static_cast<int32_t>(i)};
+  pocket_order.clear();
+  if (np > 0) {
+    if (crop_cells == nullptr) {
+      static thread_local CellList own_cells;
+      build_crop_cells(pocket, own_cells);
+      crop_cells = &own_cells;
     }
-    std::sort(by_dist.begin(), by_dist.end());
-    pocket_order.resize(static_cast<size_t>(np));
-    for (int64_t i = 0; i < np; ++i) pocket_order[static_cast<size_t>(i)] = by_dist[static_cast<size_t>(i)].second;
+    crop_cells->knearest(ligand.centroid(), static_cast<int32_t>(np), pocket_order);
   }
 
   // Combined position array: ligand atoms first, then the cropped pocket in
-  // crop order. Both the cell-list and brute-force pair scans read from this
-  // one array, so every distance below is the same float either way.
+  // crop order. Every distance below is read from this one array.
   const int64_t total = nl + np;
   static thread_local std::vector<core::Vec3> xyz;
   xyz.resize(static_cast<size_t>(total));
@@ -84,28 +66,14 @@ graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
     xyz[static_cast<size_t>(nl + i)] = sel[static_cast<size_t>(i)]->pos;
   }
 
-  // One cell list over the combined atoms serves the whole pair scan: its
-  // cell size is the non-covalent threshold, the larger of the two, so
-  // gather() is a superset for both predicates.
-  static thread_local CellList pair_cells;
-  static thread_local std::vector<int32_t> cand;
-  const bool use_cells = cfg_.use_cell_list && total >= cfg_.cell_list_min_atoms && total > 0;
-  if (use_cells) {
-    pair_cells.build(xyz.data(), static_cast<int32_t>(total), cfg_.noncovalent_threshold);
-  }
-
-  // One scan over every pair (i, j > i), in (i, ascending j) order, feeds
+  // One sweep over every pair (i, j > i), in (i, ascending j) order, feeds
   // both edge sets. Two pocket atoms within the covalent threshold are a
   // protein pseudo-bond; a pair within the non-covalent threshold but past
   // the covalent one, and not a ligand bond, is a non-covalent edge
-  // (ligand–protein pairs dominate by construction). Brute rows compact
-  // without a branch: every pair is written at the cursor, which advances
-  // by the predicate, so the buffers must hold a whole row first. Only the
-  // ligand–ligand block can hold a bond, so only it checks bonded(). Cell
-  // rows (large graphs) visit gather()'s candidates with the same
-  // predicates, so both routes keep the same pairs in the same order; a
-  // row whose stencil covers the whole grid runs as a brute row, since
-  // gather() would return every atom in index order anyway.
+  // (ligand–protein pairs dominate by construction). Only the ligand–ligand
+  // block can hold a bond, so only it checks bonded(). Past it the sweep
+  // compacts without a branch: every pair is written at the cursor, which
+  // advances by the predicate, so the buffers must hold a whole row first.
   const float cov = cfg_.covalent_threshold;
   const float ncut = cfg_.noncovalent_threshold;
   auto bonded = [&](int32_t a, int32_t b) {
@@ -120,26 +88,13 @@ graph::SpatialGraph GraphFeaturizer::featurize(const Molecule& ligand,
   };
   static thread_local std::vector<Pair> pseudo, noncov;
   size_t n_pseudo = 0, n_noncov = 0;
-  auto hold_row = [&](size_t len) {
-    if (noncov.size() < n_noncov + len) noncov.resize(n_noncov + len);
-    if (pseudo.size() < n_pseudo + len) pseudo.resize(n_pseudo + len);
-  };
   for (int64_t i = 0; i < total; ++i) {
     const core::Vec3 pi = xyz[static_cast<size_t>(i)];
     const int32_t a = static_cast<int32_t>(i);
     const bool pocket_row = i >= nl;
-    if (use_cells && !pair_cells.covers_all(pi)) {
-      pair_cells.gather(pi, cand);
-      hold_row(cand.size());
-      for (int32_t j : cand) {
-        if (j <= i) continue;
-        const float d = pi.dist(xyz[static_cast<size_t>(j)]);
-        if (pocket_row && d <= cov) pseudo[n_pseudo++] = {a, j, d};
-        if (d <= ncut && d > cov && !(j < nl && bonded(a, j))) noncov[n_noncov++] = {a, j, d};
-      }
-      continue;
-    }
-    hold_row(static_cast<size_t>(total - i - 1));
+    const size_t row = static_cast<size_t>(total - i - 1);
+    if (noncov.size() < n_noncov + row) noncov.resize(n_noncov + row);
+    if (pseudo.size() < n_pseudo + row) pseudo.resize(n_pseudo + row);
     int64_t j = i + 1;
     for (; j < nl; ++j) {
       const float d = pi.dist(xyz[static_cast<size_t>(j)]);

@@ -6,10 +6,11 @@
 // The two thresholds are the paper's Table-1/2 "Neighbor Threshold"
 // hyper-parameters.
 //
-// All pairwise work (pocket crop, pseudo-bonds, non-covalent edges) routes
-// through the chem::CellList neighbor engine by default; the brute-force
-// scan is kept behind `use_cell_list = false` and the two paths are
-// bitwise identical (tests/test_cell_list.cpp pins this).
+// Each step has one route. The pocket crop is a CellList::knearest query
+// (on the caller's list, or on one built per call), and both edge sets come
+// from one branch-free sweep over every pair of the cropped graph, which
+// holds at most a few hundred atoms. tests/test_cell_list.cpp pins the
+// graph against a test-local reference that shares none of this code.
 #pragma once
 
 #include <vector>
@@ -32,17 +33,6 @@ struct GraphFeaturizerConfig {
   /// (SpatialGraph::noncovalent_features): [distance / threshold,
   /// interface H-bond flag] under the chem/hbond.h heavy-atom criteria.
   int feature_set_version = 1;
-  /// Route pairwise scans through chem::CellList (O(N) in pocket size).
-  /// Both settings produce bitwise-identical graphs; false keeps the
-  /// brute-force reference for tests and benches.
-  bool use_cell_list = true;
-  /// Engage the cell route only when the combined (ligand + cropped
-  /// pocket) atom count reaches this size; below it the brute scan's
-  /// contiguous sweep is faster (measured crossover between 256 and 1024
-  /// atoms — bench_service_throughput neighbor block). Bitwise identical
-  /// either way; 0 forces the engine. The serving default (64-atom crop)
-  /// stays on the brute path.
-  int cell_list_min_atoms = 512;
   /// v2 H-bond channel geometry.
   HBondConfig hbond;
 };
@@ -59,20 +49,20 @@ class GraphFeaturizer {
  public:
   explicit GraphFeaturizer(GraphFeaturizerConfig cfg = {}) : cfg_(cfg) {}
 
-  graph::SpatialGraph featurize(const Molecule& ligand, const std::vector<Atom>& pocket) const;
-
-  /// Same graph, but the pocket-crop k-nearest query runs against
-  /// `crop_cells` — a CellList pre-built over exactly `pocket`'s positions
-  /// with cell size `noncovalent_threshold` (the cross-request pocket cache
-  /// holds one per receptor, serve/pocket_cache.h). CellList::knearest is
-  /// bitwise-pinned against the (distance, index) sort at any size
-  /// (tests/test_cell_list.cpp), so the result is identical to the 2-arg
-  /// overload; the ligand-dependent query still runs per pose, only the
-  /// O(pocket) build is amortized. Queries are const and thread-safe, so
-  /// one cached list serves concurrent replicas. nullptr falls back to the
-  /// 2-arg behaviour.
+  /// The complex's spatial graph. The pocket crop keeps the
+  /// `max_pocket_atoms` atoms nearest the ligand centroid, ordered by
+  /// (distance, index), through CellList::knearest on `crop_cells`: a list
+  /// built over exactly `pocket`'s positions, which the pocket cache and the
+  /// scorer keep per receptor (build_crop_cells). knearest is exact at any
+  /// cell size, so any such list gives the same crop. nullptr builds one
+  /// for this call. Queries are const and thread-safe, so one list serves
+  /// concurrent replicas.
   graph::SpatialGraph featurize(const Molecule& ligand, const std::vector<Atom>& pocket,
-                                const CellList* crop_cells) const;
+                                const CellList* crop_cells = nullptr) const;
+
+  /// Bin `pocket`'s positions into `cells` at cell size
+  /// `noncovalent_threshold`: the crop list featurize() queries.
+  void build_crop_cells(const std::vector<Atom>& pocket, CellList& cells) const;
 
   const GraphFeaturizerConfig& config() const { return cfg_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "core/simd_math.h"
@@ -69,11 +70,20 @@ void splat_slice(core::Tensor& grid, const SplatOp& op, int G, float res, float 
   }
 }
 
+bool finite(const core::Vec3& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
+}
+
 // Expand one atom into its per-channel deposits. Each atom pushes at most
 // one op per channel, so per-channel accumulation order equals atom push
 // order — the invariant every graft/amortization path below leans on.
+// Throws std::invalid_argument on a non-finite atom or center; a finite
+// atom whose box lies off the grid, however far, deposits nothing.
 void expand_atom(const VoxelConfig& cfg, const Atom& a, int block, float hb_count,
                  const core::Vec3& center, std::vector<SplatOp>& ops) {
+  if (!finite(a.pos) || !finite(center)) {
+    throw std::invalid_argument("Voxelizer: non-finite atom position or grid center");
+  }
   const int G = cfg.grid_dim;
   const float res = cfg.resolution;
   const float half = cfg.box_extent() * 0.5f;
@@ -86,16 +96,23 @@ void expand_atom(const VoxelConfig& cfg, const Atom& a, int block, float hb_coun
   op.cutoff2 = cutoff * cutoff;
   op.inv2s2 = 1.0f / (2.0f * sigma * sigma);
   const int r = static_cast<int>(std::ceil(cutoff / res));
-  const int cx = static_cast<int>(std::floor((op.rel.x + half) / res));
-  const int cy = static_cast<int>(std::floor((op.rel.y + half) / res));
-  const int cz = static_cast<int>(std::floor((op.rel.z + half) / res));
+  // The atom's voxel per axis, in double so the off-grid test is exact
+  // however far the atom lies; only boxes that touch the grid reach the
+  // casts.
+  const double vx = std::floor(static_cast<double>((op.rel.x + half) / res));
+  const double vy = std::floor(static_cast<double>((op.rel.y + half) / res));
+  const double vz = std::floor(static_cast<double>((op.rel.z + half) / res));
+  const auto off_grid = [&](double v) { return v + r < 0.0 || v - r > G - 1; };
+  if (off_grid(vx) || off_grid(vy) || off_grid(vz)) return;
+  const int cx = static_cast<int>(vx);
+  const int cy = static_cast<int>(vy);
+  const int cz = static_cast<int>(vz);
   op.xlo = std::max(0, cx - r);
   op.xhi = std::min(G - 1, cx + r);
   op.ylo = std::max(0, cy - r);
   op.yhi = std::min(G - 1, cy + r);
   op.zlo = std::max(0, cz - r);
   op.zhi = std::min(G - 1, cz + r);
-  if (op.xlo > op.xhi || op.ylo > op.yhi || op.zlo > op.zhi) return;  // fully off-grid
 
   auto push = [&](int channel, float weight) {
     op.channel = channel;

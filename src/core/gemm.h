@@ -1,6 +1,8 @@
-// Register-blocked single-precision GEMM — the one kernel every dense FLOP
-// in deepfusion (Dense, GatedGraphConv's gates, Conv3d and every training
-// backward) lowers onto. Row-major storage with explicit leading dimensions.
+// Register-blocked single-precision GEMM — the one kernel that Dense, Conv3d,
+// GatedGraphConv's whole-matrix gates and every training backward lower
+// onto; the SG-CNN's fused eval step keeps its own tile GEMM
+// (graph/gated_graph_conv.cpp). Row-major storage with explicit leading
+// dimensions.
 // One row pass runs every call: R rows of C at a time hold up to six 16-lane
 // accumulator chunks per row in registers, each A element broadcast straight
 // from memory, against B read as k rows of round_up(n, 16) lanes on 64-byte

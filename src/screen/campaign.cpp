@@ -343,15 +343,34 @@ CampaignReport ScreeningCampaign::run_impl(const std::vector<data::LibraryCompou
   if (service != nullptr) {
     for (const WorkUnit& unit : plan.units) {
       if (status[unit.id] != static_cast<int64_t>(UnitStatus::Pending)) continue;
-      if (!advance_to_clean_attempt(unit)) {
-        exhaust_unit(unit);
-        continue;
+      // A typed service error on the clean attempt is a failed job, as a
+      // failed verdict is on the cluster: bookkeep it and retry on the
+      // unit's next clean attempt, if it has retries left. A stopped
+      // service ends the run.
+      for (;;) {
+        if (!advance_to_clean_attempt(unit)) {
+          exhaust_unit(unit);
+          break;
+        }
+        JobReport jr;
+        bool scored = true;
+        try {
+          jr = job.run(std::span(work).subspan(unit.pose_begin, unit.poses()), *service, scorer);
+        } catch (const ScoringJobError& e) {
+          if (e.error() == serve::ScoreError::kShutdown) throw;
+          io::log_warn("campaign: unit " + std::to_string(unit.id) + " attempt failed: " +
+                       e.what());
+          scored = false;
+        }
+        ++attempts[unit.id];
+        ++attempts_this_run;
+        if (scored) {
+          complete_unit(unit, jr.predictions.data());
+          break;
+        }
+        kill_check();
+        ++next_attempt[unit.id];
       }
-      const JobReport jr =
-          job.run(std::span(work).subspan(unit.pose_begin, unit.poses()), *service, scorer);
-      ++attempts[unit.id];
-      ++attempts_this_run;
-      complete_unit(unit, jr.predictions.data());
     }
   } else {
     // --- distributed scoring over the cluster controller ---

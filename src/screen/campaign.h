@@ -108,7 +108,11 @@ class ScreeningCampaign {
   /// `service` with the named scorer — the campaign is one client among
   /// possibly many of a shared ScoringService: each unit's first clean
   /// attempt runs as one FusionScoringJob, and doomed attempts are bookkept
-  /// without scoring. The AMPL surrogate is fitted per target on the
+  /// without scoring. A clean attempt that fails with a typed service error
+  /// (a throwing scorer, say) is a failed job, as a failed verdict is on
+  /// the cluster path: the unit retries on its next clean attempt and is
+  /// exhausted after max_job_retries. Only kShutdown ends the run, as a
+  /// ScoringJobError. The AMPL surrogate is fitted per target on the
   /// MM/GBSA-rescored poses encountered during the run. Every overload
   /// throws std::invalid_argument before docking when job.nodes or
   /// job.gpus_per_node is below 1.

@@ -80,18 +80,20 @@ JobReport FusionScoringJob::run(std::span<const PoseWorkItem> items,
   }
   // Await every rank before throwing the first typed error, for the same
   // reason. Rank slices are contiguous, so rank order is item order.
-  std::string error;
+  serve::ScoreError error = serve::ScoreError::kNone;
+  std::string message;
   for (int r = 0; r < ranks; ++r) {
     std::future<serve::ScoreResponse>& f = futures[static_cast<size_t>(r)];
     if (!f.valid()) continue;
     const serve::ScoreResponse resp = f.get();
-    if (resp.error != serve::ScoreError::kNone && error.empty()) {
-      error = "scoring service error (" + std::string(serve::score_error_name(resp.error)) +
-              ") for rank " + std::to_string(r) + ": " + resp.message;
+    if (resp.error != serve::ScoreError::kNone && error == serve::ScoreError::kNone) {
+      error = resp.error;
+      message = "scoring service error (" + std::string(serve::score_error_name(resp.error)) +
+                ") for rank " + std::to_string(r) + ": " + resp.message;
     }
     report.predictions.insert(report.predictions.end(), resp.scores.begin(), resp.scores.end());
   }
-  if (!error.empty()) throw std::runtime_error(error);
+  if (error != serve::ScoreError::kNone) throw ScoringJobError(error, message);
   report.eval_seconds = seconds_since(t0);
 
   // --- allgather (MPI allgather analogue): the ids are the items' own.

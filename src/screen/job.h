@@ -9,6 +9,7 @@
 #pragma once
 
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 
 namespace df::serve {
 class ScoringService;
+enum class ScoreError;
 }
 
 namespace df::screen {
@@ -66,6 +68,19 @@ struct JobReport {
 /// the registry-native way to plug one in).
 using ModelFactory = models::RegressorFactory;
 
+/// A typed scoring-service error surfaced by FusionScoringJob::run, carrying
+/// the first failing rank's ScoreError: a campaign retries a scorer failure
+/// as a failed job but ends on a stopped service (kShutdown).
+class ScoringJobError : public std::runtime_error {
+ public:
+  ScoringJobError(serve::ScoreError error, const std::string& what)
+      : std::runtime_error(what), error_(error) {}
+  serve::ScoreError error() const { return error_; }
+
+ private:
+  serve::ScoreError error_;
+};
+
 class FusionScoringJob {
  public:
   /// Throws std::invalid_argument when nodes or gpus_per_node is below 1.
@@ -78,7 +93,7 @@ class FusionScoringJob {
   /// ordered-stream mode makes the predictions bit-reproducible at any
   /// service worker count. A doomed rank fails the job before anything is
   /// submitted. An unknown scorer throws std::out_of_range at startup; other
-  /// typed service errors surface as std::runtime_error once every request
+  /// typed service errors surface as ScoringJobError once every request
   /// has resolved, since the requests borrow the items' pockets until then.
   JobReport run(std::span<const PoseWorkItem> items, serve::ScoringService& service,
                 const std::string& scorer) const;

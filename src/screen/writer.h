@@ -114,8 +114,9 @@ struct ShardScan {
 ShardScan scan_shard_stream(const std::string& path);
 
 /// Rewrite `path` keeping only the valid blocks for which `keep(unit_id)`
-/// is true (first occurrence per unit). Damaged tails are dropped. This is
-/// how resume discards work units written after the last checkpoint.
+/// is true, and of a unit appended more than once only its last block (the
+/// re-run's), in append order. Damaged tails are dropped. This is how
+/// resume discards work units written after the last checkpoint.
 void compact_shard_stream(const std::string& path, const std::function<bool(uint64_t)>& keep);
 
 /// Crash simulation hook for tests and the campaign kill switch: chop the

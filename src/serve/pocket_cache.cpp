@@ -25,7 +25,7 @@ uint64_t float_word(float lo, float hi) {
 }
 
 uint64_t content_key(const std::vector<chem::Atom>& pocket, const core::Vec3& center,
-                     const chem::VoxelConfig& vc, float crop_cell_size) {
+                     const chem::VoxelConfig& vc) {
   uint64_t h = kOffset;
   mix(h, static_cast<uint64_t>(pocket.size()));
   // Three words per atom: x|y, z|element, charge|implicit_h|aromatic.
@@ -42,7 +42,6 @@ uint64_t content_key(const std::vector<chem::Atom>& pocket, const core::Vec3& ce
                    static_cast<uint32_t>(vc.feature_set_version)));
   mix(h, float_word(vc.sigma_scale, vc.cutoff_sigmas));
   mix(h, float_word(vc.hbond.max_dist, vc.hbond.max_cos_angle));
-  mix(h, std::bit_cast<uint32_t>(crop_cell_size));
   return h;
 }
 
@@ -57,7 +56,7 @@ bool same_atom(const chem::Atom& a, const chem::Atom& b) {
 }
 
 bool matches(const PocketCache::Entry& e, const std::vector<chem::Atom>& pocket,
-             const core::Vec3& center, const chem::VoxelConfig& vc, float crop_cell_size) {
+             const core::Vec3& center, const chem::VoxelConfig& vc) {
   if (e.atoms.size() != pocket.size()) return false;
   if (std::memcmp(&e.center.x, &center.x, sizeof(float)) != 0 ||
       std::memcmp(&e.center.y, &center.y, sizeof(float)) != 0 ||
@@ -69,8 +68,7 @@ bool matches(const PocketCache::Entry& e, const std::vector<chem::Atom>& pocket,
       sc.sigma_scale != vc.sigma_scale || sc.cutoff_sigmas != vc.cutoff_sigmas ||
       sc.feature_set_version != vc.feature_set_version ||
       sc.hbond.max_dist != vc.hbond.max_dist ||
-      sc.hbond.max_cos_angle != vc.hbond.max_cos_angle ||
-      e.crop_cell_size != crop_cell_size) {
+      sc.hbond.max_cos_angle != vc.hbond.max_cos_angle) {
     return false;
   }
   for (size_t i = 0; i < pocket.size(); ++i) {
@@ -86,13 +84,12 @@ std::shared_ptr<const PocketCache::Entry> PocketCache::lookup(
     const std::vector<chem::Atom>& pocket, const core::Vec3& center,
     const chem::Voxelizer& voxelizer, const chem::GraphFeaturizer& featurizer) {
   const chem::VoxelConfig& vc = voxelizer.config();
-  const float cell_size = featurizer.config().noncovalent_threshold;
-  const uint64_t key = content_key(pocket, center, vc, cell_size);
+  const uint64_t key = content_key(pocket, center, vc);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_key_.find(key);
   if (it != by_key_.end()) {
-    if (matches(*it->second->second, pocket, center, vc, cell_size)) {
+    if (matches(*it->second->second, pocket, center, vc)) {
       ++stats_.hits;
       lru_.splice(lru_.begin(), lru_, it->second);  // move to front
       return it->second->second;
@@ -107,17 +104,12 @@ std::shared_ptr<const PocketCache::Entry> PocketCache::lookup(
   entry->atoms = pocket;
   entry->center = center;
   entry->voxel_cfg = vc;
-  entry->crop_cell_size = cell_size;
   {
     // The entry outlives every batch: its tensors must heap-own their
     // storage even when the calling worker has an arena bound.
     core::Workspace::Unbind unbound;
     entry->grid = voxelizer.voxelize_pocket(pocket, center);
-    if (!pocket.empty()) {
-      std::vector<core::Vec3> pos(pocket.size());
-      for (size_t i = 0; i < pocket.size(); ++i) pos[i] = pocket[i].pos;
-      entry->crop_cells.build(pos.data(), static_cast<int32_t>(pocket.size()), cell_size);
-    }
+    featurizer.build_crop_cells(pocket, entry->crop_cells);
   }
 
   lru_.emplace_front(key, entry);

@@ -8,17 +8,18 @@
 // pocket content holding (a) the protein-only voxel grid, grafted per pose
 // via Voxelizer::voxelize_ligand_onto (bitwise-valid at every feature-set
 // version), and (b) the pocket-side CellList the graph featurizer's
-// k-nearest crop queries (GraphFeaturizer::featurize's crop_cells
-// overload).
+// k-nearest crop queries (GraphFeaturizer::featurize's crop_cells).
 //
 // Keys fold the full pocket content (every atom field bit-exactly), the
-// grid center, the complete VoxelConfig and the crop cell size into 64
-// bits, one xor-multiply per 64-bit word: three words per atom (x|y,
-// z|element, charge|implicit_h|aromatic). A hit additionally verifies the
-// stored content field for field, so a hash collision degrades to a
-// rebuild, never a wrong grid; the key value never leaves the cache.
+// grid center and the complete VoxelConfig into 64 bits, one xor-multiply
+// per 64-bit word: three words per atom (x|y, z|element,
+// charge|implicit_h|aromatic). A hit additionally verifies the stored
+// content field for field, so a hash collision degrades to a rebuild,
+// never a wrong grid; the key value never leaves the cache.
 // Changing feature_set_version or any grid knob therefore misses — that IS
-// the invalidation semantics.
+// the invalidation semantics. The crop list's cell size is not in the key:
+// CellList::knearest is exact at any cell size, so a list built under one
+// featurizer config crops bit for bit as another config's list would.
 //
 // Entries are returned as shared_ptr<const Entry>: eviction drops the
 // cache's reference, never a reader's, so replicas may keep using an entry
@@ -50,11 +51,10 @@ class PocketCache {
     std::vector<chem::Atom> atoms;
     core::Vec3 center;
     chem::VoxelConfig voxel_cfg;
-    float crop_cell_size = 0.0f;
 
     // The cached work products.
     core::Tensor grid;          // protein-only voxel grid (heap-owned)
-    chem::CellList crop_cells;  // over atoms' positions; unbuilt when pocket empty
+    chem::CellList crop_cells;  // over atoms' positions (GraphFeaturizer::build_crop_cells)
   };
 
   struct Stats {
@@ -67,8 +67,9 @@ class PocketCache {
   /// at least 1.
   explicit PocketCache(size_t max_targets);
 
-  /// Fetch or build the entry for (pocket, center) under the two
-  /// featurizer configs. A build runs inside the cache lock, so concurrent
+  /// Fetch or build the entry for (pocket, center) under `voxelizer`'s
+  /// config; `featurizer` only bins a missed entry's crop list, so it is
+  /// not part of the key. A build runs inside the cache lock, so concurrent
   /// first requests for the same receptor build it exactly once.
   std::shared_ptr<const Entry> lookup(const std::vector<chem::Atom>& pocket,
                                       const core::Vec3& center,

@@ -197,8 +197,8 @@ void RegressorScorer::featurize(Slot& s) {
     // into one shared pocket, whose voxel block is pose-independent. Each
     // distinct (pocket, center) grid and crop CellList is built once —
     // fetched from the cross-request cache when one is attached, else
-    // voxelized into the slot's arena and binned into the slot's list as
-    // PocketCache::lookup bins it — and every pose splats only its ligand
+    // voxelized into the slot's arena and binned into the slot's list by
+    // the same build_crop_cells — and every pose splats only its ligand
     // and grafts that grid, bitwise identical to the joint voxelization at
     // every feature-set version.
     for (size_t i = 0; i < n; ++i) {
@@ -217,17 +217,12 @@ void RegressorScorer::featurize(Slot& s) {
           const auto& entry = s.cache_refs.emplace_back(
               pocket_cache_->lookup(pocket, p.site_center, voxelizer_, featurizer_));
           site.grid = &entry->grid;
-          if (entry->crop_cells.built()) site.crop_cells = &entry->crop_cells;
+          site.crop_cells = &entry->crop_cells;
         } else {
           site.grid = &s.grids.emplace_back(voxelizer_.voxelize_pocket(pocket, p.site_center));
-          if (!pocket.empty()) {
-            s.crop_pos.resize(pocket.size());
-            for (size_t a = 0; a < pocket.size(); ++a) s.crop_pos[a] = pocket[a].pos;
-            chem::CellList& cells = s.crop_lists[s.sites.size()];
-            cells.build(s.crop_pos.data(), static_cast<int32_t>(pocket.size()),
-                        featurizer_.config().noncovalent_threshold);
-            site.crop_cells = &cells;
-          }
+          chem::CellList& cells = s.crop_lists[s.sites.size()];
+          featurizer_.build_crop_cells(pocket, cells);
+          site.crop_cells = &cells;
         }
         s.sites.push_back(site);
       }

@@ -185,7 +185,6 @@ class RegressorScorer : public Scorer {
     std::vector<Site> sites;
     std::vector<core::Tensor> grids;  // arena pocket grids, no cache attached
     std::vector<chem::CellList> crop_lists;  // per site, no cache attached; reused
-    std::vector<core::Vec3> crop_pos;        // pocket positions for crop_lists
     std::vector<std::shared_ptr<const PocketCache::Entry>> cache_refs;
     core::Workspace ws;  // feature tensors live here until the forward
     std::exception_ptr error;

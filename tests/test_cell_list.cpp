@@ -1,16 +1,22 @@
 // Neighbor-search pins for the chem::CellList engine (ROADMAP item 4):
 //   * gather() is a sorted superset of the in-radius set; knearest() matches
 //     the full (distance, index) sort exactly, ties included,
-//   * the cell-list and brute-force featurizer paths produce bitwise
-//     identical graphs — node features, both edge lists, crop order — across
-//     random geometries and cutoff boundary cases (atom exactly at the
-//     threshold, far off-grid atoms, empty pocket, single atom),
+//   * the featurizer (knearest crop, branch-free pair sweep) matches a
+//     test-local reference that shares none of its code — node features,
+//     both edge lists, crop order — across random geometries and cutoff
+//     boundary cases (atom exactly at the threshold, far off-grid atoms,
+//     empty pocket, single atom),
 //   * all MM-GBSA terms (LJ, GB with a finite cutoff, SA, electrostatics)
 //     and the full mmgbsa_score pipeline are bitwise identical on both
 //     paths, and elec_energy reproduces score_terms().electrostatic bit for
 //     bit (the minimizer-objective bugfix rests on this),
+//   * hostile geometry: a non-finite position or probe throws, far-apart
+//     atoms keep the grid within max(27, 8n) cells with both queries exact,
+//     the voxelizer drops atoms far off its grid and rejects non-finite
+//     ones, and the scorer turns a NaN pocket into std::invalid_argument,
 //   * outputs are bitwise independent of compute-pool thread count,
 //   * the pocket crop breaks distance ties by index (symmetric pockets),
+//     on the featurizer's own crop list and on a prebuilt one,
 //   * at serving shapes (2048-atom receptors, 64-atom crop) the featurizer
 //     matches a test-local reference that shares none of its scan code,
 //     with and without a pre-built crop list, and concurrent queries on one
@@ -24,6 +30,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -142,6 +149,19 @@ void expect_graph_bitwise(const graph::SpatialGraph& a, const graph::SpatialGrap
 
 // ---- CellList unit pins --------------------------------------------------
 
+void expect_gather_is_sorted_superset(const chem::CellList& cells, const std::vector<Vec3>& pts,
+                                      const Vec3& p, float r) {
+  std::vector<int32_t> got;
+  cells.gather(p, got);
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+  for (size_t i = 0; i < pts.size(); ++i) {
+    if (pts[i].dist(p) <= r) {
+      EXPECT_TRUE(std::binary_search(got.begin(), got.end(), static_cast<int32_t>(i)))
+          << "atom " << i << " within radius missing from gather";
+    }
+  }
+}
+
 TEST(CellList, GatherIsSortedSupersetOfRadius) {
   Rng rng(11);
   for (int trial = 0; trial < 5; ++trial) {
@@ -149,18 +169,10 @@ TEST(CellList, GatherIsSortedSupersetOfRadius) {
     chem::CellList cells;
     const float r = 5.0f;
     cells.build(pts.data(), static_cast<int32_t>(pts.size()), r);
-    std::vector<int32_t> got;
     for (int probe = 0; probe < 20; ++probe) {
       const Vec3 p = {(rng.uniform() - 0.5f) * 40.0f, (rng.uniform() - 0.5f) * 40.0f,
                       (rng.uniform() - 0.5f) * 40.0f};
-      cells.gather(p, got);
-      EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-      for (size_t i = 0; i < pts.size(); ++i) {
-        if (pts[i].dist(p) <= r) {
-          EXPECT_TRUE(std::binary_search(got.begin(), got.end(), static_cast<int32_t>(i)))
-              << "atom " << i << " within radius missing from gather";
-        }
-      }
+      expect_gather_is_sorted_superset(cells, pts, p, r);
     }
   }
 }
@@ -288,106 +300,116 @@ TEST(CellList, EmptyAndSingleAtom) {
   EXPECT_THROW(cells.build(&one, 1, 0.0f), std::invalid_argument);
 }
 
-// ---- featurizer: cell list vs brute force --------------------------------
+// ---- hostile geometry ----------------------------------------------------
 
-chem::GraphFeaturizerConfig brute(chem::GraphFeaturizerConfig cfg) {
-  cfg.use_cell_list = false;
-  return cfg;
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+TEST(CellList, NonFinitePositionOrProbeThrows) {
+  chem::CellList cells;
+  const std::vector<Vec3> nan_atom = {{0, 0, 0}, {1, kNaN, 2}};
+  EXPECT_THROW(cells.build(nan_atom.data(), 2, 4.0f), std::invalid_argument);
+  const Vec3 inf_atom{kInf, 0, 0};
+  EXPECT_THROW(cells.build(&inf_atom, 1, 4.0f), std::invalid_argument);
+
+  const std::vector<Vec3> pts = {{0, 0, 0}, {3, 1, 2}};
+  cells.build(pts.data(), 2, 4.0f);
+  std::vector<int32_t> got;
+  for (const Vec3& probe : {Vec3{kNaN, 0, 0}, Vec3{0, 0, -kInf}}) {
+    EXPECT_THROW(cells.gather(probe, got), std::invalid_argument);
+    EXPECT_THROW(cells.knearest(probe, 1, got), std::invalid_argument);
+    EXPECT_THROW(cells.covers_all(probe), std::invalid_argument);
+  }
+  // A finite probe whose cell lies past int32_t range answers as one just
+  // off the grid: an empty stencil, and every atom by (distance, index).
+  cells.gather({1e30f, 0, 0}, got);
+  EXPECT_TRUE(got.empty());
+  cells.knearest({-1e30f, 0, 0}, 2, got);
+  EXPECT_EQ(got, (std::vector<int32_t>{0, 1}));
 }
 
-TEST(CellListFeaturize, GraphBitwiseAcrossRandomGeometries) {
-  Rng rng(21);
-  for (int trial = 0; trial < 6; ++trial) {
-    chem::Molecule lig = random_ligand(rng);
-    const std::vector<chem::Atom> pocket = random_pocket(rng, 40 + trial * 60);
-    for (int v : {1, 2}) {
-      chem::GraphFeaturizerConfig cfg;
-      cfg.feature_set_version = v;
-      cfg.cell_list_min_atoms = 0;  // test sizes sit below the perf threshold
-      const graph::SpatialGraph a = chem::GraphFeaturizer(cfg).featurize(lig, pocket);
-      const graph::SpatialGraph b = chem::GraphFeaturizer(brute(cfg)).featurize(lig, pocket);
-      expect_graph_bitwise(a, b);
+// Cells of a grid whose cell side is `cell` over the bounding box of `pts`.
+double grid_cells(const std::vector<Vec3>& pts, float cell) {
+  Vec3 lo = pts[0], hi = pts[0];
+  for (const Vec3& p : pts) {
+    lo = {std::min(lo.x, p.x), std::min(lo.y, p.y), std::min(lo.z, p.z)};
+    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y), std::max(hi.z, p.z)};
+  }
+  return (std::floor((hi.x - lo.x) / cell) + 1.0) * (std::floor((hi.y - lo.y) / cell) + 1.0) *
+         (std::floor((hi.z - lo.z) / cell) + 1.0);
+}
+
+TEST(CellList, FarApartAtomsKeepTheGridLinear) {
+  // Two atoms 500 A apart span 96 cells of 5.22 A, past the cap of
+  // max(27, 8n) cells, and a cloud with one far outlier spans 2475 against
+  // its cap of 1208: each list coarsens its cells until the grid fits, and
+  // both queries keep their contracts on the coarse grid.
+  Rng rng(14);
+  std::vector<Vec3> cloud = random_points(rng, 150, 25.0f);
+  cloud.push_back({500.0f, 0.0f, 0.0f});
+  const float cell = 5.22f;
+  for (const std::vector<Vec3>& pts : {std::vector<Vec3>{{0, 0, 0}, {500, 0, 0}}, cloud}) {
+    const double cap = std::max(27.0, 8.0 * static_cast<double>(pts.size()));
+    ASSERT_GT(grid_cells(pts, cell), cap);
+    chem::CellList cells;
+    cells.build(pts.data(), static_cast<int32_t>(pts.size()), cell);
+    EXPECT_GT(cells.cell_size(), cell);
+    EXPECT_LE(grid_cells(pts, cells.cell_size()), cap);
+    for (const Vec3& p : {pts[0], pts.back(), Vec3{250, 0, 0}, Vec3{3, -4, 2}, Vec3{-40, 9, 0}}) {
+      expect_gather_is_sorted_superset(cells, pts, p, cell);
+      for (int k : {1, 2, 17}) expect_knearest_is_sort_prefix(cells, pts, p, k);
     }
   }
 }
 
-TEST(CellListFeaturize, CutoffBoundaryAndDegenerateGeometries) {
-  Rng rng(22);
+TEST(HostileGeometry, VoxelizerDropsFarAtomsAndRejectsNonFinite) {
+  Rng rng(15);
   chem::Molecule lig = random_ligand(rng);
   lig.translate(Vec3{} - lig.centroid());
-  chem::GraphFeaturizerConfig cfg;
-  cfg.cell_list_min_atoms = 0;  // force the engine at these tiny sizes
-
-  // Pocket atoms exactly at the two thresholds from a ligand atom, plus
-  // far off-grid outliers and a coincident-position pair.
-  const Vec3 a0 = lig.atoms()[0].pos;
-  std::vector<chem::Atom> pocket;
-  pocket.push_back({chem::Element::O, a0 + Vec3{cfg.noncovalent_threshold, 0, 0}, 0, false, 1});
-  pocket.push_back({chem::Element::N, a0 + Vec3{0, cfg.covalent_threshold, 0}, 0, false, 1});
-  pocket.push_back({chem::Element::C, a0 + Vec3{0, 0, 500.0f}});   // far off-grid
-  pocket.push_back({chem::Element::C, a0 - Vec3{400.0f, 0, 0}});   // far off-grid
-  pocket.push_back({chem::Element::S, a0 + Vec3{3.0f, 0, 0}});
-  pocket.push_back({chem::Element::S, a0 + Vec3{3.0f, 0, 0}});     // coincident pair
+  const std::vector<chem::Atom> pocket = random_pocket(rng, 60);
+  std::vector<chem::Atom> far = pocket;
+  far.push_back({chem::Element::N, {1e30f, 0, -1e30f}, 0, false, 1});
   for (int v : {1, 2}) {
-    chem::GraphFeaturizerConfig vcfg = cfg;
-    vcfg.feature_set_version = v;
-    expect_graph_bitwise(chem::GraphFeaturizer(vcfg).featurize(lig, pocket),
-                         chem::GraphFeaturizer(brute(vcfg)).featurize(lig, pocket));
+    chem::VoxelConfig cfg;
+    cfg.feature_set_version = v;
+    const chem::Voxelizer vox(cfg);
+    expect_tensor_bitwise(vox.voxelize(lig, far, {}), vox.voxelize(lig, pocket, {}));
+    expect_tensor_bitwise(vox.voxelize_pocket(far, {}), vox.voxelize_pocket(pocket, {}));
   }
-
-  // Empty pocket and single-atom pocket.
-  expect_graph_bitwise(chem::GraphFeaturizer(cfg).featurize(lig, {}),
-                       chem::GraphFeaturizer(brute(cfg)).featurize(lig, {}));
-  std::vector<chem::Atom> single{chem::Atom{chem::Element::O, a0 + Vec3{4, 0, 0}, 0, false, 1}};
-  expect_graph_bitwise(chem::GraphFeaturizer(cfg).featurize(lig, single),
-                       chem::GraphFeaturizer(brute(cfg)).featurize(lig, single));
+  const chem::Voxelizer vox;
+  std::vector<chem::Atom> nan_pocket = pocket;
+  nan_pocket[3].pos.y = kNaN;
+  EXPECT_THROW(vox.voxelize(lig, nan_pocket, {}), std::invalid_argument);
+  EXPECT_THROW(vox.voxelize_pocket(pocket, {kNaN, 0, 0}), std::invalid_argument);
 }
 
-TEST(CellListFeaturize, SymmetricPocketCropBreaksTiesByIndex) {
-  // Eight pocket atoms all at the same distance from the ligand centroid:
-  // the crop must keep the lowest indices, on both paths. The first four
-  // are oxygens, the mirrored four nitrogens — element one-hots reveal
-  // which made the cut.
-  chem::Molecule lig;
-  lig.add_atom(chem::Element::C, {0, 0, 0});
-  const float d = 4.0f;
-  std::vector<chem::Atom> pocket;
-  pocket.push_back({chem::Element::O, {d, 0, 0}, 0, false, 1});
-  pocket.push_back({chem::Element::O, {0, d, 0}, 0, false, 1});
-  pocket.push_back({chem::Element::O, {0, 0, d}, 0, false, 1});
-  pocket.push_back({chem::Element::O, {-d, 0, 0}, 0, false, 1});
-  pocket.push_back({chem::Element::N, {0, -d, 0}, 0, false, 1});
-  pocket.push_back({chem::Element::N, {0, 0, -d}, 0, false, 1});
-  pocket.push_back({chem::Element::N, {d, 0, 0}, 0, false, 1});
-  pocket.push_back({chem::Element::N, {-d, 0, 0}, 0, false, 1});
-
-  chem::GraphFeaturizerConfig cfg;
-  cfg.max_pocket_atoms = 4;
-  for (bool use_cells : {true, false}) {
-    chem::GraphFeaturizerConfig c = cfg;
-    c.use_cell_list = use_cells;
-    c.cell_list_min_atoms = 0;
-    const graph::SpatialGraph g = chem::GraphFeaturizer(c).featurize(lig, pocket);
-    ASSERT_EQ(g.num_nodes(), 1 + 4);
-    const int64_t o_col = chem::element_index(chem::Element::O);
-    const int64_t n_col = chem::element_index(chem::Element::N);
-    for (int64_t row = 1; row < 5; ++row) {
-      EXPECT_EQ(g.node_features.at(row, o_col), 1.0f) << "tie-break must keep indices 0-3";
-      EXPECT_EQ(g.node_features.at(row, n_col), 0.0f);
-    }
-  }
-  expect_graph_bitwise(chem::GraphFeaturizer(cfg).featurize(lig, pocket),
-                       chem::GraphFeaturizer(brute(cfg)).featurize(lig, pocket));
+TEST(HostileGeometry, ScorerRejectsANaNPocket) {
+  Rng rng(16);
+  const chem::VoxelConfig vc;
+  models::Cnn3dConfig cc;
+  cc.grid_dim = vc.grid_dim;
+  cc.in_channels = vc.channels();
+  cc.conv_filters1 = 4;
+  cc.conv_filters2 = 8;
+  cc.dense_nodes = 16;
+  serve::RegressorScorer scorer("cnn3d", std::make_unique<models::Cnn3d>(cc, rng), vc, {});
+  std::vector<chem::Atom> pocket = random_pocket(rng, 40);
+  pocket[5].pos.x = kNaN;
+  serve::PoseInput pose;
+  pose.ligand = random_ligand(rng);
+  pose.pocket = &pocket;
+  EXPECT_THROW(scorer.score({&pose}), std::invalid_argument);
+  scorer.set_pocket_cache(std::make_shared<serve::PocketCache>(2));
+  EXPECT_THROW(scorer.score({&pose}), std::invalid_argument);
 }
 
-// ---- featurizer vs an independent reference at serving shapes ------------
+// ---- featurizer vs an independent reference -----------------------------
 
 // Test-local reference featurizer, sharing no scan code with the library:
 // the crop is a full (distance, index) sort, both pair scans are plain
 // double loops into add_undirected, ligand bonds come from the bond list,
-// and the v2 edge channels look H-bonds up by linear search. The cell-vs-
-// brute pins above run the library's own scans on both sides, so only
-// this comparison can see a changed crop or edge order.
+// and the v2 edge channels look H-bonds up by linear search. Comparing
+// against it sees a changed crop, edge set or edge order.
 graph::SpatialGraph reference_featurize(const chem::Molecule& lig,
                                         const std::vector<chem::Atom>& pocket,
                                         const chem::GraphFeaturizerConfig& cfg) {
@@ -477,6 +499,90 @@ graph::SpatialGraph reference_featurize(const chem::Molecule& lig,
   }
   return g;
 }
+
+TEST(CellListFeaturize, GraphBitwiseAcrossRandomGeometries) {
+  Rng rng(21);
+  for (int trial = 0; trial < 6; ++trial) {
+    chem::Molecule lig = random_ligand(rng);
+    const std::vector<chem::Atom> pocket = random_pocket(rng, 40 + trial * 60);
+    for (int v : {1, 2}) {
+      chem::GraphFeaturizerConfig cfg;
+      cfg.feature_set_version = v;
+      expect_graph_bitwise(chem::GraphFeaturizer(cfg).featurize(lig, pocket),
+                           reference_featurize(lig, pocket, cfg));
+    }
+  }
+}
+
+TEST(CellListFeaturize, CutoffBoundaryAndDegenerateGeometries) {
+  Rng rng(22);
+  chem::Molecule lig = random_ligand(rng);
+  lig.translate(Vec3{} - lig.centroid());
+  chem::GraphFeaturizerConfig cfg;
+
+  // Pocket atoms exactly at the two thresholds from a ligand atom, plus
+  // far off-grid outliers and a coincident-position pair.
+  const Vec3 a0 = lig.atoms()[0].pos;
+  std::vector<chem::Atom> pocket;
+  pocket.push_back({chem::Element::O, a0 + Vec3{cfg.noncovalent_threshold, 0, 0}, 0, false, 1});
+  pocket.push_back({chem::Element::N, a0 + Vec3{0, cfg.covalent_threshold, 0}, 0, false, 1});
+  pocket.push_back({chem::Element::C, a0 + Vec3{0, 0, 500.0f}});   // far off-grid
+  pocket.push_back({chem::Element::C, a0 - Vec3{400.0f, 0, 0}});   // far off-grid
+  pocket.push_back({chem::Element::S, a0 + Vec3{3.0f, 0, 0}});
+  pocket.push_back({chem::Element::S, a0 + Vec3{3.0f, 0, 0}});     // coincident pair
+  for (int v : {1, 2}) {
+    chem::GraphFeaturizerConfig vcfg = cfg;
+    vcfg.feature_set_version = v;
+    expect_graph_bitwise(chem::GraphFeaturizer(vcfg).featurize(lig, pocket),
+                         reference_featurize(lig, pocket, vcfg));
+  }
+
+  // Empty pocket and single-atom pocket.
+  expect_graph_bitwise(chem::GraphFeaturizer(cfg).featurize(lig, {}),
+                       reference_featurize(lig, {}, cfg));
+  std::vector<chem::Atom> single{chem::Atom{chem::Element::O, a0 + Vec3{4, 0, 0}, 0, false, 1}};
+  expect_graph_bitwise(chem::GraphFeaturizer(cfg).featurize(lig, single),
+                       reference_featurize(lig, single, cfg));
+}
+
+TEST(CellListFeaturize, SymmetricPocketCropBreaksTiesByIndex) {
+  // Eight pocket atoms all at the same distance from the ligand centroid:
+  // the crop must keep the lowest indices, on the featurizer's own crop
+  // list and on a prebuilt one. The first four are oxygens, the mirrored
+  // four nitrogens — element one-hots reveal which made the cut.
+  chem::Molecule lig;
+  lig.add_atom(chem::Element::C, {0, 0, 0});
+  const float d = 4.0f;
+  std::vector<chem::Atom> pocket;
+  pocket.push_back({chem::Element::O, {d, 0, 0}, 0, false, 1});
+  pocket.push_back({chem::Element::O, {0, d, 0}, 0, false, 1});
+  pocket.push_back({chem::Element::O, {0, 0, d}, 0, false, 1});
+  pocket.push_back({chem::Element::O, {-d, 0, 0}, 0, false, 1});
+  pocket.push_back({chem::Element::N, {0, -d, 0}, 0, false, 1});
+  pocket.push_back({chem::Element::N, {0, 0, -d}, 0, false, 1});
+  pocket.push_back({chem::Element::N, {d, 0, 0}, 0, false, 1});
+  pocket.push_back({chem::Element::N, {-d, 0, 0}, 0, false, 1});
+
+  chem::GraphFeaturizerConfig cfg;
+  cfg.max_pocket_atoms = 4;
+  const chem::GraphFeaturizer featurizer(cfg);
+  chem::CellList prebuilt;
+  featurizer.build_crop_cells(pocket, prebuilt);
+  const chem::CellList* const crop_lists[] = {nullptr, &prebuilt};
+  for (const chem::CellList* crop_cells : crop_lists) {
+    const graph::SpatialGraph g = featurizer.featurize(lig, pocket, crop_cells);
+    ASSERT_EQ(g.num_nodes(), 1 + 4);
+    const int64_t o_col = chem::element_index(chem::Element::O);
+    const int64_t n_col = chem::element_index(chem::Element::N);
+    for (int64_t row = 1; row < 5; ++row) {
+      EXPECT_EQ(g.node_features.at(row, o_col), 1.0f) << "tie-break must keep indices 0-3";
+      EXPECT_EQ(g.node_features.at(row, n_col), 0.0f);
+    }
+    expect_graph_bitwise(g, reference_featurize(lig, pocket, cfg));
+  }
+}
+
+// ---- featurizer vs the reference at serving shapes -----------------------
 
 TEST(FeaturizeReference, ServingShapesMatchIndependentReferenceBitwise) {
   Rng rng(71);
@@ -573,8 +679,7 @@ TEST(CellListDeterminism, OutputsBitwiseIdenticalUnderComputePool) {
   chem::Molecule lig = random_ligand(rng);
   const std::vector<chem::Atom> pocket = random_pocket(rng, 120);
 
-  chem::GraphFeaturizerConfig gcfg;
-  gcfg.cell_list_min_atoms = 0;  // keep the engine in play for this check
+  const chem::GraphFeaturizerConfig gcfg;
   chem::VoxelConfig vcfg;
   dock::MmGbsaConfig mcfg;
   mcfg.cell_list_min_atoms = 0;
@@ -589,6 +694,7 @@ TEST(CellListDeterminism, OutputsBitwiseIdenticalUnderComputePool) {
   const float mm_pool = dock::mmgbsa_score(lig, pocket, mcfg);
 
   expect_graph_bitwise(g_serial, g_pool);
+  expect_graph_bitwise(g_pool, reference_featurize(lig, pocket, gcfg));
   expect_tensor_bitwise(v_serial, v_pool);
   EXPECT_EQ(mm_serial, mm_pool);
 }

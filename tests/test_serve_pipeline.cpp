@@ -224,6 +224,43 @@ TEST(PocketCacheTest, VerifiedHitsReturnTheSameEntry) {
   EXPECT_NE(e1.get(), e3.get());
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.size(), 2u);
+
+  // The graph config is not in the key: featurizers whose thresholds (and
+  // so crop cell sizes) differ share one entry, and each crops on it
+  // exactly as on a list it binned itself, since knearest is exact at any
+  // cell size. A wide shell and a 16-atom crop make the list span cells.
+  const auto shell = data::make_pocket({12.0f, 160, 0.75f, 0.5f, 0.1f}, rng);
+  chem::GraphFeaturizerConfig narrow_cfg = tiny_graph();
+  narrow_cfg.covalent_threshold = 1.8f;
+  narrow_cfg.noncovalent_threshold = 4.0f;
+  narrow_cfg.max_pocket_atoms = 16;
+  chem::GraphFeaturizerConfig serving_cfg = tiny_graph();
+  serving_cfg.max_pocket_atoms = 16;
+  const chem::GraphFeaturizer narrow(narrow_cfg), serving(serving_cfg);
+  const auto shared = cache.lookup(shell, {}, vox, serving);
+  EXPECT_EQ(cache.lookup(shell, {}, vox, narrow).get(), shared.get());
+  EXPECT_EQ(shared->crop_cells.cell_size(), serving_cfg.noncovalent_threshold);
+  for (const chem::GraphFeaturizer* f : {&narrow, &serving}) {
+    chem::CellList own;
+    f->build_crop_cells(shell, own);
+    for (int i = 0; i < 4; ++i) {
+      chem::Molecule lig = chem::generate_molecule({}, rng);
+      chem::embed_conformer(lig, rng);
+      lig.translate(core::Vec3{rng.normal(0.0f, 3.0f), rng.normal(0.0f, 3.0f),
+                               rng.normal(0.0f, 3.0f)} - lig.centroid());
+      const graph::SpatialGraph want = f->featurize(lig, shell, &own);
+      const graph::SpatialGraph got = f->featurize(lig, shell, &shared->crop_cells);
+      ASSERT_EQ(got.node_features.shape(), want.node_features.shape());
+      EXPECT_EQ(std::memcmp(got.node_features.data(), want.node_features.data(),
+                            static_cast<size_t>(want.node_features.numel()) * sizeof(float)),
+                0)
+          << "threshold " << f->config().noncovalent_threshold << " ligand " << i;
+      EXPECT_EQ(got.covalent.src, want.covalent.src);
+      EXPECT_EQ(got.covalent.dst, want.covalent.dst);
+      EXPECT_EQ(got.noncovalent.src, want.noncovalent.src);
+      EXPECT_EQ(got.noncovalent.dst, want.noncovalent.dst);
+    }
+  }
 }
 
 TEST(PocketCacheTest, LruEvictionAndConfigInvalidation) {
@@ -256,7 +293,7 @@ TEST(PocketCacheTest, LruEvictionAndConfigInvalidation) {
   EXPECT_GT(held_b->grid.numel(), 0);
   EXPECT_EQ(held_b->atoms.size(), pb.size());
 
-  // Any featurization-config change is a different key — that IS the
+  // Any voxelization-config change is a different key — that IS the
   // invalidation semantics: feature-set version...
   serve::PocketCache fresh(4);
   fresh.lookup(pa, {}, vox, feat);

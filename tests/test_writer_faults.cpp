@@ -195,6 +195,28 @@ TEST_F(WriterFaultsTest, CompactDropsUnvouchedAndDamagedBlocks) {
   EXPECT_EQ(scan_shard_stream(p).blocks.size(), 2u);
 }
 
+TEST_F(WriterFaultsTest, CompactKeepsEachUnitsLastBlockInAppendOrder) {
+  // Unit 0 ran, unit 1 ran, then unit 0 ran again with other predictions
+  // (its first block outlived a kill): the re-run's block is the one kept,
+  // after unit 1's, as the resume scan would read them.
+  const std::string p = shard_stream_path(path("camp"), 0);
+  {
+    ShardStream s(p);
+    s.append(make_block(0, 100, 3));
+    s.append(make_block(1, 200, 2));
+    s.append(make_block(0, 500, 3));
+  }
+  compact_shard_stream(p, [](uint64_t) { return true; });
+  const ShardScan scan = scan_shard_stream(p);
+  EXPECT_TRUE(scan.damage.empty());
+  ASSERT_EQ(scan.blocks.size(), 2u);
+  EXPECT_EQ(scan.blocks[0].unit_id, 1u);
+  EXPECT_EQ(scan.blocks[0].predictions, make_block(1, 200, 2).predictions);
+  EXPECT_EQ(scan.blocks[1].unit_id, 0u);
+  EXPECT_EQ(scan.blocks[1].predictions, make_block(0, 500, 3).predictions);
+  EXPECT_EQ(scan.blocks[1].compound_ids, make_block(0, 500, 3).compound_ids);
+}
+
 TEST_F(WriterFaultsTest, ManifestDetectsPostRunDamage) {
   const std::string prefix = path("camp");
   {
