@@ -3,8 +3,8 @@
 // Fusion 2.7x faster than Vina and 403x faster than MM/GBSA) and measures
 // the inference-engine speedups this repo adds on top: the indirect-GEMM
 // Conv3d vs the direct 7-loop reference, the 3D-CNN trunk and the SG-CNN's
-// graph propagation at the screening batch shape, blocked GEMM thread
-// scaling, and the batched fusion scoring job.
+// graph propagation at the screening batch shape, the blocked GEMM on one
+// core, and the batched fusion scoring job.
 //
 // Two run modes:
 //   bench_speedup                  — Google Benchmark suite (human output)
@@ -26,8 +26,6 @@
 #include "bench_common.h"
 #include "chem/conformer.h"
 #include "core/gemm.h"
-#include "core/parallel.h"
-#include "core/threadpool.h"
 #include "dock/conveyorlc.h"
 #include "graph/gated_graph_conv.h"
 #include "models/cnn3d.h"
@@ -197,15 +195,7 @@ void BM_Cnn3dTrunkEval(benchmark::State& state) {
 }
 BENCHMARK(BM_Cnn3dTrunkEval)->Unit(benchmark::kMillisecond);
 
-// A compute pool of `threads` lanes: the calling thread plus threads - 1
-// workers, none for one lane.
-std::unique_ptr<core::ThreadPool> lane_pool(size_t threads) {
-  return threads > 1 ? std::make_unique<core::ThreadPool>(threads - 1) : nullptr;
-}
-
 void BM_GemmBatched(benchmark::State& state) {
-  const auto pool = lane_pool(static_cast<size_t>(state.range(0)));
-  core::ComputePoolGuard guard(pool.get());
   core::Rng rng(21);
   core::Tensor a = core::Tensor::randn({256, 512}, rng);
   core::Tensor b = core::Tensor::randn({512, 256}, rng);
@@ -216,9 +206,7 @@ void BM_GemmBatched(benchmark::State& state) {
       2.0 * 256 * 512 * 256 * static_cast<double>(state.iterations()) * 1e-9,
       benchmark::Counter::kIsRate);
 }
-// Real time, not CPU time: the work runs on pool workers, so the main
-// thread's CPU clock undercounts and would inflate the rate counter.
-BENCHMARK(BM_GemmBatched)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_GemmBatched)->Unit(benchmark::kMillisecond);
 
 // The SG-CNN's two propagations at the screening benchmark's batch shape:
 // 32 poses packed into 2650 node rows at d = 24, the covalent stage (k = 6,
@@ -284,10 +272,10 @@ int emit_json(const std::string& path) {
     return 1;
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  std::fprintf(out, "{\n  \"schema\": \"bench_speedup.v1\",\n  \"hardware_threads\": %u,\n", hw);
+  std::fprintf(out, "{\n  \"schema\": \"bench_speedup.v2\",\n  \"hardware_threads\": %u,\n", hw);
 
   // 1. Conv3d forward: the indirect GEMM vs the direct 7-loop reference,
-  //    single-threaded (no pool installed), with an output-equivalence pin.
+  //    on one thread, with an output-equivalence pin.
   {
     ConvBench& c = conv_bench();
     const core::Tensor ref = nn::conv3d_forward_naive(c.x, *c.w, *c.b, 2, 2);
@@ -305,29 +293,20 @@ int emit_json(const std::string& path) {
                 naive_ms, fast_ms, naive_ms / fast_ms, diff);
   }
 
-  // 2. Batched GEMM strong scaling: one dense-layer-shaped multiply per
-  //    thread count. poses/sec treats each of the 256 rows as one pose
-  //    through a 512->256 dense layer.
+  // 2. Batched GEMM: one dense-layer-shaped multiply on the calling
+  //    thread (a GEMM never fans out). poses/sec treats each of the 256
+  //    rows as one pose through a 512->256 dense layer.
   {
     core::Rng rng(21);
     core::Tensor a = core::Tensor::randn({256, 512}, rng);
     core::Tensor b = core::Tensor::randn({512, 256}, rng);
     const double flops = 2.0 * 256 * 512 * 256;
-    std::fprintf(out, "  \"gemm_batched\": [\n");
-    const size_t thread_counts[] = {1, 2, 4};
-    for (size_t ti = 0; ti < 3; ++ti) {
-      const size_t t = thread_counts[ti];
-      const auto pool = lane_pool(t);
-      core::ComputePoolGuard guard(pool.get());
-      const double ms = time_ms([&] { benchmark::DoNotOptimize(a.matmul(b)); });
-      std::fprintf(out,
-                   "    {\"threads\": %zu, \"workload\": \"m256_k512_n256\", \"ms\": %.4f, "
-                   "\"gflops\": %.2f, \"poses_per_second\": %.0f}%s\n",
-                   t, ms, flops / (ms * 1e6), 256.0 * 1000.0 / ms, ti + 1 < 3 ? "," : "");
-      std::printf("gemm m256_k512_n256 @ %zu threads: %.3f ms (%.2f GFLOP/s)\n", t, ms,
-                  flops / (ms * 1e6));
-    }
-    std::fprintf(out, "  ],\n");
+    const double ms = time_ms([&] { benchmark::DoNotOptimize(a.matmul(b)); });
+    std::fprintf(out,
+                 "  \"gemm_batched\": {\"workload\": \"m256_k512_n256\", \"ms\": %.4f, "
+                 "\"gflops\": %.2f, \"poses_per_second\": %.0f},\n",
+                 ms, flops / (ms * 1e6), 256.0 * 1000.0 / ms);
+    std::printf("gemm m256_k512_n256: %.3f ms (%.2f GFLOP/s)\n", ms, flops / (ms * 1e6));
   }
 
   // 3. Fusion scoring job throughput: threads x workload -> poses/sec

@@ -9,8 +9,8 @@
 // Consumers apply exactly the same distance predicate and arithmetic as
 // their brute-force scan, in the same (outer atom, ascending inner index)
 // order — so every cell-list route is bitwise identical to the scan it
-// replaces, at any thread count (the engine itself never touches the
-// compute pool; per-pose purity is what featurize lanes parallelize over).
+// replaces, at any thread count (the engine itself starts no threads;
+// per-pose purity is what featurize lanes parallelize over).
 #pragma once
 
 #include <cstdint>

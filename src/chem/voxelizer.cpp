@@ -8,8 +8,6 @@
 
 #include "core/simd_math.h"
 
-#include "core/parallel.h"
-
 namespace df::chem {
 
 namespace {
@@ -25,8 +23,7 @@ int channel_for_atom(const Atom& a, int block, int cpb) {
 }
 
 // One (channel, weight) deposit for one atom with all per-atom geometry
-// precomputed, so the grid can be filled one z-slice at a time (slices are
-// disjoint, which makes the fill safely parallel without atomics) without
+// precomputed, so the grid can be filled one z-slice at a time without
 // re-deriving sigma/cutoff/box bounds per slice.
 struct SplatOp {
   core::Vec3 rel;   // atom position relative to the grid center
@@ -40,8 +37,7 @@ struct SplatOp {
 // The splat is exp-bound (one Gaussian per in-cutoff voxel), so the x rows
 // run 16 lanes at a time through the shared vectorized exp
 // (core/simd_math.h); out-of-range or beyond-cutoff lanes contribute an
-// exact +0.0f. Accumulation per cell keeps the per-op order of the caller,
-// so serial and sliced-parallel fills stay bitwise identical.
+// exact +0.0f.
 void splat_slice(core::Tensor& grid, const SplatOp& op, int G, float res, float half, int z) {
   float* base = grid.data() + (static_cast<int64_t>(op.channel) * G + z) * G * G;
   const float vz = (static_cast<float>(z) + 0.5f) * res - half;
@@ -128,46 +124,14 @@ void expand_atom(const VoxelConfig& cfg, const Atom& a, int block, float hb_coun
   if (hb_count > 0.0f) push(pharm + kVoxelHBondChannel, hb_count);
 }
 
-// Apply `ops` to the grid. Bucket ops by z-slice (CSR layout) so each slice
-// walks only the ops that actually touch it instead of scanning the full
-// list. The fill appends in op order, so every slice still applies its ops
-// in the same sequence as a full scan — bitwise-identical accumulation at
-// any compute-pool width (slices write disjoint memory). The scratch is
-// thread_local: voxelize is hot in serving and must not pay a heap round
-// trip per pose.
+// Apply `ops` to the grid, one z-slice of one op at a time. Each cell adds
+// its deposits in op order.
 void fill_ops(Tensor& view, const std::vector<SplatOp>& ops, const VoxelConfig& cfg) {
   const int G = cfg.grid_dim;
   const float res = cfg.resolution;
   const float half = cfg.box_extent() * 0.5f;
-  static thread_local std::vector<int32_t> slice_start;  // size G+1
-  static thread_local std::vector<int32_t> slice_ops;    // op indices, CSR
-  slice_start.assign(static_cast<size_t>(G) + 1, 0);
-  for (const SplatOp& op : ops) {
-    for (int z = op.zlo; z <= op.zhi; ++z) ++slice_start[static_cast<size_t>(z) + 1];
-  }
-  for (int z = 0; z < G; ++z) slice_start[static_cast<size_t>(z) + 1] += slice_start[static_cast<size_t>(z)];
-  slice_ops.resize(static_cast<size_t>(slice_start[static_cast<size_t>(G)]));
-  {
-    static thread_local std::vector<int32_t> cursor;
-    cursor.assign(slice_start.begin(), slice_start.end() - 1);
-    for (size_t oi = 0; oi < ops.size(); ++oi) {
-      for (int z = ops[oi].zlo; z <= ops[oi].zhi; ++z) {
-        slice_ops[static_cast<size_t>(cursor[static_cast<size_t>(z)]++)] = static_cast<int32_t>(oi);
-      }
-    }
-  }
-
-  // Workers must see the caller's buckets, not their own thread_locals —
-  // hand them raw pointers, never the thread_local names.
-  const int32_t* const sstart = slice_start.data();
-  const int32_t* const sops = slice_ops.data();
-  const SplatOp* const opsp = ops.data();
-  core::parallel_for_auto(static_cast<size_t>(G), 4, [&, sstart, sops, opsp](size_t zi) {
-    const int z = static_cast<int>(zi);
-    for (int32_t i = sstart[zi]; i < sstart[zi + 1]; ++i) {
-      splat_slice(view, opsp[static_cast<size_t>(sops[i])], G, res, half, z);
-    }
-  });
+  for (const SplatOp& op : ops)
+    for (int z = op.zlo; z <= op.zhi; ++z) splat_slice(view, op, G, res, half, z);
 }
 }  // namespace
 
@@ -178,7 +142,7 @@ Tensor Voxelizer::voxelize(const Molecule& ligand, const std::vector<Atom>& pock
   Tensor view({1, cfg_.channels(), cfg_.grid_dim, cfg_.grid_dim, cfg_.grid_dim});
 
   // Expand atoms into per-channel deposits once (geometry included), then
-  // fill the grid slice-parallel. Op scratch is reused across calls.
+  // fill the grid. Op scratch is reused across calls.
   static thread_local std::vector<SplatOp> ops;
   ops.clear();
   ops.reserve((ligand.atoms().size() + pocket.size()) * 2);

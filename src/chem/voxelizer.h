@@ -49,9 +49,7 @@ class Voxelizer {
   explicit Voxelizer(VoxelConfig cfg = {}) : cfg_(cfg) {}
 
   /// Produce a (1, C, G, G, G) tensor centred on `center` (normally the
-  /// pocket centroid). Grid z-slices are filled independently and fan out
-  /// over the shared compute pool (core/parallel.h) when one is installed;
-  /// output is bitwise identical either way. Atoms off the grid, however
+  /// pocket centroid), on the calling thread. Atoms off the grid, however
   /// far, deposit nothing. Every entry point throws std::invalid_argument
   /// when an atom it splats, or the center, is not finite.
   Tensor voxelize(const Molecule& ligand, const std::vector<Atom>& pocket,

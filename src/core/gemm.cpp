@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/simd_math.h"
 
 namespace df::core {
@@ -107,30 +106,6 @@ inline float load_b(const float* B, int64_t ldb, bool trans, int64_t p, int64_t 
 // Widest column block of one row pass: six 16-lane chunks per row.
 constexpr int64_t kSkinnyN = 96;
 
-// Rows of C per pool chunk when a GEMM fans out, or 0 when it stays on
-// the calling thread (too little work, or serial compute). Rows are
-// independent (per-row accumulation never crosses rows), so chunking is
-// bitwise identical to serial.
-int64_t pool_row_chunk(int64_t m, int64_t n, int64_t k) {
-  const int64_t lanes = static_cast<int64_t>(compute_lanes());
-  if (m * n * k < (int64_t{1} << 20) || lanes <= 1) return 0;
-  return std::max<int64_t>(64, round_up((m + 2 * lanes - 1) / (2 * lanes), 8));
-}
-
-// run(r0, rows) over [0, m) in pool_row_chunk pieces, or at once.
-template <class Fn>
-void for_row_chunks(int64_t m, int64_t n, int64_t k, const Fn& run) {
-  const int64_t chunk = pool_row_chunk(m, n, k);
-  if (chunk == 0) {
-    run(int64_t{0}, m);
-    return;
-  }
-  parallel_for_auto(static_cast<size_t>((m + chunk - 1) / chunk), 2, [&](size_t ci) {
-    const int64_t r0 = static_cast<int64_t>(ci) * chunk;
-    run(r0, std::min(chunk, m - r0));
-  });
-}
-
 // Write one finished row: add C's prior partial sums when accumulating, run
 // the epilogue, store. Whole 16-lane chunks load and store as vectors; only
 // the n % 16 tail goes lane by lane through a stack buffer.
@@ -183,14 +158,14 @@ constexpr int skinny_block_rows() {
 // StridedA is a row-major matrix and TransposedA its transpose stored
 // (k x m); IndirectA is Dukhan's indirect operand (arXiv:1907.02129), whose
 // rows and k-columns are offsets into one buffer, so a convolution
-// multiplies straight from its zero-padded input. at(r0, pc) is the source
-// of the block whose row 0 / column 0 is (r0, pc).
+// multiplies straight from its zero-padded input. panel(pc) is the source
+// of the k-panel whose column 0 is pc.
 struct StridedA {
   const float* a;
   int64_t lda;
   const float* row(int64_t i) const { return a + i * lda; }
   int64_t col(int64_t p) const { return p; }
-  StridedA at(int64_t r0, int64_t pc) const { return {a + r0 * lda + pc, lda}; }
+  StridedA panel(int64_t pc) const { return {a + pc, lda}; }
 };
 
 struct TransposedA {
@@ -198,7 +173,7 @@ struct TransposedA {
   int64_t lda;
   const float* row(int64_t i) const { return a + i; }
   int64_t col(int64_t p) const { return p * lda; }
-  TransposedA at(int64_t r0, int64_t pc) const { return {a + r0 + pc * lda, lda}; }
+  TransposedA panel(int64_t pc) const { return {a + pc * lda, lda}; }
 };
 
 struct IndirectA {
@@ -207,7 +182,7 @@ struct IndirectA {
   const int32_t* k_off;
   const float* row(int64_t i) const { return x + row_off[i]; }
   int64_t col(int64_t p) const { return k_off[p]; }
-  IndirectA at(int64_t r0, int64_t pc) const { return {x, row_off + r0, k_off + pc}; }
+  IndirectA panel(int64_t pc) const { return {x, row_off, k_off + pc}; }
 };
 
 // Splat an A element read straight from memory (one broadcast load).
@@ -216,12 +191,12 @@ struct IndirectA {
 // nonzero accumulator absorbs either zero, so no output bit moves.
 inline vf16 broadcast(float v) { return vf16{v, v, v, v, v, v, v, v, v, v, v, v, v, v, v, v}; }
 
-// R consecutive rows from local row i. Each output element sums p = 0..k-1
-// in order whatever R is, so the blocking changes no bit.
+// R consecutive rows from row i. Each output element sums p = 0..k-1 in
+// order whatever R is, so the blocking changes no bit.
 template <int NV, int R, class Src>
-inline void skinny_pass(int64_t i, int64_t row0, int64_t n, int64_t k, const Src& a,
-                        const float* bpad, int64_t bstride, float* C, int64_t ldc,
-                        bool accumulate, const Epilogue* ep, const float* bias_padded) {
+inline void skinny_pass(int64_t i, int64_t n, int64_t k, const Src& a, const float* bpad,
+                        int64_t bstride, float* C, int64_t ldc, bool accumulate,
+                        const Epilogue* ep, const float* bias_padded) {
   const float* rows[R];
   for (int r = 0; r < R; ++r) rows[r] = a.row(i + r);
   vf16 acc[R][NV] = {};
@@ -239,47 +214,44 @@ inline void skinny_pass(int64_t i, int64_t row0, int64_t n, int64_t k, const Src
     }
   }
   for (int r = 0; r < R; ++r)
-    skinny_finalize<NV>(acc[r], C + (i + r) * ldc, n, row0 + i + r, accumulate, ep, bias_padded);
+    skinny_finalize<NV>(acc[r], C + (i + r) * ldc, n, i + r, accumulate, ep, bias_padded);
 }
 
 template <int NV, class Src>
-void skinny_rows(int64_t row0, int64_t m, int64_t n, int64_t k, const Src& a, const float* bpad,
+void skinny_rows(int64_t m, int64_t n, int64_t k, const Src& a, const float* bpad,
                  int64_t bstride, float* C, int64_t ldc, bool accumulate, const Epilogue* ep,
                  const float* bias_padded) {
-  // `row0` is the global C row of A/C's first row — epilogue row-bias
-  // indexing must see global coordinates when the caller chunks m.
   constexpr int R = skinny_block_rows<NV>();
   int64_t i = 0;
   for (; i + R <= m; i += R)
-    skinny_pass<NV, R>(i, row0, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded);
+    skinny_pass<NV, R>(i, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded);
   for (; i < m; ++i)
-    skinny_pass<NV, 1>(i, row0, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded);
+    skinny_pass<NV, 1>(i, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded);
 }
 
 // One k-panel of `m` C rows at n <= kSkinnyN columns, dispatched on the
-// 16-lane chunk count. `a` and C start at global row row0.
+// 16-lane chunk count.
 template <class Src>
-void skinny_panel(int64_t row0, int64_t m, int64_t n, int64_t k, const Src& a, const float* bpad,
+void skinny_panel(int64_t m, int64_t n, int64_t k, const Src& a, const float* bpad,
                   int64_t bstride, float* C, int64_t ldc, bool accumulate, const Epilogue* ep,
                   const float* bias_padded) {
   switch ((n + 15) / 16) {
-    case 1: skinny_rows<1>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
-    case 2: skinny_rows<2>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
-    case 3: skinny_rows<3>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
-    case 4: skinny_rows<4>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
-    case 5: skinny_rows<5>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
-    default: skinny_rows<6>(row0, m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    case 1: skinny_rows<1>(m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    case 2: skinny_rows<2>(m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    case 3: skinny_rows<3>(m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    case 4: skinny_rows<4>(m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    case 5: skinny_rows<5>(m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
+    default: skinny_rows<6>(m, n, k, a, bpad, bstride, C, ldc, accumulate, ep, bias_padded); break;
   }
 }
 
 // The one GEMM driver, behind sgemm and sgemm_indirect. B is (k x n) with
-// ldb >= round_up(n, 16) readable floats per row. Rows fan out over the
-// compute pool in for_row_chunks pieces; each piece runs the k-panels in
-// order, every panel's sums added to C (the first panel overwrites C unless
-// accumulating), the last panel's through the epilogue. Within a panel,
-// columns run in blocks of at most kSkinnyN lanes, split evenly (n = 128
-// runs as two 64-lane blocks), so a block's B panel stays cache-hot over
-// every row of the piece.
+// ldb >= round_up(n, 16) readable floats per row. The k-panels run in
+// order on the calling thread, every panel's sums added to C (the first
+// panel overwrites C unless accumulating), the last panel's through the
+// epilogue. Within a panel, columns run in blocks of at most kSkinnyN
+// lanes, split evenly (n = 128 runs as two 64-lane blocks), so a block's B
+// panel stays cache-hot over every row.
 template <class Src>
 void gemm_rows(int64_t m, int64_t n, int64_t k, const Src& a, const float* B, int64_t ldb,
                float* C, int64_t ldc, bool accumulate, const Epilogue* ep) {
@@ -287,16 +259,14 @@ void gemm_rows(int64_t m, int64_t n, int64_t k, const Src& a, const float* B, in
   const int64_t nv = (n + 15) / 16;
   const int64_t blocks = (nv + kSkinnyN / 16 - 1) / (kSkinnyN / 16);
   const int64_t block = (nv + blocks - 1) / blocks * 16;
-  for_row_chunks(m, n, k, [&](int64_t r0, int64_t rows) {
-    for (int64_t pc = 0; pc < k; pc += KC) {
-      const int64_t kc = std::min(KC, k - pc);
-      const Epilogue* pep = pc + KC >= k ? ep : nullptr;
-      for (int64_t j0 = 0; j0 < n; j0 += block)
-        skinny_panel(r0, rows, std::min(block, n - j0), kc, a.at(r0, pc), B + pc * ldb + j0, ldb,
-                     C + r0 * ldc + j0, ldc, accumulate || pc > 0, pep,
-                     bias_padded != nullptr ? bias_padded + j0 : nullptr);
-    }
-  });
+  for (int64_t pc = 0; pc < k; pc += KC) {
+    const int64_t kc = std::min(KC, k - pc);
+    const Epilogue* pep = pc + KC >= k ? ep : nullptr;
+    for (int64_t j0 = 0; j0 < n; j0 += block)
+      skinny_panel(m, std::min(block, n - j0), kc, a.panel(pc), B + pc * ldb + j0, ldb,
+                   C + j0, ldc, accumulate || pc > 0, pep,
+                   bias_padded != nullptr ? bias_padded + j0 : nullptr);
+  }
 }
 
 // op(B) as gemm_rows reads it: k rows of round_up(n, 16) lanes, each row
@@ -307,9 +277,7 @@ void gemm_rows(int64_t m, int64_t n, int64_t k, const Src& a, const float* B, in
 // reused thread_local, so the hot serving path never touches the heap: B
 // is the stream the row pass is bound by, and a B 16 bytes off its lines
 // splits every 16-lane load in two (256 x 256 x 512 ran at 85 GF/s in
-// place against 136 on a line, 4-vCPU AVX-512 Xeon). Workers read the
-// caller's image through the returned pointer, never their own
-// thread_local.
+// place against 136 on a line, 4-vCPU AVX-512 Xeon).
 const float* b_rows(bool trans, int64_t n, int64_t k, const float* B, int64_t ldb,
                     int64_t* ld) {
   if (!trans && n % 16 == 0 && ldb % 16 == 0 && reinterpret_cast<uintptr_t>(B) % 64 == 0) {

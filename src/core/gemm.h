@@ -9,8 +9,9 @@
 // lines. Wider C runs in even column blocks of at most 96 lanes. A row-major
 // B whose n is a multiple of 16 and whose rows start on lines (a layer's
 // weight tensor) is read in place; any other B is first copied into that
-// row image, and a transposed A is read through its stride. C rows fan out
-// over the calling thread's compute pool (core/parallel.h).
+// row image, and a transposed A is read through its stride. Every call runs
+// on its calling thread; a caller that wants more cores splits its work
+// above the kernel (serve/scorer.h runs whole pose sub-batches per lane).
 //
 // sgemm_indirect runs the same row pass over an indirect A (Dukhan,
 // arXiv:1907.02129): element (i, p) is an offset into one buffer, so
@@ -80,7 +81,7 @@ void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 /// never reach C. k runs in kSgemmPanelK panels whose sums are added to C
 /// in order, the last through `epilogue`, so the result is bitwise identical
 /// to sgemm(false, false, m, n, k, A, k, B, ldb, C, ldc, false, epilogue)
-/// on the materialized A. Rows fan out over the compute pool like sgemm's.
+/// on the materialized A.
 void sgemm_indirect(int64_t m, int64_t n, int64_t k, const float* X, const int32_t* row_off,
                     const int32_t* k_off, const float* B, int64_t ldb, float* C, int64_t ldc,
                     const Epilogue* epilogue = nullptr);

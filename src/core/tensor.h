@@ -151,7 +151,7 @@ class Tensor {
   float norm() const;
 
   /// (m,k) x (k,n) -> (m,n). Lowered onto the blocked sgemm kernel
-  /// (core/gemm.h), which parallelizes over the installed compute pool.
+  /// (core/gemm.h), on the calling thread.
   Tensor matmul(const Tensor& rhs) const;
   /// matmul with this transposed: (k,m)^T x (k,n) -> (m,n).
   Tensor matmul_tn(const Tensor& rhs) const;

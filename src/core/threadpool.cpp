@@ -90,8 +90,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-bool in_parallel_for() { return t_in_parallel_for; }
-
 void parallel_for(ThreadPool& pool, size_t n, const std::function<void(size_t)>& fn) {
   if (n <= 1 || t_in_parallel_for) {
     for (size_t i = 0; i < n; ++i) fn(i);

@@ -49,7 +49,4 @@ class ThreadPool {
 /// runs serially on that thread.
 void parallel_for(ThreadPool& pool, size_t n, const std::function<void(size_t)>& fn);
 
-/// True while the calling thread runs a parallel_for body.
-bool in_parallel_for();
-
 }  // namespace df::core

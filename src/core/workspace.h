@@ -16,13 +16,12 @@
 // allocation-free without threading a workspace argument through every layer
 // signature. Borrowed tensors must not outlive the region they were carved
 // from — the serving layer guarantees this by scoping one workspace per
-// replica per batch (serve/scorer.h).
+// forward lane and featurize slot per batch (serve/scorer.h).
 //
 // A Workspace is single-threaded state: one thread bumps it at a time. A
-// replica that fans featurization out over lanes gives each lane its own
-// arena. Pool workers spawned by leaf kernels (gemm, conv, voxel splat)
-// never create Tensors, so they are unaffected by the caller's binding,
-// which is thread-local by design.
+// replica that runs a forward on two lanes gives each lane its own arena,
+// and the binding is thread-local, so each lane's tensors come from its
+// own.
 #pragma once
 
 #include <cstddef>

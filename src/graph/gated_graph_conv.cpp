@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/gemm.h"
-#include "core/parallel.h"
 #include "core/simd_math.h"
 
 namespace df::graph {
@@ -318,42 +317,27 @@ Tensor GatedGraphConv::message(const Tensor& h) const {
   return agg.matmul(w_msg_.value);
 }
 
-Tensor GatedGraphConv::propagate_eval(const Tensor& h0) const {
+Tensor GatedGraphConv::propagate_eval(const Tensor& h0, const std::vector<int32_t>& csr_start,
+                                      const std::vector<int32_t>& csr_src) const {
   const int64_t rows = h0.dim(0), d = dim_, L = (d + 15) / 16 * 16, T = kTileRows;
-  const int64_t tiles = (rows + T - 1) / T;
-  // Tiles fan out over the compute pool like sgemm's row chunks, about two
-  // chunks per lane, once a step's GEMM volume (7 * rows * L * d) reaches
-  // sgemm's fan-out threshold; serially when the thread computes serially.
-  // The tiles of a step are independent, so the chunking changes no bit.
-  int64_t chunk = std::max<int64_t>(tiles, 1);
-  const int64_t lanes = static_cast<int64_t>(core::compute_lanes());
-  if (7 * rows * L * d >= (int64_t{1} << 20) && lanes > 1) {
-    chunk = std::max<int64_t>(1, (tiles + 2 * lanes - 1) / (2 * lanes));
-  }
-  const int64_t chunks = (tiles + chunk - 1) / chunk;
   const StepWeights w = pack_step_weights(gru_.gates(), w_msg_.value);
-  const int64_t scratch_floats = step_scratch_floats(w);
-  Tensor scratch = Tensor::uninit({std::max<int64_t>(chunks, 1), scratch_floats});
+  Tensor scratch = Tensor::uninit({step_scratch_floats(w)});
   Tensor cur = pad_lanes(h0, L), next = Tensor::uninit({rows, L});
   for (int64_t k = 0; k < steps_; ++k) {
-    core::parallel_for_auto(static_cast<size_t>(chunks), 2, [&](size_t ci) {
-      float* tile_scratch = scratch.data() + static_cast<int64_t>(ci) * scratch_floats;
-      const int64_t t0 = static_cast<int64_t>(ci) * chunk, t1 = std::min(tiles, t0 + chunk);
-      for (int64_t t = t0; t < t1; ++t) {
-        step_tile(w, csr_start_, csr_src_, cur.data(), next.data(), t * T,
-                  std::min(T, rows - t * T), tile_scratch);
-      }
-    });
+    for (int64_t r0 = 0; r0 < rows; r0 += T)
+      step_tile(w, csr_start, csr_src, cur.data(), next.data(), r0, std::min(T, rows - r0),
+                scratch.data());
     std::swap(cur, next);
   }
   return unpad_lanes(cur, d);
 }
 
-void GatedGraphConv::build_csr(const EdgeList& edges, int64_t num_nodes) {
+void GatedGraphConv::build_csr(const EdgeList& edges, int64_t num_nodes,
+                               std::vector<int32_t>& start, std::vector<int32_t>& src) {
   if (edges.dst.size() != edges.src.size()) {
     throw std::invalid_argument("GatedGraphConv: edge list src/dst sizes differ");
   }
-  csr_start_.assign(static_cast<size_t>(num_nodes) + 1, 0);
+  start.assign(static_cast<size_t>(num_nodes) + 1, 0);
   for (size_t e = 0; e < edges.size(); ++e) {
     const int32_t s = edges.src[e], t = edges.dst[e];
     if (s < 0 || s >= num_nodes || t < 0 || t >= num_nodes) {
@@ -361,15 +345,15 @@ void GatedGraphConv::build_csr(const EdgeList& edges, int64_t num_nodes) {
                                   std::to_string(t) + " outside [0, " +
                                   std::to_string(num_nodes) + ")");
     }
-    ++csr_start_[static_cast<size_t>(t) + 1];
+    ++start[static_cast<size_t>(t) + 1];
   }
   for (int64_t v = 0; v < num_nodes; ++v)
-    csr_start_[static_cast<size_t>(v) + 1] += csr_start_[static_cast<size_t>(v)];
-  csr_src_.resize(edges.size());
+    start[static_cast<size_t>(v) + 1] += start[static_cast<size_t>(v)];
+  src.resize(edges.size());
   static thread_local std::vector<int32_t> cursor;
-  cursor.assign(csr_start_.begin(), csr_start_.end() - 1);
+  cursor.assign(start.begin(), start.end() - 1);
   for (size_t e = 0; e < edges.size(); ++e) {
-    csr_src_[static_cast<size_t>(cursor[static_cast<size_t>(edges.dst[e])]++)] = edges.src[e];
+    src[static_cast<size_t>(cursor[static_cast<size_t>(edges.dst[e])]++)] = edges.src[e];
   }
 }
 
@@ -377,8 +361,13 @@ Tensor GatedGraphConv::forward(const Tensor& h0, const EdgeList& edges, bool tra
   if (h0.ndim() != 2 || h0.dim(1) != dim_) {
     throw std::invalid_argument("GatedGraphConv: bad state shape " + h0.shape_str());
   }
-  build_csr(edges, h0.dim(0));
-  if (!training) return propagate_eval(h0);
+  if (!training) {
+    // Per-thread CSR: an eval forward writes nothing the layer owns.
+    static thread_local std::vector<int32_t> start, src;
+    build_csr(edges, h0.dim(0), start, src);
+    return propagate_eval(h0, start, src);
+  }
+  build_csr(edges, h0.dim(0), csr_start_, csr_src_);
   h_states_.clear();
   edges_ = &edges;
   gru_.clear_frames();

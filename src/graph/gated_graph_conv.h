@@ -11,9 +11,11 @@
 // product and the update while the tile is in L1, storing only the new
 // state. The states alternate between two lane-padded
 // (N, round_up(dim, 16)) buffers taken once per forward, the weights are
-// packed per forward (nothing is cached between forwards), and tiles fan
-// out over an installed compute pool. Every element keeps training's
-// arithmetic and order, so eval is bitwise equal to training.
+// packed per forward (nothing is cached between forwards), and the tiles
+// run one after another on the calling thread. An eval forward writes no
+// layer state, so threads may run them on one layer at once. Every element
+// keeps training's arithmetic and order, so eval is bitwise equal to
+// training.
 #pragma once
 
 #include <vector>
@@ -45,18 +47,20 @@ class GatedGraphConv {
  private:
   /// m_v = sum_{(u,v) in E} h_u W_msg  (aggregate-then-transform).
   Tensor message(const Tensor& h) const;
-  /// The K fused eval steps (see the header comment).
-  Tensor propagate_eval(const Tensor& h0) const;
+  /// The K fused eval steps (see the header comment) over a CSR.
+  Tensor propagate_eval(const Tensor& h0, const std::vector<int32_t>& csr_start,
+                        const std::vector<int32_t>& csr_src) const;
   /// Group edge sources by destination (stable within a destination).
-  void build_csr(const EdgeList& edges, int64_t num_nodes);
+  static void build_csr(const EdgeList& edges, int64_t num_nodes, std::vector<int32_t>& start,
+                        std::vector<int32_t>& src);
 
   int64_t dim_, steps_;
   nn::Parameter w_msg_;  // (dim, dim)
   GRUCell gru_;
   // Edge sources grouped by destination (CSR; edge order preserved within a
   // destination, so accumulation order matches the flat edge list). Built
-  // once per forward() and reused by every propagation step — replica
-  // state, like the layer caches.
+  // once per training forward and read by every step's message(); an eval
+  // forward builds its own in per-thread scratch.
   std::vector<int32_t> csr_start_;  // size num_nodes+1
   std::vector<int32_t> csr_src_;
   // Caches for backward (training only).

@@ -38,6 +38,12 @@ class Gather {
                           const std::vector<int64_t>& sum_counts);
 
   void collect_parameters(std::vector<nn::Parameter*>& out);
+  /// Mode of the gate and value networks. Forwards also take the mode per
+  /// call; setting it here keeps an eval-mode model's eval forwards reads.
+  void set_training(bool t) {
+    gate_.set_training(t);
+    value_.set_training(t);
+  }
   int64_t width() const { return width_; }
 
  private:

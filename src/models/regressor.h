@@ -29,23 +29,20 @@ struct TrainedState {
   }
 };
 
-// Replica contract: the eval path is NOT const and NOT thread-safe. Even in
-// eval mode, predict()/predict_batch() route through the layer stack's
-// forward(), which rewrites per-layer activation caches in place — two
-// threads sharing one instance corrupt each other's forwards. Every
-// concurrent consumer therefore owns a private replica built from a
-// RegressorFactory (one per worker); serve::ScoringService enforces this
-// with one lazily-built replica per worker thread plus a re-entrancy guard
-// in serve::RegressorScorer that throws if two threads ever enter the same
-// replica. The serving layer's core::Workspace arenas are replica state
-// under the same rule: RegressorScorer binds a private arena around the
-// eval forward and rewinds it every batch, so eval-path tensors must never
-// outlive the scoring call that produced them (docs/API.md).
-// The same contract covers training: forward_train/backward cache
-// activations per instance, so the data-parallel training engine
+// Replica contract: an eval forward writes no model state. Concurrent
+// predict()/predict_batch() calls on one eval-mode model are safe, each
+// thread in its own core::Workspace arena (or none); eval-path tensors must
+// never outlive the scoring call that produced them (docs/API.md). Eval
+// also leaves training caches alone, so an eval forward between
+// forward_train and backward changes no gradient. Training entry points
+// (forward_train, backward, set_training(true)) stay single-threaded per
+// instance: they cache activations, so the data-parallel training engine
 // (models/trainer.h) gives each worker lane a private replica built from
 // TrainConfig::replica_factory and broadcasts the master's parameters to
-// the lanes after every optimizer step.
+// the lanes after every optimizer step. Serving keeps one replica per
+// worker thread (serve::ScoringService, with a re-entrancy guard in
+// serve::RegressorScorer), and a pipelined replica runs pose sub-batches
+// of one forward on two threads at once.
 class Regressor {
  public:
   virtual ~Regressor() = default;
@@ -54,8 +51,8 @@ class Regressor {
   virtual float forward_train(const data::Sample& s) = 0;
   /// Backward for the most recent forward_train with dLoss/dPrediction.
   virtual void backward(float grad_pred) = 0;
-  /// Eval-mode prediction (dropout off, running BN stats). Mutates layer
-  /// caches — see the replica contract above.
+  /// Eval-mode prediction (dropout off, running BN stats). Writes no model
+  /// state — see the replica contract above.
   virtual float predict(const data::Sample& s) = 0;
   /// Eval-mode prediction for a batch of poses. Models whose trunks accept
   /// a batch dimension override this to run one forward per batch instead

@@ -116,7 +116,9 @@ void Sgcnn::collect_trained(TrainedState& s) {
 
 void Sgcnn::set_training(bool t) {
   embed_->set_training(t);
-  // GatedGraphConv and Gather take the training flag per forward call.
+  // GatedGraphConv takes the training flag per forward call, and so does
+  // Gather, whose layers follow the model's mode too.
+  gather_->set_training(t);
   dense1_->set_training(t);
   dense2_->set_training(t);
   out_->set_training(t);

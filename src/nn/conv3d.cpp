@@ -16,7 +16,6 @@
 #endif
 
 #include "core/gemm.h"
-#include "core/parallel.h"
 #include "core/workspace.h"
 
 namespace df::nn {
@@ -147,9 +146,12 @@ Conv3d::Conv3d(int64_t in_channels, int64_t out_channels, int64_t kernel, core::
 
 Tensor Conv3d::forward(const Tensor& x) { return forward_act(x, core::EpilogueAct::kNone); }
 
-void Conv3d::build_lowering(int64_t D, int64_t H, int64_t W) {
-  Lowering& l = lowering_;
-  if (l.D == D && l.H == H && l.W == W) return;
+std::shared_ptr<const Conv3d::Lowering> Conv3d::lowering(int64_t D, int64_t H, int64_t W) {
+  {
+    std::lock_guard<std::mutex> lock(lowering_mu_);
+    if (lowering_ != nullptr && lowering_->D == D && lowering_->H == H && lowering_->W == W)
+      return lowering_;
+  }
   if (D + 2 * pad_ < k_ || H + 2 * pad_ < k_ || W + 2 * pad_ < k_)
     throw std::invalid_argument("Conv3d: a " + std::to_string(k_) + "^3 window does not fit a " +
                                 std::to_string(D) + "x" + std::to_string(H) + "x" +
@@ -160,6 +162,8 @@ void Conv3d::build_lowering(int64_t D, int64_t H, int64_t W) {
   const int64_t Do = out_size(D, k_, stride_, pad_);
   const int64_t Ho = out_size(H, k_, stride_, pad_);
   const int64_t Wo = out_size(W, k_, stride_, pad_);
+  auto built = std::make_shared<Lowering>();
+  Lowering& l = *built;
   l.D = D;
   l.H = H;
   l.W = W;
@@ -170,31 +174,30 @@ void Conv3d::build_lowering(int64_t D, int64_t H, int64_t W) {
   l.N = Do * Ho * Wo;
   const int64_t sample = cin_ * l.padded;
   l.group = std::max<int64_t>(1, kGroupFloats / (sample + l.N * round_lanes(cout_)));
-  l.row_off.clear();
   for (int64_t s = 0; s < l.group; ++s)
     for (int64_t zo = 0; zo < Do; ++zo)
       for (int64_t yo = 0; yo < Ho; ++yo)
         for (int64_t xo = 0; xo < Wo; ++xo)
           l.row_off.push_back(
               static_cast<int32_t>(s * sample + ((zo * Hp + yo) * Wp + xo) * stride_));
-  l.k_off.clear();
   for (int64_t c = 0; c < cin_; ++c)
     for (int64_t kz = 0; kz < k_; ++kz)
       for (int64_t ky = 0; ky < k_; ++ky)
         for (int64_t kx = 0; kx < k_; ++kx)
           l.k_off.push_back(static_cast<int32_t>(c * l.padded + (kz * Hp + ky) * Wp + kx));
+  std::lock_guard<std::mutex> lock(lowering_mu_);
+  lowering_ = std::move(built);
+  return lowering_;
 }
 
-void Conv3d::pad_channel(const float* x, float* xp) const {
-  const Lowering& l = lowering_;
+void Conv3d::pad_channel(const Lowering& l, const float* x, float* xp) {
   for (int64_t z = 0; z < l.D; ++z)
     for (int64_t y = 0; y < l.H; ++y)
       std::memcpy(xp + l.origin + (z * l.Hp + y) * l.Wp, x + (z * l.H + y) * l.W,
                   static_cast<size_t>(l.W) * sizeof(float));
 }
 
-void Conv3d::lower_channel(const float* xp, float* cols, int64_t ld) const {
-  const Lowering& l = lowering_;
+void Conv3d::lower_channel(const Lowering& l, const float* xp, float* cols, int64_t ld) const {
   for (int64_t t = 0; t < k_ * k_ * k_; ++t)
     gather_row(xp + l.k_off[static_cast<size_t>(t)], l.row_off.data(), cols + t * ld, l.N);
 }
@@ -206,8 +209,8 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   }
   if (training_) cached_input_ = x;
   const int64_t B = x.dim(0), D = x.dim(2), H = x.dim(3), W = x.dim(4);
-  build_lowering(D, H, W);
-  const Lowering& l = lowering_;
+  const std::shared_ptr<const Lowering> lp = lowering(D, H, W);
+  const Lowering& l = *lp;
   Tensor out = Tensor::uninit({B, cout_, out_size(D, k_, stride_, pad_),
                                out_size(H, k_, stride_, pad_), out_size(W, k_, stride_, pad_)});
   if (B == 0) return out;
@@ -232,19 +235,17 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   // is multiplied by Wᵀ into (g*N, L) result rows, and those are
   // transposed into the samples' (cout, N) output planes. Each output
   // element's sum and epilogue are the same for any group, so grouping
-  // changes no bit. Groups fan out over the compute pool, each thread with
-  // its own scratch (workers only read the shared lowering).
+  // changes no bit.
   const int64_t N = l.N, chan_in = D * H * W, sample = cin_ * l.padded;
   const int64_t groups = (B + l.group - 1) / l.group;
   const int64_t g = (B + groups - 1) / groups;
   const float* in = x.data();
   float* o = out.data();
-  core::parallel_for_auto(static_cast<size_t>(groups), 2, [&](size_t gi) {
-    const int64_t b0 = static_cast<int64_t>(gi) * g;
+  for (int64_t b0 = 0; b0 < B; b0 += g) {
     const int64_t gb = std::min(g, B - b0);
     float* xp = conv_scratch(D, H, W, pad_, l.padded, gb * cin_, gb * N * L);
     for (int64_t c = 0; c < gb * cin_; ++c)
-      pad_channel(in + (b0 * cin_ + c) * chan_in, xp + c * l.padded);
+      pad_channel(l, in + (b0 * cin_ + c) * chan_in, xp + c * l.padded);
     float* res = xp + gb * sample;
     core::sgemm_indirect(gb * N, cout_, K, xp, l.row_off.data(), l.k_off.data(), wt.data(), L,
                          res, L, &ep);
@@ -255,7 +256,7 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
           transpose_block(res + (s * N + n0) * L + c0, L, nn, std::min<int64_t>(16, cout_ - c0),
                           o + ((b0 + s) * cout_ + c0) * N + n0, N, nn);
         }
-  });
+  }
   return out;
 }
 
@@ -270,10 +271,10 @@ Tensor Conv3d::backward(const Tensor& grad_out) {
     throw std::invalid_argument("Conv3d::backward: gradient " + grad_out.shape_str() +
                                 " is not the training forward's output shape " +
                                 dims_str(want));
-  build_lowering(D, H, W);
+  const std::shared_ptr<const Lowering> lp = lowering(D, H, W);
+  const Lowering& l = *lp;
   Tensor grad_in = Tensor::uninit(x.shape());
 
-  const Lowering& l = lowering_;
   const int64_t K = cin_ * k_ * k_ * k_;
   const int64_t N = l.N;
   const int64_t taps = k_ * k_ * k_;
@@ -286,8 +287,7 @@ Tensor Conv3d::backward(const Tensor& grad_out) {
   float* gb = b_.grad.data();
   float* gi = grad_in.data();
 
-  // Serial over samples: grad_w/grad_b accumulate across the batch, and the
-  // per-sample gemms already use the pool when one is installed.
+  // Serial over samples: grad_w/grad_b accumulate across the batch.
   std::vector<float> cols(static_cast<size_t>(K * N));
   std::vector<float> cols_grad(static_cast<size_t>(K * N));
   std::vector<float> gpad(static_cast<size_t>(l.padded));
@@ -301,8 +301,8 @@ Tensor Conv3d::backward(const Tensor& grad_out) {
       gb[co] += acc;
     }
     for (int64_t ci = 0; ci < cin_; ++ci) {
-      pad_channel(in + (b * cin_ + ci) * chan_in, xp);
-      lower_channel(xp, cols.data() + ci * chan_cols, N);
+      pad_channel(l, in + (b * cin_ + ci) * chan_in, xp);
+      lower_channel(l, xp, cols.data() + ci * chan_cols, N);
     }
     // dW (cout,K) += gOut (cout,N) x cols^T (N,K)
     core::sgemm(false, true, cout_, K, N, gbatch, N, cols.data(), N, gw, K, /*accumulate=*/true);
@@ -463,9 +463,7 @@ Tensor MaxPool3d::forward(const Tensor& x) {
   float* o = out.data();
   const int64_t in_chan = D * H * W;
   const int64_t out_chan = Do * Ho * Wo;
-  // (batch, channel) planes are independent — fan out over the pool.
-  core::parallel_for_auto(static_cast<size_t>(B * C), 4, [&](size_t bci) {
-    const int64_t bc = static_cast<int64_t>(bci);
+  for (int64_t bc = 0; bc < B * C; ++bc) {
     const float* ibase = in + bc * in_chan;
     int64_t oi = bc * out_chan;
     for (int64_t zo = 0; zo < Do; ++zo)
@@ -486,7 +484,7 @@ Tensor MaxPool3d::forward(const Tensor& x) {
           o[oi] = best;
           if (track) argmax_[static_cast<size_t>(oi)] = besti;
         }
-  });
+  }
   return out;
 }
 
@@ -503,7 +501,7 @@ Tensor MaxPool3d::backward(const Tensor& grad_out) {
 }
 
 Tensor Flatten::forward(const Tensor& x) {
-  in_shape_ = x.shape();
+  if (training_) in_shape_ = x.shape();
   return x.reshaped({x.dim(0), x.numel() / x.dim(0)});
 }
 

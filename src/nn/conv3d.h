@@ -1,16 +1,20 @@
 // 3-D convolution and max-pooling over voxelized protein–ligand complexes.
 // Input layout is (batch, channels, depth, height, width), matching the
 // voxelizer's output. Conv3d's fp32 forward is an indirect GEMM (Dukhan,
-// arXiv:1907.02129): each group of samples is copied into zero-bordered
-// channel images, and core::sgemm_indirect multiplies the (samples x
-// positions, cin*k³) A, whose elements it reads from those images through
-// per-geometry offsets, by Wᵀ — no column matrix is written. Backward still
+// arXiv:1907.02129): each group of samples, one after another on the
+// calling thread, is copied into zero-bordered channel images, and
+// core::sgemm_indirect multiplies the (samples x positions, cin*k³) A, whose
+// elements it reads from those images through per-geometry offsets, by Wᵀ
+// — no column matrix is written. Eval forwards write no layer state, so
+// threads may run them on one layer at once. Backward still
 // lowers each sample to a (cin*k³, Do*Ho*Wo) column matrix through the same
 // offsets and scatters the column gradients back through a zero-padded
 // gradient image. The original direct 7-loop implementation is retained
 // below as the equivalence reference for tests and the speedup benchmark.
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/gemm.h"
@@ -60,8 +64,8 @@ class Conv3d : public Module {
   // no bounds test: that is the forward's indirect A. The first N row
   // offsets and k^3 tap offsets are one channel's lowering, which backward
   // gathers column rows through. It depends only on the input geometry, so
-  // it is built once per shape. Replica state (the layer is single-threaded
-  // per replica; pool workers only read it).
+  // it is built once per shape and published whole: a forward reads the
+  // lowering it took, never one another thread is building.
   struct Lowering {
     int64_t D = -1, H = -1, W = -1;  // geometry it was built for
     int64_t Hp = 0, Wp = 0;          // padded extents (rows, row length)
@@ -72,19 +76,21 @@ class Conv3d : public Module {
     std::vector<int32_t> row_off;    // group * N: offset of (s, n)'s window origin
     std::vector<int32_t> k_off;      // cin * k^3: offset of tap t of channel c
   };
-  // Check that the window fits the input, then build lowering_ for a
-  // (D, H, W) input; a no-op when it is already built for it.
-  void build_lowering(int64_t D, int64_t H, int64_t W);
+  // Check that the window fits the input, then return the lowering of a
+  // (D, H, W) input, building and publishing it when the last one was built
+  // for another geometry.
+  std::shared_ptr<const Lowering> lowering(int64_t D, int64_t H, int64_t W);
   // Copy one (D, H, W) channel into the interior of its padded image `xp`.
-  void pad_channel(const float* x, float* xp) const;
+  static void pad_channel(const Lowering& l, const float* x, float* xp);
   // Write one padded channel's k^3 column rows, `ld` floats apart.
-  void lower_channel(const float* xp, float* cols, int64_t ld) const;
+  void lower_channel(const Lowering& l, const float* xp, float* cols, int64_t ld) const;
 
   int64_t cin_, cout_, k_, stride_, pad_;
   Parameter w_;  // (cout, cin, k, k, k)
   Parameter b_;  // (cout)
   Tensor cached_input_;
-  Lowering lowering_;
+  std::mutex lowering_mu_;  // guards the pointer; a published Lowering never changes
+  std::shared_ptr<const Lowering> lowering_;
 };
 
 class MaxPool3d : public Module {
@@ -121,7 +127,7 @@ class Flatten : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  std::vector<int64_t> in_shape_;
+  std::vector<int64_t> in_shape_;  // recorded by training forwards only
 };
 
 }  // namespace df::nn

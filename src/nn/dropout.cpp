@@ -28,7 +28,7 @@ KeyedDropoutScope::~KeyedDropoutScope() {
 
 Tensor Dropout::forward(const Tensor& x) {
   if (!training_ || rate_ <= 0.0f) {
-    mask_ = Tensor();
+    if (training_) mask_ = Tensor();  // eval keeps the training mask for backward
     // Keep the ordinal advancing even when this layer is a no-op so a
     // model whose HPO config zeroes one rate draws the same streams for
     // the remaining layers as a config that prunes it.

@@ -50,7 +50,11 @@ class Module {
   /// beside the parameters.
   virtual void collect_statistics(std::vector<Tensor*>& out) { (void)out; }
 
-  virtual void set_training(bool t) { training_ = t; }
+  /// Writes only on a change, so asserting eval mode on an eval-mode model
+  /// is a read, and concurrent eval forwards (models/regressor.h) share it.
+  virtual void set_training(bool t) {
+    if (training_ != t) training_ = t;
+  }
   bool training() const { return training_; }
 
   void zero_grad() {

@@ -1,5 +1,6 @@
 #include "serve/scorer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
@@ -34,6 +35,15 @@ const std::vector<chem::Atom>& pocket_of(const PoseInput& pose, const std::strin
   return *pose.pocket;
 }
 
+// Poses per claim when `lanes` lanes split a forward and `left` poses are
+// unclaimed: guided self-scheduling (Polychronopoulos and Kuck, 1987) with
+// at least two poses, so 32 poses on two lanes run as 8, 6, 5, 4, 3, 2, 2,
+// 2. One lane takes the whole batch.
+size_t claim_size(size_t left, size_t lanes) {
+  if (lanes == 1) return left;
+  return std::min(left, std::max<size_t>(2, (left + 2 * lanes - 1) / (2 * lanes)));
+}
+
 }  // namespace
 
 RegressorScorer::RegressorScorer(std::string name, std::unique_ptr<models::Regressor> model,
@@ -52,9 +62,10 @@ RegressorScorer::RegressorScorer(std::string name, std::unique_ptr<models::Regre
 // The stage-pipelined executor (ScorerPipeline): a bounded ring of
 // `depth` micro-batch slots, a one-thread stage pool that featurizes
 // submitted slots in submit order, and a caller-driven collect() that
-// forwards the oldest featurized slot. The forward borrows the stage pool
-// as its compute pool, so the worker that featurizes batch N+1 spends the
-// rest of its cycle on batch N's kernel chunks. Three monotone sequence
+// forwards the oldest featurized slot. The forward runs as pose sub-batches
+// that the caller and the stage worker claim, each lane in its own arena,
+// so the worker that featurizes batch N+1 spends the rest of its cycle
+// scoring whole poses of batch N. Three monotone sequence
 // numbers (submit / stage / collect) define slot ownership; every handoff
 // goes through mu_, which gives the happens-before edges the unlocked slot
 // bodies rely on. Each slot owns its own featurize arena, so a featurize
@@ -115,8 +126,7 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
     } release{*this};
     Slot& s = slots_[static_cast<size_t>(collect_seq_ % slots_.size())];
     ReplicaGuard guard(owner_.busy_);
-    core::ComputePoolGuard helper(&stage_);
-    return owner_.forward(s);
+    return owner_.forward(s, &stage_, &stage_ws_);
   }
 
  private:
@@ -128,6 +138,7 @@ class RegressorScorer::Pipeline : public ScorerPipeline {
   uint64_t submit_seq_ = 0;   // next slot to fill
   uint64_t stage_seq_ = 0;    // next slot to finish featurizing
   uint64_t collect_seq_ = 0;  // next slot the forward consumes
+  core::Workspace stage_ws_;  // the stage worker's forward lane arena
   // Last member: its worker runs the featurize jobs still queued before it
   // exits, and they touch everything above.
   core::ThreadPool stage_{1};
@@ -237,7 +248,8 @@ void RegressorScorer::featurize(Slot& s) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-std::vector<float> RegressorScorer::forward(Slot& s) {
+std::vector<float> RegressorScorer::forward(Slot& s, core::ThreadPool* helper,
+                                            core::Workspace* helper_ws) {
   // Drop pose pointers and cache pins eagerly — the poses belong to the
   // caller's request, the cache entries should become evictable. The batch
   // tensors are arena-borrowed; the slot's next featurize rewinds them.
@@ -251,14 +263,42 @@ std::vector<float> RegressorScorer::forward(Slot& s) {
   if (s.error) std::rethrow_exception(std::exchange(s.error, nullptr));
 
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<float> out;
-  {
-    forward_ws_.reset();
-    core::Workspace::Bind bind(forward_ws_);
-    std::vector<const data::Sample*> ptrs;
-    ptrs.reserve(s.batch.size());
-    for (const data::Sample& sample : s.batch) ptrs.push_back(&sample);
-    out = model_->predict_batch(ptrs);
+  const size_t n = s.batch.size();
+  std::vector<const data::Sample*> ptrs;
+  ptrs.reserve(n);
+  for (const data::Sample& sample : s.batch) ptrs.push_back(&sample);
+  std::vector<float> out(n);
+  // Lane i runs body i in arena i and claims sub-batches from one cursor
+  // until none are left. A model scores each pose the same whatever its
+  // batch-mates, so where claims fall changes no bit.
+  core::Workspace* const arenas[2] = {&forward_ws_, helper_ws};
+  const size_t lanes = helper != nullptr ? 2 : 1;
+  const auto lane_capacity = [&] {
+    return forward_ws_.capacity() + (helper_ws != nullptr ? helper_ws->capacity() : 0);
+  };
+  const size_t capacity = lane_capacity();
+  std::atomic<size_t> cursor{0};
+  core::parallel_for_on(helper, lanes, [&](size_t lane) {
+    core::Workspace& ws = *arenas[lane];
+    ws.reset();
+    for (size_t lo = cursor.load(), take = 0;; lo += take) {
+      do {
+        if (lo >= n) return;
+        take = claim_size(n - lo, lanes);
+      } while (!cursor.compare_exchange_weak(lo, lo + take));
+      const auto first = ptrs.begin() + static_cast<ptrdiff_t>(lo);
+      core::Workspace::Scope scope(ws);
+      const std::vector<float> part =
+          model_->predict_batch({first, first + static_cast<ptrdiff_t>(take)});
+      std::copy(part.begin(), part.end(), out.begin() + static_cast<ptrdiff_t>(lo));
+    }
+  });
+  // Once a forward grew an arena, give every lane one block as large as all
+  // lane arenas together: any claim seen so far then fits whichever lane
+  // takes it, so a warmed pipeline stays heap-free however claims fall.
+  if (const size_t total = lane_capacity(); helper_ws != nullptr && total != capacity) {
+    forward_ws_.reserve(total);
+    helper_ws->reserve(total);
   }
   const auto t1 = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(stats_mu_);

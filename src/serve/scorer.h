@@ -5,8 +5,8 @@
 // one interface so the ScoringService can serve them all uniformly.
 //
 // A Scorer instance is a *replica*: it may carry mutable state (featurizer
-// scratch, layer activation caches) and is only ever entered by one thread
-// at a time. The service builds one replica per worker from a
+// scratch, workspace arenas) and is only ever entered by one thread at a
+// time. The service builds one replica per worker from a
 // ModelRegistry factory; sharing a replica across threads is a bug, and
 // RegressorScorer turns that bug into a thrown error instead of silent
 // corruption.
@@ -30,6 +30,10 @@
 #include "dock/mmgbsa.h"
 #include "models/regressor.h"
 #include "serve/pocket_cache.h"
+
+namespace df::core {
+class ThreadPool;
+}  // namespace df::core
 
 namespace df::serve {
 
@@ -96,8 +100,8 @@ class Scorer {
 };
 
 /// Throws std::logic_error when two threads enter the same replica
-/// concurrently — the enforcement half of the Regressor replica contract
-/// (models/regressor.h). Zero cost beyond one relaxed atomic flip per batch.
+/// concurrently — the enforcement half of the replica contract above.
+/// Zero cost beyond one relaxed atomic flip per batch.
 class ReplicaGuard {
  public:
   explicit ReplicaGuard(std::atomic<bool>& busy);
@@ -122,8 +126,8 @@ class ReplicaGuard {
 /// core::Workspace arenas that are rewound — not freed — between batches,
 /// so a warmed replica scores with zero tensor heap allocations
 /// (core::alloc_count() pins this in tests). The arenas are replica state:
-/// they follow the same single-threaded replica contract as the model
-/// (models/regressor.h) and must never be shared across workers.
+/// one per featurize slot and one per forward lane, never shared across
+/// workers.
 class RegressorScorer : public Scorer {
  public:
   RegressorScorer(std::string name, std::unique_ptr<models::Regressor> model,
@@ -135,10 +139,11 @@ class RegressorScorer : public Scorer {
   std::vector<float> score(const std::vector<const PoseInput*>& poses) override;
 
   /// Stage-pipelined execution (see ScorerPipeline). The featurize stage
-  /// runs on a one-thread pool per replica, and collect() lends that pool
-  /// to the forward's kernels, so the stage worker helps with batch N's
-  /// forward whenever it is not featurizing. Each ring slot owns its own
-  /// featurize arena, so steady state stays at zero tensor heap
+  /// runs on a one-thread pool per replica, and collect() runs the forward
+  /// as pose sub-batches that the calling thread and the stage worker
+  /// claim, so the stage worker scores poses of batch N whenever it is not
+  /// featurizing. Each ring slot owns its own featurize arena and each
+  /// forward lane its own arena, so steady state stays at zero tensor heap
   /// allocations at any depth. While batches are in flight, score() and
   /// the knob setters throw rather than race the stage worker.
   ScorerPipeline* pipeline() override;
@@ -196,8 +201,13 @@ class RegressorScorer : public Scorer {
   void featurize(Slot& s);
   /// Forward `s.batch` and account the batch in phase_stats(); drops the
   /// slot's pose pointers and cache pins however it ends. The caller holds
-  /// the replica guard.
-  std::vector<float> forward(Slot& s);
+  /// the replica guard. Without a helper the batch is one predict_batch in
+  /// forward_ws_. With one, the caller (in forward_ws_) and a helper job (in
+  /// `helper_ws`) claim pose sub-batches from one cursor under one
+  /// parallel_for and run each through predict_batch, which concurrent
+  /// eval forwards on one model allow (models/regressor.h).
+  std::vector<float> forward(Slot& s, core::ThreadPool* helper = nullptr,
+                             core::Workspace* helper_ws = nullptr);
 
   std::string name_;
   std::unique_ptr<models::Regressor> model_;
@@ -205,7 +215,7 @@ class RegressorScorer : public Scorer {
   chem::GraphFeaturizer featurizer_;
   std::atomic<bool> busy_{false};
   Slot inline_;                 // score()'s slot
-  core::Workspace forward_ws_;  // reset at the top of every forward
+  core::Workspace forward_ws_;  // the caller's forward lane, reset every forward
   std::shared_ptr<PocketCache> pocket_cache_;
   mutable std::mutex stats_mu_;
   PhaseStats stats_;

@@ -264,9 +264,8 @@ Scorer& ScoringService::replica_for(std::map<std::string, std::unique_ptr<Scorer
 }
 
 void ScoringService::worker_loop() {
-  // No compute pool is installed on this thread, so the kernels it runs
-  // stay serial; a pipelined replica lends its stage worker to its own
-  // forwards (RegressorScorer's collect()).
+  // The kernels this thread runs stay on it; a pipelined replica adds its
+  // stage worker as a second forward lane (RegressorScorer's collect()).
   std::map<std::string, std::unique_ptr<Scorer>> replicas;
   uint64_t seen_warmup = 0;
 

@@ -1,6 +1,12 @@
 // Fusion-model semantics: Late = mean of heads; Mid keeps heads frozen;
 // Coherent backpropagates into both heads (the paper's key innovation).
+// An eval predict_batch between forward_train and backward leaves the
+// training caches alone, in both heads and both fusion kinds.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <functional>
+#include <string>
 
 #include "chem/conformer.h"
 #include "chem/smiles.h"
@@ -161,6 +167,78 @@ TEST(FusionModel, GradCheckFusionLayers) {
     const float scale = std::max({1.0f, std::abs(numeric), std::abs(analytic)});
     EXPECT_NEAR(analytic / scale, numeric / scale, 5e-2f) << p->name;
     ++checked;
+  }
+}
+
+// Parameter gradients of one training step on `train`, with `eval` scored
+// in eval mode between forward_train and backward (nothing when empty).
+std::vector<float> step_gradients(Regressor& model, const data::Sample& train,
+                                  const std::vector<const data::Sample*>& eval) {
+  model.set_training(true);
+  model.zero_grad();
+  model.forward_train(train);
+  if (!eval.empty()) {
+    model.set_training(false);
+    model.predict_batch(eval);
+    model.set_training(true);
+  }
+  model.backward(1.0f);
+  std::vector<float> g;
+  for (nn::Parameter* p : model.trainable_parameters())
+    g.insert(g.end(), p->grad.data(), p->grad.data() + p->numel());
+  return g;
+}
+
+TEST(EvalBetweenTrainingSteps, GradientsBitwiseEqualWithoutTheEval) {
+  Rng srng(61);
+  std::vector<data::Sample> samples;
+  for (int i = 0; i < 5; ++i) samples.push_back(make_sample(srng));
+  const std::vector<const data::Sample*> one = {&samples[1]};
+  const std::vector<const data::Sample*> four = {&samples[1], &samples[2], &samples[3],
+                                                 &samples[4]};
+  // Dropout on everywhere: its masks are training caches too.
+  Cnn3dConfig cnn_cfg;
+  cnn_cfg.grid_dim = 8;
+  cnn_cfg.conv_filters1 = 4;
+  cnn_cfg.conv_filters2 = 8;
+  cnn_cfg.dense_nodes = 16;
+  const auto fusion = [&](FusionKind kind, bool model_specific) {
+    Rng rng(62);
+    FusionConfig cfg;
+    cfg.kind = kind;
+    cfg.fusion_nodes = 8;
+    cfg.model_specific_layers = model_specific;
+    auto c = std::make_shared<Cnn3d>(cnn_cfg, rng);
+    return std::unique_ptr<Regressor>(std::make_unique<FusionModel>(cfg, c, make_sg(rng), rng));
+  };
+  using Factory = std::function<std::unique_ptr<Regressor>()>;
+  const std::pair<std::string, Factory> models[] = {
+      {"cnn3d", [&] {
+         Rng rng(62);
+         return std::unique_ptr<Regressor>(std::make_unique<Cnn3d>(cnn_cfg, rng));
+       }},
+      {"sgcnn", [] {
+         Rng rng(62);
+         SgcnnConfig cfg;
+         cfg.covalent_gather_width = 8;
+         cfg.noncovalent_gather_width = 12;
+         cfg.covalent_k = 2;
+         cfg.noncovalent_k = 2;
+         return std::unique_ptr<Regressor>(std::make_unique<Sgcnn>(cfg, rng));
+       }},
+      {"coherent", [&] { return fusion(FusionKind::Coherent, false); }},
+      {"mid_model_specific", [&] { return fusion(FusionKind::Mid, true); }},
+  };
+  for (const auto& [name, make] : models) {
+    const std::vector<float> want = step_gradients(*make(), samples[0], {});
+    for (const auto* eval : {&one, &four}) {
+      const std::string what = name + " with " + std::to_string(eval->size()) + " eval pose(s)";
+      std::vector<float> got;
+      EXPECT_NO_THROW(got = step_gradients(*make(), samples[0], *eval)) << what;
+      EXPECT_TRUE(got.size() == want.size() &&
+                  std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) == 0)
+          << what;
+    }
   }
 }
 

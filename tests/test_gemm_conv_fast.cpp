@@ -1,11 +1,11 @@
 // Equivalence pins for the inference engine: sgemm vs the naive reference
-// (all transpose variants, odd shapes, 1-8 threads), a row-major B vs the
+// (all transpose variants, odd and tall shapes), a row-major B vs the
 // same B transposed and every transpose pair vs row-major copies (bitwise),
 // the indirect-A GEMM vs sgemm on the materialized A (bitwise), Conv3d forward/backward vs the direct 7-loop
 // reference and (bitwise) vs a plain im2col + sgemm reference, sample-grouped
 // conv batches vs per-sample forwards, the ligand-only graph readout vs the
-// full per-node readout, parallel voxelizer/maxpool vs serial, batched
-// predict vs per-pose predict, and ThreadPool exception propagation.
+// full per-node readout, maxpool eval vs training, batched predict vs
+// per-pose predict, and ThreadPool exception propagation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +19,6 @@
 #include "chem/smiles.h"
 #include "chem/voxelizer.h"
 #include "core/gemm.h"
-#include "core/parallel.h"
 #include "core/rng.h"
 #include "core/tensor.h"
 #include "core/threadpool.h"
@@ -183,13 +182,9 @@ TEST(Gemm, IndirectMatchesMaterializedA) {
     for (const int64_t n : {1, 15, 16, 17, 32, 33, 64, 96, 128})
       for (const int64_t m : {1, 3, 7, 8, 9, 15, 16, 17, 65})
         check_indirect_case(m, n, k, acts[cases++ % 6], rng);
-  // Enough rows (m * n * k >= 2^20) to fan row chunks over the pool.
-  for (size_t threads : {1u, 2u, 8u}) {
-    core::ThreadPool pool(threads);
-    core::ComputePoolGuard guard(&pool);
-    for (const int64_t n : {16, 33, 128})
-      for (const int64_t m : {203, 260}) check_indirect_case(m, n, 450, acts[cases++ % 6], rng);
-  }
+  // Tall operands: m * n * k past 2^20.
+  for (const int64_t n : {16, 33, 128})
+    for (const int64_t m : {203, 260}) check_indirect_case(m, n, 450, acts[cases++ % 6], rng);
   std::vector<float> C = {1, 2};
   const int32_t zero = 0;
   core::sgemm_indirect(1, 2, 0, nullptr, &zero, nullptr, nullptr, 16, C.data(), 2);
@@ -204,8 +199,8 @@ TEST(Gemm, IndirectMatchesMaterializedA) {
 // row image, and the reference's line-aligned B in place whenever
 // n % 16 == 0, so every pair must agree bit for bit. Widths cover one and
 // several column blocks with and without a 16-lane tail, k one and
-// several panels, C starts as garbage, and the wide shapes run on pools of
-// 1, 2 and 8 threads so that row chunks fan out.
+// several panels, C starts as garbage, and two wide shapes run past 2^20
+// multiply-adds.
 void check_transposed_case(int64_t m, int64_t n, int64_t k, Rng& rng) {
   const std::vector<float> A = random_buf(m * k, rng), B = random_buf(k * n, rng);
   Tensor B_line({k, n});  // Tensor storage starts on a 64-byte line
@@ -259,12 +254,8 @@ TEST(Gemm, TransposedAndWideOperandsMatchRowMajorBitwise) {
   for (const int64_t n : {1, 16, 17, 96, 97, 128, 130, 433})
     for (const int64_t m : {1, 3, 8, 9, 65, 130})
       for (const int64_t k : {1, 42, 192, 193, 450}) check_transposed_case(m, n, k, rng);
-  for (size_t threads : {1u, 2u, 8u}) {
-    core::ThreadPool pool(threads);
-    core::ComputePoolGuard guard(&pool);
-    check_transposed_case(260, 433, 450, rng);
-    check_transposed_case(203, 130, 193, rng);
-  }
+  check_transposed_case(260, 433, 450, rng);
+  check_transposed_case(203, 130, 193, rng);
 }
 
 TEST(Gemm, KZeroClearsOrKeepsC) {
@@ -275,16 +266,11 @@ TEST(Gemm, KZeroClearsOrKeepsC) {
   for (float v : C) EXPECT_EQ(v, 0.0f);
 }
 
-TEST(Gemm, MatchesNaiveOnEveryPoolSize) {
-  for (size_t threads : {1u, 2u, 3u, 4u, 8u}) {
-    core::ThreadPool pool(threads);
-    core::ComputePoolGuard guard(&pool);
-    Rng rng(23 + threads);
-    // Big enough to cross the parallel threshold and fan out in row chunks.
-    check_gemm_case(false, false, 201, 150, 67, rng);
-    check_gemm_case(true, false, 150, 201, 67, rng);
-    check_gemm_case(false, true, 97, 203, 129, rng);
-  }
+TEST(Gemm, MatchesNaiveOnTallShapes) {
+  Rng rng(24);
+  check_gemm_case(false, false, 201, 150, 67, rng);
+  check_gemm_case(true, false, 150, 201, 67, rng);
+  check_gemm_case(false, true, 97, 203, 129, rng);
 }
 
 TEST(Tensor, MatmulVariantsMatchNaive) {
@@ -346,14 +332,10 @@ TEST(Conv3dFast, MatchesNaiveAcrossShapes) {
   for (const ConvCase& cc : cases) check_conv_case(cc, rng);
 }
 
-TEST(Conv3dFast, MatchesNaiveOnEveryPoolSize) {
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    core::ThreadPool pool(threads);
-    core::ComputePoolGuard guard(&pool);
-    Rng rng(41 + threads);
-    check_conv_case({4, 3, 6, 7, 7, 7, 3, 1, 1}, rng);
-    check_conv_case({2, 4, 4, 8, 6, 9, 5, 2, 2}, rng);
-  }
+TEST(Conv3dFast, MatchesNaiveOnBatchedShapes) {
+  Rng rng(42);
+  check_conv_case({4, 3, 6, 7, 7, 7, 3, 1, 1}, rng);
+  check_conv_case({2, 4, 4, 8, 6, 9, 5, 2, 2}, rng);
 }
 
 // ---- Conv3d bitwise pins: plain im2col reference, sample groups ----
@@ -544,38 +526,16 @@ TEST(GatherReadout, LigandOnlyMatchesFullReadout) {
   }
 }
 
-// ---- parallel voxelizer / maxpool vs serial ----
+// ---- maxpool: eval vs training ----
 
-TEST(VoxelizerParallel, BitwiseMatchesSerial) {
-  Rng rng(5);
-  chem::Molecule lig = chem::parse_smiles("CC(N)CC(=O)O");
-  chem::embed_conformer(lig, rng);
-  lig.translate(core::Vec3{} - lig.centroid());
-  const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
-  chem::VoxelConfig vc;
-  vc.grid_dim = 12;
-  const chem::Voxelizer vox(vc);
-  const Tensor serial = vox.voxelize(lig, pocket, {});
-  EXPECT_GT(serial.norm(), 0.0f);
-  core::ThreadPool pool(4);
-  core::ComputePoolGuard guard(&pool);
-  const Tensor parallel = vox.voxelize(lig, pocket, {});
-  EXPECT_EQ(max_abs_diff(serial, parallel), 0.0f);
-}
-
-TEST(MaxPoolParallel, BitwiseMatchesSerial) {
+TEST(MaxPool, EvalBitwiseEqualsTraining) {
   Rng rng(6);
   Tensor x = Tensor::randn({3, 5, 8, 8, 8}, rng);
   nn::MaxPool3d pool_layer(2, 2);
-  const Tensor serial = pool_layer.forward(x);
-  core::ThreadPool pool(4);
-  core::ComputePoolGuard guard(&pool);
-  nn::MaxPool3d pool_layer2(2, 2);
-  const Tensor parallel = pool_layer2.forward(x);
-  EXPECT_EQ(max_abs_diff(serial, parallel), 0.0f);
+  const Tensor train = pool_layer.forward(x);
   // Eval skips the argmax bookkeeping and returns the same bytes.
-  pool_layer2.set_training(false);
-  EXPECT_TRUE(same_bytes(pool_layer2.forward(x), serial));
+  pool_layer.set_training(false);
+  EXPECT_TRUE(same_bytes(pool_layer.forward(x), train));
 }
 
 // ---- ThreadPool exception propagation ----

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/rng.h"
 #include "core/threadpool.h"
 
@@ -188,29 +187,6 @@ TEST(ParallelFor, NestedCallRunsSeriallyOnTheBodysThread) {
   done.get();
   EXPECT_EQ(st->foreign.load(), 0) << "a nested region fanned out";
   for (size_t i = 0; i < st->hits.size(); ++i) EXPECT_EQ(st->hits[i].load(), 1) << i;
-}
-
-TEST(ComputePool, LanesCountTheCallerAndStaySerialInsideABody) {
-  EXPECT_EQ(compute_lanes(), 1u);  // nothing installed on this thread
-  ThreadPool one(1);
-  {
-    ComputePoolGuard guard(&one);
-    EXPECT_EQ(compute_lanes(), 2u);  // a one-thread pool still fans out
-    ThreadPool three(3);
-    {
-      ComputePoolGuard inner(&three);
-      EXPECT_EQ(compute_lanes(), 4u);
-      std::atomic<int> nested_lanes{0};
-      parallel_for_auto(8, 2, [&](size_t) { nested_lanes.fetch_add(static_cast<int>(compute_lanes())); });
-      EXPECT_EQ(nested_lanes.load(), 8);
-    }
-    EXPECT_EQ(compute_lanes(), 2u);
-    // The guard is per thread: another thread computes serially.
-    size_t other = 0;
-    std::thread([&] { other = compute_lanes(); }).join();
-    EXPECT_EQ(other, 1u);
-  }
-  EXPECT_EQ(compute_lanes(), 1u);
 }
 
 }  // namespace

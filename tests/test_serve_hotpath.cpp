@@ -9,22 +9,34 @@
 //   * a RegressorScorer's workspace arenas can be rewound and reused across
 //     hundreds of batches without drifting a single bit,
 //   * a warmed steady-state score() performs zero tensor heap allocations
-//     (core::alloc_count() pins the Tensor/Workspace instrumentation hook).
+//     (core::alloc_count() pins the Tensor/Workspace instrumentation hook),
+//   * two threads, each in its own arena, may run predict_batch on one
+//     eval-mode model at once: every default_registry backend, the
+//     screening benchmark's Coherent fusion, a Mid fusion with
+//     model-specific layers and a compiled-artifact replica score each
+//     half of a batch bitwise as one serial call does.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <functional>
+#include <latch>
 #include <memory>
 #include <new>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "chem/conformer.h"
 #include "chem/graph_featurizer.h"
 #include "chem/voxelizer.h"
+#include "compile/model_compiler.h"
 #include "core/gemm.h"
 #include "core/rng.h"
 #include "core/workspace.h"
 #include "data/target.h"
+#include "models/baselines.h"
 #include "models/fusion.h"
 #include "serve/scorer.h"
 
@@ -415,6 +427,120 @@ TEST(ScorerHotPath, SteadyStateScoreMakesZeroTensorHeapAllocations) {
   EXPECT_EQ(core::alloc_count(), before)
       << "steady-state score() touched the heap for tensor data";
   ASSERT_EQ(out.size(), ptrs.size());
+}
+
+// ---- concurrent eval on one model -----------------------------------------
+
+// Two threads, each in its own arena, run predict_batch on the two halves
+// of `batch` at once on one fresh eval-mode model, from its first forward
+// on and 20 times over; every score must equal one serial call's on a
+// twin, bit for bit.
+using RegressorMaker = std::function<std::unique_ptr<models::Regressor>()>;
+
+void expect_concurrent_halves_bitwise(const RegressorMaker& make,
+                                      const std::vector<const data::Sample*>& batch,
+                                      const std::string& what) {
+  const std::unique_ptr<models::Regressor> twin = make();
+  twin->set_training(false);
+  const std::vector<float> want = twin->predict_batch(batch);
+  ASSERT_EQ(want.size(), batch.size()) << what;
+  const std::unique_ptr<models::Regressor> shared = make();
+  models::Regressor& model = *shared;
+  model.set_training(false);
+  const auto mid = batch.begin() + static_cast<ptrdiff_t>(batch.size() / 2);
+  const std::vector<const data::Sample*> halves[2] = {{batch.begin(), mid}, {mid, batch.end()}};
+  core::Workspace arenas[2];
+  std::vector<float> got[2];
+  const auto run = [&](int h, std::latch& start) {
+    core::Workspace::Scope scope(arenas[h]);
+    start.arrive_and_wait();
+    got[h] = model.predict_batch(halves[h]);
+  };
+  for (int round = 0; round < 20; ++round) {
+    std::latch start(2);
+    std::thread other(run, 1, std::ref(start));
+    run(0, start);
+    other.join();
+    got[0].insert(got[0].end(), got[1].begin(), got[1].end());
+    ASSERT_EQ(got[0].size(), want.size()) << what;
+    EXPECT_EQ(std::memcmp(got[0].data(), want.data(), want.size() * sizeof(float)), 0)
+        << what << " round " << round;
+  }
+}
+
+TEST(ConcurrentEval, HalvesOfABatchOnOneModelBitwiseEqualOneSerialCall) {
+  Rng rng(35);
+  const chem::VoxelConfig voxel = tiny_voxel();
+  const auto pocket = data::make_pocket({5.5f, 96, 0.7f, 0.5f, 0.1f}, rng);
+  const auto poses = make_poses(32, &pocket, rng);
+  const chem::Voxelizer vox(voxel);
+  const chem::GraphFeaturizer feat;
+  std::vector<data::Sample> samples(poses.size());
+  std::vector<const data::Sample*> batch;
+  for (size_t i = 0; i < poses.size(); ++i) {
+    samples[i].voxel = vox.voxelize(poses[i].ligand, pocket, {});
+    samples[i].graph = feat.featurize(poses[i].ligand, pocket);
+    batch.push_back(&samples[i]);
+  }
+
+  // default_registry's reference nets, built as it builds them.
+  models::Cnn3dConfig cnn_cfg;
+  cnn_cfg.in_channels = voxel.channels();
+  cnn_cfg.grid_dim = voxel.grid_dim;
+  std::vector<std::pair<std::string, RegressorMaker>> nets;
+  nets.emplace_back("sgcnn", [] {
+    Rng r(101);
+    return std::make_unique<models::Sgcnn>(models::SgcnnConfig{}, r);
+  });
+  nets.emplace_back("cnn3d", [&] {
+    Rng r(102);
+    return std::make_unique<models::Cnn3d>(cnn_cfg, r);
+  });
+  nets.emplace_back("late_fusion", [&] {
+    Rng r(103);
+    auto cnn = std::make_shared<models::Cnn3d>(cnn_cfg, r);
+    auto sg = std::make_shared<models::Sgcnn>(models::SgcnnConfig{}, r);
+    return std::make_unique<models::LateFusion>(std::move(cnn), std::move(sg));
+  });
+  nets.emplace_back("pafnucy", [&] {
+    Rng r(104);
+    return models::make_pafnucy(voxel.channels(), voxel.grid_dim, r);
+  });
+  nets.emplace_back("kdeep", [&] {
+    Rng r(105);
+    return models::make_kdeep(voxel.channels(), voxel.grid_dim, r);
+  });
+  // The screening benchmark's Coherent fusion widths.
+  const auto coherent = [&] {
+    Rng r(0x5c2ee);
+    models::Cnn3dConfig cc = cnn_cfg;
+    cc.residual1 = false;
+    cc.residual2 = true;
+    models::SgcnnConfig sc;
+    sc.covalent_k = 6;
+    sc.noncovalent_k = 3;
+    sc.covalent_gather_width = 24;
+    sc.noncovalent_gather_width = 128;
+    auto cnn = std::make_shared<models::Cnn3d>(cc, r);
+    auto sg = std::make_shared<models::Sgcnn>(sc, r);
+    models::FusionConfig fc;
+    fc.kind = models::FusionKind::Coherent;
+    fc.num_fusion_layers = 4;
+    fc.fusion_nodes = 64;
+    fc.activation = nn::Activation::kSELU;
+    return std::make_unique<models::FusionModel>(fc, cnn, sg, r);
+  };
+  nets.emplace_back("coherent_fusion", coherent);
+  nets.emplace_back("mid_fusion_ms", [] { return make_fusion(); });
+  for (const auto& [name, make] : nets) expect_concurrent_halves_bitwise(make, batch, name);
+
+  // Compiled-artifact replicas of the Coherent fusion.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "df_concurrent_eval.dfca").string();
+  compile::save_compiled(*coherent(), path);
+  expect_concurrent_halves_bitwise([&] { return compile::load_compiled(path).model; }, batch,
+                                   "compiled coherent_fusion");
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -8,9 +8,10 @@
 //     survive eviction,
 //   * RegressorScorer's stage pipeline is bitwise identical to sequential
 //     score() at every depth — also at the screening benchmark's model
-//     widths, where the forward's kernels fan out to the stage worker —
-//     and through an ordered-stream ScoringService at every (workers,
-//     depth, cache) combination,
+//     widths at every batch size from 1 to 33, where the worker and the
+//     stage worker split each forward into claimed pose sub-batches — and
+//     through an ordered-stream ScoringService at every (workers, depth,
+//     cache) combination,
 //   * cache hit == cache miss bitwise at feature-set v1 AND v2, and
 //     score() — cached or not, over mixed pockets and centers — equals
 //     model predictions on the joint Voxelizer::voxelize featurization,
@@ -521,10 +522,11 @@ TEST(PipelinedScorer, SteadyStateZeroTensorHeapAllocationsAtDepth2) {
 }
 
 TEST(PipelinedScorer, BitwiseEqualsScoreAtScreeningModelWidths) {
-  // The screening benchmark's model widths and 32-pose batches: its conv,
-  // dense and graph-conv GEMMs pass the 2^20-MAC fan-out threshold, so the
-  // forward's kernels really split between the worker and the stage
-  // worker lent to it.
+  // The screening benchmark's model widths at every batch size from 1 to
+  // 33: a depth-2 pipeline splits each forward into pose sub-batches that
+  // the worker and the stage worker claim, so this pins every claim split,
+  // batches below two minimum claims included, against score()'s one
+  // whole-batch claim.
   models::Cnn3dConfig cc;
   cc.in_channels = tiny_voxel().channels();
   cc.grid_dim = tiny_voxel().grid_dim;
@@ -552,9 +554,9 @@ TEST(PipelinedScorer, BitwiseEqualsScoreAtScreeningModelWidths) {
 
   Rng rng(89);
   const auto pocket = data::make_pocket({5.5f, 96, 0.7f, 0.5f, 0.1f}, rng);
-  constexpr int kBatches = 4;
+  constexpr int kBatches = 33;
   std::vector<std::vector<serve::PoseInput>> batches;
-  for (int b = 0; b < kBatches; ++b) batches.push_back(make_poses(32, &pocket, rng));
+  for (int b = 0; b < kBatches; ++b) batches.push_back(make_poses(b + 1, &pocket, rng));
 
   serve::RegressorScorer sequential("fusion", make_model(), tiny_voxel(), tiny_graph());
   serve::RegressorScorer pipelined("fusion", make_model(), tiny_voxel(), tiny_graph());
@@ -571,7 +573,7 @@ TEST(PipelinedScorer, BitwiseEqualsScoreAtScreeningModelWidths) {
   for (int b = 0; b < kBatches; ++b) {
     expect_bitwise(got[static_cast<size_t>(b)],
                    sequential.score(ptrs_of(batches[static_cast<size_t>(b)])),
-                   "batch " + std::to_string(b));
+                   std::to_string(b + 1) + "-pose batch");
   }
 }
 
